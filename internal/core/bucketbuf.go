@@ -1,15 +1,19 @@
 package core
 
+import "stms/internal/mem"
+
 // bucketBuffer models the 8 KB on-chip buffer that holds index-table
 // buckets between lookup, update, and write-back (§4.3, §5.3). It caches
 // bucket *identities* with dirty bits and LRU replacement; the bucket
 // contents themselves live in the authoritative IndexTable. Its effect is
 // purely on traffic and latency: operations hitting the buffer avoid a
 // memory read, and dirty buckets are written back once on eviction no
-// matter how many updates they absorbed.
+// matter how many updates they absorbed. Residency is indexed by an
+// open-addressed mem.BlockMap (bucket id → node), off the built-in map
+// machinery on the per-miss path.
 type bucketBuffer struct {
 	cap   int
-	m     map[uint32]int32
+	m     *mem.BlockMap
 	nodes []bbNode
 	free  []int32
 	head  int32
@@ -35,10 +39,10 @@ func newBucketBuffer(capacity int) *bucketBuffer {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &bucketBuffer{cap: capacity, m: make(map[uint32]int32, capacity), head: bbNil, tail: bbNil}
+	return &bucketBuffer{cap: capacity, m: mem.NewBlockMap(capacity), head: bbNil, tail: bbNil}
 }
 
-func (b *bucketBuffer) len() int { return len(b.m) }
+func (b *bucketBuffer) len() int { return b.m.Len() }
 
 func (b *bucketBuffer) detach(i int32) {
 	n := &b.nodes[i]
@@ -71,7 +75,7 @@ func (b *bucketBuffer) pushFront(i int32) {
 // touch refreshes bucket id if present, optionally dirtying it. It reports
 // whether the bucket was resident.
 func (b *bucketBuffer) touch(id uint32, dirty bool) bool {
-	i, ok := b.m[id]
+	i, ok := b.m.Get(uint64(id))
 	if !ok {
 		return false
 	}
@@ -88,7 +92,7 @@ func (b *bucketBuffer) touch(id uint32, dirty bool) bool {
 // dirty bucket is evicted to make room, evictedDirty reports it so the
 // caller can charge the write-back.
 func (b *bucketBuffer) insert(id uint32, dirty bool) (evictedDirty bool) {
-	if i, ok := b.m[id]; ok {
+	if i, ok := b.m.Get(uint64(id)); ok {
 		// Already resident (racing fills); just refresh.
 		b.detach(i)
 		b.pushFront(i)
@@ -98,10 +102,10 @@ func (b *bucketBuffer) insert(id uint32, dirty bool) (evictedDirty bool) {
 		return false
 	}
 	b.MissesRead++
-	if len(b.m) >= b.cap {
+	if b.m.Len() >= b.cap {
 		victim := b.tail
 		b.detach(victim)
-		delete(b.m, b.nodes[victim].id)
+		b.m.Delete(uint64(b.nodes[victim].id))
 		if b.nodes[victim].dirty {
 			evictedDirty = true
 			b.Writebacks++
@@ -117,7 +121,7 @@ func (b *bucketBuffer) insert(id uint32, dirty bool) (evictedDirty bool) {
 		i = int32(len(b.nodes) - 1)
 	}
 	b.nodes[i] = bbNode{id: id, dirty: dirty, prev: bbNil, next: bbNil}
-	b.m[id] = i
+	b.m.Put(uint64(id), i)
 	b.pushFront(i)
 	return evictedDirty
 }
@@ -126,7 +130,7 @@ func (b *bucketBuffer) insert(id uint32, dirty bool) (evictedDirty bool) {
 // write-backs when a measurement ends).
 func (b *bucketBuffer) flushDirtyCount() uint64 {
 	var n uint64
-	for _, i := range b.m {
+	for i := b.head; i != bbNil; i = b.nodes[i].next {
 		if b.nodes[i].dirty {
 			n++
 		}

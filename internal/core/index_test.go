@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"stms/internal/ckpt"
 )
 
 func TestIndexTableLookupUpdate(t *testing.T) {
@@ -197,8 +200,44 @@ func TestBucketBufferCapacity(t *testing.T) {
 	if b.len() != 128 {
 		t.Fatalf("len = %d", b.len())
 	}
-	if b.flushDirtyCount() == 0 {
-		t.Fatal("expected dirty buckets")
+	// The resident buckets are the last 128 inserted, half of them even.
+	if n := b.flushDirtyCount(); n != 64 {
+		t.Fatalf("dirty count = %d, want 64", n)
+	}
+}
+
+// TestBucketBufferSnapshot: a snapshot restores to the same LRU order
+// and dirty bits, and a snapshot listing a bucket twice is rejected.
+func TestBucketBufferSnapshot(t *testing.T) {
+	b := newBucketBuffer(4)
+	for _, id := range []uint32{7, 3, 9, 3, 11, 5} {
+		b.insert(id, id%3 == 0)
+	}
+	enc := ckpt.NewEncoder()
+	b.snapshot(enc)
+	r := newBucketBuffer(4)
+	if err := r.restore(ckpt.NewSnapshot(enc).Decoder()); err != nil {
+		t.Fatal(err)
+	}
+	again := ckpt.NewEncoder()
+	r.snapshot(again)
+	if !bytes.Equal(again.Payload(), enc.Payload()) || r.flushDirtyCount() != b.flushDirtyCount() {
+		t.Fatal("restored bucket buffer differs from the original")
+	}
+
+	dup := ckpt.NewEncoder()
+	dup.Section("core.bucketBuffer")
+	dup.Int(4)
+	dup.Int(2)
+	for range 2 {
+		dup.U32(7)
+		dup.Bool(false)
+	}
+	dup.U64(0)
+	dup.U64(0)
+	dup.U64(0)
+	if err := newBucketBuffer(4).restore(ckpt.NewSnapshot(dup).Decoder()); err == nil {
+		t.Fatal("snapshot repeating a bucket accepted")
 	}
 }
 

@@ -87,7 +87,7 @@ func (t *IndexTable) Restore(dec *ckpt.Decoder) error {
 func (b *bucketBuffer) snapshot(enc *ckpt.Encoder) {
 	enc.Section("core.bucketBuffer")
 	enc.Int(b.cap)
-	enc.Int(len(b.m))
+	enc.Int(b.m.Len())
 	for i := b.tail; i != bbNil; i = b.nodes[i].prev {
 		enc.U32(b.nodes[i].id)
 		enc.Bool(b.nodes[i].dirty)
@@ -109,7 +109,7 @@ func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 	if capacity != b.cap {
 		return fmt.Errorf("core: bucket buffer snapshot capacity %d does not match %d", capacity, b.cap)
 	}
-	if len(b.m) != 0 {
+	if b.m.Len() != 0 {
 		return fmt.Errorf("core: restore into non-empty bucket buffer")
 	}
 	for k := 0; k < count; k++ {
@@ -118,9 +118,12 @@ func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
+		if b.m.Contains(uint64(id)) {
+			return fmt.Errorf("core: bucket buffer snapshot repeats bucket %d", id)
+		}
 		b.nodes = append(b.nodes, bbNode{id: id, dirty: dirty, prev: bbNil, next: bbNil})
 		i := int32(len(b.nodes) - 1)
-		b.m[id] = i
+		b.m.Put(uint64(id), i)
 		b.pushFront(i)
 	}
 	b.Hits = dec.U64()

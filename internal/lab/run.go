@@ -3,6 +3,7 @@ package lab
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,8 @@ type ResultEvent struct {
 // returns the indexed result Matrix. Per-cell results are deterministic
 // functions of the cell configuration, so the Matrix is identical
 // regardless of parallelism. Cells already in the session memo — or
-// duplicated within the plan — are simulated only once.
+// duplicated within the plan — are simulated only once, and functional
+// cells that share a tape simulate in lockstep groups (see batch).
 //
 // Cancelling ctx stops the workers promptly (in-flight simulations poll
 // the context every few thousand records); Run then returns the partial
@@ -102,33 +104,38 @@ func (l *Lab) Run(ctx context.Context, p *RunPlan) (*Matrix, error) {
 		todo = append(todo, i)
 	}
 
+	work := l.batch(p.Cells, todo)
 	par := l.par
-	if par > len(todo) {
-		par = len(todo)
+	if par > len(work) {
+		par = len(work)
 	}
 	if par < 1 {
 		par = 1
 	}
-	idx := make(chan int)
+	items := make(chan []int)
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				st.runCell(ctx, i)
+			for item := range items {
+				if len(item) == 1 {
+					st.runCell(ctx, item[0])
+				} else {
+					st.runGroup(ctx, item)
+				}
 			}
 		}()
 	}
 feed:
-	for _, i := range todo {
+	for _, item := range work {
 		select {
 		case <-ctx.Done():
 			break feed
-		case idx <- i:
+		case items <- item:
 		}
 	}
-	close(idx)
+	close(items)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return m, err
@@ -180,33 +187,7 @@ func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, tapeWa
 		}
 		return res, 0, err
 	}
-	// Validate before touching the tape store — the sim entry points
-	// validate again, but only after the tape exists, and a cell with a
-	// broken per-cell override must not cost a tape build.
-	if err := cell.Config.Validate(); err != nil {
-		return sim.Results{}, 0, err
-	}
-	seed := cell.Config.Seed
-	cores := cell.Config.Cores
-	perCore := cell.Config.WarmRecords + cell.Config.MeasureRecords
-	var key string
-	var build func() *trace.Tape
-	if cell.Scenario != nil {
-		scn := cell.Scenario.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewScenarioTape(scn, seed, cores, perCore)
-		}
-	} else {
-		spec := cell.Spec.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(spec, "", seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewTape(spec, seed, cores, perCore)
-		}
-	}
-	t0 := time.Now()
-	tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-	tapeWait = time.Since(t0)
+	tape, tapeWait, err := l.tapeFor(ctx, cell)
 	if err != nil {
 		return sim.Results{}, tapeWait, err
 	}
@@ -237,30 +218,7 @@ func (l *Lab) simulateSampled(ctx context.Context, cell *Cell) (*sim.SampledResu
 		}
 		return &sr, 0, nil
 	}
-	if err := cell.Config.Validate(); err != nil {
-		return nil, 0, err
-	}
-	seed := cell.Config.Seed
-	cores := cell.Config.Cores
-	perCore := cell.Config.WarmRecords + cell.Config.MeasureRecords
-	var key string
-	var build func() *trace.Tape
-	if cell.Scenario != nil {
-		scn := cell.Scenario.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewScenarioTape(scn, seed, cores, perCore)
-		}
-	} else {
-		spec := cell.Spec.Scaled(cell.Config.Scale)
-		key = dist.TapeKey(spec, "", seed, cores, perCore)
-		build = func() *trace.Tape {
-			return trace.NewTape(spec, seed, cores, perCore)
-		}
-	}
-	t0 := time.Now()
-	tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-	tapeWait := time.Since(t0)
+	tape, tapeWait, err := l.tapeFor(ctx, cell)
 	if err != nil {
 		return nil, tapeWait, err
 	}
@@ -269,6 +227,103 @@ func (l *Lab) simulateSampled(ctx context.Context, cell *Cell) (*sim.SampledResu
 		return nil, tapeWait, err
 	}
 	return &sr, tapeWait, nil
+}
+
+// tapeIdentity returns the store address of the cell's trace tape and
+// the function that materializes it.
+func tapeIdentity(cell *Cell) (string, func() *trace.Tape) {
+	seed := cell.Config.Seed
+	cores := cell.Config.Cores
+	perCore := cell.Config.WarmRecords + cell.Config.MeasureRecords
+	if cell.Scenario != nil {
+		scn := cell.Scenario.Scaled(cell.Config.Scale)
+		return dist.TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore), func() *trace.Tape {
+			return trace.NewScenarioTape(scn, seed, cores, perCore)
+		}
+	}
+	spec := cell.Spec.Scaled(cell.Config.Scale)
+	return dist.TapeKey(spec, "", seed, cores, perCore), func() *trace.Tape {
+		return trace.NewTape(spec, seed, cores, perCore)
+	}
+}
+
+// tapeFor serves the cell's tape from the session store. The cell's
+// configuration is validated first: the sim entry points validate
+// again, but only after the tape exists, and a cell with a broken
+// per-cell override must not cost a tape build.
+func (l *Lab) tapeFor(ctx context.Context, cell *Cell) (*trace.Tape, time.Duration, error) {
+	if err := cell.Config.Validate(); err != nil {
+		return nil, 0, err
+	}
+	key, build := tapeIdentity(cell)
+	t0 := time.Now()
+	tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
+	return tape, time.Since(t0), err
+}
+
+// maxGroup caps the cells one lockstep group simulates together.
+const maxGroup = 4
+
+// batch splits the cells to simulate into work items, in plan order. A
+// work item is one cell, or a lockstep group of functional cells that
+// share a tape and a configuration: the group simulates the base
+// hierarchy once for all its variants (sim.RunFunctionalGroupCtx).
+// Grouping needs local execution and the tape store; sampled cells run
+// alone. Groups hold at most maxGroup cells and split further while
+// there are fewer items than workers.
+func (l *Lab) batch(cells []Cell, todo []int) [][]int {
+	type groupKey struct {
+		tape string
+		cfg  sim.Config
+	}
+	open := make(map[groupKey]int) // group → index of its last item
+	var items [][]int
+	for _, i := range todo {
+		c := &cells[i]
+		if l.remote != nil || l.tapes == nil || c.Mode != Functional || c.Sampling.Windows > 1 {
+			items = append(items, []int{i})
+			continue
+		}
+		tape, _ := tapeIdentity(c)
+		k := groupKey{tape, c.Config}
+		if j, ok := open[k]; ok && len(items[j]) < maxGroup {
+			items[j] = append(items[j], i)
+			continue
+		}
+		open[k] = len(items)
+		items = append(items, []int{i})
+	}
+	for len(items) > 0 && len(items) < l.par {
+		j := 0
+		for k := range items {
+			if len(items[k]) > len(items[j]) {
+				j = k
+			}
+		}
+		if len(items[j]) < 2 {
+			break
+		}
+		it := items[j]
+		h := len(it) / 2
+		items[j] = it[:h:h]
+		items = slices.Insert(items, j+1, it[h:])
+	}
+	return items
+}
+
+// simulateGroup runs a lockstep group of functional cells over their
+// shared tape and returns their Results in cell order.
+func (l *Lab) simulateGroup(ctx context.Context, cells []*Cell) ([]sim.Results, time.Duration, error) {
+	tape, tapeWait, err := l.tapeFor(ctx, cells[0])
+	if err != nil {
+		return nil, tapeWait, err
+	}
+	ps := make([]sim.PrefSpec, len(cells))
+	for k, c := range cells {
+		ps[k] = c.Pref
+	}
+	rs, err := sim.RunFunctionalGroupCtx(ctx, cells[0].Config, tape, ps)
+	return rs, tapeWait, err
 }
 
 // runState carries the per-Run bookkeeping shared by the workers.
@@ -300,9 +355,13 @@ func (st *runState) emit(ev ResultEvent) {
 
 // runCell executes one cell and records its outcome.
 func (st *runState) runCell(ctx context.Context, i int) {
-	cr := &st.m.Cells[i]
-	cell := cr.Cell
-	st.emit(ResultEvent{Kind: CellStarted, Cell: cell})
+	st.emit(ResultEvent{Kind: CellStarted, Cell: st.m.Cells[i].Cell})
+	st.execCell(ctx, i)
+}
+
+// execCell simulates a started cell alone and records its outcome.
+func (st *runState) execCell(ctx context.Context, i int) {
+	cell := st.m.Cells[i].Cell
 	start := time.Now()
 
 	var res sim.Results
@@ -321,11 +380,66 @@ func (st *runState) runCell(ctx context.Context, i int) {
 		res, sr, overhead, note, err = st.lab.dispatch(ctx, &cell)
 	}()
 
-	cr.Wall = time.Since(start)
-	if overhead > cr.Wall {
-		overhead = cr.Wall
+	wall := time.Since(start)
+	st.addSim(wall, overhead)
+	st.finish(ctx, i, res, sr, err, wall, note)
+}
+
+// runGroup simulates a lockstep group of cells (see Lab.batch) in one
+// run. Every cell starts when the group does and finishes, in plan
+// order, when it ends; each is charged an equal share of the group's
+// wall time. A group that fails other than by cancellation — a panic
+// or error in any member — re-runs its cells singly, so every cell
+// gets exactly the outcome it has ungrouped.
+func (st *runState) runGroup(ctx context.Context, item []int) {
+	cells := make([]*Cell, len(item))
+	for k, i := range item {
+		cells[k] = &st.m.Cells[i].Cell
+		st.emit(ResultEvent{Kind: CellStarted, Cell: *cells[k]})
 	}
-	atomic.AddInt64(&st.lab.simNS, int64(cr.Wall-overhead))
+	start := time.Now()
+	var rs []sim.Results
+	var tapeWait time.Duration
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("lab: group panicked: %v", r)
+			}
+		}()
+		rs, tapeWait, err = st.lab.simulateGroup(ctx, cells)
+	}()
+	wall := time.Since(start)
+	st.addSim(wall, tapeWait)
+	if err != nil {
+		if ctx.Err() == nil {
+			for _, i := range item {
+				st.execCell(ctx, i)
+			}
+		}
+		return
+	}
+	share := wall / time.Duration(len(item))
+	for k, i := range item {
+		st.finish(ctx, i, rs[k], nil, nil, share, "")
+	}
+}
+
+// addSim accounts a simulation's wall time, less its overhead (tape
+// access, network), as session simulation time.
+func (st *runState) addSim(wall, overhead time.Duration) {
+	if overhead > wall {
+		overhead = wall
+	}
+	atomic.AddInt64(&st.lab.simNS, int64(wall-overhead))
+}
+
+// finish records a simulated cell's outcome on it and its duplicates,
+// memoizes a result, and emits the cells' events.
+func (st *runState) finish(ctx context.Context, i int, res sim.Results, sr *sim.SampledResults, err error, wall time.Duration, note string) {
+	cr := &st.m.Cells[i]
+	cell := cr.Cell
+	cr.Wall = wall
 	if err != nil {
 		if ctx.Err() == nil {
 			// Real cell failure, not cancellation fallout: record it on

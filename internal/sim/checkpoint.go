@@ -674,33 +674,36 @@ type funcLoopState struct {
 	pos        []int
 	frames     []*trace.Frame
 	srcs       []trace.FrameSource
-	phases     *phaseTracker
 }
 
 // snapshotFunc serializes the functional system at a record boundary.
 // The functional driver is fully synchronous (no events, no pending
 // operations), so the prefetch buffer can never hold waiters — the
-// handler registry is empty.
+// handler registry is empty. Only groups of one are checkpointed; the
+// base and variant counters are written as the one counters record of a
+// solo run.
 func (s *functional) snapshotFunc(enc *ckpt.Encoder, ls *funcLoopState) error {
 	noIDs := func(event.Handler) (uint32, bool) { return 0, false }
+	v := s.vars[0]
+	cnt, cntSnap := merge(s.cnt, v.cnt), merge(s.cntSnap, v.cntSnap)
 	enc.Section("sim.functional")
 	enc.U64(ls.i)
-	putCounters(enc, &s.cnt)
-	putCounters(enc, &s.cntSnap)
-	putEngineCounts(enc, &s.engSnap)
+	putCounters(enc, &cnt)
+	putCounters(enc, &cntSnap)
+	putEngineCounts(enc, &v.engSnap)
 	enc.U64s(ls.seen)
 	enc.U64s(ls.framesRead)
 	for core := range ls.pos {
 		enc.Int(ls.pos[core])
 		enc.Bool(ls.frames[core] != nil)
 	}
-	snapshotPhases(enc, ls.phases)
+	snapshotPhases(enc, v.phases)
 	s.l2.Snapshot(enc)
 	for _, c := range s.l1 {
 		c.Snapshot(enc)
 	}
 	s.strid.Snapshot(enc)
-	return snapshotPref(enc, &s.pref, noIDs)
+	return snapshotPref(enc, &v.pref, noIDs)
 }
 
 // restoreFunc rebuilds the functional system and the loop cursors from
@@ -708,11 +711,13 @@ func (s *functional) snapshotFunc(enc *ckpt.Encoder, ls *funcLoopState) error {
 // each core's frame source to the checkpointed frame.
 func (s *functional) restoreFunc(dec *ckpt.Decoder, ls *funcLoopState) error {
 	noHandlers := func(uint32) (event.Handler, bool) { return nil, false }
+	v := s.vars[0]
 	dec.Section("sim.functional")
 	ls.i = dec.U64()
 	getCounters(dec, &s.cnt)
 	getCounters(dec, &s.cntSnap)
-	getEngineCounts(dec, &s.engSnap)
+	v.cnt, v.cntSnap = s.cnt, s.cntSnap
+	getEngineCounts(dec, &v.engSnap)
 	seen := dec.U64s()
 	framesRead := dec.U64s()
 	if err := dec.Err(); err != nil {
@@ -743,7 +748,7 @@ func (s *functional) restoreFunc(dec *ckpt.Decoder, ls *funcLoopState) error {
 			return fmt.Errorf("sim: core %d frame position %d exceeds frame length %d", core, ls.pos[core], f.Len())
 		}
 	}
-	if err := restorePhases(dec, ls.phases); err != nil {
+	if err := restorePhases(dec, v.phases); err != nil {
 		return err
 	}
 	if err := s.l2.Restore(dec); err != nil {
@@ -757,7 +762,7 @@ func (s *functional) restoreFunc(dec *ckpt.Decoder, ls *funcLoopState) error {
 	if err := s.strid.Restore(dec); err != nil {
 		return err
 	}
-	return restorePref(dec, &s.pref, noHandlers)
+	return restorePref(dec, &v.pref, noHandlers)
 }
 
 // nextBoundary returns the first checkpoint boundary strictly above n.

@@ -18,6 +18,13 @@ import (
 // instantly and time is the record counter. Used for idealized meta-data
 // capacity sweeps (Figs. 1 left, 5, 6), where coverage is by definition
 // independent of timing.
+//
+// One base system — the L1s, the L2, the stride prefetcher and their
+// counters — drives one or more prefetcher variants in lockstep.
+// Variants reach the hierarchy only through the read-only funcEnv, and
+// every fill happens whatever they do, so the base evolves identically
+// under any variant: a sweep simulates it once per row instead of once
+// per cell, and each variant's Results equal its solo run's.
 type functional struct {
 	cfg   Config
 	spec  trace.Spec
@@ -25,13 +32,7 @@ type functional struct {
 	l1    []*cache.Cache
 	l2    *cache.Cache
 	strid *stride.Prefetcher
-	pref  built
-
-	// warmRec is the traffic-free warming append when the temporal
-	// backend offers one (see prefetch.WarmRecorder), nil otherwise;
-	// resolved once at construction so metaStep pays no per-record
-	// type assertion.
-	warmRec func(core int, blk uint64)
+	vars  []*funcVariant
 
 	// strideIssue is the premade stride-candidate continuation (one
 	// allocation per run instead of one per load).
@@ -39,9 +40,36 @@ type functional struct {
 
 	dirtyThresh uint64
 
+	// cnt and cntSnap hold the base system's counters (Loads, L1Hits,
+	// L2Hits, StrideIssued); the variant fields live on each variant
+	// (see merge).
+	cnt     counters
+	cntSnap counters
+}
+
+// funcVariant is one prefetcher driven by a functional base system: its
+// prefetcher, its coverage counters (PBFull, PBPartial, L2DemandMisses),
+// its warm-boundary engine snapshot and its phase windows.
+type funcVariant struct {
+	ps   PrefSpec
+	pref built
+
+	// warmRec is the traffic-free warming append when the temporal
+	// backend offers one (see prefetch.WarmRecorder), nil otherwise;
+	// resolved once at construction so metaStep pays no per-record
+	// type assertion.
+	warmRec func(core int, blk uint64)
+
 	cnt     counters
 	cntSnap counters
 	engSnap EngineCounts
+	phases  *phaseTracker
+}
+
+// merge returns the base counters b with the variant fields taken from v.
+func merge(b, v counters) counters {
+	b.PBFull, b.PBPartial, b.L2DemandMisses = v.PBFull, v.PBPartial, v.L2DemandMisses
+	return b
 }
 
 // funcEnv satisfies prefetch.Env with synchronous, traffic-free responses
@@ -109,7 +137,7 @@ func RunFunctionalCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefS
 		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: total}
 	}
 	src := ckptSrc{kind: "spec", spec: spec}
-	return runFunctional(ctx, cfg, scaled, gens, nil, nil, ps, progress, src, opts)
+	return solo(runFunctional(ctx, cfg, scaled, gens, nil, nil, []PrefSpec{ps}, progress, src, opts))
 }
 
 // RunFunctionalScenarioCtx executes the zero-latency driver over a
@@ -130,26 +158,49 @@ func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenari
 		gens[i] = &trace.Limit{Gen: g, N: total}
 	}
 	src := ckptSrc{kind: "scenario", scn: scn}
-	return runFunctional(ctx, cfg, scaled.EffectiveSpec(cfg.Cores, total), gens, nil, marks, ps, progress, src, opts)
+	return solo(runFunctional(ctx, cfg, scaled.EffectiveSpec(cfg.Cores, total), gens, nil, marks, []PrefSpec{ps}, progress, src, opts))
 }
 
 // RunFunctionalTapeCtx executes the functional driver over a
 // materialized columnar tape (same contract as RunTimedTapeCtx: the
 // tape's identity must match the configuration's trace identity).
 func RunFunctionalTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
+	gens, err := tapeCursors(cfg, tape)
+	if err != nil {
 		return Results{}, err
+	}
+	src := ckptSrc{kind: "tape"}
+	return solo(runFunctional(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), []PrefSpec{ps}, progress, src, opts))
+}
+
+// RunFunctionalGroupCtx runs several prefetcher variants over one tape
+// in lockstep: the base hierarchy (L1s, L2, stride prefetcher) is
+// simulated once and drives every variant. Results are returned in ps
+// order, each bit-identical to RunFunctionalTapeCtx(ctx, cfg, tape,
+// ps[k], nil). Checkpointing is unavailable on groups.
+func RunFunctionalGroupCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps []PrefSpec) ([]Results, error) {
+	gens, err := tapeCursors(cfg, tape)
+	if err != nil {
+		return nil, err
+	}
+	return runFunctional(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), ps, nil, ckptSrc{kind: "tape"}, nil)
+}
+
+// tapeCursors validates cfg and returns one bounded cursor per core
+// over the tape.
+func tapeCursors(cfg Config, tape *trace.Tape) ([]trace.Generator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	perCore := cfg.WarmRecords + cfg.MeasureRecords
 	if err := tapeFits(cfg, tape, perCore); err != nil {
-		return Results{}, err
+		return nil, err
 	}
 	gens := make([]trace.Generator, cfg.Cores)
 	for i := range gens {
 		gens[i] = tape.CursorN(i, perCore)
 	}
-	src := ckptSrc{kind: "tape"}
-	return runFunctional(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), ps, progress, src, opts)
+	return gens, nil
 }
 
 // RunFunctionalSourcesCtx executes the functional driver over externally
@@ -166,12 +217,20 @@ func RunFunctionalSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps 
 		return Results{}, err
 	}
 	src := ckptSrc{kind: "external"}
-	return runFunctional(ctx, cfg, run.Spec, nil, run.Sources, run.Marks, ps, progress, src, opts)
+	return solo(runFunctional(ctx, cfg, run.Spec, nil, run.Sources, run.Marks, []PrefSpec{ps}, progress, src, opts))
 }
 
-// newFunctional constructs the zero-latency system (also used by the
-// sampling scheduler's warming pass).
-func newFunctional(cfg Config, scaled trace.Spec, ps PrefSpec) *functional {
+// solo unwraps the Results of a group of one.
+func solo(rs []Results, err error) (Results, error) {
+	if err != nil {
+		return Results{}, err
+	}
+	return rs[0], nil
+}
+
+// newFunctional constructs the zero-latency system over one variant per
+// spec (also used by the sampling scheduler's warming pass).
+func newFunctional(cfg Config, scaled trace.Spec, ps ...PrefSpec) *functional {
 	s := &functional{
 		cfg:         cfg,
 		spec:        scaled,
@@ -180,9 +239,12 @@ func newFunctional(cfg Config, scaled trace.Spec, ps PrefSpec) *functional {
 	s.l2 = cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2(), Assoc: cfg.L2Assoc})
 	s.strid = stride.New(cfg.Stride)
 	s.strideIssue = s.stridePrefetch
-	s.pref = buildPrefetcher(funcEnv{s}, cfg, ps)
-	if w, ok := s.pref.temporal.(prefetch.WarmRecorder); ok {
-		s.warmRec = w.RecordWarm
+	for _, p := range ps {
+		v := &funcVariant{ps: p, pref: buildPrefetcher(funcEnv{s}, cfg, p)}
+		if w, ok := v.pref.temporal.(prefetch.WarmRecorder); ok {
+			v.warmRec = w.RecordWarm
+		}
+		s.vars = append(s.vars, v)
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		s.l1 = append(s.l1, cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1(), Assoc: cfg.L1Assoc}))
@@ -191,17 +253,31 @@ func newFunctional(cfg Config, scaled trace.Spec, ps PrefSpec) *functional {
 }
 
 // runFunctional drives the zero-latency system over per-core record
-// generators, round-robin, one record per core per tick; marks, when
-// non-nil, request per-phase stat windows in the Results.
-func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, extSrcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, src ckptSrc, opts []RunOption) (Results, error) {
+// generators, round-robin, one record per core per tick, and returns
+// one Results per variant in ps order; marks, when non-nil, request
+// per-phase stat windows in the Results. Checkpoint and resume options
+// need a group of one.
+func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, extSrcs []trace.FrameSource, marks []trace.PhaseMark, ps []PrefSpec, progress Progress, src ckptSrc, opts []RunOption) ([]Results, error) {
 	if ctx == nil {
 		ctx = context.Background() // nil = never cancelled
 	}
 	opt := gatherOpts(opts)
-	s := newFunctional(cfg, scaled, ps)
+	switch {
+	case len(ps) == 0:
+		return nil, fmt.Errorf("sim: functional run without a prefetcher variant")
+	case len(ps) > 1 && (opt.active() || opt.resume != nil):
+		return nil, fmt.Errorf("sim: checkpoint and resume need a single variant, not a group of %d", len(ps))
+	}
+	s := newFunctional(cfg, scaled, ps...)
 
-	phases := newPhaseTracker(marks, cfg.Cores)
-	snapNow := func() phaseSnap { return phaseSnap{cnt: s.cnt} }
+	// Phase boundaries depend only on the shared record counts, but each
+	// variant windows its own counters.
+	snaps := make([]func() phaseSnap, len(s.vars))
+	for k, v := range s.vars {
+		v.phases = newPhaseTracker(marks, cfg.Cores)
+		snaps[k] = func() phaseSnap { return phaseSnap{cnt: merge(s.cnt, v.cnt)} }
+	}
+	phased := s.vars[0].phases != nil
 	seen := make([]uint64, cfg.Cores)
 
 	// Frame-at-a-time consumption: each core's records arrive in columnar
@@ -228,24 +304,24 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []tr
 
 	ls := &funcLoopState{
 		seen: seen, framesRead: framesRead, pos: pos,
-		frames: frames, srcs: srcs, phases: phases,
+		frames: frames, srcs: srcs,
 	}
 	var start uint64
 	if opt.active() {
-		if err := ckptSupported(src, s.pref, ps); err != nil {
-			return Results{}, err
+		if err := ckptSupported(src, s.vars[0].pref, ps[0]); err != nil {
+			return nil, err
 		}
 	}
 	if opt.resume != nil {
 		d, dec, err := openResume(opt.resume)
 		if err != nil {
-			return Results{}, err
+			return nil, err
 		}
-		if err := checkDesc(d, "functional", src, cfg, ps); err != nil {
-			return Results{}, err
+		if err := checkDesc(d, "functional", src, cfg, ps[0]); err != nil {
+			return nil, err
 		}
 		if err := s.restoreFunc(dec, ls); err != nil {
-			return Results{}, err
+			return nil, err
 		}
 		start = ls.i
 	}
@@ -264,17 +340,17 @@ loop:
 				progress(i, total)
 			}
 			if ctx.Err() != nil {
-				return Results{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 			if opt.stopCh != nil {
 				select {
 				case <-opt.stopCh:
 					ls.i = i
-					d := descFor("functional", src, cfg, ps, scaled, i)
+					d := descFor("functional", src, cfg, ps[0], scaled, i)
 					if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
-						return Results{}, err
+						return nil, err
 					}
-					return Results{}, ErrCheckpointed
+					return nil, ErrCheckpointed
 				default:
 				}
 			}
@@ -284,19 +360,22 @@ loop:
 			// the warm-window snapshot for this index has not run yet —
 			// the resumed loop re-enters exactly here.
 			ls.i = i
-			d := descFor("functional", src, cfg, ps, scaled, i)
+			d := descFor("functional", src, cfg, ps[0], scaled, i)
 			if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
-				return Results{}, err
+				return nil, err
 			}
 			ckptN++
 			nextCkpt = nextBoundary(i, opt.every)
 			if opt.haltAfter > 0 && ckptN >= opt.haltAfter {
-				return Results{}, ErrCheckpointed
+				return nil, ErrCheckpointed
 			}
 		}
 		if i == warmTotal {
 			s.cntSnap = s.cnt
-			s.engSnap = engineCounts(s.pref.temporal.Stats())
+			for _, v := range s.vars {
+				v.cntSnap = v.cnt
+				v.engSnap = engineCounts(v.pref.temporal.Stats())
+			}
 		}
 		core := int(i % uint64(cfg.Cores))
 		f := frames[core]
@@ -312,48 +391,58 @@ loop:
 		pos[core] = k + 1
 		s.now = i
 		s.step(core, f.PC[k], f.Block[k])
-		if phases != nil {
+		if phased {
 			seen[core]++
-			phases.note(core, seen[core], snapNow)
+			for k, v := range s.vars {
+				v.phases.note(core, seen[core], snaps[k])
+			}
 		}
 	}
-	if eng := s.pref.engine; eng != nil {
-		eng.Flush()
+	for _, v := range s.vars {
+		if eng := v.pref.engine; eng != nil {
+			eng.Flush()
+		}
 	}
 	// A source that ran dry because its producer failed (truncated tape,
 	// dropped stream, dead generator) must fail the run, not pass off the
 	// records it did deliver as a complete result.
+	var fs trace.FrameStats
 	for _, src := range srcs {
 		if err := src.Err(); err != nil {
-			return Results{}, fmt.Errorf("sim: trace source failed mid-run: %w", err)
+			return nil, fmt.Errorf("sim: trace source failed mid-run: %w", err)
 		}
+		fs.Add(src.Stats())
 	}
 
-	w := s.cnt.sub(s.cntSnap)
-	r := Results{
-		Workload:       scaled.Name,
-		Variant:        ps.Kind.String(),
-		Records:        w.Loads,
-		L1Hits:         w.L1Hits,
-		L2Hits:         w.L2Hits,
-		CoveredFull:    w.PBFull,
-		CoveredPartial: w.PBPartial,
-		Uncovered:      w.L2DemandMisses,
-		Engine:         engineCounts(s.pref.temporal.Stats()).Sub(s.engSnap),
+	rs := make([]Results, len(s.vars))
+	for k, v := range s.vars {
+		w := merge(s.cnt, v.cnt).sub(merge(s.cntSnap, v.cntSnap))
+		r := Results{
+			Workload:       scaled.Name,
+			Variant:        v.ps.Kind.String(),
+			Records:        w.Loads,
+			L1Hits:         w.L1Hits,
+			L2Hits:         w.L2Hits,
+			CoveredFull:    w.PBFull,
+			CoveredPartial: w.PBPartial,
+			Uncovered:      w.L2DemandMisses,
+			Engine:         engineCounts(v.pref.temporal.Stats()).Sub(v.engSnap),
+			Frames:         fs,
+		}
+		if eng := v.pref.engine; eng != nil {
+			r.StreamLens = &eng.Stats().StreamLens
+		}
+		if phased {
+			r.Phases = v.phases.windows(snaps[k]())
+		}
+		rs[k] = r
 	}
-	for _, src := range srcs {
-		r.Frames.Add(src.Stats())
-	}
-	if eng := s.pref.engine; eng != nil {
-		r.StreamLens = &eng.Stats().StreamLens
-	}
-	if phases != nil {
-		r.Phases = phases.windows(snapNow())
-	}
-	return r, nil
+	return rs, nil
 }
 
-// step processes one reference through the hierarchy.
+// step processes one reference through the hierarchy. An L2 miss goes
+// to every variant before the shared fill, so each variant's OnChip
+// queries see exactly the hierarchy a solo run would show it.
 func (s *functional) step(core int, pc uint32, blk uint64) {
 	s.cnt.Loads++
 	if s.l1[core].Access(blk, false) {
@@ -371,29 +460,33 @@ func (s *functional) step(core int, pc uint32, blk uint64) {
 		s.l1[core].Fill(blk, false)
 		return
 	}
-	res := s.pref.temporal.Probe(core, blk, nil, 0, 0, 0)
-	if res.State == prefetch.ProbeReady {
-		s.cnt.PBFull++
-		s.pref.temporal.Record(core, blk, true)
-		s.fill(core, blk)
-		return
+	for _, v := range s.vars {
+		v.miss(core, blk)
 	}
-	// Synchronous fetches make ProbeInFlight impossible here; treat it
-	// as covered if it ever appears.
-	if res.State == prefetch.ProbeInFlight {
-		s.cnt.PBPartial++
-		s.pref.temporal.Record(core, blk, true)
-		s.fill(core, blk)
-		return
-	}
-	s.cnt.L2DemandMisses++
-	s.pref.temporal.TriggerMiss(core, blk)
-	s.pref.temporal.Record(core, blk, false)
 	s.fill(core, blk)
 }
 
+// miss offers an L2 demand miss to the variant's prefetcher.
+func (v *funcVariant) miss(core int, blk uint64) {
+	t := v.pref.temporal
+	switch t.Probe(core, blk, nil, 0, 0, 0).State {
+	case prefetch.ProbeReady:
+		v.cnt.PBFull++
+		t.Record(core, blk, true)
+	case prefetch.ProbeInFlight:
+		// Synchronous fetches make ProbeInFlight impossible here; treat
+		// it as covered if it ever appears.
+		v.cnt.PBPartial++
+		t.Record(core, blk, true)
+	default:
+		v.cnt.L2DemandMisses++
+		t.TriggerMiss(core, blk)
+		t.Record(core, blk, false)
+	}
+}
+
 // metaStep replays one reference through the L2 and the temporal
-// backend's history/index only — no L1s, no stride, no prefetch-buffer
+// backends' history/index only — no L1s, no stride, no prefetch-buffer
 // streaming. The sampling scheduler warms the deep prefix of a window
 // with it: off-chip meta-data (history buffer, index table) accumulates
 // over the whole run and never saturates, so it needs the full prefix,
@@ -403,10 +496,12 @@ func (s *functional) metaStep(core int, blk uint64) {
 	if s.l2.Access(blk, false) {
 		return
 	}
-	if s.warmRec != nil {
-		s.warmRec(core, blk)
-	} else {
-		s.pref.temporal.Record(core, blk, false)
+	for _, v := range s.vars {
+		if v.warmRec != nil {
+			v.warmRec(core, blk)
+		} else {
+			v.pref.temporal.Record(core, blk, false)
+		}
 	}
 	s.l2.Fill(blk, blockDirty(blk, s.dirtyThresh))
 }

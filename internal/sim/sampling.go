@@ -261,7 +261,7 @@ func (s *functional) warmSnapshot() (*ckpt.Snapshot, error) {
 		c.Snapshot(enc)
 	}
 	s.strid.Snapshot(enc)
-	if err := snapshotPref(enc, &s.pref, noIDs); err != nil {
+	if err := snapshotPref(enc, &s.vars[0].pref, noIDs); err != nil {
 		return nil, err
 	}
 	return ckpt.NewSnapshot(enc), nil
