@@ -2,7 +2,7 @@
 // prefetcher family used as comparators: one set-associative main-memory
 // correlation table whose entries map a miss address to a short, fixed
 // list of successor addresses (§2, §3). EBCP and ULMT are configurations
-// of this design (internal/prefetch/ebcp, internal/prefetch/ulmt).
+// of this design: see the EBCP and ULMT constructors below.
 //
 // The defining limitation the paper targets: stream length is fixed by the
 // entry format, so long temporal streams fragment into depth-sized pieces,
@@ -39,6 +39,47 @@ type Config struct {
 	EpochLookup bool
 	// BufferBlocks is the per-core prefetch buffer capacity.
 	BufferBlocks int
+}
+
+// EBCP returns the published cost model of the Epoch-Based Correlation
+// Prefetcher (Chou, MICRO'07): lookups fire once per off-chip miss
+// epoch, the entry format skips the successors that out-of-order
+// execution would overlap with the lookup anyway (depth-6 entries, a
+// 2-miss skip), and each update costs three memory accesses (§3,
+// Fig. 1 right).
+func EBCP(cores int) Config {
+	return Config{
+		Name:         "ebcp",
+		Cores:        cores,
+		Entries:      1 << 19,
+		Depth:        6,
+		Skip:         2,
+		LookupReads:  1,
+		UpdateReads:  2,
+		UpdateWrites: 1,
+		EpochLookup:  true,
+		BufferBlocks: 32,
+	}
+}
+
+// ULMT returns the published cost model of the User-Level Memory Thread
+// prefetcher (Solihin, Lee & Torrellas, ISCA'02): a correlation table in
+// main memory maintained by a helper thread at the memory controller —
+// one lookup access per off-chip miss and three accesses per update,
+// with short (depth-3) successor chains (§3, Fig. 1 right).
+func ULMT(cores int) Config {
+	return Config{
+		Name:         "ulmt",
+		Cores:        cores,
+		Entries:      1 << 19,
+		Depth:        3,
+		Skip:         0,
+		LookupReads:  1,
+		UpdateReads:  2,
+		UpdateWrites: 1,
+		EpochLookup:  false,
+		BufferBlocks: 32,
+	}
 }
 
 type pending struct {

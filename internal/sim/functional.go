@@ -430,7 +430,7 @@ loop:
 			Frames:         fs,
 		}
 		if eng := v.pref.engine; eng != nil {
-			r.StreamLens = &eng.Stats().StreamLens
+			r.StreamLens = eng.Stats().StreamLens.Clone()
 		}
 		if phased {
 			r.Phases = v.phases.windows(snaps[k]())

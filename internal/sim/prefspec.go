@@ -5,12 +5,10 @@ import (
 
 	"stms/internal/core"
 	"stms/internal/prefetch"
-	"stms/internal/prefetch/ebcp"
 	"stms/internal/prefetch/ghb"
 	"stms/internal/prefetch/markov"
 	"stms/internal/prefetch/singletable"
 	"stms/internal/prefetch/tse"
-	"stms/internal/prefetch/ulmt"
 )
 
 // Kind selects a temporal prefetcher variant.
@@ -132,11 +130,11 @@ func buildPrefetcher(env prefetch.Env, cfg Config, ps PrefSpec) built {
 		return built{temporal: e, engine: e, tse: m}
 
 	case EBCP:
-		p := singletable.New(env, scaledTable(ebcp.DefaultConfig(cfg.Cores), cfg.Scale))
+		p := singletable.New(env, scaledTable(singletable.EBCP(cfg.Cores), cfg.Scale))
 		return built{temporal: p, table: p}
 
 	case ULMT:
-		p := singletable.New(env, scaledTable(ulmt.DefaultConfig(cfg.Cores), cfg.Scale))
+		p := singletable.New(env, scaledTable(singletable.ULMT(cfg.Cores), cfg.Scale))
 		return built{temporal: p, table: p}
 
 	case Markov:

@@ -42,7 +42,9 @@ func (c EngineCounts) Sub(o EngineCounts) EngineCounts {
 }
 
 // Results reports one simulation run (measurement window only, except the
-// stream-length CDF which covers the whole run).
+// stream-length CDF which covers the whole run). A Results is a value
+// that owns its data: no field points into the simulator that produced
+// it, so holding one keeps none of that simulator's meta-data alive.
 type Results struct {
 	Workload string
 	Variant  string
@@ -77,7 +79,8 @@ type Results struct {
 	Frames trace.FrameStats
 
 	// StreamLens is the whole-run stream-length distribution (Fig. 6
-	// left); nil for variants without a stream engine.
+	// left), a copy of the stream engine's; nil for variants without a
+	// stream engine.
 	StreamLens *stats.CDF
 
 	// Phases windows the run per scenario phase (whole-run accounting,

@@ -785,7 +785,7 @@ func (s *timed) results(ps PrefSpec) Results {
 		r.Frames.Add(src.Stats())
 	}
 	if eng := s.pref.engine; eng != nil {
-		r.StreamLens = &eng.Stats().StreamLens
+		r.StreamLens = eng.Stats().StreamLens.Clone()
 	}
 	if s.phases != nil {
 		// The final window closes at the end-of-run clock, not the last

@@ -153,6 +153,20 @@ func (c *CDF) Add(value, weight float64) {
 // N returns the number of samples.
 func (c *CDF) N() int { return len(c.vals) }
 
+// Clone returns a deep copy that shares no memory with c: the samples
+// are copied to exact-length slices (nil stays nil) and the sorted flag
+// is kept, so the clone encodes to the same JSON bytes as c.
+func (c *CDF) Clone() *CDF {
+	return &CDF{vals: cloneFloats(c.vals), weights: cloneFloats(c.weights), sorted: c.sorted}
+}
+
+func cloneFloats(s []float64) []float64 {
+	if s == nil {
+		return nil
+	}
+	return append(make([]float64, 0, len(s)), s...)
+}
+
 // cdfJSON is the wire form of a CDF. The sorted flag rides along so a
 // decoded CDF is field-for-field identical (reflect.DeepEqual) to the
 // one encoded — the distributed lab ships whole Results structures

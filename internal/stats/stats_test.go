@@ -235,6 +235,37 @@ func TestCDFJSONRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCDFClone(t *testing.T) {
+	var zero CDF
+	if z := zero.Clone(); !reflect.DeepEqual(z, &zero) {
+		t.Fatalf("zero CDF clone: got %+v", *z)
+	}
+	for _, sorted := range []bool{false, true} {
+		var c CDF
+		for i := 0; i < 5; i++ {
+			c.Add(float64(5-i), float64(i+1))
+		}
+		if sorted {
+			c.Quantile(0.5)
+		}
+		d := c.Clone()
+		want, _ := json.Marshal(&c)
+		got, _ := json.Marshal(d)
+		if string(got) != string(want) {
+			t.Fatalf("sorted=%v: clone encodes differently:\n%s\nvs\n%s", sorted, got, want)
+		}
+		if cap(d.vals) != len(d.vals) || cap(d.weights) != len(d.weights) {
+			t.Fatalf("clone not exact-length: caps %d/%d for %d samples", cap(d.vals), cap(d.weights), len(d.vals))
+		}
+		// Samples added to the original stay out of the clone.
+		c.vals[0], c.weights[0] = -1, -1
+		c.Add(99, 99)
+		if d.N() != 5 || d.vals[0] == -1 || d.weights[0] == -1 {
+			t.Fatalf("sorted=%v: clone shares memory with the original: %+v", sorted, *d)
+		}
+	}
+}
+
 func TestCDFJSONLengthMismatch(t *testing.T) {
 	var c CDF
 	if err := json.Unmarshal([]byte(`{"vals":[1,2],"weights":[1]}`), &c); err == nil {

@@ -445,16 +445,30 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 
 // Serve accepts consumers on lis until the stream is fully delivered:
 // each dropped connection (including injected cuts) is an invitation to
-// reconnect and resume; typed protocol violations and producer death
-// are terminal. Returns nil after clean delivery.
+// reconnect and resume within the Reconnect budget; typed protocol
+// violations and producer death are terminal. Returns nil after clean
+// delivery. When no consumer returns within the budget (one that closed
+// before the end of the stream), Serve closes lis, as it does on
+// cancellation, and returns the dropped connection's error.
 func (o *Outlet) Serve(ctx context.Context, lis net.Listener) error {
 	unwatch := context.AfterFunc(ctx, func() { lis.Close() })
 	defer unwatch()
+	var (
+		dropErr error // the last dropped connection's error
+		expired atomic.Bool
+		budget  *time.Timer
+	)
 	for {
 		conn, err := lis.Accept()
+		if budget != nil {
+			budget.Stop()
+		}
 		if err != nil {
-			if ctx.Err() != nil {
+			switch {
+			case ctx.Err() != nil:
 				return ctx.Err()
+			case expired.Load():
+				return fmt.Errorf("stream: no consumer resumed within %v: %w", o.to.Reconnect, dropErr)
 			}
 			return err
 		}
@@ -467,6 +481,11 @@ func (o *Outlet) Serve(ctx context.Context, lis net.Listener) error {
 			return err
 		}
 		// Transport drop or injected cut: accept the reconnect.
+		dropErr = err
+		budget = time.AfterFunc(o.to.Reconnect, func() {
+			expired.Store(true)
+			lis.Close()
+		})
 	}
 }
 

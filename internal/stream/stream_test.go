@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -239,6 +240,54 @@ func TestInletCloseNoLeak(t *testing.T) {
 	}
 	if err := in.Err(); err == nil || !errors.Is(err, stream.ErrClosed) {
 		t.Fatalf("want ErrClosed after mid-stream Close, got %v", err)
+	}
+}
+
+// TestServeGivesUpOnAbandonedStream: a consumer that closes before the
+// end of the stream never comes back, so Serve must return the dropped
+// connection's error once the Reconnect budget runs out, instead of
+// accepting forever, and leave no goroutine behind.
+func TestServeGivesUpOnAbandonedStream(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	before := runtime.NumGoroutine()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	out := stream.NewOutlet(stream.TapeSource(testTape(t, 2, 65536)), stream.Timeouts{Reconnect: budget})
+	done := make(chan error, 1)
+	go func() { done <- out.Serve(context.Background(), lis) }()
+
+	in, err := stream.DialInlet(lis.Addr().String(), stream.InletConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Sources()[0].NextFrame() == nil {
+		t.Fatalf("no first frame: %v", in.Err())
+	}
+	in.Close()
+	in.Wait()
+	closed := time.Now()
+	select {
+	case err := <-done:
+		if err == nil || errors.Is(err, stream.ErrProtocol) {
+			t.Fatalf("abandoned stream: want the dropped connection's transport error, got %v", err)
+		}
+		if waited := time.Since(closed); waited < budget/2 {
+			t.Fatalf("Serve gave up after %v, before the %v reconnect budget", waited, budget)
+		}
+		t.Logf("Serve returned %v after the consumer left: %v", time.Since(closed).Round(time.Millisecond), err)
+	case <-time.After(budget + 5*time.Second):
+		t.Fatal("Serve still accepting long after the reconnect budget ran out")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
