@@ -132,6 +132,37 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// Bernoulli is a Bool(p) decision precomputed for a fixed p: Draw makes
+// exactly the decision Bool(p) makes and consumes the same draws, but
+// compares the raw 53-bit draw against an integer threshold instead of
+// converting it to a float. Float64() < p holds exactly when
+// Uint64()>>11 < ceil(p·2^53), since p·2^53 is exact in floating point.
+type Bernoulli struct {
+	t     uint64 // a draw hits when Uint64()>>11 < t
+	fixed bool   // p <= 0 or p >= 1: the decision is t != 0, drawn from nothing
+}
+
+// NewBernoulli precomputes the Bool(p) decision.
+func NewBernoulli(p float64) Bernoulli {
+	switch {
+	case p <= 0:
+		return Bernoulli{fixed: true}
+	case p >= 1:
+		return Bernoulli{t: 1, fixed: true}
+	case p > 0:
+		return Bernoulli{t: uint64(math.Ceil(p * (1 << 53)))}
+	}
+	return Bernoulli{} // NaN: Bool draws, and the comparison never holds
+}
+
+// Draw returns the decision Bool(p) would return for b's p.
+func (r *Rand) Draw(b Bernoulli) bool {
+	if b.fixed {
+		return b.t != 0
+	}
+	return r.Uint64()>>11 < b.t
+}
+
 // Pareto returns a bounded Pareto sample in [lo, hi] with shape alpha.
 // Small alpha (≈1) gives a heavy tail; large alpha concentrates near lo.
 func (r *Rand) Pareto(alpha float64, lo, hi float64) float64 {

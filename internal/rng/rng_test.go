@@ -202,3 +202,40 @@ func TestMul64(t *testing.T) {
 		}
 	}
 }
+
+// TestBernoulliMatchesBool pins Draw to Bool: the same decision for
+// every 53-bit draw at and around the integer threshold, and the same
+// draws consumed, including the no-draw cases p <= 0 and p >= 1.
+func TestBernoulliMatchesBool(t *testing.T) {
+	const one = 1 << 53
+	for _, p := range []float64{
+		-1, 0, 1, 2, // fixed: no draw
+		1e-17,           // p·2^53 < 1: only the zero draw hits
+		1 - 1.0/one,     // largest p below 1
+		0.5, 0.25, 0.75, // p·2^53 an integer
+		3.0 / one, (one - 2.0) / one,
+		0.125, 1.0 / 3, 0.01, 0.95,
+		math.NaN(), // Bool draws and never hits
+	} {
+		b := NewBernoulli(p)
+		if !b.fixed {
+			for _, x := range []uint64{0, 1, b.t - 2, b.t - 1, b.t, b.t + 1, one - 1} {
+				if x >= one {
+					continue
+				}
+				if want, got := float64(x)/one < p, x < b.t; got != want {
+					t.Errorf("p=%g draw %d: threshold %d says %v, Bool %v", p, x, b.t, got, want)
+				}
+			}
+		}
+		r1, r2 := New(99), New(99)
+		for i := 0; i < 10_000; i++ {
+			if got, want := r1.Draw(b), r2.Bool(p); got != want {
+				t.Fatalf("p=%g step %d: Draw %v, Bool %v", p, i, got, want)
+			}
+		}
+		if r1.Uint64() != r2.Uint64() {
+			t.Fatalf("p=%g: Draw and Bool consumed different draws", p)
+		}
+	}
+}

@@ -446,6 +446,13 @@ func ReadTape(r io.Reader) (*Tape, error) {
 			for i := range t.marks {
 				t.marks[i].Start = tr.u64()
 				t.marks[i].Name = string(tr.bytes(tr.sized("phase name", 0, 1<<10)))
+				// Marks may start past the budget (a bounded phase longer
+				// than the run: the simulator leaves its window empty),
+				// but never before the previous phase.
+				if tr.err == nil && i > 0 && t.marks[i].Start < t.marks[i-1].Start {
+					tr.err = fmt.Errorf("phase mark %d starts at record %d, before mark %d at %d",
+						i, t.marks[i].Start, i-1, t.marks[i-1].Start)
+				}
 			}
 		}
 	}
@@ -465,6 +472,12 @@ func ReadTape(r io.Reader) (*Tape, error) {
 		// would be a fatal OOM, not a recoverable failure).
 		if tr.err == nil && c.n > 1<<34 {
 			tr.err = fmt.Errorf("implausible record count %d", c.n)
+		}
+		// Tapes are built from never-dry sources, so every segment holds
+		// exactly the budget; a short one would replay short without an
+		// error, since run budgets are checked against PerCore alone.
+		if tr.err == nil && c.n != t.perCore {
+			tr.err = fmt.Errorf("segment holds %d records, tape budget is %d per core", c.n, t.perCore)
 		}
 		c.data = tr.bytes(tr.sized("data", 0, 32*c.n+16))
 		c.pairs = tr.u64s(tr.sized("cost pairs", 0, costEscape))

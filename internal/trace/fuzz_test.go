@@ -28,6 +28,7 @@ func FuzzReadTape(f *testing.F) {
 	corrupt := bytes.Clone(valid)
 	corrupt[len(corrupt)/2] ^= 0x10
 	f.Add(corrupt)
+	f.Add(shortSegmentTape(valid))
 	f.Add([]byte("STMSTAPE"))
 	f.Add([]byte{})
 

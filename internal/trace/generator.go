@@ -196,6 +196,9 @@ type generator struct {
 	hotIdx    uint64
 	burstLeft int
 
+	// The spec's Bernoulli draws, precomputed as integer thresholds.
+	burstCont, noiseInChase, skip, depChase, depNoise rng.Bernoulli
+
 	emitted uint64
 }
 
@@ -220,6 +223,13 @@ func newGeneratorWithSpec(lib *Library, spec Spec, core int, seed uint64) Genera
 		noisePC: 0x6000_0000 + uint32(core)<<8,
 		hotPC:   0x2000_0000 + uint32(core)<<8,
 		hotBase: hotBase + uint64(core)*1024,
+
+		// Geometric continuation probability p gives mean 1/(1-p).
+		burstCont:    rng.NewBernoulli(1 - 1/spec.BurstMean),
+		noiseInChase: rng.NewBernoulli(spec.NoiseInChase),
+		skip:         rng.NewBernoulli(spec.SkipProb),
+		depChase:     rng.NewBernoulli(spec.DepChase),
+		depNoise:     rng.NewBernoulli(spec.DepNoise),
 	}
 	n := spec.ScanStreams
 	if n < 1 {
@@ -314,9 +324,7 @@ func (g *generator) drawBurst() int {
 	if g.spec.BurstMean <= 1 || g.spec.BurstMax <= 1 {
 		return k
 	}
-	// Geometric continuation probability p gives mean 1/(1-p).
-	p := 1 - 1/g.spec.BurstMean
-	for k < g.spec.BurstMax && g.rnd.Bool(p) {
+	for k < g.spec.BurstMax && g.rnd.Draw(g.burstCont) {
 		k++
 	}
 	return k
@@ -381,11 +389,11 @@ func (g *generator) startChase() {
 }
 
 func (g *generator) nextChase(r *Record) {
-	if g.rnd.Bool(g.spec.NoiseInChase) {
+	if g.rnd.Draw(g.noiseInChase) {
 		g.noise(r)
 		return
 	}
-	if g.rnd.Bool(g.spec.SkipProb) {
+	if g.rnd.Draw(g.skip) {
 		g.pos++
 	}
 	if g.pos >= g.end || g.pos >= len(g.stream) {
@@ -395,7 +403,7 @@ func (g *generator) nextChase(r *Record) {
 	}
 	r.PC = g.chasePC
 	r.Block = g.stream[g.pos]
-	r.Dep = g.rnd.Bool(g.spec.DepChase)
+	r.Dep = g.rnd.Draw(g.depChase)
 	g.pos++
 	if g.pos >= g.end {
 		g.mode = modeIdle
@@ -417,7 +425,7 @@ func (g *generator) nextScan(r *Record) {
 func (g *generator) noise(r *Record) {
 	r.PC = g.noisePC + uint32(g.rnd.Intn(64))
 	r.Block = noiseBase + g.rnd.Uint64n(noiseBlocks)
-	r.Dep = g.rnd.Bool(g.spec.DepNoise)
+	r.Dep = g.rnd.Draw(g.depNoise)
 }
 
 // DirtyFrac exposes the workload's dirty-fill fraction for the simulator.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"hash/fnv"
 	"reflect"
@@ -21,10 +22,10 @@ func fingerprintGen(t *testing.T, gen Generator, n uint64) uint64 {
 			t.Fatalf("generator ran dry at record %d of %d", i, n)
 		}
 		buf = buf[:0]
-		buf = appendUvarint(buf, rec.Block)
-		buf = appendUvarint(buf, uint64(rec.PC))
-		buf = appendUvarint(buf, uint64(rec.Instrs))
-		buf = appendUvarint(buf, uint64(rec.Work))
+		buf = binary.AppendUvarint(buf, rec.Block)
+		buf = binary.AppendUvarint(buf, uint64(rec.PC))
+		buf = binary.AppendUvarint(buf, uint64(rec.Instrs))
+		buf = binary.AppendUvarint(buf, uint64(rec.Work))
 		if rec.Dep {
 			buf = append(buf, 1)
 		}

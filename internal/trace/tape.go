@@ -26,6 +26,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -132,61 +133,192 @@ func (t *Tape) encode(gens []Generator) {
 	}
 }
 
-// encodeSegment drains up to perCore records from gen into columns.
+// maxRecordBytes bounds one record's encoding in the data stream: a
+// 10-byte block-delta uvarint, the cost byte, and an escaped pair's two
+// 5-byte uvarints.
+const maxRecordBytes = 10 + 1 + 5 + 5
+
+// dataBytesPerRecord sizes a segment's data buffer up front: the paper
+// workloads encode in 5.7 to 8.4 B/record, so their buffers never grow.
+const dataBytesPerRecord = 9
+
+// encodeSegment drains up to perCore records from gen into columns. It
+// pulls records a frame at a time (never past the budget), resolves cost
+// pairs and PCs through fixed-size dictionaries, writes the data stream
+// into one buffer sized for the whole segment, and trims every column to
+// its exact length.
 func encodeSegment(gen Generator, perCore uint64) tapeColumns {
-	col := tapeColumns{
-		data:  make([]byte, 0, perCore*4),
-		pcIdx: make([]uint8, 0, perCore),
-		dep:   make([]uint64, (perCore+63)/64),
+	e := &segmentEncoder{
+		budget: perCore,
+		data:   make([]byte, 0, perCore*dataBytesPerRecord+FrameCap*maxRecordBytes),
+		pcIdx:  make([]uint8, perCore),
+		dep:    make([]uint64, (perCore+63)/64),
 	}
-	dict := make(map[uint32]int)
-	pairDict := make(map[uint64]int)
-	var prev uint64
-	var rec Record
-	for col.n < perCore && gen.Next(&rec) {
-		col.data = appendUvarint(col.data, zigzag(int64(rec.Block-prev)))
-		prev = rec.Block
-		pair := uint64(rec.Instrs)<<32 | uint64(rec.Work)
-		if pi, ok := pairDict[pair]; ok {
-			col.data = append(col.data, uint8(pi))
-		} else if len(col.pairs) < costEscape {
-			pairDict[pair] = len(col.pairs)
-			col.data = append(col.data, uint8(len(col.pairs)))
-			col.pairs = append(col.pairs, pair)
-		} else {
-			// Rare cost pair past the dictionary capacity (jittered gap
-			// records): escape to inline values.
-			col.data = append(col.data, costEscape)
-			col.data = appendUvarint(col.data, uint64(rec.Instrs))
-			col.data = appendUvarint(col.data, uint64(rec.Work))
+	e.pairs.limit, e.pcs.limit = costEscape, 256
+	f := NewFrame()
+	for e.n < e.budget {
+		if rem := e.budget - e.n; rem < uint64(f.cap) {
+			*f = f.window(0, int(rem))
 		}
-		if col.pcIdx != nil {
-			if idx, ok := dict[rec.PC]; ok {
-				col.pcIdx = append(col.pcIdx, uint8(idx))
-			} else if len(col.pcDict) < 256 {
-				dict[rec.PC] = len(col.pcDict)
-				col.pcIdx = append(col.pcIdx, uint8(len(col.pcDict)))
-				col.pcDict = append(col.pcDict, rec.PC)
-			} else {
+		if FillFrame(gen, f) == 0 {
+			break
+		}
+		e.frame(f)
+	}
+	return e.columns()
+}
+
+// segmentEncoder accumulates one segment's columns.
+type segmentEncoder struct {
+	budget, n uint64
+	prev      uint64 // previous record's block, the delta base
+	data      []byte
+	pcIdx     []uint8  // nil once the PC dictionary overflowed
+	pcRaw     []uint32 // the overflow column, sized for the whole budget
+	dep       []uint64
+	pairs     dict // Instrs<<32 | Work → cost byte
+	pcs       dict
+}
+
+// frame appends f's records, one column at a time.
+func (e *segmentEncoder) frame(f *Frame) {
+	n := f.n
+	if cap(e.data)-len(e.data) < n*maxRecordBytes {
+		// Denser than estimated: make room for the rest of the segment
+		// at the worst case, so a segment's buffer grows at most once.
+		e.data = slices.Grow(e.data, int(e.budget-e.n)*maxRecordBytes)
+	}
+	buf := e.data[len(e.data) : len(e.data)+n*maxRecordBytes]
+	w := 0
+	prev := e.prev
+	instrs, works := f.Instrs[:n], f.Work[:n]
+	for i, blk := range f.Block[:n] {
+		if d := zigzag(int64(blk - prev)); d < 0x80 {
+			buf[w] = byte(d)
+			w++
+		} else {
+			w = putUvarint(buf, w, d)
+		}
+		prev = blk
+		pair := uint64(instrs[i])<<32 | uint64(works[i])
+		h := dictHome(pair)
+		id := e.pairs.ids[h]
+		if e.pairs.slots[h] != pair || id == 0 {
+			id = e.pairs.probe(pair, h)
+		}
+		if id != 0 {
+			buf[w] = uint8(id - 1)
+			w++
+		} else {
+			// A cost pair past the dictionary capacity (jittered gap
+			// records): escape to inline values.
+			buf[w] = costEscape
+			w = putUvarint(buf, w+1, uint64(instrs[i]))
+			w = putUvarint(buf, w, uint64(works[i]))
+		}
+	}
+	e.data = e.data[:len(e.data)+w]
+	e.prev = prev
+
+	base := e.n
+	pcs := f.PC[:n]
+	if e.pcIdx != nil {
+		idx := e.pcIdx[base : base+uint64(n)]
+		for i, pc := range pcs {
+			h := dictHome(uint64(pc))
+			id := e.pcs.ids[h]
+			if e.pcs.slots[h] != uint64(pc) || id == 0 {
+				id = e.pcs.probe(uint64(pc), h)
+			}
+			if id == 0 {
 				// Dictionary overflow (custom workloads with huge PC
 				// sets): fall back to a raw column, rebuilt from the
 				// dictionary-encoded prefix.
-				col.pcRaw = make([]uint32, col.n, perCore)
-				for i, di := range col.pcIdx {
-					col.pcRaw[i] = col.pcDict[di]
+				e.pcRaw = make([]uint32, len(e.pcIdx))
+				for j, di := range e.pcIdx[:base+uint64(i)] {
+					e.pcRaw[j] = uint32(e.pcs.keys[di])
 				}
-				col.pcRaw = append(col.pcRaw, rec.PC)
-				col.pcIdx, col.pcDict = nil, nil
+				e.pcIdx = nil
+				copy(e.pcRaw[base+uint64(i):], pcs[i:])
+				break
 			}
-		} else {
-			col.pcRaw = append(col.pcRaw, rec.PC)
+			idx[i] = uint8(id - 1)
 		}
-		if rec.Dep {
-			col.dep[col.n>>6] |= 1 << (col.n & 63)
+	} else {
+		copy(e.pcRaw[base:], pcs)
+	}
+	for i, d := range f.Dep[:n] {
+		if d {
+			j := base + uint64(i)
+			e.dep[j>>6] |= 1 << (j & 63)
 		}
-		col.n++
+	}
+	e.n += uint64(n)
+}
+
+// columns returns the encoded segment, every column at its exact length.
+func (e *segmentEncoder) columns() tapeColumns {
+	col := tapeColumns{
+		n:     e.n,
+		data:  slices.Clone(e.data),
+		pairs: slices.Clone(e.pairs.keys[:e.pairs.n]),
+		dep:   e.dep[:(e.n+63)/64],
+	}
+	if e.pcIdx != nil {
+		col.pcIdx = e.pcIdx[:e.n]
+		col.pcDict = make([]uint32, e.pcs.n)
+		for i, pc := range e.pcs.keys[:e.pcs.n] {
+			col.pcDict[i] = uint32(pc)
+		}
+	} else {
+		col.pcRaw = e.pcRaw[:e.n]
 	}
 	return col
+}
+
+// dictBits sizes a dictionary's hash table at 1024 slots, four times its
+// largest capacity (256 PCs), so nearly every key sits in its home slot.
+const (
+	dictBits  = 10
+	dictSlots = 1 << dictBits
+)
+
+// dict assigns dense indices to at most limit (<= 256) distinct keys in
+// first-seen order, through a fixed-size linear-probing table. Callers
+// inline the fast path, a hit in the key's home slot:
+//
+//	h := dictHome(key)
+//	id := d.ids[h]
+//	if d.slots[h] != key || id == 0 {
+//		id = d.probe(key, h)
+//	}
+type dict struct {
+	n, limit int
+	keys     [256]uint64       // keys in index order
+	slots    [dictSlots]uint64 // table keys
+	ids      [dictSlots]uint16 // table indices + 1; 0 marks an empty slot
+}
+
+// dictHome is key's home slot (Fibonacci hashing).
+func dictHome(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> (64 - dictBits) }
+
+// probe returns key's index + 1, searching from slot h and adding key
+// when it is new and fewer than limit keys are held; 0 means the
+// dictionary is full without it.
+func (d *dict) probe(key, h uint64) uint16 {
+	for d.ids[h] != 0 && d.slots[h] != key {
+		h = (h + 1) & (dictSlots - 1)
+	}
+	if id := d.ids[h]; id != 0 {
+		return id
+	}
+	if d.n == d.limit {
+		return 0
+	}
+	d.keys[d.n] = key
+	d.n++
+	d.slots[h], d.ids[h] = key, uint16(d.n)
+	return uint16(d.n)
 }
 
 func (c *tapeColumns) footprint() int64 {
@@ -367,14 +499,16 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendUvarint appends v in LEB128 (as encoding/binary does, without
-// the fixed-size scratch buffer round trip).
-func appendUvarint(b []byte, v uint64) []byte {
+// putUvarint writes v in LEB128 (as encoding/binary does) at b[w:],
+// returning the offset just past it.
+func putUvarint(b []byte, w int, v uint64) int {
 	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
+		b[w] = byte(v) | 0x80
 		v >>= 7
+		w++
 	}
-	return append(b, byte(v))
+	b[w] = byte(v)
+	return w + 1
 }
 
 // readUvarint decodes the uvarint at b[off:], returning the value and

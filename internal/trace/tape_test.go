@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -109,13 +111,7 @@ func TestTapeBoundedSource(t *testing.T) {
 // TestTapePCDictionaryOverflow forces more than 256 distinct PCs so the
 // raw-column fallback engages, and checks the replay is still exact.
 func TestTapePCDictionaryOverflow(t *testing.T) {
-	recs := make([]Record, 2000)
-	for i := range recs {
-		recs[i] = Record{
-			PC: uint32(i % 700), Block: uint64(i) * 37 % 1024,
-			Dep: i%3 == 0, Instrs: uint32(i%90 + 1), Work: uint32(i%50 + 1),
-		}
-	}
+	recs := pcOverflowRecords()
 	col := encodeSegment(&SliceGenerator{Records: recs}, uint64(len(recs)))
 	if col.pcIdx != nil || col.pcRaw == nil {
 		t.Fatal("dictionary did not overflow into the raw column")
@@ -129,6 +125,129 @@ func TestTapePCDictionaryOverflow(t *testing.T) {
 		if got != recs[i] {
 			t.Fatalf("record %d: %+v != %+v", i, got, recs[i])
 		}
+	}
+}
+
+// TestTapeCostEscapeRoundTrip drives a segment past the 255-entry cost
+// pair dictionary so the inline escape engages, and checks the exact
+// replay through Next, ReadFrame and a file round trip.
+func TestTapeCostEscapeRoundTrip(t *testing.T) {
+	recs := costEscapeRecords()
+	tape := recordTape(recs)
+	// 601 distinct pairs: a full dictionary means the rest escaped.
+	if n := len(tape.cores[0].pairs); n != costEscape {
+		t.Fatalf("pair dictionary holds %d entries, want it full at %d", n, costEscape)
+	}
+	var buf bytes.Buffer
+	if err := WriteTape(&buf, tape); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadTape(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []*Tape{tape, loaded} {
+		cur := tp.Cursor(0)
+		var got Record
+		for i := range recs {
+			if !cur.Next(&got) || got != recs[i] {
+				t.Fatalf("Next record %d: %+v != %+v", i, got, recs[i])
+			}
+		}
+		if cur.Next(&got) {
+			t.Fatal("cursor not dry after the segment")
+		}
+		cur.Reset()
+		f := NewFrameCap(700) // frames straddle escaped and indexed records
+		for i := 0; i < len(recs); {
+			n := cur.ReadFrame(f)
+			if n == 0 {
+				t.Fatalf("ReadFrame dry at %d", i)
+			}
+			for k := 0; k < n; k++ {
+				f.Record(k, &got)
+				if got != recs[i+k] {
+					t.Fatalf("ReadFrame record %d: %+v != %+v", i+k, got, recs[i+k])
+				}
+			}
+			i += n
+		}
+	}
+}
+
+// TestEncodeSegmentFixedAllocs pins the encoder's allocations to a
+// constant per segment, whatever its length: re-encoding a tape segment
+// from its own (allocation-free) cursor reproduces the columns exactly.
+func TestEncodeSegmentFixedAllocs(t *testing.T) {
+	spec, _ := ByName("oltp-db2")
+	tape := NewTape(spec.Scaled(0.0625), 5, 1, 40_000)
+	if col := encodeSegment(tape.Cursor(0), tape.Len(0)); !reflect.DeepEqual(col, tape.cores[0]) {
+		t.Fatal("re-encoded segment differs from the original")
+	}
+	var allocs [2]float64
+	for i, n := range []uint64{10_000, 40_000} {
+		allocs[i] = testing.AllocsPerRun(5, func() { encodeSegment(tape.CursorN(0, n), n) })
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("encoder allocs %v per segment at 10k and 40k records", allocs)
+	}
+}
+
+// shortSegmentTape patches a serialized tape's per-core budget to twice
+// what its segments hold, as a corrupt disk or peer copy might.
+func shortSegmentTape(valid []byte) []byte {
+	const perCoreOff = 8 + 3*8 // magic, version, seed, cores
+	short := bytes.Clone(valid)
+	pc := binary.LittleEndian.Uint64(short[perCoreOff:])
+	binary.LittleEndian.PutUint64(short[perCoreOff:], 2*pc)
+	return short
+}
+
+// TestTapeFileRejectsShortSegments: a tape whose segments hold fewer
+// records than its budget would replay short with no error (run
+// budgets are checked against PerCore), so the reader refuses it.
+func TestTapeFileRejectsShortSegments(t *testing.T) {
+	spec, _ := ByName("web-apache")
+	var buf bytes.Buffer
+	if err := WriteTape(&buf, NewTape(spec.Scaled(0.0625), 1, 2, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTape(bytes.NewReader(shortSegmentTape(buf.Bytes()))); err == nil ||
+		!strings.Contains(err.Error(), "segment holds 2000 records, tape budget is 4000") {
+		t.Fatalf("short segments: err %v", err)
+	}
+}
+
+// TestTapeFilePhaseMarks: marks that run backwards are corrupt, while
+// marks past the budget are what a scenario whose bounded phases outrun
+// the run writes, and round-trip.
+func TestTapeFilePhaseMarks(t *testing.T) {
+	spec, _ := ByName("web-apache")
+	spec = spec.Scaled(0.01)
+	scn := Sequence("long-phase", Phase{Spec: spec, Records: 1000}, Phase{Spec: spec})
+	tape := NewScenarioTape(scn, 7, 2, 96)
+	if m := tape.Marks(); len(m) != 2 || m[1].Start != 1000 {
+		t.Fatalf("marks %+v", m)
+	}
+	var buf bytes.Buffer
+	if err := WriteTape(&buf, tape); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTape(&buf)
+	if err != nil {
+		t.Fatalf("marks past the budget rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got.Marks(), tape.Marks()) {
+		t.Fatalf("marks %+v, want %+v", got.Marks(), tape.Marks())
+	}
+
+	tape.marks = []PhaseMark{{Name: "a", Start: 0}, {Name: "b", Start: 50}, {Name: "c", Start: 20}}
+	buf.Reset()
+	if err := WriteTape(&buf, tape); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTape(&buf); err == nil || !strings.Contains(err.Error(), "phase mark 2 starts at record 20") {
+		t.Fatalf("backward marks: err %v", err)
 	}
 }
 
@@ -217,4 +336,24 @@ func TestTapeFileRejectsCorruption(t *testing.T) {
 	if DetectFormat(magic) != FormatRecords {
 		t.Fatal("record magic not detected")
 	}
+}
+
+// BenchmarkTapeBuild measures tape materialization — generation plus
+// columnar encoding — for one Fig. 8 workload at the benchmark's scale,
+// 4 cores × 200k records. ns/record is build wall time per record;
+// B/record is the built tape's columnar footprint per record.
+func BenchmarkTapeBuild(b *testing.B) {
+	spec, err := ByName(FigureEight()[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec = spec.Scaled(0.125)
+	const cores, perCore = 4, 200_000
+	var tape *Tape
+	for b.Loop() {
+		tape = NewTape(spec, 42, cores, perCore)
+	}
+	records := float64(cores * perCore)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+	b.ReportMetric(float64(tape.Bytes())/records, "B/record")
 }
