@@ -18,6 +18,7 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -30,6 +31,12 @@ const (
 	Magic   = "STMSCKPT"
 	Version = 1
 )
+
+// ErrCorrupt marks a snapshot that decodes cleanly but describes a state
+// its component could never reach (counts that disagree, a table that
+// breaks its own invariants). Restores wrap it so callers can tell bad
+// bytes from a configuration mismatch.
+var ErrCorrupt = errors.New("ckpt: corrupt snapshot")
 
 // headerLen is magic + u32 version + u64 payload length.
 const headerLen = len(Magic) + 4 + 8

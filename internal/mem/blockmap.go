@@ -1,6 +1,9 @@
 package mem
 
-import "math/bits"
+import (
+	"iter"
+	"math/bits"
+)
 
 // emptyKey marks a free slot directly in the key array, so the probe
 // loop touches one contiguous array instead of a parallel occupancy
@@ -134,6 +137,18 @@ func (m *BlockMap) Delete(k uint64) bool {
 				m.vals[j] = m.vals[s]
 				j = s
 				break
+			}
+		}
+	}
+}
+
+// All yields every live entry in table order, which depends on the
+// map's insertion history; callers that need a canonical order sort.
+func (m *BlockMap) All() iter.Seq2[uint64, int32] {
+	return func(yield func(uint64, int32) bool) {
+		for i, k := range m.keys {
+			if k != emptyKey && !yield(k, m.vals[i]) {
+				return
 			}
 		}
 	}

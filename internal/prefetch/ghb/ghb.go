@@ -48,7 +48,7 @@ func unpack(v uint64) (core int, pos uint64) {
 type Meta struct {
 	cfg  Config
 	hist []*prefetch.History
-	idx  *lruIndex
+	idx  index
 
 	// scratch backs the transient results of LookupSync and ReadNextSync.
 	// Both are synchronous — the caller consumes the result before any
@@ -74,7 +74,7 @@ func New(cfg Config) *Meta {
 	if cfg.HistoryEntries == 0 {
 		cfg.HistoryEntries = Unbounded
 	}
-	m := &Meta{cfg: cfg, idx: newLRUIndex(cfg.IndexEntries)}
+	m := &Meta{cfg: cfg, idx: newIndex(cfg.IndexEntries)}
 	for i := 0; i < cfg.Cores; i++ {
 		m.hist = append(m.hist, prefetch.NewHistory(cfg.HistoryEntries))
 	}

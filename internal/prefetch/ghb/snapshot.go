@@ -2,6 +2,7 @@ package ghb
 
 import (
 	"fmt"
+	"slices"
 
 	"stms/internal/ckpt"
 )
@@ -32,6 +33,9 @@ func (l *lruIndex) restore(dec *ckpt.Decoder) error {
 	if l.m.Len() != 0 {
 		return fmt.Errorf("ghb: restore into non-empty index")
 	}
+	if count < 0 || uint64(count) > capacity {
+		return fmt.Errorf("%w: ghb: index snapshot holds %d entries over capacity %d", ckpt.ErrCorrupt, count, capacity)
+	}
 	for k := 0; k < count; k++ {
 		key := dec.U64()
 		val := dec.U64()
@@ -43,7 +47,63 @@ func (l *lruIndex) restore(dec *ckpt.Decoder) error {
 		l.m.Put(key, i)
 		l.pushFront(i)
 	}
+	if l.m.Len() != count {
+		return fmt.Errorf("%w: ghb: index snapshot repeats a key", ckpt.ErrCorrupt)
+	}
 	l.evictions = dec.U64()
+	return dec.Err()
+}
+
+// snapshot writes the capped index's section layout — capacity (0),
+// count, (key, value) pairs, evictions (none) — listing the pairs in key
+// order: the index keeps no recency to list them by, and a canonical
+// order makes the bytes a function of its contents alone.
+func (x *flatIndex) snapshot(enc *ckpt.Encoder) {
+	enc.Section("ghb.lruIndex")
+	enc.U64(0)
+	enc.Int(x.len())
+	keys := make([]uint64, 0, x.len())
+	for k := range x.m.All() {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		v, _ := x.get(k)
+		enc.U64(k)
+		enc.U64(v)
+	}
+	enc.U64(0) // evictions
+}
+
+// restore accepts the pairs in any order, so it also reads checkpoints
+// that listed an unbounded index in recency order.
+func (x *flatIndex) restore(dec *ckpt.Decoder) error {
+	dec.Section("ghb.lruIndex")
+	capacity := dec.U64()
+	count := dec.Int()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if capacity != 0 {
+		return fmt.Errorf("ghb: index snapshot capacity %d does not match unbounded", capacity)
+	}
+	if x.len() != 0 {
+		return fmt.Errorf("ghb: restore into non-empty index")
+	}
+	for k := 0; k < count; k++ {
+		key := dec.U64()
+		val := dec.U64()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		x.put(key, val)
+	}
+	if x.len() != count {
+		return fmt.Errorf("%w: ghb: index snapshot repeats a key", ckpt.ErrCorrupt)
+	}
+	if ev := dec.U64(); ev != 0 {
+		return fmt.Errorf("%w: ghb: unbounded index snapshot records %d evictions", ckpt.ErrCorrupt, ev)
+	}
 	return dec.Err()
 }
 

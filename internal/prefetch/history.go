@@ -8,13 +8,25 @@ package prefetch
 // A stream-end annotation (§4.5) is a flag on an entry, stored here in the
 // block number's top bit — block numbers generated by the simulator stay
 // far below 2^63.
+//
+// Storage grows in fixed pages of historyPage entries, each allocated the
+// first time an append reaches it: a history holds at most one page of
+// slack and never copies an entry, however large its capacity (ghb's
+// Unbounded is 2^34 entries).
 type History struct {
-	cap     uint64
-	entries []uint64
-	head    uint64 // total entries appended
+	cap   uint64
+	pages [][]uint64 // page i holds slots [i·historyPage, (i+1)·historyPage)
+	head  uint64     // total entries appended
+	slot  uint64     // slot the next append writes: head mod cap
 }
 
 const markBit = uint64(1) << 63
+
+// historyPage is the number of entries per storage page (32 KB).
+const (
+	historyPageShift = 12
+	historyPage      = 1 << historyPageShift
+)
 
 // NewHistory creates a history with capacity capEntries (> 0).
 func NewHistory(capEntries uint64) *History {
@@ -32,19 +44,38 @@ func (h *History) Head() uint64 { return h.head }
 
 // Append logs blk and returns its absolute position.
 func (h *History) Append(blk uint64) uint64 {
-	pos := h.head
-	if uint64(len(h.entries)) < h.cap {
-		h.entries = append(h.entries, blk)
-	} else {
-		h.entries[pos%h.cap] = blk
+	pg := h.slot >> historyPageShift
+	if pg == uint64(len(h.pages)) {
+		// Slots fill in order before the first wrap, so a missing page
+		// is always the next one.
+		h.pages = append(h.pages, make([]uint64, min(historyPage, h.cap-h.slot)))
 	}
+	h.pages[pg][h.slot&(historyPage-1)] = blk
+	if h.slot++; h.slot == h.cap {
+		h.slot = 0
+	}
+	pos := h.head
 	h.head++
 	return pos
 }
 
 // Valid reports whether pos still addresses a live entry.
 func (h *History) Valid(pos uint64) bool {
-	return pos < h.head && h.head-pos <= uint64(len(h.entries))
+	return pos < h.head && h.head-pos <= h.cap
+}
+
+// slotOf maps a valid position to its slot, counting back from the
+// write slot instead of dividing.
+func (h *History) slotOf(pos uint64) uint64 {
+	back := h.head - pos
+	if back <= h.slot {
+		return h.slot - back
+	}
+	return h.slot + h.cap - back
+}
+
+func (h *History) at(slot uint64) *uint64 {
+	return &h.pages[slot>>historyPageShift][slot&(historyPage-1)]
 }
 
 // Get returns the entry at pos and its end-mark flag.
@@ -52,7 +83,7 @@ func (h *History) Get(pos uint64) (blk uint64, mark, ok bool) {
 	if !h.Valid(pos) {
 		return 0, false, false
 	}
-	e := h.entries[pos%h.cap]
+	e := *h.at(h.slotOf(pos))
 	return e &^ markBit, e&markBit != 0, true
 }
 
@@ -62,7 +93,7 @@ func (h *History) Mark(pos uint64) bool {
 	if !h.Valid(pos) {
 		return false
 	}
-	h.entries[pos%h.cap] |= markBit
+	*h.at(h.slotOf(pos)) |= markBit
 	return true
 }
 
@@ -97,22 +128,24 @@ func (h *History) ReadLine(pos uint64, max int, out *Line) (n int, marked bool, 
 	if max > LineEntries {
 		max = LineEntries
 	}
-	if max <= 0 {
+	if max <= 0 || !h.Valid(pos) {
+		// A stale (wrapped) start has nothing usable.
 		return 0, false, 0
 	}
+	// Every position from a live pos up to the head is live too.
 	lineEnd := (LineOf(pos) + 1) * LineEntries
+	slot := h.slotOf(pos)
 	for p := pos; p < lineEnd && p < h.head && n < max; p++ {
-		blk, mark, ok := h.Get(p)
-		if !ok {
-			// Stale region (wrapped): nothing usable here.
-			break
+		e := *h.at(slot)
+		if e&markBit != 0 {
+			return n, true, e &^ markBit
 		}
-		if mark {
-			return n, true, blk
-		}
-		out.Addrs[n] = blk
+		out.Addrs[n] = e
 		out.Positions[n] = p
 		n++
+		if slot++; slot == h.cap {
+			slot = 0
+		}
 	}
 	return n, false, 0
 }

@@ -36,16 +36,25 @@ func (e *Engine) ReadDoneFor(core int, seq uint64) func(addrs, positions []uint6
 	return e.getReadOp(core, seq).done
 }
 
-// Snapshot serializes one core's history buffer.
+// Snapshot serializes one core's history buffer. The live entries go out
+// as one flat slot-ordered U64s list, the same bytes a single-slice
+// history wrote, so checkpoints do not depend on the page size.
 func (h *History) Snapshot(enc *ckpt.Encoder) {
 	enc.Section("prefetch.History")
 	enc.U64(h.cap)
 	enc.U64(h.head)
-	enc.U64s(h.entries)
+	live := min(h.head, h.cap)
+	enc.U64(live)
+	for slot := uint64(0); slot < live; slot++ {
+		enc.U64(*h.at(slot))
+	}
 }
 
 // Restore rebuilds the history from a Snapshot taken on an identically
-// sized history.
+// sized history. A snapshot must hold exactly the min(head, cap) live
+// entries its head implies; any other count is rejected with
+// ckpt.ErrCorrupt rather than restored into a history that would read
+// past its storage.
 func (h *History) Restore(dec *ckpt.Decoder) error {
 	dec.Section("prefetch.History")
 	c := dec.U64()
@@ -57,11 +66,16 @@ func (h *History) Restore(dec *ckpt.Decoder) error {
 	if c != h.cap {
 		return fmt.Errorf("prefetch: history snapshot capacity %d does not match %d", c, h.cap)
 	}
-	if uint64(len(entries)) > c {
-		return fmt.Errorf("prefetch: history snapshot has %d entries beyond capacity %d", len(entries), c)
+	if live := min(head, c); uint64(len(entries)) != live {
+		return fmt.Errorf("%w: prefetch: history snapshot has %d entries, head %d and capacity %d need %d",
+			ckpt.ErrCorrupt, len(entries), head, c, live)
 	}
-	h.head = head
-	h.entries = entries
+	h.head, h.slot, h.pages = head, head%c, nil
+	for off := uint64(0); off < uint64(len(entries)); off += historyPage {
+		pg := make([]uint64, min(historyPage, c-off))
+		copy(pg, entries[off:])
+		h.pages = append(h.pages, pg)
+	}
 	return nil
 }
 
