@@ -191,7 +191,7 @@ func BenchmarkTimedSimRecords(b *testing.B) {
 	b.ResetTimer()
 	var records uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunTimed(cfg, spec, sim.PrefSpec{Kind: sim.STMS})
+		r := mustRun(b, cfg, sim.FromSpec(spec), sim.PrefSpec{Kind: sim.STMS})
 		records += r.Records
 	}
 	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
@@ -209,8 +209,11 @@ func BenchmarkFunctionalSimRecords(b *testing.B) {
 	b.ResetTimer()
 	var records uint64
 	for i := 0; i < b.N; i++ {
-		r := sim.RunFunctional(cfg, spec, sim.PrefSpec{Kind: sim.Ideal})
-		records += r.Records
+		rs, err := sim.Run(context.Background(), cfg, sim.FromSpec(spec), []sim.PrefSpec{{Kind: sim.Ideal}}, sim.WithMode(sim.Functional))
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += rs[0].Records
 	}
 	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 }
@@ -234,7 +237,7 @@ func BenchmarkTimedHotPath(b *testing.B) {
 	perRun := (cfg.WarmRecords + cfg.MeasureRecords) * uint64(cfg.Cores)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.RunTimed(cfg, spec, sim.PrefSpec{Kind: sim.STMS})
+		mustRun(b, cfg, sim.FromSpec(spec), sim.PrefSpec{Kind: sim.STMS})
 	}
 	b.ReportMetric(float64(perRun)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

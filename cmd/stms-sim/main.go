@@ -51,6 +51,7 @@ import (
 	"os"
 
 	"stms"
+	"stms/internal/ckpt"
 	"stms/internal/dram"
 	"stms/internal/sim"
 	"stms/internal/stats"
@@ -267,12 +268,11 @@ func runStreamed(cfg stms.Config, connect, listen string, warm uint64, functiona
 		from, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords, cfg.WarmRecords, cfg.MeasureRecords, cfg.Seed)
 
 	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	var res stms.Results
+	mode := sim.Timed
 	if functional {
-		res, err = sim.RunFunctionalSourcesCtx(context.Background(), cfg, run, ps, nil)
-	} else {
-		res, err = sim.RunTimedSourcesCtx(context.Background(), cfg, run, ps, nil)
+		mode = sim.Functional
 	}
+	res, err := runOne(cfg, sim.FromSources(run), ps, sim.WithMode(mode))
 	if err != nil {
 		return stms.Results{}, err
 	}
@@ -302,18 +302,34 @@ func runCheckpointed(cfg stms.Config, workload string, ps stms.PrefSpec, every u
 		}
 	}
 
-	var res stms.Results
-	var err error
+	var in sim.Input
 	if resume != "" {
 		// The checkpoint knows its own workload, config and variant.
-		res, err = sim.ResumeFromCtx(context.Background(), resume, nil, opts...)
+		data, err := ckpt.ReadFile(resume)
+		if err != nil {
+			return err
+		}
+		data = ckpt.Seal(data)
+		d, err := sim.Peek(data)
+		if err != nil {
+			return err
+		}
+		if in, err = d.Input(nil); err != nil {
+			return err
+		}
+		cfg, ps = d.Cfg, d.PS
+		opts = append(opts, sim.WithResume(data))
+		if d.Mode == sim.Functional.String() {
+			opts = append(opts, sim.WithMode(sim.Functional))
+		}
 	} else if spec, serr := trace.ByName(workload); serr == nil {
-		res, err = sim.RunTimedCtx(context.Background(), cfg, spec, ps, nil, opts...)
+		in = sim.FromSpec(spec)
 	} else if scn, scerr := trace.ScenarioByName(workload); scerr == nil {
-		res, err = sim.RunTimedScenarioCtx(context.Background(), cfg, scn, ps, nil, opts...)
+		in = sim.FromScenario(scn)
 	} else {
 		return serr
 	}
+	res, err := runOne(cfg, in, ps, opts...)
 	if errors.Is(err, sim.ErrCheckpointed) {
 		fmt.Fprintf(os.Stderr, "stms-sim: halted after %d checkpoint(s); resume with: stms-sim -resume %s\n", haltAfter, path)
 		return nil
@@ -429,7 +445,7 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		// scenario tapes (the tape's own seed keeps replay faithful).
 		cfg.Seed = tape.Seed()
 		if tape.PerCore() == cfg.WarmRecords+cfg.MeasureRecords {
-			return sim.RunTimedTapeCtx(nil, cfg, tape, ps, nil)
+			return runOne(cfg, sim.FromTape(tape), ps)
 		}
 		if tape.Marks() != nil {
 			fmt.Fprintf(os.Stderr, "(tape holds %d records/core but -warm+-measure is %d; replaying whole-tape without per-phase windows)\n",
@@ -443,7 +459,7 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		if name == "" {
 			name = path
 		}
-		return sim.RunTimedTrace(cfg, name, gens, spec.DirtyFrac, ps), nil
+		return runGenerators(cfg, name, gens, spec.DirtyFrac, ps)
 	case trace.FormatRecords:
 		recs, err := trace.ReadAll(f)
 		if err != nil {
@@ -457,7 +473,28 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 		for i := range gens {
 			gens[i] = &trace.SliceGenerator{Records: perCore[i]}
 		}
-		return sim.RunTimedTrace(cfg, path, gens, 0.25, ps), nil
+		return runGenerators(cfg, path, gens, 0.25, ps)
 	}
 	return stms.Results{}, fmt.Errorf("%s: not a trace or tape file (magic %q)", path, magic[:])
+}
+
+// runGenerators runs the timed simulation over per-core generators of
+// already-scaled records, labelled name, with the given dirty-fill
+// fraction for the writeback model.
+func runGenerators(cfg stms.Config, name string, gens []trace.Generator, dirtyFrac float64, ps stms.PrefSpec) (stms.Results, error) {
+	srcs := make([]trace.FrameSource, len(gens))
+	for i, g := range gens {
+		srcs[i] = trace.AutoFrames(g)
+	}
+	run := sim.SourceRun{Spec: trace.Spec{Name: name, DirtyFrac: dirtyFrac}, Sources: srcs}
+	return runOne(cfg, sim.FromSources(run), ps)
+}
+
+// runOne runs one prefetcher variant over in.
+func runOne(cfg stms.Config, in sim.Input, ps stms.PrefSpec, opts ...sim.RunOption) (stms.Results, error) {
+	rs, err := sim.Run(context.Background(), cfg, in, []stms.PrefSpec{ps}, opts...)
+	if err != nil {
+		return stms.Results{}, err
+	}
+	return rs[0], nil
 }

@@ -83,7 +83,7 @@ func Example_scenario() {
 	cfg := stms.DefaultConfig()
 	cfg.Scale, cfg.Seed = 0.0625, 42
 	cfg.WarmRecords, cfg.MeasureRecords = 1_000, 2_000
-	res, err := stms.RunTimedScenarioCtx(context.Background(), cfg, flip, stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125})
+	res, err := stms.Run(context.Background(), cfg, stms.FromScenario(flip), stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func Example_tapeReplay() {
 	tape := stms.NewTape(scaled, cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
 
 	ps := stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}
-	live, err := stms.RunTimedCtx(context.Background(), cfg, spec, ps)
+	live, err := stms.Run(context.Background(), cfg, stms.FromSpec(spec), ps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := stms.RunTimedTapeCtx(context.Background(), cfg, tape, ps)
+	replayed, err := stms.Run(context.Background(), cfg, stms.FromTape(tape), ps)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func Example_sampled() {
 	}
 	ps := stms.PrefSpec{Kind: stms.STMS, SampleProb: 0.125}
 
-	exact, err := stms.RunTimedCtx(context.Background(), cfg, spec, ps)
+	exact, err := stms.Run(context.Background(), cfg, stms.FromSpec(spec), ps)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sr, err := stms.RunSampledCtx(context.Background(), cfg, spec, ps, stms.Sampling{Windows: 4})
+	sr, err := stms.Sample(context.Background(), cfg, stms.FromSpec(spec), ps, stms.Sampling{Windows: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func Example_sampled() {
 	fmt.Println("exact IPC inside the interval:", sr.CI.IPC.Contains(exact.IPC))
 	fmt.Println("exact coverage inside the interval:", sr.CI.Coverage.Contains(exact.Coverage()))
 
-	k1, err := stms.RunSampledCtx(context.Background(), cfg, spec, ps, stms.Sampling{Windows: 1})
+	k1, err := stms.Sample(context.Background(), cfg, stms.FromSpec(spec), ps, stms.Sampling{Windows: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

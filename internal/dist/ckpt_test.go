@@ -57,7 +57,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := sim.PeekCheckpoint(data)
+	d, err := sim.Peek(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if !resB.Resumed {
 		t.Fatal("worker with a pushed checkpoint did not resume")
 	}
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	store := NewStore(1<<30, "")
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	// A checkpoint from a different prefetcher spec must not restore
 	// into this job — mismatch means a cold run with exact results.
 	other := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	wantOther, err := sim.RunTimedCtx(context.Background(), other.Config, *other.Spec, other.Pref, nil)
+	wantOther, err := run1(context.Background(), other.Config, sim.FromSpec(*other.Spec), other.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}

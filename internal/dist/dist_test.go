@@ -12,6 +12,15 @@ import (
 	"stms/internal/trace"
 )
 
+// run1 runs one prefetcher variant over in.
+func run1(ctx context.Context, cfg sim.Config, in sim.Input, ps sim.PrefSpec, opts ...sim.RunOption) (sim.Results, error) {
+	rs, err := sim.Run(ctx, cfg, in, []sim.PrefSpec{ps}, opts...)
+	if err != nil {
+		return sim.Results{}, err
+	}
+	return rs[0], nil
+}
+
 // testJob builds a small timed job over a named workload.
 func testJob(t *testing.T, workload string, pref sim.PrefSpec) *Job {
 	t.Helper()
@@ -121,8 +130,8 @@ func TestServerRunJobMatchesDirectSim(t *testing.T) {
 	}
 
 	// The remote result is bit-identical to running the same cell
-	// through the sim entry points directly.
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	// through sim.Run directly.
+	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestServerScenarioJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunTimedScenarioCtx(context.Background(), job.Config, scn, job.Pref, nil)
+	want, err := run1(context.Background(), job.Config, sim.FromScenario(scn), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +339,7 @@ func TestServerLiveModeWithoutStore(t *testing.T) {
 	if res.TapeSource != TapeLive {
 		t.Fatalf("storeless worker tape source = %q, want live", res.TapeSource)
 	}
-	want, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +350,7 @@ func TestServerLiveModeWithoutStore(t *testing.T) {
 
 func TestResultJSONRoundTrip(t *testing.T) {
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	res, err := sim.RunTimedCtx(context.Background(), job.Config, *job.Spec, job.Pref, nil)
+	res, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 
 	"stms/internal/sim"
 	"stms/internal/trace"
@@ -55,57 +52,11 @@ func (o *ExecOptions) runOptions(job *Job) []sim.RunOption {
 	return opts
 }
 
-// resumeMatches validates a checkpoint descriptor against the job it
-// is about to resume. The container's checksum has already been
-// verified by the store tiers; this checks identity — mode, full
-// config, the complete prefetcher spec (not just its kind: a
-// checkpoint from a different sampling probability or engine geometry
-// would restore cleanly and then produce wrong results), and the trace
-// source the run will rebuild.
-func resumeMatches(d sim.CheckpointDesc, job *Job, scn *trace.Scenario, tape *trace.Tape) error {
-	if d.Mode != job.Mode {
-		return fmt.Errorf("dist: checkpoint is a %s-mode run, job is %s", d.Mode, job.Mode)
-	}
-	if d.Cfg != job.Config {
-		return fmt.Errorf("dist: checkpoint configuration does not match the job's")
-	}
-	dps, err1 := json.Marshal(d.PS)
-	jps, err2 := json.Marshal(job.Pref)
-	if err1 != nil || err2 != nil || !bytes.Equal(dps, jps) {
-		return fmt.Errorf("dist: checkpoint prefetcher spec does not match the job's")
-	}
-	switch {
-	case tape != nil:
-		if d.Source != "tape" {
-			return fmt.Errorf("dist: checkpoint source %q, job runs from a tape", d.Source)
-		}
-		if d.Spec == nil || fmt.Sprintf("%+v", *d.Spec) != fmt.Sprintf("%+v", tape.Spec()) {
-			return fmt.Errorf("dist: checkpoint trace identity does not match the job's tape")
-		}
-	case scn != nil:
-		if d.Source != "scenario" || d.Scenario == nil {
-			return fmt.Errorf("dist: checkpoint source %q, job runs a scenario", d.Source)
-		}
-		sc := job.Config.Scale
-		if d.Scenario.Scaled(sc).Key() != scn.Scaled(sc).Key() {
-			return fmt.Errorf("dist: checkpoint scenario does not match the job's")
-		}
-	default:
-		if d.Source != "spec" || d.Spec == nil {
-			return fmt.Errorf("dist: checkpoint source %q, job runs a spec", d.Source)
-		}
-		if fmt.Sprintf("%+v", *d.Spec) != fmt.Sprintf("%+v", *job.Spec) {
-			return fmt.Errorf("dist: checkpoint spec does not match the job's")
-		}
-	}
-	return nil
-}
-
 // ExecuteJob runs one cell job to completion, serving its record
 // stream from the store when one is given (fetch, usually a peer
 // lookup, feeds the store's miss path). The execution mirrors the
 // in-process lab's cell path exactly — same validation order, same
-// scaled identities, same sim entry points — which is what makes a
+// tape identities (TapeIdentity), same sim.Run call — which is what makes a
 // remotely executed matrix bit-identical to a local run.
 //
 // exec (nil for a plain run) threads checkpointing through: a
@@ -126,71 +77,60 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 		return sim.Results{}, TapeLive, false, err
 	}
 	cfg := job.Config
-	functional := job.Mode == "functional"
 
 	var src TapeSource = TapeLive
-	var tape *trace.Tape
-	if store != nil {
-		// Validate before touching the store — the sim entry points
-		// validate again, but only after the tape exists, and a job with a
-		// broken config must not cost a tape build.
+	var in sim.Input
+	switch {
+	case store != nil:
+		// Validate before touching the store — sim.Run validates again,
+		// but only after the tape exists, and a job with a broken config
+		// must not cost a tape build.
 		if err := cfg.Validate(); err != nil {
 			return sim.Results{}, TapeLive, false, err
 		}
-		seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
-		var key string
-		var build func() *trace.Tape
-		if scn != nil {
-			scaled := scn.Scaled(cfg.Scale)
-			key = TapeKey(trace.Spec{}, scaled.Key(), seed, cores, perCore)
-			build = func() *trace.Tape { return trace.NewScenarioTape(scaled, seed, cores, perCore) }
-		} else {
-			scaled := job.Spec.Scaled(cfg.Scale)
-			key = TapeKey(scaled, "", seed, cores, perCore)
-			build = func() *trace.Tape { return trace.NewTape(scaled, seed, cores, perCore) }
-		}
+		key, build := TapeIdentity(cfg, job.Spec, scn)
 		var fetchKey func(context.Context) (*trace.Tape, error)
 		if fetch != nil {
 			fetchKey = func(ctx context.Context) (*trace.Tape, error) { return fetch(ctx, key) }
 		}
+		var tape *trace.Tape
 		tape, src, err = store.GetOrBuild(ctx, key, fetchKey, build)
 		if err != nil {
 			return sim.Results{}, src, false, err
 		}
+		in = sim.FromTape(tape)
+	case scn != nil:
+		in = sim.FromScenario(*scn)
+	default:
+		in = sim.FromSpec(*job.Spec)
 	}
 
-	run := func(opts []sim.RunOption) (sim.Results, error) {
-		switch {
-		case tape != nil && functional:
-			return sim.RunFunctionalTapeCtx(ctx, cfg, tape, job.Pref, progress, opts...)
-		case tape != nil:
-			return sim.RunTimedTapeCtx(ctx, cfg, tape, job.Pref, progress, opts...)
-		case scn != nil && functional:
-			return sim.RunFunctionalScenarioCtx(ctx, cfg, *scn, job.Pref, progress, opts...)
-		case scn != nil:
-			return sim.RunTimedScenarioCtx(ctx, cfg, *scn, job.Pref, progress, opts...)
-		case functional:
-			return sim.RunFunctionalCtx(ctx, cfg, *job.Spec, job.Pref, progress, opts...)
-		default:
-			return sim.RunTimedCtx(ctx, cfg, *job.Spec, job.Pref, progress, opts...)
+	mode := sim.Timed
+	if job.Mode == sim.Functional.String() {
+		mode = sim.Functional
+	}
+	opts := append(exec.runOptions(job), sim.WithMode(mode), sim.WithProgress(progress))
+	run := func(opts ...sim.RunOption) (sim.Results, error) {
+		rs, err := sim.Run(ctx, cfg, in, []sim.PrefSpec{job.Pref}, opts...)
+		if err != nil {
+			return sim.Results{}, err
 		}
+		return rs[0], nil
 	}
-
-	base := exec.runOptions(job)
 	if exec != nil && len(exec.Resume) > 0 && sim.CheckpointablePref(job.Pref) {
-		if d, err := sim.PeekCheckpoint(exec.Resume); err == nil && resumeMatches(d, job, scn, tape) == nil {
-			res, err := run(append(append([]sim.RunOption{}, base...), sim.WithResume(exec.Resume)))
-			switch {
-			case err == nil:
-				return res, src, true, nil
-			case errors.Is(err, sim.ErrCheckpointed) || ctx.Err() != nil:
-				return res, src, true, err
-			}
-			// The container verified but would not restore (or the
-			// descriptor lied about state the restore checks catch):
-			// discard it and fall through to a cold run.
+		// sim.Run checks the container's full identity — mode, config,
+		// the complete prefetcher spec and the trace — before it reports
+		// progress or writes a checkpoint.
+		res, err := run(append(opts[:len(opts):len(opts)], sim.WithResume(exec.Resume))...)
+		switch {
+		case err == nil:
+			return res, src, true, nil
+		case errors.Is(err, sim.ErrCheckpointed) || ctx.Err() != nil:
+			return res, src, true, err
 		}
+		// The container belongs to another run or would not restore:
+		// discard it and fall through to a cold run.
 	}
-	res, err := run(base)
+	res, err := run(opts...)
 	return res, src, false, err
 }

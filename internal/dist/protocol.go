@@ -22,8 +22,8 @@
 //     transport failures (retry on another worker) from job failures
 //     (deterministic; retrying elsewhere would fail identically).
 //
-// Every simulation a worker runs goes through the same internal/sim
-// entry points the in-process lab uses, so a matrix executed across
+// Every simulation a worker runs goes through the same sim.Run call
+// the in-process lab uses, so a matrix executed across
 // workers is bit-identical to the same plan run locally.
 package dist
 
@@ -132,17 +132,31 @@ func prefString(ps sim.PrefSpec) string {
 // compute it independently and must agree; it names tapes in every
 // store tier and routes cells to workers by affinity.
 func (j *Job) TapeKey() (string, error) {
-	scnKey := ""
-	spec := trace.Spec{}
-	if scn, err := j.scenario(); err != nil {
+	scn, err := j.scenario()
+	if err != nil {
 		return "", err
-	} else if scn != nil {
-		scnKey = scn.Scaled(j.Config.Scale).Key()
-	} else {
-		spec = j.Spec.Scaled(j.Config.Scale)
 	}
-	return TapeKey(spec, scnKey, j.Config.Seed, j.Config.Cores,
-		j.Config.WarmRecords+j.Config.MeasureRecords), nil
+	key, _ := TapeIdentity(j.Config, j.Spec, scn)
+	return key, nil
+}
+
+// TapeIdentity returns the content address of a run's trace tape and
+// the function that materializes it: the scenario when scn is non-nil,
+// else the spec, scaled by cfg.Scale, at cfg's seed, core count and
+// warm + measure budget. Lab sessions, workers and Job.TapeKey all
+// derive tape identities here.
+func TapeIdentity(cfg sim.Config, spec *trace.Spec, scn *trace.Scenario) (string, func() *trace.Tape) {
+	seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
+	if scn != nil {
+		scaled := scn.Scaled(cfg.Scale)
+		return TapeKey(trace.Spec{}, scaled.Key(), seed, cores, perCore), func() *trace.Tape {
+			return trace.NewScenarioTape(scaled, seed, cores, perCore)
+		}
+	}
+	scaled := spec.Scaled(cfg.Scale)
+	return TapeKey(scaled, "", seed, cores, perCore), func() *trace.Tape {
+		return trace.NewTape(scaled, seed, cores, perCore)
+	}
 }
 
 // TapeKey computes the content address of a trace identity. Exactly

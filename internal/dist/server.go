@@ -347,7 +347,7 @@ func (s *Server) lookupCkpt(ctx context.Context, key string) []byte {
 	var best []byte
 	var bestRecs uint64
 	consider := func(data []byte) {
-		if d, err := sim.PeekCheckpoint(data); err == nil && (best == nil || d.Records > bestRecs) {
+		if d, err := sim.Peek(data); err == nil && (best == nil || d.Records > bestRecs) {
 			best, bestRecs = data, d.Records
 		}
 	}

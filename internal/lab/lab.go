@@ -137,7 +137,7 @@ func WithWindows(warm, measure uint64) Option {
 }
 
 // WithSampling runs every timed cell as a K-window sampled simulation
-// (sim.RunSampledCtx) instead of an exact serial run: each cell's
+// (sim.Sample) instead of an exact serial run: each cell's
 // CellResult carries the stitched estimate as its Results plus the full
 // SampledResults (per-window details, confidence intervals). Windows <= 1
 // leaves cells exact; functional cells ignore sampling (it is a timed

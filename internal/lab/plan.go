@@ -8,22 +8,14 @@ import (
 )
 
 // Mode selects the simulation driver for a plan's cells.
-type Mode int
+type Mode = sim.Mode
 
 // Drivers: the cycle-level timed simulation (speedups, traffic) and the
 // fast zero-latency functional driver (coverage sweeps).
 const (
-	Timed Mode = iota
-	Functional
+	Timed      = sim.Timed
+	Functional = sim.Functional
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == Functional {
-		return "functional"
-	}
-	return "timed"
-}
 
 // Cell is one unit of work in a plan: a workload — a stationary spec or
 // a phase-structured scenario — under a prefetcher variant, with its

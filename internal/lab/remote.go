@@ -318,7 +318,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	var held []byte
 	var heldRecs uint64
 	adopt := func(data []byte) bool {
-		d, perr := sim.PeekCheckpoint(data)
+		d, perr := sim.Peek(data)
 		if perr != nil || !ckptMatchesJob(d, job) {
 			return false
 		}

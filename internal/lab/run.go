@@ -10,7 +10,6 @@ import (
 
 	"stms/internal/dist"
 	"stms/internal/sim"
-	"stms/internal/trace"
 )
 
 // EventKind classifies a ResultEvent.
@@ -173,31 +172,12 @@ func (l *Lab) dispatch(ctx context.Context, cell *Cell) (sim.Results, *sim.Sampl
 // trace identity replays one materialized tape. tapeWait is how much of
 // the cell's wall time went to tape access (building, or waiting on a
 // sibling's build) rather than simulation.
-func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, tapeWait time.Duration, err error) {
-	if l.tapes == nil {
-		switch {
-		case cell.Scenario != nil && cell.Mode == Functional:
-			res, err = sim.RunFunctionalScenarioCtx(ctx, cell.Config, *cell.Scenario, cell.Pref, nil)
-		case cell.Scenario != nil:
-			res, err = sim.RunTimedScenarioCtx(ctx, cell.Config, *cell.Scenario, cell.Pref, nil)
-		case cell.Mode == Functional:
-			res, err = sim.RunFunctionalCtx(ctx, cell.Config, cell.Spec, cell.Pref, nil)
-		default:
-			res, err = sim.RunTimedCtx(ctx, cell.Config, cell.Spec, cell.Pref, nil)
-		}
-		return res, 0, err
-	}
-	tape, tapeWait, err := l.tapeFor(ctx, cell)
+func (l *Lab) simulate(ctx context.Context, cell *Cell) (sim.Results, time.Duration, error) {
+	rs, tapeWait, err := l.simulateGroup(ctx, []*Cell{cell})
 	if err != nil {
 		return sim.Results{}, tapeWait, err
 	}
-	switch cell.Mode {
-	case Functional:
-		res, err = sim.RunFunctionalTapeCtx(ctx, cell.Config, tape, cell.Pref, nil)
-	default:
-		res, err = sim.RunTimedTapeCtx(ctx, cell.Config, tape, cell.Pref, nil)
-	}
-	return res, tapeWait, err
+	return rs[0], tapeWait, nil
 }
 
 // simulateSampled executes one sampled cell (Sampling.Windows > 1):
@@ -205,60 +185,36 @@ func (l *Lab) simulate(ctx context.Context, cell *Cell) (res sim.Results, tapeWa
 // the session tape store when enabled so sampled and exact cells of
 // one trace identity share a materialized tape.
 func (l *Lab) simulateSampled(ctx context.Context, cell *Cell) (*sim.SampledResults, time.Duration, error) {
-	var sr sim.SampledResults
-	var err error
-	if l.tapes == nil {
-		if cell.Scenario != nil {
-			sr, err = sim.RunSampledScenarioCtx(ctx, cell.Config, *cell.Scenario, cell.Pref, cell.Sampling, nil)
-		} else {
-			sr, err = sim.RunSampledCtx(ctx, cell.Config, cell.Spec, cell.Pref, cell.Sampling, nil)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return &sr, 0, nil
-	}
-	tape, tapeWait, err := l.tapeFor(ctx, cell)
+	in, tapeWait, err := l.input(ctx, cell)
 	if err != nil {
 		return nil, tapeWait, err
 	}
-	sr, err = sim.RunSampledTapeCtx(ctx, cell.Config, tape, cell.Pref, cell.Sampling, nil)
+	sr, err := sim.Sample(ctx, cell.Config, in, cell.Pref, cell.Sampling)
 	if err != nil {
 		return nil, tapeWait, err
 	}
 	return &sr, tapeWait, nil
 }
 
-// tapeIdentity returns the store address of the cell's trace tape and
-// the function that materializes it.
-func tapeIdentity(cell *Cell) (string, func() *trace.Tape) {
-	seed := cell.Config.Seed
-	cores := cell.Config.Cores
-	perCore := cell.Config.WarmRecords + cell.Config.MeasureRecords
-	if cell.Scenario != nil {
-		scn := cell.Scenario.Scaled(cell.Config.Scale)
-		return dist.TapeKey(trace.Spec{}, scn.Key(), seed, cores, perCore), func() *trace.Tape {
-			return trace.NewScenarioTape(scn, seed, cores, perCore)
+// input returns the cell's trace input: its tape from the session
+// store when enabled, else its spec or scenario generated live. The
+// cell's configuration is validated before the store is touched:
+// sim.Run validates again, but only after the tape exists, and a cell
+// with a broken per-cell override must not cost a tape build.
+func (l *Lab) input(ctx context.Context, cell *Cell) (sim.Input, time.Duration, error) {
+	switch {
+	case l.tapes != nil:
+		if err := cell.Config.Validate(); err != nil {
+			return sim.Input{}, 0, err
 		}
+		key, build := dist.TapeIdentity(cell.Config, &cell.Spec, cell.Scenario)
+		t0 := time.Now()
+		tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
+		return sim.FromTape(tape), time.Since(t0), err
+	case cell.Scenario != nil:
+		return sim.FromScenario(*cell.Scenario), 0, nil
 	}
-	spec := cell.Spec.Scaled(cell.Config.Scale)
-	return dist.TapeKey(spec, "", seed, cores, perCore), func() *trace.Tape {
-		return trace.NewTape(spec, seed, cores, perCore)
-	}
-}
-
-// tapeFor serves the cell's tape from the session store. The cell's
-// configuration is validated first: the sim entry points validate
-// again, but only after the tape exists, and a cell with a broken
-// per-cell override must not cost a tape build.
-func (l *Lab) tapeFor(ctx context.Context, cell *Cell) (*trace.Tape, time.Duration, error) {
-	if err := cell.Config.Validate(); err != nil {
-		return nil, 0, err
-	}
-	key, build := tapeIdentity(cell)
-	t0 := time.Now()
-	tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-	return tape, time.Since(t0), err
+	return sim.FromSpec(cell.Spec), 0, nil
 }
 
 // maxGroup caps the cells one lockstep group simulates together.
@@ -267,7 +223,7 @@ const maxGroup = 4
 // batch splits the cells to simulate into work items, in plan order. A
 // work item is one cell, or a lockstep group of functional cells that
 // share a tape and a configuration: the group simulates the base
-// hierarchy once for all its variants (sim.RunFunctionalGroupCtx).
+// hierarchy once for all its variants (sim.Run over several variants).
 // Grouping needs local execution and the tape store; sampled cells run
 // alone. Groups hold at most maxGroup cells and split further while
 // there are fewer items than workers.
@@ -284,7 +240,7 @@ func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 			items = append(items, []int{i})
 			continue
 		}
-		tape, _ := tapeIdentity(c)
+		tape, _ := dist.TapeIdentity(c.Config, &c.Spec, c.Scenario)
 		k := groupKey{tape, c.Config}
 		if j, ok := open[k]; ok && len(items[j]) < maxGroup {
 			items[j] = append(items[j], i)
@@ -311,10 +267,11 @@ func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 	return items
 }
 
-// simulateGroup runs a lockstep group of functional cells over their
-// shared tape and returns their Results in cell order.
+// simulateGroup runs cells that share a trace and a configuration —
+// one cell, or a lockstep group of functional cells — and returns their
+// Results in cell order.
 func (l *Lab) simulateGroup(ctx context.Context, cells []*Cell) ([]sim.Results, time.Duration, error) {
-	tape, tapeWait, err := l.tapeFor(ctx, cells[0])
+	in, tapeWait, err := l.input(ctx, cells[0])
 	if err != nil {
 		return nil, tapeWait, err
 	}
@@ -322,7 +279,7 @@ func (l *Lab) simulateGroup(ctx context.Context, cells []*Cell) ([]sim.Results, 
 	for k, c := range cells {
 		ps[k] = c.Pref
 	}
-	rs, err := sim.RunFunctionalGroupCtx(ctx, cells[0].Config, tape, ps)
+	rs, err := sim.Run(ctx, cells[0].Config, in, ps, sim.WithMode(cells[0].Mode))
 	return rs, tapeWait, err
 }
 

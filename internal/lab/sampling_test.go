@@ -151,12 +151,11 @@ func TestSampledMatchesDirectRun(t *testing.T) {
 	if cell.Sampled == nil {
 		t.Fatal("no sampled result")
 	}
-	want, err := sim.RunSampledCtx(context.Background(), cell.Cell.Config,
-		cell.Cell.Spec, cell.Cell.Pref, smp, nil)
+	want, err := sim.Sample(context.Background(), cell.Cell.Config, sim.FromSpec(cell.Cell.Spec), cell.Cell.Pref, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*cell.Sampled, want) {
-		t.Fatal("lab sampled cell differs from direct RunSampledCtx")
+		t.Fatal("lab sampled cell differs from direct sim.Sample")
 	}
 }

@@ -57,11 +57,11 @@ func TestScenarioMatrixSharesTapes(t *testing.T) {
 		}
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want, err := sim.RunTimedScenarioCtx(context.Background(), cfg, scns[row], prefs[col], nil)
+			want, err := sim.Run(context.Background(), cfg, sim.FromScenario(scns[row]), []sim.PrefSpec{prefs[col]})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(*got, want) {
+			if !reflect.DeepEqual(*got, want[0]) {
 				t.Fatalf("cell %s/%s differs from sequential live scenario run", name, m.Labels[col])
 			}
 			if len(got.Phases) == 0 {

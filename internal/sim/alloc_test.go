@@ -31,7 +31,7 @@ func TestTimedCellAllocationBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := RunTimedCtx(context.Background(), cfg, spec, PrefSpec{Kind: c.kind}, nil); err != nil {
+		if _, err := run1(context.Background(), cfg, FromSpec(spec), PrefSpec{Kind: c.kind}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

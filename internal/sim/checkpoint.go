@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,22 +32,47 @@ import (
 // checkpoint on disk resumes the run exactly where it stopped.
 var ErrCheckpointed = errors.New("sim: run halted after writing a checkpoint")
 
-// RunOption configures checkpointing on a Run*Ctx entry point.
+// RunOption configures a Run or Sample call: its driver, progress
+// reporting, and checkpointing.
 type RunOption func(*runOpts)
 
 type runOpts struct {
-	every       uint64
-	path        string
-	sink        func(data []byte) error
-	haltAfter   int
-	stopCh      <-chan struct{}
-	resume      []byte
+	mode      Mode
+	progress  Progress
+	every     uint64
+	path      string
+	sink      func(data []byte) error
+	haltAfter int
+	stopCh    <-chan struct{}
+	resume    []byte
+
+	// Set by the sampling scheduler only. warm is functionally warmed
+	// state (a "sim.warm" snapshot of caches, stride tables and temporal
+	// prefetcher) injected into a freshly constructed timed system
+	// before its cores start; resumed runs ignore it, as their checkpoint
+	// restores the full state. windowClock ends the measured interval at
+	// the last instruction commit (max core FinishTime) instead of the
+	// memory-channel drain: a full run pays the end-of-run drain tail
+	// once, so it belongs in the exact numbers, but a K-window sampled
+	// run would pay it K times, which inflates cycles-per-instruction in
+	// every window.
 	warm        *ckpt.Snapshot
 	windowClock bool
 }
 
 func (o *runOpts) active() bool {
 	return o.every > 0 || o.stopCh != nil
+}
+
+// WithMode selects the simulation driver (default Timed). Sampled runs
+// are always timed.
+func WithMode(m Mode) RunOption {
+	return func(o *runOpts) { o.mode = m }
+}
+
+// WithProgress registers a completion callback for the run.
+func WithProgress(p Progress) RunOption {
+	return func(o *runOpts) { o.progress = p }
 }
 
 // WithCheckpointEvery writes a checkpoint to path (atomically: temp +
@@ -87,30 +112,14 @@ func WithCheckpointSignal(ch <-chan struct{}) RunOption {
 }
 
 // WithResume restores the run from a sealed checkpoint (the bytes of a
-// checkpoint file) before the first event fires. The configuration,
-// prefetcher spec and trace identity passed to the entry point must
-// match the ones recorded in the checkpoint.
+// checkpoint file) before the first event fires; Sample resumes from a
+// sampled container the same way. The mode, configuration, complete
+// prefetcher spec and trace identity of the run must match the ones
+// recorded in the checkpoint (Peek reads them back, and
+// CheckpointDesc.Input rebuilds the trace input); a mismatch fails the
+// run before any progress callback or checkpoint write.
 func WithResume(data []byte) RunOption {
 	return func(o *runOpts) { o.resume = data }
-}
-
-// withWarmState injects functionally warmed state (a "sim.warm"
-// snapshot of caches, stride tables and temporal prefetcher) into a
-// freshly constructed timed system before its cores start. Internal to
-// the sampling scheduler; ignored on resumed runs, whose checkpoint
-// restores the full state.
-func withWarmState(snap *ckpt.Snapshot) RunOption {
-	return func(o *runOpts) { o.warm = snap }
-}
-
-// withWindowClock ends the measured interval at the last instruction
-// commit (max core FinishTime) instead of the memory-channel drain. A
-// full run pays the end-of-run drain tail once, so it belongs in the
-// exact numbers; a K-window sampled run would pay it K times, which
-// inflates cycles-per-instruction in every window. Internal to the
-// sampling scheduler.
-func withWindowClock() RunOption {
-	return func(o *runOpts) { o.windowClock = true }
 }
 
 func gatherOpts(opts []RunOption) runOpts {
@@ -124,8 +133,8 @@ func gatherOpts(opts []RunOption) runOpts {
 // ckptSrc records how a run's trace sources were built, so a resumed
 // run can rebuild the identical sources.
 type ckptSrc struct {
-	kind string // "spec" | "scenario" | "tape" | "external"
-	spec trace.Spec
+	kind string     // "spec" | "scenario" | "tape" | "external" | "window:<kind>"
+	spec trace.Spec // the unscaled spec, or a tape's own spec
 	scn  trace.Scenario
 }
 
@@ -133,26 +142,54 @@ type ckptSrc struct {
 // checkpoint: everything needed to reconstruct the run it belongs to.
 // Spec and Scenario are the original (unscaled) inputs; tape-backed
 // checkpoints echo the tape's spec for identity validation and need
-// the tape itself handed to ResumeTape.
+// the tape itself handed to Input.
 type CheckpointDesc struct {
-	Mode     string          `json:"mode"`   // "timed" | "functional"
+	Mode     string          `json:"mode"`   // "timed" | "functional" | "sampled"
 	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
 	Cfg      Config          `json:"cfg"`
 	PS       PrefSpec        `json:"ps"`
 	Spec     *trace.Spec     `json:"spec,omitempty"`
 	Scenario *trace.Scenario `json:"scenario,omitempty"`
 	Records  uint64          `json:"records"` // records processed at capture
+	// Sampling is a sampled container's window plan (Mode "sampled");
+	// it travels in the sampled descriptor, not in this JSON.
+	Sampling Sampling `json:"-"`
 }
 
-// PeekCheckpoint opens a sealed checkpoint and returns its descriptor
-// without restoring anything.
-func PeekCheckpoint(data []byte) (CheckpointDesc, error) {
+// Peek opens a sealed checkpoint — an exact run's or a sampled run's
+// combined container — and returns its descriptor without restoring
+// anything. Resume a run with Run (or Sample, for Mode "sampled") over
+// d.Input, d.Cfg and d.PS, passing WithResume(data).
+func Peek(data []byte) (CheckpointDesc, error) {
 	payload, err := ckpt.Open(data)
 	if err != nil {
 		return CheckpointDesc{}, err
 	}
+	if ckpt.NewDecoder(payload).String() == "sim.sampled" {
+		d, _, _, err := openSampled(data)
+		return d, err
+	}
 	d, _, err := readDesc(payload)
 	return d, err
+}
+
+// Input rebuilds the trace input the checkpointed run consumed. Spec-
+// and scenario-backed runs carry their input in the descriptor;
+// tape-backed runs need the tape (re-fetched by key in the distributed
+// lab, rebuilt locally otherwise), whose identity the resumed run
+// checks against the descriptor.
+func (d CheckpointDesc) Input(tape *trace.Tape) (Input, error) {
+	switch {
+	case d.Source == "tape" && tape != nil:
+		return FromTape(tape), nil
+	case d.Source == "tape":
+		return Input{}, fmt.Errorf("sim: checkpoint is tape-backed; resuming it needs the tape")
+	case d.Source == "spec" && d.Spec != nil:
+		return FromSpec(*d.Spec), nil
+	case d.Source == "scenario" && d.Scenario != nil:
+		return FromScenario(*d.Scenario), nil
+	}
+	return Input{}, fmt.Errorf("sim: checkpoint descriptor names unknown run shape (mode %q, source %q)", d.Mode, d.Source)
 }
 
 func readDesc(payload []byte) (CheckpointDesc, *ckpt.Decoder, error) {
@@ -207,66 +244,6 @@ func openResume(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
 	return readDesc(payload)
 }
 
-// ResumeFrom reads a checkpoint file and continues the run it
-// describes to completion. Tape-backed checkpoints need ResumeTape.
-func ResumeFrom(path string, opts ...RunOption) (Results, error) {
-	return ResumeFromCtx(nil, path, nil, opts...)
-}
-
-// ResumeFromCtx is ResumeFrom with cancellation and progress.
-func ResumeFromCtx(ctx context.Context, path string, progress Progress, opts ...RunOption) (Results, error) {
-	data, err := ckpt.ReadFile(path)
-	if err != nil {
-		return Results{}, err
-	}
-	return ResumeFromBytes(ctx, ckpt.Seal(data), progress, opts...)
-}
-
-// ResumeFromBytes continues a run from sealed checkpoint bytes. The
-// run is rebuilt entirely from the embedded descriptor; extra options
-// (e.g. a new checkpoint cadence) apply to the continued run.
-func ResumeFromBytes(ctx context.Context, data []byte, progress Progress, opts ...RunOption) (Results, error) {
-	d, _, err := openResume(data)
-	if err != nil {
-		return Results{}, err
-	}
-	opts = append(opts, WithResume(data))
-	switch {
-	case d.Source == "tape":
-		return Results{}, fmt.Errorf("sim: checkpoint is tape-backed; resume it with ResumeTape and the tape")
-	case d.Mode == "timed" && d.Source == "spec" && d.Spec != nil:
-		return RunTimedCtx(ctx, d.Cfg, *d.Spec, d.PS, progress, opts...)
-	case d.Mode == "timed" && d.Source == "scenario" && d.Scenario != nil:
-		return RunTimedScenarioCtx(ctx, d.Cfg, *d.Scenario, d.PS, progress, opts...)
-	case d.Mode == "functional" && d.Source == "spec" && d.Spec != nil:
-		return RunFunctionalCtx(ctx, d.Cfg, *d.Spec, d.PS, progress, opts...)
-	case d.Mode == "functional" && d.Source == "scenario" && d.Scenario != nil:
-		return RunFunctionalScenarioCtx(ctx, d.Cfg, *d.Scenario, d.PS, progress, opts...)
-	}
-	return Results{}, fmt.Errorf("sim: checkpoint descriptor names unknown run shape (mode %q, source %q)", d.Mode, d.Source)
-}
-
-// ResumeTape continues a tape-backed run from sealed checkpoint bytes;
-// the caller supplies the tape (re-fetched by key in the distributed
-// lab, rebuilt locally otherwise).
-func ResumeTape(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (Results, error) {
-	d, _, err := openResume(data)
-	if err != nil {
-		return Results{}, err
-	}
-	if d.Source != "tape" {
-		return Results{}, fmt.Errorf("sim: checkpoint is %s-backed, not tape-backed", d.Source)
-	}
-	opts = append(opts, WithResume(data))
-	switch d.Mode {
-	case "timed":
-		return RunTimedTapeCtx(ctx, d.Cfg, tape, d.PS, progress, opts...)
-	case "functional":
-		return RunFunctionalTapeCtx(ctx, d.Cfg, tape, d.PS, progress, opts...)
-	}
-	return Results{}, fmt.Errorf("sim: checkpoint descriptor names unknown mode %q", d.Mode)
-}
-
 // CheckpointablePref reports whether runs of the given prefetcher
 // variant can checkpoint: the None/Ideal/STMS kinds over the default
 // bucket-LRU index organization. The distributed lab consults this
@@ -305,36 +282,52 @@ func ckptSupported(src ckptSrc, pref built, ps PrefSpec) error {
 	return nil
 }
 
-func descFor(mode string, src ckptSrc, cfg Config, ps PrefSpec, tapeSpec trace.Spec, records uint64) CheckpointDesc {
+func descFor(mode string, src ckptSrc, cfg Config, ps PrefSpec, records uint64) CheckpointDesc {
 	d := CheckpointDesc{Mode: mode, Source: src.kind, Cfg: cfg, PS: ps, Records: records}
 	switch src.kind {
-	case "spec":
+	case "spec", "tape":
 		sp := src.spec
 		d.Spec = &sp
 	case "scenario":
 		sc := src.scn
 		d.Scenario = &sc
-	case "tape":
-		sp := tapeSpec
-		d.Spec = &sp
 	}
 	return d
 }
 
 // checkDesc validates a resume descriptor against the run being
-// restored into.
-func checkDesc(d CheckpointDesc, mode string, src ckptSrc, cfg Config, ps PrefSpec) error {
-	if d.Mode != mode {
-		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming %s", d.Mode, mode)
-	}
-	if d.Source != src.kind {
-		return fmt.Errorf("sim: checkpoint source %q does not match run source %q", d.Source, src.kind)
-	}
-	if d.Cfg != cfg {
+// restored into: mode, source, configuration, sampling plan, the
+// complete prefetcher spec (not just its kind: a checkpoint from a different sampling
+// probability or engine geometry would restore cleanly and then produce
+// wrong results) and the trace identity.
+func checkDesc(d, want CheckpointDesc) error {
+	switch {
+	case d.Mode != want.Mode:
+		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming %s", d.Mode, want.Mode)
+	case d.Source != want.Source:
+		return fmt.Errorf("sim: checkpoint source %q does not match run source %q", d.Source, want.Source)
+	case d.Cfg != want.Cfg:
 		return fmt.Errorf("sim: checkpoint configuration does not match the run's")
+	case d.PS.Kind != want.PS.Kind:
+		return fmt.Errorf("sim: checkpoint is a %s run, resuming %s", d.PS.Kind, want.PS.Kind)
+	case d.Sampling != want.Sampling:
+		return fmt.Errorf("sim: sampled checkpoint parameters %+v do not match the run's %+v", d.Sampling, want.Sampling)
 	}
-	if d.PS.Kind != ps.Kind {
-		return fmt.Errorf("sim: checkpoint is a %s run, resuming %s", d.PS.Kind, ps.Kind)
+	dps, err1 := json.Marshal(d.PS)
+	wps, err2 := json.Marshal(want.PS)
+	if err1 != nil || err2 != nil || !bytes.Equal(dps, wps) {
+		return fmt.Errorf("sim: checkpoint prefetcher spec does not match the run's")
+	}
+	switch want.Source {
+	case "spec", "tape":
+		if d.Spec == nil || *d.Spec != *want.Spec {
+			return fmt.Errorf("sim: checkpoint %s does not match the run's", want.Source)
+		}
+	case "scenario":
+		sc := want.Cfg.Scale
+		if d.Scenario == nil || d.Scenario.Scaled(sc).Key() != want.Scenario.Scaled(sc).Key() {
+			return fmt.Errorf("sim: checkpoint scenario does not match the run's")
+		}
 	}
 	return nil
 }
@@ -659,7 +652,7 @@ func (s *timed) restore(dec *ckpt.Decoder) error {
 
 // writeCkpt emits one checkpoint of the running timed system.
 func (s *timed) writeCkpt() error {
-	d := descFor("timed", s.src, s.cfg, s.ps, s.spec, s.allRecs)
+	d := descFor("timed", s.src, s.cfg, s.ps, s.allRecs)
 	return writeCheckpoint(&s.opt, d, s.snapshot)
 }
 

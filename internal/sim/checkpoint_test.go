@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"stms/internal/ckpt"
 	"stms/internal/core"
 	"stms/internal/trace"
 )
@@ -38,8 +39,8 @@ type runFn func(opts ...RunOption) (Results, error)
 // (1) a checkpointing run is bit-identical to a non-checkpointing run
 // (snapshots are pure observation), and (2) resuming from any captured
 // checkpoint — a simulated kill at that exact boundary — reproduces
-// the uninterrupted run bit-for-bit. Checkpoints resume through
-// ResumeFromBytes, so the descriptor round-trip is covered too.
+// the uninterrupted run bit-for-bit. Checkpoints resume through Peek
+// and CheckpointDesc.Input, so the descriptor round-trip is covered too.
 func checkRoundTrip(t *testing.T, run runFn, every uint64) {
 	t.Helper()
 	base, err := run()
@@ -63,7 +64,7 @@ func checkRoundTrip(t *testing.T, run runFn, every uint64) {
 		t.Fatalf("no checkpoints captured at cadence %d", every)
 	}
 	for _, k := range sampleIndices(len(ckpts)) {
-		resumed, err := ResumeFromBytes(context.Background(), ckpts[k], nil)
+		resumed, err := resume(context.Background(), ckpts[k], nil)
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d/%d: %v", k, len(ckpts), err)
 		}
@@ -103,13 +104,13 @@ func TestCheckpointResumeWorkloads(t *testing.T) {
 		t.Run(spec.Name+"/timed", func(t *testing.T) {
 			t.Parallel()
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunTimedCtx(context.Background(), cfg, spec, ps, nil, opts...)
+				return run1(context.Background(), cfg, FromSpec(spec), ps, opts...)
 			}, every)
 		})
 		t.Run(spec.Name+"/functional", func(t *testing.T) {
 			t.Parallel()
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunFunctionalCtx(context.Background(), cfg, spec, ps, nil, opts...)
+				return run1(context.Background(), cfg, FromSpec(spec), ps, append(opts, WithMode(Functional))...)
 			}, ckptCadences[(i+1)%len(ckptCadences)])
 		})
 	}
@@ -128,14 +129,14 @@ func TestCheckpointResumeScenarios(t *testing.T) {
 			t.Run(scn.Name+"/timed", func(t *testing.T) {
 				t.Parallel()
 				checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-					return RunTimedScenarioCtx(context.Background(), cfg, scn, ps, nil, opts...)
+					return run1(context.Background(), cfg, FromScenario(scn), ps, opts...)
 				}, every)
 			})
 		} else {
 			t.Run(scn.Name+"/functional", func(t *testing.T) {
 				t.Parallel()
 				checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-					return RunFunctionalScenarioCtx(context.Background(), cfg, scn, ps, nil, opts...)
+					return run1(context.Background(), cfg, FromScenario(scn), ps, append(opts, WithMode(Functional))...)
 				}, every)
 			})
 		}
@@ -152,12 +153,12 @@ func TestCheckpointAllCadences(t *testing.T) {
 		every := every
 		t.Run("timed", func(t *testing.T) {
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: STMS}, nil, opts...)
+				return run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: STMS}, opts...)
 			}, every)
 		})
 		t.Run("functional", func(t *testing.T) {
 			checkRoundTrip(t, func(opts ...RunOption) (Results, error) {
-				return RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: STMS}, nil, opts...)
+				return run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: STMS}, append(opts, WithMode(Functional))...)
 			}, every)
 		})
 	}
@@ -170,23 +171,31 @@ func TestCheckpointHaltAndFileResume(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "web-apache")
 	ps := PrefSpec{Kind: STMS}
-	base, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	base, err := run1(context.Background(), cfg, FromSpec(sp), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.stmsckpt")
-	_, err = RunTimedCtx(context.Background(), cfg, sp, ps, nil,
-		WithCheckpointEvery(5000, path), WithCheckpointHalt(2))
+	_, err = run1(context.Background(), cfg, FromSpec(sp), ps, WithCheckpointEvery(5000, path), WithCheckpointHalt(2))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
-	resumed, err := ResumeFrom(path)
+	resumed, err := resumeFile(path)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if !reflect.DeepEqual(base, resumed) {
 		t.Fatalf("killed-and-resumed run diverged:\nbase    %+v\nresumed %+v", base, resumed)
 	}
+}
+
+// resumeFile continues the run whose checkpoint file is at path.
+func resumeFile(path string) (Results, error) {
+	data, err := ckpt.ReadFile(path)
+	if err != nil {
+		return Results{}, err
+	}
+	return resume(context.Background(), ckpt.Seal(data), nil)
 }
 
 // TestCheckpointSignal covers the graceful-shutdown path: a closed
@@ -196,19 +205,18 @@ func TestCheckpointSignal(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "dss-qry17")
 	ps := PrefSpec{Kind: Ideal}
-	base, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	base, err := run1(context.Background(), cfg, FromSpec(sp), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sig.stmsckpt")
 	ch := make(chan struct{})
 	close(ch)
-	_, err = RunTimedCtx(context.Background(), cfg, sp, ps, nil,
-		WithCheckpointEvery(0, path), WithCheckpointSignal(ch))
+	_, err = run1(context.Background(), cfg, FromSpec(sp), ps, WithCheckpointEvery(0, path), WithCheckpointSignal(ch))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
-	resumed, err := ResumeFrom(path)
+	resumed, err := resumeFile(path)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -218,25 +226,24 @@ func TestCheckpointSignal(t *testing.T) {
 }
 
 // TestCheckpointTapeResume proves tape-backed runs checkpoint and
-// resume through ResumeTape with the caller-supplied tape.
+// resume with the caller-supplied tape.
 func TestCheckpointTapeResume(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "oltp-oracle")
 	ps := PrefSpec{Kind: STMS}
 	total := cfg.WarmRecords + cfg.MeasureRecords
 	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, total)
-	base, err := RunTimedTapeCtx(context.Background(), cfg, tape, ps, nil)
+	base, err := run1(context.Background(), cfg, FromTape(tape), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ckpts [][]byte
-	observed, err := RunTimedTapeCtx(context.Background(), cfg, tape, ps, nil,
-		WithCheckpointFunc(7000, func(data []byte) error {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			ckpts = append(ckpts, cp)
-			return nil
-		}))
+	observed, err := run1(context.Background(), cfg, FromTape(tape), ps, WithCheckpointFunc(7000, func(data []byte) error {
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		ckpts = append(ckpts, cp)
+		return nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +254,7 @@ func TestCheckpointTapeResume(t *testing.T) {
 		t.Fatal("no checkpoints captured")
 	}
 	for _, k := range sampleIndices(len(ckpts)) {
-		resumed, err := ResumeTape(context.Background(), ckpts[k], tape, nil)
+		resumed, err := resume(context.Background(), ckpts[k], tape)
 		if err != nil {
 			t.Fatalf("resume %d: %v", k, err)
 		}
@@ -256,8 +263,8 @@ func TestCheckpointTapeResume(t *testing.T) {
 		}
 	}
 	// A tape-backed checkpoint refuses the tapeless resume path.
-	if _, err := ResumeFromBytes(context.Background(), ckpts[0], nil); err == nil {
-		t.Fatal("ResumeFromBytes accepted a tape-backed checkpoint")
+	if _, err := resume(context.Background(), ckpts[0], nil); err == nil {
+		t.Fatal("a tape-backed checkpoint resumed without its tape")
 	}
 }
 
@@ -268,12 +275,12 @@ func TestCheckpointRefusals(t *testing.T) {
 	sp := spec(t, "web-apache")
 	sink := WithCheckpointFunc(1000, func([]byte) error { return nil })
 
-	if _, err := RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: TSE}, nil, sink); err == nil {
+	if _, err := run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: TSE}, sink); err == nil {
 		t.Fatal("TSE run accepted a checkpoint request")
 	}
 	scfg := core.DefaultConfig(cfg.Cores).Scaled(cfg.Scale)
 	scfg.Org = core.OrgDirectMapped
-	if _, err := RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: STMS, STMSCfg: &scfg}, nil, sink); err == nil {
+	if _, err := run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: STMS, STMSCfg: &scfg}, sink); err == nil {
 		t.Fatal("alternative index organization accepted a checkpoint request")
 	}
 	gens := make([]trace.Generator, cfg.Cores)
@@ -281,7 +288,8 @@ func TestCheckpointRefusals(t *testing.T) {
 	for i := range gens {
 		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: 1000}
 	}
-	if _, err := RunTimedTraceCtx(context.Background(), cfg, "ext", gens, 0, PrefSpec{Kind: None}, nil, sink); err == nil {
+	ext := FromSources(SourceRun{Spec: trace.Spec{Name: "ext"}, Sources: frameSources(gens)})
+	if _, err := run1(context.Background(), cfg, ext, PrefSpec{Kind: None}, sink); err == nil {
 		t.Fatal("external-generator run accepted a checkpoint request")
 	}
 }
@@ -292,8 +300,7 @@ func TestCheckpointCorruptFile(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "web-zeus")
 	path := filepath.Join(t.TempDir(), "c.stmsckpt")
-	_, err := RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: None}, nil,
-		WithCheckpointEvery(5000, path), WithCheckpointHalt(1))
+	_, err := run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: None}, WithMode(Functional), WithCheckpointEvery(5000, path), WithCheckpointHalt(1))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
@@ -304,47 +311,92 @@ func TestCheckpointCorruptFile(t *testing.T) {
 	flip := make([]byte, len(data))
 	copy(flip, data)
 	flip[len(flip)/2] ^= 0x40
-	if _, err := ResumeFromBytes(context.Background(), flip, nil); err == nil {
+	if _, err := resume(context.Background(), flip, nil); err == nil {
 		t.Fatal("bit-flipped checkpoint restored")
 	}
-	if _, err := ResumeFromBytes(context.Background(), data[:len(data)-3], nil); err == nil {
+	if _, err := resume(context.Background(), data[:len(data)-3], nil); err == nil {
 		t.Fatal("truncated checkpoint restored")
 	}
-	if _, err := ResumeFromBytes(context.Background(), data, nil); err != nil {
+	if _, err := resume(context.Background(), data, nil); err != nil {
 		t.Fatalf("pristine checkpoint failed to restore: %v", err)
 	}
 }
 
 // TestCheckpointDescMismatch: resuming a checkpoint into a run with a
-// different configuration or variant fails fast.
+// different configuration, variant, driver, prefetcher parameters or
+// trace fails fast — before any progress callback or checkpoint write.
 func TestCheckpointDescMismatch(t *testing.T) {
 	cfg := ckptConfig()
 	sp := spec(t, "web-apache")
 	var data []byte
-	_, err := RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: None}, nil,
-		WithCheckpointFunc(5000, func(d []byte) error {
-			data = append([]byte(nil), d...)
-			return nil
-		}), WithCheckpointHalt(1))
+	_, err := run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: None}, WithMode(Functional), WithCheckpointFunc(5000, func(d []byte) error {
+		data = append([]byte(nil), d...)
+		return nil
+	}), WithCheckpointHalt(1))
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("want ErrCheckpointed, got %v", err)
 	}
-	if _, err := RunFunctionalCtx(context.Background(), cfg, sp, PrefSpec{Kind: Ideal}, nil, WithResume(data)); err == nil {
+	if _, err := run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: Ideal}, WithMode(Functional), WithResume(data)); err == nil {
 		t.Fatal("variant mismatch accepted")
 	}
 	other := cfg
 	other.Seed++
-	if _, err := RunFunctionalCtx(context.Background(), other, sp, PrefSpec{Kind: None}, nil, WithResume(data)); err == nil {
+	if _, err := run1(context.Background(), other, FromSpec(sp), PrefSpec{Kind: None}, WithMode(Functional), WithResume(data)); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	if _, err := RunTimedCtx(context.Background(), cfg, sp, PrefSpec{Kind: None}, nil, WithResume(data)); err == nil {
+	if _, err := run1(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: None}, WithResume(data)); err == nil {
 		t.Fatal("driver mismatch accepted")
 	}
-	d, err := PeekCheckpoint(data)
+	d, err := Peek(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Mode != "functional" || d.Source != "spec" || d.Spec == nil || d.Spec.Name != "web-apache" {
 		t.Fatalf("descriptor mismatch: %+v", d)
+	}
+
+	// A timed STMS checkpoint of oltp-db2 restores cleanly into runs of
+	// another workload or other STMS parameters — and would then report
+	// numbers belonging to neither run — unless the full identity is
+	// checked.
+	db2 := spec(t, "oltp-db2")
+	ps := PrefSpec{Kind: STMS, SampleProb: 0.125}
+	data = nil
+	_, err = run1(context.Background(), cfg, FromSpec(db2), ps, WithCheckpointFunc(5000, func(d []byte) error {
+		data = append([]byte(nil), d...)
+		return nil
+	}), WithCheckpointHalt(1))
+	if !errors.Is(err, ErrCheckpointed) {
+		t.Fatalf("want ErrCheckpointed, got %v", err)
+	}
+	scn, err := trace.ScenarioByName("phase-flip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := trace.NewTape(db2.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
+	for _, c := range []struct {
+		name string
+		in   Input
+		ps   PrefSpec
+	}{
+		{"workload", FromSpec(sp), ps},
+		{"sampling probability", FromSpec(db2), PrefSpec{Kind: STMS, SampleProb: 0.5}},
+		{"prefetch depth", FromSpec(db2), PrefSpec{Kind: STMS, SampleProb: 0.125, MaxDepth: 3}},
+		{"source", FromTape(tape), ps},
+		{"scenario", FromScenario(scn), ps},
+	} {
+		var calls int
+		_, err := run1(context.Background(), cfg, c.in, c.ps, WithResume(data),
+			WithProgress(func(uint64, uint64) { calls++ }),
+			WithCheckpointFunc(1000, func([]byte) error { calls++; return nil }))
+		if err == nil {
+			t.Errorf("%s mismatch accepted", c.name)
+		}
+		if calls > 0 {
+			t.Errorf("%s mismatch: %d progress callbacks or checkpoint writes before the rejection", c.name, calls)
+		}
+	}
+	if _, err := run1(context.Background(), cfg, FromSpec(db2), ps, WithResume(data)); err != nil {
+		t.Fatalf("matching resume rejected: %v", err)
 	}
 }

@@ -59,50 +59,51 @@ func entryShapes(t *testing.T) map[string]func() (any, error) {
 		return last, nil
 	}
 	return map[string]func() (any, error){
-		"timed/spec": func() (any, error) { return RunTimedCtx(ctx, cfg, sp, ps, nil) },
+		"timed/spec": func() (any, error) { return run1(ctx, cfg, FromSpec(sp), ps) },
 		"timed/scenario": func() (any, error) {
-			return RunTimedScenarioCtx(ctx, cfg, scn, ps, nil)
+			return run1(ctx, cfg, FromScenario(scn), ps)
 		},
-		"timed/tape":    func() (any, error) { return RunTimedTapeCtx(ctx, cfg, tape, ps, nil) },
-		"timed/sources": func() (any, error) { return RunTimedSourcesCtx(ctx, cfg, sources(), ps, nil) },
+		"timed/tape":    func() (any, error) { return run1(ctx, cfg, FromTape(tape), ps) },
+		"timed/sources": func() (any, error) { return run1(ctx, cfg, FromSources(sources()), ps) },
 		"timed/generators": func() (any, error) {
-			return RunTimedTraceCtx(ctx, cfg, "capture", cursors(), 0.25, ps, nil)
+			capture := SourceRun{Spec: trace.Spec{Name: "capture", DirtyFrac: 0.25}, Sources: frameSources(cursors())}
+			return run1(ctx, cfg, FromSources(capture), ps)
 		},
-		"functional/spec": func() (any, error) { return RunFunctionalCtx(ctx, cfg, sp, ps, nil) },
+		"functional/spec": func() (any, error) { return run1(ctx, cfg, FromSpec(sp), ps, WithMode(Functional)) },
 		"functional/scenario": func() (any, error) {
-			return RunFunctionalScenarioCtx(ctx, cfg, scn, ps, nil)
+			return run1(ctx, cfg, FromScenario(scn), ps, WithMode(Functional))
 		},
-		"functional/tape": func() (any, error) { return RunFunctionalTapeCtx(ctx, cfg, tape, ps, nil) },
+		"functional/tape": func() (any, error) { return run1(ctx, cfg, FromTape(tape), ps, WithMode(Functional)) },
 		"functional/sources": func() (any, error) {
-			return RunFunctionalSourcesCtx(ctx, cfg, sources(), ps, nil)
+			return run1(ctx, cfg, FromSources(sources()), ps, WithMode(Functional))
 		},
 		"functional/group3": func() (any, error) {
-			return RunFunctionalGroupCtx(ctx, cfg, tape, []PrefSpec{{Kind: None}, {Kind: Ideal}, ps})
+			return Run(ctx, cfg, FromTape(tape), []PrefSpec{{Kind: None}, {Kind: Ideal}, ps}, WithMode(Functional))
 		},
-		"sampled/spec": func() (any, error) { return RunSampledCtx(ctx, cfg, sp, ps, smp, nil) },
+		"sampled/spec": func() (any, error) { return Sample(ctx, cfg, FromSpec(sp), ps, smp) },
 		"sampled/scenario": func() (any, error) {
-			return RunSampledScenarioCtx(ctx, cfg, scn, ps, smp, nil)
+			return Sample(ctx, cfg, FromScenario(scn), ps, smp)
 		},
-		"sampled/tape": func() (any, error) { return RunSampledTapeCtx(ctx, cfg, tape, ps, smp, nil) },
+		"sampled/tape": func() (any, error) { return Sample(ctx, cfg, FromTape(tape), ps, smp) },
 		"resume/exact": func() (any, error) {
 			data, err := halted(func(o RunOption) error {
-				_, err := RunTimedCtx(ctx, cfg, sp, ps, nil, o, WithCheckpointHalt(1))
+				_, err := run1(ctx, cfg, FromSpec(sp), ps, o, WithCheckpointHalt(1))
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
-			return ResumeFromBytes(ctx, data, nil)
+			return resume(ctx, data, nil)
 		},
 		"resume/sampled": func() (any, error) {
 			data, err := halted(func(o RunOption) error {
-				_, err := RunSampledCtx(ctx, cfg, sp, ps, smp, nil, o, WithCheckpointHalt(2))
+				_, err := Sample(ctx, cfg, FromSpec(sp), ps, smp, o, WithCheckpointHalt(2))
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
-			return ResumeSampledCtx(ctx, data, nil)
+			return resumeSampled(ctx, data, nil)
 		},
 	}
 }

@@ -104,130 +104,6 @@ func (e funcEnv) OnChip(core int, blk uint64) bool {
 	return e.s.l1[core].Probe(blk) || e.s.l2.Probe(blk)
 }
 
-// RunFunctional executes the functional driver and returns coverage
-// results (timing fields zero).
-func RunFunctional(cfg Config, spec trace.Spec, ps PrefSpec) Results {
-	r, err := RunFunctionalCtx(context.Background(), cfg, spec, ps, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunFunctionalCtx is RunFunctional with cooperative cancellation and an
-// optional progress hook. The context is polled every few thousand
-// records; on cancellation ctx.Err() is returned. Configuration errors
-// are returned rather than panicking.
-//
-// This is the live-generation path; like the timed driver, its Results
-// are bit-identical to replaying a trace.Tape of the same identity
-// through RunFunctionalTapeCtx.
-func RunFunctionalCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := spec.Scaled(cfg.Scale)
-	lib := trace.NewLibrary(scaled, cfg.Seed)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		// The bound mirrors the timed driver (and the tape path's
-		// CursorN), so frame boundaries — and Results.Frames — are
-		// identical across drivers and trace substrates.
-		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: total}
-	}
-	src := ckptSrc{kind: "spec", spec: spec}
-	return solo(runFunctional(ctx, cfg, scaled, gens, nil, nil, []PrefSpec{ps}, progress, src, opts))
-}
-
-// RunFunctionalScenarioCtx executes the zero-latency driver over a
-// phase-structured scenario (scaled by cfg.Scale, materialized against
-// the warm + measure budget). Results carry per-phase stat windows;
-// timing fields stay zero.
-func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenario, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := scn.Scaled(cfg.Scale)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens, marks, err := scaled.Generators(cfg.Seed, cfg.Cores, total)
-	if err != nil {
-		return Results{}, err
-	}
-	for i, g := range gens {
-		gens[i] = &trace.Limit{Gen: g, N: total}
-	}
-	src := ckptSrc{kind: "scenario", scn: scn}
-	return solo(runFunctional(ctx, cfg, scaled.EffectiveSpec(cfg.Cores, total), gens, nil, marks, []PrefSpec{ps}, progress, src, opts))
-}
-
-// RunFunctionalTapeCtx executes the functional driver over a
-// materialized columnar tape (same contract as RunTimedTapeCtx: the
-// tape's identity must match the configuration's trace identity).
-func RunFunctionalTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	gens, err := tapeCursors(cfg, tape)
-	if err != nil {
-		return Results{}, err
-	}
-	src := ckptSrc{kind: "tape"}
-	return solo(runFunctional(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), []PrefSpec{ps}, progress, src, opts))
-}
-
-// RunFunctionalGroupCtx runs several prefetcher variants over one tape
-// in lockstep: the base hierarchy (L1s, L2, stride prefetcher) is
-// simulated once and drives every variant. Results are returned in ps
-// order, each bit-identical to RunFunctionalTapeCtx(ctx, cfg, tape,
-// ps[k], nil). Checkpointing is unavailable on groups.
-func RunFunctionalGroupCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps []PrefSpec) ([]Results, error) {
-	gens, err := tapeCursors(cfg, tape)
-	if err != nil {
-		return nil, err
-	}
-	return runFunctional(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), ps, nil, ckptSrc{kind: "tape"}, nil)
-}
-
-// tapeCursors validates cfg and returns one bounded cursor per core
-// over the tape.
-func tapeCursors(cfg Config, tape *trace.Tape) ([]trace.Generator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	perCore := cfg.WarmRecords + cfg.MeasureRecords
-	if err := tapeFits(cfg, tape, perCore); err != nil {
-		return nil, err
-	}
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = tape.CursorN(i, perCore)
-	}
-	return gens, nil
-}
-
-// RunFunctionalSourcesCtx executes the functional driver over externally
-// produced frame sources — a stream.Inlet's Sources, typically. The
-// bundle's Spec and Marks stand in for the locally derived identity;
-// checkpointing is unavailable (the sources cannot be re-seeked). When
-// the bundle declares a per-core record count, the run budget must match
-// it exactly so Results stay bit-identical to direct replay.
-func RunFunctionalSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if err := run.validate(cfg); err != nil {
-		return Results{}, err
-	}
-	src := ckptSrc{kind: "external"}
-	return solo(runFunctional(ctx, cfg, run.Spec, nil, run.Sources, run.Marks, []PrefSpec{ps}, progress, src, opts))
-}
-
-// solo unwraps the Results of a group of one.
-func solo(rs []Results, err error) (Results, error) {
-	if err != nil {
-		return Results{}, err
-	}
-	return rs[0], nil
-}
-
 // newFunctional constructs the zero-latency system over one variant per
 // spec (also used by the sampling scheduler's warming pass).
 func newFunctional(cfg Config, scaled trace.Spec, ps ...PrefSpec) *functional {
@@ -252,29 +128,25 @@ func newFunctional(cfg Config, scaled trace.Spec, ps ...PrefSpec) *functional {
 	return s
 }
 
-// runFunctional drives the zero-latency system over per-core record
-// generators, round-robin, one record per core per tick, and returns
-// one Results per variant in ps order; marks, when non-nil, request
-// per-phase stat windows in the Results. Checkpoint and resume options
-// need a group of one.
-func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, extSrcs []trace.FrameSource, marks []trace.PhaseMark, ps []PrefSpec, progress Progress, src ckptSrc, opts []RunOption) ([]Results, error) {
-	if ctx == nil {
-		ctx = context.Background() // nil = never cancelled
-	}
-	opt := gatherOpts(opts)
-	switch {
-	case len(ps) == 0:
-		return nil, fmt.Errorf("sim: functional run without a prefetcher variant")
-	case len(ps) > 1 && (opt.active() || opt.resume != nil):
-		return nil, fmt.Errorf("sim: checkpoint and resume need a single variant, not a group of %d", len(ps))
-	}
+// runFunctional drives the zero-latency system over one run's per-core
+// frame sources, round-robin, one record per core per tick, and returns
+// one Results per variant in ps order; phase marks, when present,
+// request per-phase stat windows in the Results.
+func runFunctional(ctx context.Context, cfg Config, f feed, ps []PrefSpec, o *runOpts) ([]Results, error) {
+	srcs := f.srcs
+	defer func() {
+		for _, src := range srcs {
+			src.Close()
+		}
+	}()
+	scaled, src, opt := f.spec, f.src, o
 	s := newFunctional(cfg, scaled, ps...)
 
 	// Phase boundaries depend only on the shared record counts, but each
 	// variant windows its own counters.
 	snaps := make([]func() phaseSnap, len(s.vars))
 	for k, v := range s.vars {
-		v.phases = newPhaseTracker(marks, cfg.Cores)
+		v.phases = newPhaseTracker(f.marks, cfg.Cores)
 		snaps[k] = func() phaseSnap { return phaseSnap{cnt: merge(s.cnt, v.cnt)} }
 	}
 	phased := s.vars[0].phases != nil
@@ -285,22 +157,9 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []tr
 	// round-robin interleave reads straight from the frame columns —
 	// identical record order to the old per-record Next loop, without its
 	// per-record interface dispatch.
-	srcs := make([]trace.FrameSource, cfg.Cores)
 	frames := make([]*trace.Frame, cfg.Cores)
 	pos := make([]int, cfg.Cores)
 	framesRead := make([]uint64, cfg.Cores)
-	for i := range srcs {
-		if extSrcs != nil {
-			srcs[i] = extSrcs[i]
-		} else {
-			srcs[i] = trace.AutoFrames(gens[i])
-		}
-	}
-	defer func() {
-		for _, src := range srcs {
-			src.Close()
-		}
-	}()
 
 	ls := &funcLoopState{
 		seen: seen, framesRead: framesRead, pos: pos,
@@ -317,7 +176,7 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []tr
 		if err != nil {
 			return nil, err
 		}
-		if err := checkDesc(d, "functional", src, cfg, ps[0]); err != nil {
+		if err := checkDesc(d, descFor("functional", src, cfg, ps[0], 0)); err != nil {
 			return nil, err
 		}
 		if err := s.restoreFunc(dec, ls); err != nil {
@@ -336,8 +195,8 @@ func runFunctional(ctx context.Context, cfg Config, scaled trace.Spec, gens []tr
 loop:
 	for i := start; i < total; i++ {
 		if i%pollEvery == 0 && i > 0 {
-			if progress != nil {
-				progress(i, total)
+			if opt.progress != nil {
+				opt.progress(i, total)
 			}
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -346,8 +205,8 @@ loop:
 				select {
 				case <-opt.stopCh:
 					ls.i = i
-					d := descFor("functional", src, cfg, ps[0], scaled, i)
-					if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
+					d := descFor("functional", src, cfg, ps[0], i)
+					if err := writeCheckpoint(opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
 						return nil, err
 					}
 					return nil, ErrCheckpointed
@@ -360,8 +219,8 @@ loop:
 			// the warm-window snapshot for this index has not run yet —
 			// the resumed loop re-enters exactly here.
 			ls.i = i
-			d := descFor("functional", src, cfg, ps[0], scaled, i)
-			if err := writeCheckpoint(&opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
+			d := descFor("functional", src, cfg, ps[0], i)
+			if err := writeCheckpoint(opt, d, func(enc *ckpt.Encoder) error { return s.snapshotFunc(enc, ls) }); err != nil {
 				return nil, err
 			}
 			ckptN++

@@ -49,7 +49,7 @@ func groupTapes(t *testing.T) (Config, []groupTape) {
 		for k := range f.tapes {
 			tt := &f.tapes[k]
 			for _, ps := range groupPrefs {
-				r, err := RunFunctionalTapeCtx(nil, f.cfg, tt.tape, ps, nil)
+				r, err := run1(nil, f.cfg, FromTape(tt.tape), ps, WithMode(Functional))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func TestFunctionalGroupMatchesSolo(t *testing.T) {
 	for _, tt := range tapes {
 		group := append([]PrefSpec{groupPrefs[2]}, groupPrefs...)
 		want := append([]Results{tt.solo[2]}, tt.solo...)
-		rs, err := RunFunctionalGroupCtx(context.Background(), cfg, tt.tape, group)
+		rs, err := Run(context.Background(), cfg, FromTape(tt.tape), group, WithMode(Functional))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ var groupGolden = []struct {
 }
 
 // TestFunctionalGroupOfOneGolden: a group of one — the solo tape entry
-// point and RunFunctionalGroupCtx alike — reproduces the pinned Results.
+// point and a one-variant sim.Run group alike — reproduces the pinned Results.
 func TestFunctionalGroupOfOneGolden(t *testing.T) {
 	cfg, tapes := groupTapes(t)
 	byName := make(map[string]groupTape)
@@ -171,7 +171,7 @@ func TestFunctionalGroupOfOneGolden(t *testing.T) {
 		if h := hash(tt.solo[g.kind]); h != g.hash {
 			t.Errorf("%s/%s: solo Results hash %s, golden %s", g.tape, g.kind, h, g.hash)
 		}
-		rs, err := RunFunctionalGroupCtx(context.Background(), cfg, tt.tape, []PrefSpec{groupPrefs[g.kind]})
+		rs, err := Run(context.Background(), cfg, FromTape(tt.tape), []PrefSpec{groupPrefs[g.kind]}, WithMode(Functional))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,8 +196,7 @@ func TestFunctionalCheckpointBytesGolden(t *testing.T) {
 		}
 		h := sha256.New()
 		n := 0
-		_, err := RunFunctionalTapeCtx(nil, cfg, tt.tape, PrefSpec{Kind: STMS, SampleProb: 0.125}, nil,
-			WithCheckpointFunc(20000, func(b []byte) error { h.Write(b); n++; return nil }))
+		_, err := run1(nil, cfg, FromTape(tt.tape), PrefSpec{Kind: STMS, SampleProb: 0.125}, WithMode(Functional), WithCheckpointFunc(20000, func(b []byte) error { h.Write(b); n++; return nil }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,27 +206,26 @@ func TestFunctionalCheckpointBytesGolden(t *testing.T) {
 	}
 }
 
-// TestFunctionalGroupRejects: empty groups and checkpointed groups fail
-// with errors; a group's configuration errors match the solo run's.
+// TestFunctionalGroupRejects: empty groups, checkpointed groups and
+// timed groups fail with errors; a group's configuration errors match the solo run's.
 func TestFunctionalGroupRejects(t *testing.T) {
 	cfg, tapes := groupTapes(t)
 	tape := tapes[0].tape
-	if _, err := RunFunctionalGroupCtx(context.Background(), cfg, tape, nil); err == nil {
+	if _, err := Run(context.Background(), cfg, FromTape(tape), nil, WithMode(Functional)); err == nil {
 		t.Fatal("empty group accepted")
 	}
 	two := groupPrefs[:2]
-	gens, err := tapeCursors(cfg, tape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []RunOption{WithCheckpointFunc(1000, func([]byte) error { return nil })}
-	if _, err := runFunctional(nil, cfg, tape.Spec(), gens, nil, nil, two, nil, ckptSrc{kind: "tape"}, opts); err == nil {
+	sink := WithCheckpointFunc(1000, func([]byte) error { return nil })
+	if _, err := Run(context.Background(), cfg, FromTape(tape), two, WithMode(Functional), sink); err == nil {
 		t.Fatal("checkpointed group accepted")
+	}
+	if _, err := Run(context.Background(), cfg, FromTape(tape), two); err == nil {
+		t.Fatal("timed group accepted")
 	}
 	bad := cfg
 	bad.Cores = 0
-	_, soloErr := RunFunctionalTapeCtx(nil, bad, tape, two[0], nil)
-	_, groupErr := RunFunctionalGroupCtx(context.Background(), bad, tape, two)
+	_, soloErr := run1(nil, bad, FromTape(tape), two[0], WithMode(Functional))
+	_, groupErr := Run(context.Background(), bad, FromTape(tape), two, WithMode(Functional))
 	if soloErr == nil || groupErr == nil || soloErr.Error() != groupErr.Error() {
 		t.Fatalf("invalid config: solo error %v, group error %v", soloErr, groupErr)
 	}
@@ -238,10 +236,6 @@ func TestFunctionalGroupRejects(t *testing.T) {
 func TestFunctionalGroupCancel(t *testing.T) {
 	cfg, tapes := groupTapes(t)
 	tape := tapes[0].tape
-	gens, err := tapeCursors(cfg, tape)
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -251,7 +245,7 @@ func TestFunctionalGroupCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = runFunctional(ctx, cfg, tape.Spec(), gens, nil, nil, groupPrefs[:3], progress, ckptSrc{kind: "tape"}, nil)
+	_, err := Run(ctx, cfg, FromTape(tape), groupPrefs[:3], WithMode(Functional), WithProgress(progress))
 	if err != context.Canceled || polls != 2 {
 		t.Fatalf("group cancelled at poll 2 returned %v after %d polls", err, polls)
 	}

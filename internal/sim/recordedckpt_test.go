@@ -41,14 +41,14 @@ func TestResumeRecordedCheckpoints(t *testing.T) {
 				return hex.EncodeToString(sum[:])
 			}
 			data := readGzip(t, filepath.Join("testdata", "recordedckpt", c.file+".ckpt.gz"))
-			resumed, err := ResumeFromBytes(context.Background(), data, nil)
+			resumed, err := resume(context.Background(), data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if h := hash(resumed); h != c.hash {
 				t.Errorf("resumed Results hash %s, recorded %s", h, c.hash)
 			}
-			whole, err := RunTimedCtx(context.Background(), ckptConfig(), spec, c.ps, nil)
+			whole, err := run1(context.Background(), ckptConfig(), FromSpec(spec), c.ps)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,13 +54,13 @@ func TestResultsDoNotPinPrefetcher(t *testing.T) {
 		run    func(seed uint64) (any, error)
 	}{
 		{"timed", 1, func(seed uint64) (any, error) {
-			return RunTimedCtx(ctx, cfg, sp, retainPref(seed), nil)
+			return run1(ctx, cfg, FromSpec(sp), retainPref(seed))
 		}},
 		{"functional group of 3", 3, func(seed uint64) (any, error) {
-			return RunFunctionalGroupCtx(ctx, cfg, tape, []PrefSpec{retainPref(seed), retainPref(seed + 1), retainPref(seed + 2)})
+			return Run(ctx, cfg, FromTape(tape), []PrefSpec{retainPref(seed), retainPref(seed + 1), retainPref(seed + 2)}, WithMode(Functional))
 		}},
 		{"sampled K=4", 4, func(seed uint64) (any, error) {
-			return RunSampledTapeCtx(ctx, cfg, tape, retainPref(seed), Sampling{Windows: 4}, nil)
+			return Sample(ctx, cfg, FromTape(tape), retainPref(seed), Sampling{Windows: 4})
 		}},
 	}
 	const runs = 3

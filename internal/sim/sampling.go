@@ -54,7 +54,7 @@ import (
 // with real parallel speedup. K = 1 takes none of these stages: it
 // delegates to the exact serial run and is bit-identical to it.
 
-// Sampling configures sampled simulation for RunSampledCtx.
+// Sampling configures sampled simulation for Sample.
 type Sampling struct {
 	// Windows is K, the number of concurrent measurement windows the
 	// measurement span is split into. 0 and 1 both mean "exact": the
@@ -186,12 +186,6 @@ func windowPlan(cfg Config, smp Sampling) []windowGeom {
 	return plan
 }
 
-// genMaker builds fresh per-core generators positioned skip records in
-// (per core) with exactly budget records remaining. Each window calls
-// it independently, so implementations must not share mutable state
-// across calls.
-type genMaker func(skip, budget uint64) ([]trace.Generator, error)
-
 // drainRecords consumes n records from g.
 func drainRecords(g trace.Generator, n uint64) error {
 	var r trace.Record
@@ -303,6 +297,12 @@ type sampledDesc struct {
 	Smp      Sampling        `json:"sampling"`
 }
 
+// newSampledDesc is d in the sampled container's JSON layout.
+func newSampledDesc(d CheckpointDesc) sampledDesc {
+	return sampledDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS,
+		Spec: d.Spec, Scenario: d.Scenario, Smp: d.Sampling}
+}
+
 // Per-window slot states in a sampled container.
 const (
 	slotNone    uint8 = iota // window not started (or no checkpoint yet)
@@ -389,25 +389,28 @@ func (c *sampledCkpt) finish(w int, res Results) error {
 	return c.write()
 }
 
-// openSampled unpacks a sealed sampled container.
-func openSampled(data []byte) (sampledDesc, []byte, [][]byte, error) {
+// openSampled unpacks a sealed sampled container: its descriptor and
+// each window's slot state and contents.
+func openSampled(data []byte) (CheckpointDesc, []byte, [][]byte, error) {
 	payload, err := ckpt.Open(data)
 	if err != nil {
-		return sampledDesc{}, nil, nil, err
+		return CheckpointDesc{}, nil, nil, err
 	}
 	dec := ckpt.NewDecoder(payload)
 	dec.Section("sim.sampled")
 	j := dec.Bytes()
 	if err := dec.Err(); err != nil {
-		return sampledDesc{}, nil, nil, fmt.Errorf("sim: not a sampled checkpoint: %w", err)
+		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: not a sampled checkpoint: %w", err)
 	}
 	var d sampledDesc
 	if err := json.Unmarshal(j, &d); err != nil {
-		return sampledDesc{}, nil, nil, fmt.Errorf("sim: corrupt sampled descriptor: %w", err)
+		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: corrupt sampled descriptor: %w", err)
 	}
+	desc := CheckpointDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS,
+		Spec: d.Spec, Scenario: d.Scenario, Sampling: d.Smp}
 	n := dec.Int()
 	if err := dec.Err(); err != nil {
-		return sampledDesc{}, nil, nil, err
+		return CheckpointDesc{}, nil, nil, err
 	}
 	state := make([]byte, n)
 	slots := make([][]byte, n)
@@ -416,27 +419,9 @@ func openSampled(data []byte) (sampledDesc, []byte, [][]byte, error) {
 		slots[w] = dec.Bytes()
 	}
 	if err := dec.Err(); err != nil {
-		return sampledDesc{}, nil, nil, err
+		return CheckpointDesc{}, nil, nil, err
 	}
-	return d, state, slots, nil
-}
-
-// PeekSampled opens a sealed sampled checkpoint and reports its shape
-// (source, config, sampling parameters, windows completed) without
-// restoring anything.
-func PeekSampled(data []byte) (Sampling, CheckpointDesc, int, error) {
-	d, state, _, err := openSampled(data)
-	if err != nil {
-		return Sampling{}, CheckpointDesc{}, 0, err
-	}
-	done := 0
-	for _, st := range state {
-		if st == slotDone {
-			done++
-		}
-	}
-	cd := CheckpointDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS, Spec: d.Spec, Scenario: d.Scenario}
-	return d.Smp, cd, done, nil
+	return desc, state, slots, nil
 }
 
 // --- entry points ----------------------------------------------------------
@@ -460,171 +445,41 @@ func exactSampled(r Results, smp Sampling) SampledResults {
 	}
 }
 
-// RunSampled executes a sampled timed simulation of the workload and
-// panics on configuration errors (the ergonomic sibling of RunTimed).
-func RunSampled(cfg Config, spec trace.Spec, ps PrefSpec, smp Sampling) SampledResults {
-	r, err := RunSampledCtx(context.Background(), cfg, spec, ps, smp, nil)
-	if err != nil {
-		panic(err)
+// Sample executes the timed simulation of the input as K concurrent
+// sampled windows and returns the stitched estimate with confidence
+// intervals. K ≤ 1 delegates to Run: the Results are bit-identical to
+// the exact serial run (and Exact is set). Checkpoint options apply to
+// the sampled run as a whole: windows share one combined container,
+// and WithResume restores it (completed windows are not re-run). A
+// scenario's stitched Results carry no per-phase windows (phases
+// attribute records across window boundaries).
+func Sample(ctx context.Context, cfg Config, in Input, ps PrefSpec, smp Sampling, opts ...RunOption) (SampledResults, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return r
-}
-
-// RunSampledCtx executes the timed simulation as K concurrent sampled
-// windows and returns the stitched estimate with confidence intervals.
-// K ≤ 1 delegates to RunTimedCtx: the Results are bit-identical to the
-// exact serial run (and Exact is set). Checkpoint options apply to the
-// sampled run as a whole: windows share one combined container that
-// ResumeSampledCtx restores (completed windows are not re-run).
-func RunSampledCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
+	o := gatherOpts(opts)
 	if err := cfg.Validate(); err != nil {
 		return SampledResults{}, err
 	}
 	if err := smp.validate(); err != nil {
 		return SampledResults{}, err
 	}
-	smp = smp.normalized(cfg)
-	if smp.Windows <= 1 {
-		r, err := RunTimedCtx(ctx, cfg, spec, ps, progress, opts...)
-		if err != nil {
-			return SampledResults{}, err
-		}
-		return exactSampled(r, smp), nil
-	}
-	scaled := spec.Scaled(cfg.Scale)
-	mk := func(skip, budget uint64) ([]trace.Generator, error) {
-		lib := trace.NewLibrary(scaled, cfg.Seed)
-		gens := make([]trace.Generator, cfg.Cores)
-		for i := range gens {
-			g := trace.NewGenerator(lib, i, cfg.Seed)
-			if err := drainRecords(g, skip); err != nil {
-				return nil, err
-			}
-			gens[i] = &trace.Limit{Gen: g, N: budget}
-		}
-		return gens, nil
-	}
-	sp := spec
-	desc := sampledDesc{Mode: "sampled", Source: "spec", Cfg: cfg, PS: ps, Spec: &sp, Smp: smp}
-	return runSampled(ctx, cfg, scaled, ps, smp, progress, ckptSrc{kind: "spec", spec: spec}, desc, mk, opts)
-}
-
-// RunSampledScenarioCtx is RunSampledCtx over a phase-structured
-// scenario. Window generators are materialized against the serial run's
-// budget so phase boundaries stay where the exact run puts them; the
-// stitched Results carry no per-phase windows (phases attribute records
-// across window boundaries).
-func RunSampledScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenario, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResults{}, err
-	}
-	if err := smp.validate(); err != nil {
-		return SampledResults{}, err
+	if o.mode != Timed {
+		return SampledResults{}, fmt.Errorf("sim: sampled runs use the timed driver, not %s", o.mode)
 	}
 	smp = smp.normalized(cfg)
 	if smp.Windows <= 1 {
-		r, err := RunTimedScenarioCtx(ctx, cfg, scn, ps, progress, opts...)
+		rs, err := Run(ctx, cfg, in, []PrefSpec{ps}, opts...)
 		if err != nil {
 			return SampledResults{}, err
 		}
-		return exactSampled(r, smp), nil
+		return exactSampled(rs[0], smp), nil
 	}
-	scaled := scn.Scaled(cfg.Scale)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	mk := func(skip, budget uint64) ([]trace.Generator, error) {
-		gens, _, err := scaled.Generators(cfg.Seed, cfg.Cores, total)
-		if err != nil {
-			return nil, err
-		}
-		for i, g := range gens {
-			if err := drainRecords(g, skip); err != nil {
-				return nil, err
-			}
-			gens[i] = &trace.Limit{Gen: g, N: budget}
-		}
-		return gens, nil
-	}
-	sc := scn
-	desc := sampledDesc{Mode: "sampled", Source: "scenario", Cfg: cfg, PS: ps, Scenario: &sc, Smp: smp}
-	return runSampled(ctx, cfg, scaled.EffectiveSpec(cfg.Cores, total), ps, smp, progress, ckptSrc{kind: "scenario", scn: scn}, desc, mk, opts)
-}
-
-// RunSampledTapeCtx is RunSampledCtx over a materialized columnar tape
-// (same identity contract as RunTimedTapeCtx). Window cursors decode
-// from the head of each core's column — the tape has no random access —
-// so very large K over very long tapes pays quadratic decode work; the
-// decode is ~100× cheaper than detailed simulation, which keeps the
-// skip cost in the noise at practical window counts.
-func RunSampledTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, smp Sampling, progress Progress, opts ...RunOption) (SampledResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return SampledResults{}, err
-	}
-	if err := smp.validate(); err != nil {
-		return SampledResults{}, err
-	}
-	perCore := cfg.WarmRecords + cfg.MeasureRecords
-	if err := tapeFits(cfg, tape, perCore); err != nil {
-		return SampledResults{}, err
-	}
-	smp = smp.normalized(cfg)
-	if smp.Windows <= 1 {
-		r, err := RunTimedTapeCtx(ctx, cfg, tape, ps, progress, opts...)
-		if err != nil {
-			return SampledResults{}, err
-		}
-		return exactSampled(r, smp), nil
-	}
-	mk := func(skip, budget uint64) ([]trace.Generator, error) {
-		gens := make([]trace.Generator, cfg.Cores)
-		for i := range gens {
-			cu := tape.CursorN(i, skip+budget)
-			if err := drainRecords(cu, skip); err != nil {
-				return nil, err
-			}
-			gens[i] = cu
-		}
-		return gens, nil
-	}
-	sp := tape.Spec()
-	desc := sampledDesc{Mode: "sampled", Source: "tape", Cfg: cfg, PS: ps, Spec: &sp, Smp: smp}
-	return runSampled(ctx, cfg, tape.Spec(), ps, smp, progress, ckptSrc{kind: "tape"}, desc, mk, opts)
-}
-
-// ResumeSampledCtx continues a sampled run from sealed combined
-// checkpoint bytes: completed windows are restored from their recorded
-// Results, mid-flight windows resume from their window checkpoints, and
-// untouched windows run fresh. Every path is deterministic, so the
-// resumed estimate is identical to the uninterrupted run's.
-// Tape-backed sampled checkpoints need ResumeSampledTape.
-func ResumeSampledCtx(ctx context.Context, data []byte, progress Progress, opts ...RunOption) (SampledResults, error) {
-	d, _, _, err := openSampled(data)
+	b, err := in.bind(cfg)
 	if err != nil {
 		return SampledResults{}, err
 	}
-	opts = append(opts, WithResume(data))
-	switch {
-	case d.Source == "tape":
-		return SampledResults{}, fmt.Errorf("sim: sampled checkpoint is tape-backed; resume it with ResumeSampledTape and the tape")
-	case d.Source == "spec" && d.Spec != nil:
-		return RunSampledCtx(ctx, d.Cfg, *d.Spec, d.PS, d.Smp, progress, opts...)
-	case d.Source == "scenario" && d.Scenario != nil:
-		return RunSampledScenarioCtx(ctx, d.Cfg, *d.Scenario, d.PS, d.Smp, progress, opts...)
-	}
-	return SampledResults{}, fmt.Errorf("sim: sampled checkpoint names unknown source %q", d.Source)
-}
-
-// ResumeSampledTape continues a tape-backed sampled run; the caller
-// supplies the tape, as with ResumeTape.
-func ResumeSampledTape(ctx context.Context, data []byte, tape *trace.Tape, progress Progress, opts ...RunOption) (SampledResults, error) {
-	d, _, _, err := openSampled(data)
-	if err != nil {
-		return SampledResults{}, err
-	}
-	if d.Source != "tape" {
-		return SampledResults{}, fmt.Errorf("sim: sampled checkpoint is %s-backed, not tape-backed", d.Source)
-	}
-	opts = append(opts, WithResume(data))
-	return RunSampledTapeCtx(ctx, d.Cfg, tape, d.PS, d.Smp, progress, opts...)
+	return runSampled(ctx, cfg, b, ps, smp, &o)
 }
 
 // --- scheduler -------------------------------------------------------------
@@ -632,14 +487,12 @@ func ResumeSampledTape(ctx context.Context, data []byte, tape *trace.Tape, progr
 // runSampled is the fork/join scheduler: K goroutines, one per window,
 // each warming and running its own detailed simulation; the join step
 // stitches the window Results and computes the intervals.
-func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec, smp Sampling, progress Progress, baseSrc ckptSrc, desc sampledDesc, mk genMaker, opts []RunOption) (SampledResults, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := sampledSupported(baseSrc, ps); err != nil {
+func runSampled(ctx context.Context, cfg Config, b bound, ps PrefSpec, smp Sampling, opt *runOpts) (SampledResults, error) {
+	if err := sampledSupported(b.src, ps); err != nil {
 		return SampledResults{}, err
 	}
-	opt := gatherOpts(opts)
+	desc := descFor("sampled", b.src, cfg, ps, 0)
+	desc.Sampling = smp
 	plan := windowPlan(cfg, smp)
 	k := len(plan)
 
@@ -651,7 +504,7 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 		if err != nil {
 			return SampledResults{}, err
 		}
-		if err := checkSampledDesc(d, desc); err != nil {
+		if err := checkDesc(d, desc); err != nil {
 			return SampledResults{}, err
 		}
 		if len(st) != k {
@@ -664,11 +517,11 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 	defer cancel()
 	var sc *sampledCkpt
 	if opt.active() || opt.path != "" || opt.sink != nil {
-		dj, err := json.Marshal(desc)
+		dj, err := json.Marshal(newSampledDesc(desc))
 		if err != nil {
 			return SampledResults{}, fmt.Errorf("sim: encoding sampled descriptor: %w", err)
 		}
-		sc = &sampledCkpt{opt: opt, desc: dj, state: state, slots: slots, cancel: cancel}
+		sc = &sampledCkpt{opt: *opt, desc: dj, state: state, slots: slots, cancel: cancel}
 	}
 
 	// Aggregate progress: each window reports its own (done, total);
@@ -683,7 +536,7 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 	doneBy := make([]uint64, k)
 	var progMu sync.Mutex
 	progFor := func(w int) Progress {
-		if progress == nil {
+		if opt.progress == nil {
 			return nil
 		}
 		return func(done, total uint64) {
@@ -694,11 +547,11 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 				sum += v
 			}
 			progMu.Unlock()
-			progress(sum, totalAll)
+			opt.progress(sum, totalAll)
 		}
 	}
 
-	wsrc := ckptSrc{kind: "window:" + baseSrc.kind}
+	wsrc := ckptSrc{kind: "window:" + b.src.kind}
 	results := make([]Results, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -717,7 +570,7 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 		wg.Add(1)
 		go func(w int, resume []byte) {
 			defer wg.Done()
-			results[w], errs[w] = runOneWindow(ctx2, cfg, scaled, ps, plan[w], wsrc, mk, sc, w, resume, opt.stopCh, progFor(w))
+			results[w], errs[w] = runOneWindow(ctx2, cfg, b, ps, plan[w], wsrc, sc, w, resume, opt.stopCh, progFor(w))
 			switch {
 			case errs[w] == nil:
 				if sc != nil {
@@ -766,39 +619,19 @@ func runSampled(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec,
 	case canceled != nil:
 		return SampledResults{}, canceled
 	}
-	return stitchSampled(ps, smp, scaled, plan, results), nil
-}
-
-// checkSampledDesc validates a resume descriptor against the run being
-// restored into.
-func checkSampledDesc(d, want sampledDesc) error {
-	switch {
-	case d.Mode != "sampled":
-		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming sampled", d.Mode)
-	case d.Source != want.Source:
-		return fmt.Errorf("sim: sampled checkpoint source %q does not match run source %q", d.Source, want.Source)
-	case d.Cfg != want.Cfg:
-		return fmt.Errorf("sim: sampled checkpoint configuration does not match the run's")
-	case d.PS.Kind != want.PS.Kind:
-		return fmt.Errorf("sim: sampled checkpoint is a %s run, resuming %s", d.PS.Kind, want.PS.Kind)
-	case d.Smp != want.Smp:
-		return fmt.Errorf("sim: sampled checkpoint parameters %+v do not match the run's %+v", d.Smp, want.Smp)
-	}
-	return nil
+	return stitchSampled(ps, smp, b.spec, plan, results), nil
 }
 
 // runOneWindow warms and runs one window's detailed simulation.
-func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpec, g windowGeom, wsrc ckptSrc, mk genMaker, sc *sampledCkpt, w int, resume []byte, stopCh <-chan struct{}, progress Progress) (Results, error) {
+func runOneWindow(ctx context.Context, cfg Config, b bound, ps PrefSpec, g windowGeom, wsrc ckptSrc, sc *sampledCkpt, w int, resume []byte, stopCh <-chan struct{}, progress Progress) (Results, error) {
 	cfgW := cfg
 	cfgW.WarmRecords = g.warm
 	cfgW.MeasureRecords = g.length
 
-	wopts := []RunOption{withWindowClock()}
+	wo := runOpts{windowClock: true, progress: progress}
 	if sc != nil {
-		wopts = append(wopts, WithCheckpointFunc(sc.opt.every, sc.onWindow(w)))
-		if stopCh != nil {
-			wopts = append(wopts, WithCheckpointSignal(stopCh))
-		}
+		WithCheckpointFunc(sc.opt.every, sc.onWindow(w))(&wo)
+		wo.stopCh = stopCh
 	}
 	var gens []trace.Generator
 	var err error
@@ -806,29 +639,25 @@ func runOneWindow(ctx context.Context, cfg Config, scaled trace.Spec, ps PrefSpe
 	case resume != nil:
 		// A resumed window restores its full mid-run state; the warm
 		// pass already happened in the original run.
-		wopts = append(wopts, WithResume(resume))
-		gens, err = mk(g.start-g.warm, g.warm+g.length)
+		wo.resume = resume
+		gens, _, err = b.gens(g.start-g.warm, g.warm+g.length)
 	case g.funcWarm+g.metaWarm > 0:
 		// One generator set covers warming and the timed run: runWarm
 		// consumes exactly the warming budget record-at-a-time, leaving
 		// the generators positioned at the detailed warm-up boundary.
-		gens, err = mk(0, g.start+g.length)
+		gens, _, err = b.gens(0, g.start+g.length)
 		if err != nil {
 			return Results{}, err
 		}
-		var snap *ckpt.Snapshot
-		snap, err = runWarm(ctx, cfgW, scaled, gens, ps, g.metaWarm, g.funcWarm)
-		if err != nil {
-			return Results{}, err
-		}
-		wopts = append(wopts, withWarmState(snap))
+		wo.warm, err = runWarm(ctx, cfgW, b.spec, gens, ps, g.metaWarm, g.funcWarm)
 	default:
-		gens, err = mk(g.start-g.warm, g.warm+g.length)
+		gens, _, err = b.gens(g.start-g.warm, g.warm+g.length)
 	}
 	if err != nil {
 		return Results{}, err
 	}
-	return runTimed(ctx, cfgW, scaled, gens, nil, nil, ps, progress, (g.warm+g.length)*uint64(cfg.Cores), wsrc, wopts)
+	f := feed{spec: b.spec, srcs: frameSources(gens), total: (g.warm + g.length) * uint64(cfg.Cores), src: wsrc}
+	return runTimed(ctx, cfgW, f, ps, &wo)
 }
 
 // addEngineCounts is the element-wise sum (the Sub counterpart, used

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func samplingConfig() Config {
 func stmsSpec() PrefSpec { return PrefSpec{Kind: STMS, SampleProb: 1} }
 
 // TestSampledExactWhenKIsOne proves the K ≤ 1 delegation contract:
-// the sampled entry points return bit-identical Results to the exact
+// Sample returns bit-identical Results to the exact
 // serial drivers for every trace substrate — plain workloads, all
 // stress scenarios, and a materialized tape — with the intervals
 // degenerating to points at the exact values.
@@ -40,12 +41,12 @@ func TestSampledExactWhenKIsOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := RunTimedCtx(ctx, cfg, sp, ps, nil)
+		exact, err := run1(ctx, cfg, FromSpec(sp), ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{0, 1} {
-			sr, err := RunSampledCtx(ctx, cfg, sp, ps, Sampling{Windows: k}, nil)
+			sr, err := Sample(ctx, cfg, FromSpec(sp), ps, Sampling{Windows: k})
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", name, k, err)
 			}
@@ -53,11 +54,11 @@ func TestSampledExactWhenKIsOne(t *testing.T) {
 		}
 	}
 	for _, scn := range trace.Scenarios() {
-		exact, err := RunTimedScenarioCtx(ctx, cfg, scn, ps, nil)
+		exact, err := run1(ctx, cfg, FromScenario(scn), ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := RunSampledScenarioCtx(ctx, cfg, scn, ps, Sampling{Windows: 1}, nil)
+		sr, err := Sample(ctx, cfg, FromScenario(scn), ps, Sampling{Windows: 1})
 		if err != nil {
 			t.Fatalf("scenario %s: %v", scn.Name, err)
 		}
@@ -68,11 +69,11 @@ func TestSampledExactWhenKIsOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
-	exact, err := RunTimedTapeCtx(ctx, cfg, tape, ps, nil)
+	exact, err := run1(ctx, cfg, FromTape(tape), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSampledTapeCtx(ctx, cfg, tape, ps, Sampling{Windows: 1}, nil)
+	sr, err := Sample(ctx, cfg, FromTape(tape), ps, Sampling{Windows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestSampledWindowsTileRecordStream(t *testing.T) {
 		for _, seed := range []uint64{0, 7} {
 			cfg := samplingConfig()
 			cfg.Seed = seed
-			sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: k}, nil)
+			sr, err := Sample(context.Background(), cfg, FromSpec(sp), ps, Sampling{Windows: k})
 			if err != nil {
 				t.Fatalf("K=%d seed=%d: %v", k, seed, err)
 			}
@@ -189,11 +190,11 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 	cfg := samplingConfig()
 	smp := Sampling{Windows: 4}
-	a, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), smp, nil)
+	a, err := Sample(context.Background(), cfg, FromSpec(sp), stmsSpec(), smp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), smp, nil)
+	b, err := Sample(context.Background(), cfg, FromSpec(sp), stmsSpec(), smp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +233,11 @@ func TestSampledCIContainment(t *testing.T) {
 	for seed := 0; seed < trials; seed++ {
 		cfg := samplingConfig()
 		cfg.Seed = uint64(seed)
-		exact, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+		exact, err := run1(context.Background(), cfg, FromSpec(sp), ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: 4}, nil)
+		sr, err := Sample(context.Background(), cfg, FromSpec(sp), ps, Sampling{Windows: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,11 +272,11 @@ func TestSampledCIWidthShrinks(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := samplingConfig()
 		cfg.Seed = seed
-		narrow, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: 16}, nil)
+		narrow, err := Sample(context.Background(), cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: 4}, nil)
+		wide, err := Sample(context.Background(), cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +302,7 @@ func TestSampledManyWindows(t *testing.T) {
 		k = 32
 	}
 	cfg := samplingConfig()
-	sr, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: k}, nil)
+	sr, err := Sample(context.Background(), cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestSampledCancelLeavesNoGoroutines(t *testing.T) {
 	}
 	cfg := samplingConfig()
 	cfg.MeasureRecords = 64_000 // long enough that cancellation lands mid-run
-	_, err = RunSampledCtx(ctx, cfg, sp, stmsSpec(), Sampling{Windows: 4}, progress)
+	_, err = Sample(ctx, cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: 4}, WithProgress(progress))
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -365,32 +366,30 @@ func TestSampledKillResume(t *testing.T) {
 	cfg := samplingConfig()
 	ps := stmsSpec()
 	smp := Sampling{Windows: 4}
-	base, err := RunSampledCtx(context.Background(), cfg, sp, ps, smp, nil)
+	base, err := Sample(context.Background(), cfg, FromSpec(sp), ps, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, halt := range []int{1, 5} {
 		var last []byte
-		_, err := RunSampledCtx(context.Background(), cfg, sp, ps, smp, nil,
-			WithCheckpointFunc(1_500, func(data []byte) error {
-				last = append(last[:0], data...)
-				return nil
-			}),
-			WithCheckpointHalt(halt))
+		_, err := Sample(context.Background(), cfg, FromSpec(sp), ps, smp, WithCheckpointFunc(1_500, func(data []byte) error {
+			last = append(last[:0], data...)
+			return nil
+		}), WithCheckpointHalt(halt))
 		if !errors.Is(err, ErrCheckpointed) {
 			t.Fatalf("halt=%d: run returned %v, want ErrCheckpointed", halt, err)
 		}
 		if last == nil {
 			t.Fatalf("halt=%d: no checkpoint captured", halt)
 		}
-		smpGot, desc, done, err := PeekSampled(last)
+		desc, err := Peek(last)
 		if err != nil {
-			t.Fatalf("halt=%d: PeekSampled: %v", halt, err)
+			t.Fatalf("halt=%d: Peek: %v", halt, err)
 		}
-		if desc.Mode != "sampled" || smpGot != smp.normalized(cfg) || done >= smp.Windows {
-			t.Fatalf("halt=%d: container says mode=%q smp=%+v done=%d", halt, desc.Mode, smpGot, done)
+		if desc.Mode != "sampled" || desc.Sampling != smp.normalized(cfg) || desc.Spec == nil || *desc.Spec != sp {
+			t.Fatalf("halt=%d: container says mode=%q smp=%+v spec=%v", halt, desc.Mode, desc.Sampling, desc.Spec)
 		}
-		resumed, err := ResumeSampledCtx(context.Background(), last, nil)
+		resumed, err := resumeSampled(context.Background(), last, nil)
 		if err != nil {
 			t.Fatalf("halt=%d: resume: %v", halt, err)
 		}
@@ -412,12 +411,12 @@ func TestSampledTapeAndScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSpec, err := RunSampledCtx(context.Background(), cfg, sp, ps, smp, nil)
+	fromSpec, err := Sample(context.Background(), cfg, FromSpec(sp), ps, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
-	fromTape, err := RunSampledTapeCtx(context.Background(), cfg, tape, ps, smp, nil)
+	fromTape, err := Sample(context.Background(), cfg, FromTape(tape), ps, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +428,7 @@ func TestSampledTapeAndScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSampledScenarioCtx(context.Background(), cfg, scn, ps, smp, nil)
+	sr, err := Sample(context.Background(), cfg, FromScenario(scn), ps, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,11 +446,60 @@ func TestSampledRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSampledCtx(context.Background(), cfg, sp, stmsSpec(), Sampling{Windows: 2, Confidence: 1.5}, nil); err == nil {
+	if _, err := Sample(context.Background(), cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: 2, Confidence: 1.5}); err == nil {
 		t.Error("confidence 1.5 accepted")
 	}
-	if _, err := RunSampledCtx(context.Background(), cfg, sp, PrefSpec{Kind: TSE}, Sampling{Windows: 2}, nil); err == nil {
+	if _, err := Sample(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: TSE}, Sampling{Windows: 2}); err == nil {
 		t.Error("non-snapshotable variant accepted for sampling")
+	}
+}
+
+// TestSampledDescMismatch: a sampled container resumes only into the
+// sampled run it came from — same workload, complete prefetcher spec
+// and window plan — and a mismatch fails before any progress callback
+// or checkpoint write.
+func TestSampledDescMismatch(t *testing.T) {
+	cfg := samplingConfig()
+	db2, err := trace.ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	apache, err := trace.ByName("web-apache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := PrefSpec{Kind: STMS, SampleProb: 0.125}
+	smp := Sampling{Windows: 4}
+	var data []byte
+	_, err = Sample(context.Background(), cfg, FromSpec(db2), ps, smp,
+		WithCheckpointFunc(1500, func(d []byte) error { data = append(data[:0], d...); return nil }),
+		WithCheckpointHalt(1))
+	if !errors.Is(err, ErrCheckpointed) {
+		t.Fatalf("run returned %v, want ErrCheckpointed", err)
+	}
+	for _, c := range []struct {
+		name string
+		in   Input
+		ps   PrefSpec
+		smp  Sampling
+	}{
+		{"workload", FromSpec(apache), ps, smp},
+		{"sampling probability", FromSpec(db2), PrefSpec{Kind: STMS, SampleProb: 0.5}, smp},
+		{"prefetch depth", FromSpec(db2), PrefSpec{Kind: STMS, SampleProb: 0.125, MaxDepth: 3}, smp},
+		{"variant", FromSpec(db2), PrefSpec{Kind: Ideal}, smp},
+		{"window count", FromSpec(db2), ps, Sampling{Windows: 3}},
+		{"detailed warm-up", FromSpec(db2), ps, Sampling{Windows: 4, Warmup: 7}},
+	} {
+		var calls atomic.Int64
+		_, err := Sample(context.Background(), cfg, c.in, c.ps, c.smp, WithResume(data),
+			WithProgress(func(uint64, uint64) { calls.Add(1) }),
+			WithCheckpointFunc(1500, func([]byte) error { calls.Add(1); return nil }))
+		if err == nil {
+			t.Errorf("%s mismatch accepted", c.name)
+		}
+		if n := calls.Load(); n > 0 {
+			t.Errorf("%s mismatch: %d progress callbacks or checkpoint writes before the rejection", c.name, n)
+		}
 	}
 }
 
@@ -481,13 +529,13 @@ func TestSampledSpeedup(t *testing.T) {
 		k = 16
 	}
 	t0 := time.Now()
-	exact, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	exact, err := run1(context.Background(), cfg, FromSpec(sp), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dExact := time.Since(t0)
 	t0 = time.Now()
-	sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: k}, nil)
+	sr, err := Sample(context.Background(), cfg, FromSpec(sp), ps, Sampling{Windows: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,11 +599,11 @@ func TestSampledCloseToExact(t *testing.T) {
 	}
 	cfg := samplingConfig()
 	ps := stmsSpec()
-	exact, err := RunTimedCtx(context.Background(), cfg, sp, ps, nil)
+	exact, err := run1(context.Background(), cfg, FromSpec(sp), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := RunSampledCtx(context.Background(), cfg, sp, ps, Sampling{Windows: 4}, nil)
+	sr, err := Sample(context.Background(), cfg, FromSpec(sp), ps, Sampling{Windows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

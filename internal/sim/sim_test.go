@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,56 @@ func testConfig() Config {
 	return cfg
 }
 
+// run1 runs one prefetcher variant over in.
+func run1(ctx context.Context, cfg Config, in Input, ps PrefSpec, opts ...RunOption) (Results, error) {
+	rs, err := Run(ctx, cfg, in, []PrefSpec{ps}, opts...)
+	if err != nil {
+		return Results{}, err
+	}
+	return rs[0], nil
+}
+
+// mustRun is run1 that fails the test on error.
+func mustRun(t testing.TB, cfg Config, in Input, ps PrefSpec, opts ...RunOption) Results {
+	t.Helper()
+	r, err := run1(context.Background(), cfg, in, ps, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// resume continues the exact run a sealed checkpoint describes; tape
+// is needed only by tape-backed checkpoints.
+func resume(ctx context.Context, data []byte, tape *trace.Tape, opts ...RunOption) (Results, error) {
+	d, err := Peek(data)
+	if err != nil {
+		return Results{}, err
+	}
+	in, err := d.Input(tape)
+	if err != nil {
+		return Results{}, err
+	}
+	mode := Timed
+	if d.Mode == Functional.String() {
+		mode = Functional
+	}
+	return run1(ctx, d.Cfg, in, d.PS, append(opts, WithMode(mode), WithResume(data))...)
+}
+
+// resumeSampled continues the sampled run a sealed container describes.
+func resumeSampled(ctx context.Context, data []byte, tape *trace.Tape, opts ...RunOption) (SampledResults, error) {
+	d, err := Peek(data)
+	if err != nil {
+		return SampledResults{}, err
+	}
+	in, err := d.Input(tape)
+	if err != nil {
+		return SampledResults{}, err
+	}
+	return Sample(ctx, d.Cfg, in, d.PS, d.Sampling, append(opts, WithResume(data))...)
+}
+
 func spec(t *testing.T, name string) trace.Spec {
 	t.Helper()
 	s, err := trace.ByName(name)
@@ -29,7 +80,7 @@ func spec(t *testing.T, name string) trace.Spec {
 
 func TestFunctionalBaselineConservation(t *testing.T) {
 	cfg := testConfig()
-	r := RunFunctional(cfg, spec(t, "web-apache"), PrefSpec{Kind: None})
+	r := mustRun(t, cfg, FromSpec(spec(t, "web-apache")), PrefSpec{Kind: None}, WithMode(Functional))
 	if r.Records == 0 {
 		t.Fatal("no records measured")
 	}
@@ -44,7 +95,7 @@ func TestFunctionalBaselineConservation(t *testing.T) {
 
 func TestFunctionalCoverageConservation(t *testing.T) {
 	cfg := testConfig()
-	r := RunFunctional(cfg, spec(t, "web-apache"), PrefSpec{Kind: Ideal})
+	r := mustRun(t, cfg, FromSpec(spec(t, "web-apache")), PrefSpec{Kind: Ideal}, WithMode(Functional))
 	total := r.L1Hits + r.L2Hits + r.Uncovered + r.CoveredFull + r.CoveredPartial
 	if total != r.Records {
 		t.Fatalf("conservation: %d != %d", total, r.Records)
@@ -60,8 +111,8 @@ func TestFunctionalCoverageConservation(t *testing.T) {
 func TestBaselineMissesInvariant(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "oltp-db2")
-	base := RunFunctional(cfg, s, PrefSpec{Kind: None})
-	ideal := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
+	base := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: None}, WithMode(Functional))
+	ideal := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
 	if base.Uncovered != ideal.BaselineMisses() {
 		t.Fatalf("baseline misses %d != covered+uncovered %d",
 			base.Uncovered, ideal.BaselineMisses())
@@ -71,8 +122,8 @@ func TestBaselineMissesInvariant(t *testing.T) {
 func TestFunctionalDeterminism(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "web-zeus")
-	a := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	b := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
+	a := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
+	b := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
 	if a.CoveredFull != b.CoveredFull || a.Uncovered != b.Uncovered {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
@@ -83,8 +134,8 @@ func TestTimedDeterminism(t *testing.T) {
 	cfg.WarmRecords = 10_000
 	cfg.MeasureRecords = 15_000
 	s := spec(t, "oltp-oracle")
-	a := RunTimed(cfg, s, PrefSpec{Kind: STMS})
-	b := RunTimed(cfg, s, PrefSpec{Kind: STMS})
+	a := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: STMS})
+	b := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: STMS})
 	if a.ElapsedCycles != b.ElapsedCycles || a.CoveredFull != b.CoveredFull ||
 		a.Traffic != b.Traffic {
 		t.Fatal("timed run not deterministic")
@@ -93,7 +144,7 @@ func TestTimedDeterminism(t *testing.T) {
 
 func TestTimedBaselineSane(t *testing.T) {
 	cfg := testConfig()
-	r := RunTimed(cfg, spec(t, "web-apache"), PrefSpec{Kind: None})
+	r := mustRun(t, cfg, FromSpec(spec(t, "web-apache")), PrefSpec{Kind: None})
 	if r.IPC <= 0 || r.IPC > 16 {
 		t.Fatalf("IPC = %v", r.IPC)
 	}
@@ -111,8 +162,8 @@ func TestTimedBaselineSane(t *testing.T) {
 func TestIdealBeatsBaseline(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "sci-em3d")
-	base := RunTimed(cfg, s, PrefSpec{Kind: None})
-	ideal := RunTimed(cfg, s, PrefSpec{Kind: Ideal})
+	base := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: None})
+	ideal := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal})
 	if ideal.SpeedupOver(&base) < 0.2 {
 		t.Fatalf("em3d ideal speedup %.3f too small", ideal.SpeedupOver(&base))
 	}
@@ -124,8 +175,8 @@ func TestIdealBeatsBaseline(t *testing.T) {
 func TestSTMSTracksIdeal(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "web-zeus")
-	ideal := RunTimed(cfg, s, PrefSpec{Kind: Ideal})
-	stms := RunTimed(cfg, s, PrefSpec{Kind: STMS})
+	ideal := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal})
+	stms := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: STMS})
 	ratio := stms.Coverage() / ideal.Coverage()
 	if ratio < 0.7 || ratio > 1.1 {
 		t.Fatalf("STMS/ideal coverage ratio %.3f out of band", ratio)
@@ -135,8 +186,8 @@ func TestSTMSTracksIdeal(t *testing.T) {
 func TestSTMSSamplingReducesUpdateTraffic(t *testing.T) {
 	cfg := testConfig()
 	s := spec(t, "web-apache")
-	full := RunTimed(cfg, s, PrefSpec{Kind: STMS, SampleProb: 1.0})
-	smp := RunTimed(cfg, s, PrefSpec{Kind: STMS, SampleProb: 0.125})
+	full := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: STMS, SampleProb: 1.0})
+	smp := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: STMS, SampleProb: 0.125})
 	fullUpd := full.OverheadTraffic().Update
 	smpUpd := smp.OverheadTraffic().Update
 	if fullUpd <= smpUpd {
@@ -157,7 +208,7 @@ func TestComparatorsRun(t *testing.T) {
 	cfg.MeasureRecords = 15_000
 	s := spec(t, "oltp-db2")
 	for _, kind := range []Kind{TSE, EBCP, ULMT, Markov} {
-		r := RunTimed(cfg, s, PrefSpec{Kind: kind})
+		r := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: kind})
 		if r.Records == 0 {
 			t.Fatalf("%v: no records", kind)
 		}
@@ -172,8 +223,8 @@ func TestSingleTableFragmentationLosesCoverage(t *testing.T) {
 	// on a long-stream workload (§4.5, Fig. 6 right).
 	cfg := testConfig()
 	s := spec(t, "sci-em3d")
-	unbounded := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	depth4 := RunFunctional(cfg, s, PrefSpec{Kind: Ideal, MaxDepth: 4})
+	unbounded := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
+	depth4 := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal, MaxDepth: 4}, WithMode(Functional))
 	if depth4.Coverage() >= unbounded.Coverage() {
 		t.Fatalf("depth cap did not lose coverage: %.3f vs %.3f",
 			depth4.Coverage(), unbounded.Coverage())
@@ -184,8 +235,8 @@ func TestHistoryCapLimitsCoverage(t *testing.T) {
 	// A tiny history buffer must hurt coverage (Fig. 5 left).
 	cfg := testConfig()
 	s := spec(t, "web-apache")
-	big := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	tiny := RunFunctional(cfg, s, PrefSpec{Kind: Ideal, HistoryEntries: 2048})
+	big := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
+	tiny := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal, HistoryEntries: 2048}, WithMode(Functional))
 	if tiny.Coverage() >= big.Coverage()*0.8 {
 		t.Fatalf("tiny history coverage %.3f vs unbounded %.3f",
 			tiny.Coverage(), big.Coverage())
@@ -196,8 +247,8 @@ func TestIndexCapLimitsCoverage(t *testing.T) {
 	// A tiny index must hurt coverage (Fig. 1 left).
 	cfg := testConfig()
 	s := spec(t, "web-zeus")
-	big := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-	tiny := RunFunctional(cfg, s, PrefSpec{Kind: Ideal, IndexEntries: 1024})
+	big := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
+	tiny := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal, IndexEntries: 1024}, WithMode(Functional))
 	if tiny.Coverage() >= big.Coverage()*0.8 {
 		t.Fatalf("tiny index coverage %.3f vs unbounded %.3f",
 			tiny.Coverage(), big.Coverage())
@@ -208,8 +259,8 @@ func TestDSSLowCoverage(t *testing.T) {
 	// DSS visits data once: temporal streaming must stay ineffective
 	// (§5.2) while scientific workloads are near-perfect.
 	cfg := testConfig()
-	dss := RunFunctional(cfg, spec(t, "dss-qry17"), PrefSpec{Kind: Ideal})
-	sci := RunFunctional(cfg, spec(t, "sci-moldyn"), PrefSpec{Kind: Ideal})
+	dss := mustRun(t, cfg, FromSpec(spec(t, "dss-qry17")), PrefSpec{Kind: Ideal}, WithMode(Functional))
+	sci := mustRun(t, cfg, FromSpec(spec(t, "sci-moldyn")), PrefSpec{Kind: Ideal}, WithMode(Functional))
 	if dss.Coverage() > 0.35 {
 		t.Fatalf("DSS coverage %.3f unexpectedly high", dss.Coverage())
 	}
@@ -223,7 +274,7 @@ func TestDSSLowCoverage(t *testing.T) {
 
 func TestOverheadBreakdownConsistent(t *testing.T) {
 	cfg := testConfig()
-	r := RunTimed(cfg, spec(t, "oltp-oracle"), PrefSpec{Kind: STMS})
+	r := mustRun(t, cfg, FromSpec(spec(t, "oltp-oracle")), PrefSpec{Kind: STMS})
 	ov := r.OverheadTraffic()
 	if ov.Record < 0 || ov.Update < 0 || ov.Lookup < 0 || ov.Erroneous < 0 {
 		t.Fatalf("negative overhead: %+v", ov)
@@ -289,7 +340,7 @@ func TestTimedPartialPlusFullMatchesEngine(t *testing.T) {
 	cfg := testConfig()
 	cfg.WarmRecords = 10_000
 	cfg.MeasureRecords = 15_000
-	r := RunTimed(cfg, spec(t, "web-apache"), PrefSpec{Kind: STMS})
+	r := mustRun(t, cfg, FromSpec(spec(t, "web-apache")), PrefSpec{Kind: STMS})
 	// Engine-window hit counters must equal the sim's covered counters.
 	if r.Engine.FullHits != r.CoveredFull || r.Engine.PartialHits != r.CoveredPartial {
 		t.Fatalf("engine (%d,%d) vs sim (%d,%d)",
@@ -304,8 +355,8 @@ func TestDriversAgreeOnIdealCoverage(t *testing.T) {
 	cfg := testConfig()
 	for _, w := range []string{"web-apache", "sci-moldyn"} {
 		s := spec(t, w)
-		fn := RunFunctional(cfg, s, PrefSpec{Kind: Ideal})
-		td := RunTimed(cfg, s, PrefSpec{Kind: Ideal})
+		fn := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal}, WithMode(Functional))
+		td := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: Ideal})
 		diff := fn.Coverage() - td.Coverage()
 		if diff < 0 {
 			diff = -diff
@@ -329,7 +380,7 @@ func TestAltIndexOrgsEndToEnd(t *testing.T) {
 		scfg.Seed = cfg.Seed
 		scfg.SampleProb = 0.125
 		scfg.Org = org
-		r := RunTimed(cfg, s, PrefSpec{Kind: STMS, STMSCfg: &scfg})
+		r := mustRun(t, cfg, FromSpec(s), PrefSpec{Kind: STMS, STMSCfg: &scfg})
 		coverage[org.String()] = r.Coverage()
 		if r.Coverage() <= 0 {
 			t.Errorf("%v: zero coverage", org)
@@ -357,8 +408,8 @@ func TestTapeReplayMatchesLive(t *testing.T) {
 		scaled := ws.Scaled(cfg.Scale)
 		tape := trace.NewTape(scaled, cfg.Seed, cfg.Cores, perCore)
 		for _, ps := range []PrefSpec{{Kind: None}, {Kind: Ideal}, {Kind: STMS, SampleProb: 0.125}} {
-			live := RunTimed(cfg, ws, ps)
-			replay, err := RunTimedTapeCtx(nil, cfg, tape, ps, nil)
+			live := mustRun(t, cfg, FromSpec(ws), ps)
+			replay, err := run1(nil, cfg, FromTape(tape), ps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,8 +417,8 @@ func TestTapeReplayMatchesLive(t *testing.T) {
 				t.Fatalf("%s/%s: timed tape replay differs from live:\n%+v\n%+v",
 					name, ps.Kind, replay, live)
 			}
-			liveF := RunFunctional(cfg, ws, ps)
-			replayF, err := RunFunctionalTapeCtx(nil, cfg, tape, ps, nil)
+			liveF := mustRun(t, cfg, FromSpec(ws), ps, WithMode(Functional))
+			replayF, err := run1(nil, cfg, FromTape(tape), ps, WithMode(Functional))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,8 +431,8 @@ func TestTapeReplayMatchesLive(t *testing.T) {
 	// An oversized tape replays the same run (cursors are capped).
 	ws := spec(t, "oltp-db2")
 	big := trace.NewTape(ws.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore+5_000)
-	live := RunTimed(cfg, ws, PrefSpec{Kind: STMS})
-	replay, err := RunTimedTapeCtx(nil, cfg, big, PrefSpec{Kind: STMS}, nil)
+	live := mustRun(t, cfg, FromSpec(ws), PrefSpec{Kind: STMS})
+	replay, err := run1(nil, cfg, FromTape(big), PrefSpec{Kind: STMS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,22 +449,22 @@ func TestTapeMismatchRejected(t *testing.T) {
 	scaled := spec(t, "web-zeus").Scaled(cfg.Scale)
 	tape := trace.NewTape(scaled, cfg.Seed, cfg.Cores, 1_000)
 
-	if _, err := RunTimedTapeCtx(nil, cfg, nil, PrefSpec{}, nil); err == nil {
+	if _, err := run1(nil, cfg, FromTape(nil), PrefSpec{}); err == nil {
 		t.Fatal("nil tape accepted")
 	}
 	bad := cfg
 	bad.Seed++
-	if _, err := RunTimedTapeCtx(nil, bad, tape, PrefSpec{}, nil); err == nil {
+	if _, err := run1(nil, bad, FromTape(tape), PrefSpec{}); err == nil {
 		t.Fatal("seed mismatch accepted")
 	}
 	bad = cfg
 	bad.Cores++
-	if _, err := RunTimedTapeCtx(nil, bad, tape, PrefSpec{}, nil); err == nil {
+	if _, err := run1(nil, bad, FromTape(tape), PrefSpec{}); err == nil {
 		t.Fatal("core-count mismatch accepted")
 	}
 	bad = cfg
 	bad.MeasureRecords += 1_000
-	if _, err := RunFunctionalTapeCtx(nil, bad, tape, PrefSpec{}, nil); err == nil {
+	if _, err := run1(nil, bad, FromTape(tape), PrefSpec{}, WithMode(Functional)); err == nil {
 		t.Fatal("undersized tape accepted")
 	}
 }
@@ -444,8 +495,9 @@ func TestRunTimedTraceReplay(t *testing.T) {
 		replay[i] = &trace.SliceGenerator{Records: perCore[i]}
 	}
 	// Scale must not be re-applied to already-scaled captured traces:
-	// RunTimedTrace takes the records as-is.
-	r := RunTimedTrace(cfg, "replay", replay, scaled.DirtyFrac, PrefSpec{Kind: STMS})
+	// frame sources deliver the records as-is.
+	run := SourceRun{Spec: trace.Spec{Name: "replay", DirtyFrac: scaled.DirtyFrac}, Sources: frameSources(replay)}
+	r := mustRun(t, cfg, FromSources(run), PrefSpec{Kind: STMS})
 	if r.Records == 0 {
 		t.Fatal("replay processed no records")
 	}
@@ -457,12 +509,10 @@ func TestRunTimedTraceReplay(t *testing.T) {
 	}
 }
 
-func TestRunTimedTraceWrongGenCountPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for generator/core mismatch")
-		}
-	}()
+func TestTraceWrongSourceCountRejected(t *testing.T) {
 	cfg := testConfig()
-	RunTimedTrace(cfg, "bad", []trace.Generator{&trace.SliceGenerator{}}, 0.2, PrefSpec{Kind: None})
+	run := SourceRun{Spec: trace.Spec{Name: "bad"}, Sources: []trace.FrameSource{trace.Frames(&trace.SliceGenerator{})}}
+	if _, err := run1(nil, cfg, FromSources(run), PrefSpec{Kind: None}); err == nil {
+		t.Fatal("one frame source accepted for a 4-core run")
+	}
 }

@@ -45,13 +45,13 @@ func TestSourceDeathIsAnError(t *testing.T) {
 		}
 	}
 	t.Run("timed", func(t *testing.T) {
-		_, err := RunTimedSourcesCtx(context.Background(), cfg, run(), PrefSpec{Kind: None}, nil)
+		_, err := run1(context.Background(), cfg, FromSources(run()), PrefSpec{Kind: None})
 		if err == nil || !strings.Contains(err.Error(), "trace source failed mid-run") {
 			t.Fatalf("timed driver swallowed a dead producer: err=%v", err)
 		}
 	})
 	t.Run("functional", func(t *testing.T) {
-		_, err := RunFunctionalSourcesCtx(context.Background(), cfg, run(), PrefSpec{Kind: None}, nil)
+		_, err := run1(context.Background(), cfg, FromSources(run()), PrefSpec{Kind: None}, WithMode(Functional))
 		if err == nil || !strings.Contains(err.Error(), "trace source failed mid-run") {
 			t.Fatalf("functional driver swallowed a dead producer: err=%v", err)
 		}

@@ -34,9 +34,8 @@ type timed struct {
 	halted   bool
 	ckptErr  error
 
-	// Cancellation and progress reporting (nil ctx = never cancelled).
+	// Cancellation and progress reporting (opt.progress).
 	ctx       context.Context
-	progress  Progress
 	totalRecs uint64
 	allRecs   uint64
 	aborted   bool
@@ -236,88 +235,6 @@ func (e timedEnv) OnChip(core int, blk uint64) bool {
 	return e.s.l1[core].Probe(blk) || e.s.l2.Probe(blk) || e.s.l2mshr.InFlight(blk)
 }
 
-// RunTimed executes one timed simulation of the workload under the given
-// prefetcher variant and returns windowed results.
-func RunTimed(cfg Config, spec trace.Spec, ps PrefSpec) Results {
-	r, err := RunTimedCtx(context.Background(), cfg, spec, ps, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunTimedCtx is RunTimed with cooperative cancellation and an optional
-// progress hook. The context is polled every few thousand records; on
-// cancellation the simulation stops promptly and ctx.Err() is returned.
-// Configuration errors are returned rather than panicking.
-//
-// This is the live-generation path: records are produced by the
-// workload generators inside the simulation loop. Per-core generation
-// is a pure function of (spec, seed, core), so the results are
-// bit-identical to replaying a trace.Tape of the same identity through
-// RunTimedTapeCtx — which is cheaper when the trace is consumed more
-// than once (the lab's run matrix does exactly that).
-func RunTimedCtx(ctx context.Context, cfg Config, spec trace.Spec, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := spec.Scaled(cfg.Scale)
-	lib := trace.NewLibrary(scaled, cfg.Seed)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = &trace.Limit{Gen: trace.NewGenerator(lib, i, cfg.Seed), N: total}
-	}
-	src := ckptSrc{kind: "spec", spec: spec}
-	return runTimed(ctx, cfg, scaled, gens, nil, nil, ps, progress, total*uint64(cfg.Cores), src, opts)
-}
-
-// RunTimedScenarioCtx executes the timed simulation of a
-// phase-structured scenario. The scenario is scaled by cfg.Scale and
-// materialized against the run's per-core budget (warm + measure);
-// Results carry per-phase stat windows alongside the usual whole-run
-// numbers. Like plain workloads, scenario generation is a pure function
-// of (scenario, seed, core): results are bit-identical to replaying a
-// scenario tape of the same identity through RunTimedTapeCtx.
-func RunTimedScenarioCtx(ctx context.Context, cfg Config, scn trace.Scenario, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	scaled := scn.Scaled(cfg.Scale)
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	gens, marks, err := scaled.Generators(cfg.Seed, cfg.Cores, total)
-	if err != nil {
-		return Results{}, err
-	}
-	for i, g := range gens {
-		gens[i] = &trace.Limit{Gen: g, N: total}
-	}
-	spec := scaled.EffectiveSpec(cfg.Cores, total)
-	src := ckptSrc{kind: "scenario", scn: scn}
-	return runTimed(ctx, cfg, spec, gens, nil, marks, ps, progress, total*uint64(cfg.Cores), src, opts)
-}
-
-// RunTimedTapeCtx executes the timed simulation over a materialized
-// columnar tape instead of live generators. The tape must have been
-// built for this configuration's trace identity — same scaled spec,
-// seed, core count, and a per-core budget covering warm + measure —
-// and then Results are bit-identical to RunTimedCtx at the same seed.
-func RunTimedTapeCtx(ctx context.Context, cfg Config, tape *trace.Tape, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	total := cfg.WarmRecords + cfg.MeasureRecords
-	if err := tapeFits(cfg, tape, total); err != nil {
-		return Results{}, err
-	}
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = tape.CursorN(i, total)
-	}
-	src := ckptSrc{kind: "tape"}
-	return runTimed(ctx, cfg, tape.Spec(), gens, nil, tape.Marks(), ps, progress, total*uint64(cfg.Cores), src, opts)
-}
-
 // tapeFits verifies a tape covers the run a config describes. Scenario
 // tapes must match the run budget exactly: fraction-based phases
 // resolve against the materialization budget, so replaying a longer
@@ -340,76 +257,34 @@ func tapeFits(cfg Config, tape *trace.Tape, perCore uint64) error {
 	return nil
 }
 
-// RunTimedTrace executes the timed simulation over externally supplied
-// record generators, one per core — typically trace.FileReader streams
-// from files captured with stms-trace or converted from an application's
-// own miss trace. The name labels results; dirtyFrac sets the writeback
-// model.
-func RunTimedTrace(cfg Config, name string, gens []trace.Generator, dirtyFrac float64, ps PrefSpec) Results {
-	r, err := RunTimedTraceCtx(context.Background(), cfg, name, gens, dirtyFrac, ps, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RunTimedTraceCtx is RunTimedTrace with cooperative cancellation and an
-// optional progress hook (total is unknown for external generators, so
-// progress callbacks report total = 0).
-func RunTimedTraceCtx(ctx context.Context, cfg Config, name string, gens []trace.Generator, dirtyFrac float64, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if len(gens) != cfg.Cores {
-		return Results{}, fmt.Errorf("sim: %d generators for %d cores", len(gens), cfg.Cores)
-	}
-	spec := trace.Spec{Name: name, DirtyFrac: dirtyFrac}
-	src := ckptSrc{kind: "external"}
-	return runTimed(ctx, cfg, spec, gens, nil, nil, ps, progress, 0, src, opts)
-}
-
-// RunTimedSourcesCtx executes the timed simulation over externally
-// produced frame sources — a stream.Inlet's per-core sources, most
-// commonly — carrying the trace identity their producer announced.
-// With a matching configuration (same seed, cores, and a warm+measure
-// budget equal to the stream's per-core record count), Results are
-// bit-identical to consuming the same trace locally. Sources that die
-// mid-stream fail the run with their error; like other external runs,
-// these are not checkpointable.
-func RunTimedSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec, progress Progress, opts ...RunOption) (Results, error) {
-	if err := cfg.Validate(); err != nil {
-		return Results{}, err
-	}
-	if err := run.validate(cfg); err != nil {
-		return Results{}, err
-	}
-	src := ckptSrc{kind: "external"}
-	return runTimed(ctx, cfg, run.Spec, nil, run.Sources, run.Marks, ps, progress, run.PerCore*uint64(cfg.Cores), src, opts)
-}
-
-// runTimed wires and drains the event-driven system over the given
-// per-core generators — or, when srcs is non-nil, over pre-built frame
-// sources (remote streams); marks, when non-nil, request per-phase stat
-// windows in the Results.
-func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Generator, srcs []trace.FrameSource, marks []trace.PhaseMark, ps PrefSpec, progress Progress, totalRecs uint64, src ckptSrc, opts []RunOption) (Results, error) {
-	if ctx == nil {
-		ctx = context.Background() // documented: nil = never cancelled
-	}
+// runTimed wires and drains the event-driven system over one run's
+// per-core frame sources; phase marks, when present, request per-phase
+// stat windows in the Results.
+func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) (Results, error) {
+	// Each core consumes its trace frame-at-a-time from a pipelined
+	// source: a producer goroutine decodes (or generates) the next frame
+	// while the simulation works through the current one. Sources are
+	// closed on every exit path — an aborted run must not leak producers.
+	defer func() {
+		for _, src := range f.srcs {
+			src.Close()
+		}
+	}()
 	s := &timed{
 		cfg:         cfg,
-		spec:        spec,
+		spec:        f.spec,
 		ps:          ps,
-		src:         src,
-		opt:         gatherOpts(opts),
+		src:         f.src,
+		opt:         *o,
 		ctx:         ctx,
-		progress:    progress,
-		totalRecs:   totalRecs,
+		totalRecs:   f.total,
+		srcs:        f.srcs,
 		eng:         event.NewEngine(),
-		dirtyThresh: dirtyThreshold(spec.DirtyFrac),
+		dirtyThresh: dirtyThreshold(f.spec.DirtyFrac),
 		recordsSeen: make([]uint64, cfg.Cores),
 		mlp:         make([]mlpTrack, cfg.Cores),
 	}
-	s.phases = newPhaseTracker(marks, cfg.Cores)
+	s.phases = newPhaseTracker(f.marks, cfg.Cores)
 	s.mc = dram.New(s.eng, cfg.DRAM)
 	s.l2 = cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2(), Assoc: cfg.L2Assoc})
 	s.l2mshr = cache.NewMSHR(cfg.L2MSHRs, s.mshrDone)
@@ -418,22 +293,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Gen
 	s.pref = buildPrefetcher(timedEnv{s}, cfg, ps)
 
 	s.committedSnap = make([]uint64, cfg.Cores)
-	// Each core consumes its trace frame-at-a-time from a pipelined
-	// source: a producer goroutine decodes (or generates) the next frame
-	// while the simulation works through the current one. Sources are
-	// closed on every exit path — an aborted run must not leak producers.
-	s.srcs = make([]trace.FrameSource, cfg.Cores)
-	defer func() {
-		for _, src := range s.srcs {
-			src.Close()
-		}
-	}()
 	for i := 0; i < cfg.Cores; i++ {
-		if srcs != nil {
-			s.srcs[i] = srcs[i]
-		} else {
-			s.srcs[i] = trace.AutoFrames(gens[i])
-		}
 		s.l1 = append(s.l1, cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1(), Assoc: cfg.L1Assoc}))
 		c := cpu.NewFramed(i, cfg.Core, s.eng, s.srcs[i], s.load)
 		s.cores = append(s.cores, c)
@@ -441,7 +301,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Gen
 	if s.opt.active() {
 		// Fail fast: unsupported configurations refuse checkpoint
 		// requests up front rather than at the first boundary.
-		if err := ckptSupported(src, s.pref, ps); err != nil {
+		if err := ckptSupported(s.src, s.pref, ps); err != nil {
 			return Results{}, err
 		}
 	}
@@ -453,7 +313,7 @@ func runTimed(ctx context.Context, cfg Config, spec trace.Spec, gens []trace.Gen
 		if err != nil {
 			return Results{}, err
 		}
-		if err := checkDesc(d, "timed", src, cfg, ps); err != nil {
+		if err := checkDesc(d, descFor("timed", s.src, cfg, ps, 0)); err != nil {
 			return Results{}, err
 		}
 		if err := s.restore(dec); err != nil {
@@ -654,8 +514,8 @@ func (s *timed) stridePrefetch(blk uint64) {
 // a stride, reports progress and polls the context.
 func (s *timed) noteRecord(core int) {
 	if s.allRecs++; s.allRecs%pollEvery == 0 {
-		if s.progress != nil {
-			s.progress(s.allRecs, s.totalRecs)
+		if s.opt.progress != nil {
+			s.opt.progress(s.allRecs, s.totalRecs)
 		}
 		if s.ctx.Err() != nil {
 			s.aborted = true

@@ -1,7 +1,7 @@
 package stats
 
 // Confidence intervals for sampled simulation. The sampling scheduler
-// (sim.RunSampledCtx) treats each time-window as one stratum and
+// (sim.Sample) treats each time-window as one stratum and
 // reports every metric with a Student-t interval over the window
 // estimates — the SMARTS-style error model (Wunderlich et al.,
 // ISCA'03). Only the t quantile is approximated (regularized

@@ -53,7 +53,7 @@ func TapeSource(t *trace.Tape) Source {
 
 // SpecSource serves perCore live-generated records per core of the
 // (already scaled) spec at seed — the stream equivalent of
-// sim.RunTimedCtx's generator wiring.
+// sim.FromSpec's generator wiring.
 func SpecSource(spec trace.Spec, seed uint64, cores int, perCore uint64) (Source, error) {
 	if err := spec.Validate(); err != nil {
 		return Source{}, err

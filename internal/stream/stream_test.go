@@ -15,6 +15,15 @@ import (
 	"stms/internal/trace"
 )
 
+// run1 runs one prefetcher variant over in.
+func run1(ctx context.Context, cfg sim.Config, in sim.Input, ps sim.PrefSpec, opts ...sim.RunOption) (sim.Results, error) {
+	rs, err := sim.Run(ctx, cfg, in, []sim.PrefSpec{ps}, opts...)
+	if err != nil {
+		return sim.Results{}, err
+	}
+	return rs[0], nil
+}
+
 // testTape materializes a small tape shared by the loopback tests.
 func testTape(t *testing.T, cores int, perCore uint64) *trace.Tape {
 	t.Helper()
@@ -62,7 +71,7 @@ func runStream(t *testing.T, addr string, cfg sim.Config, tape *trace.Tape) (sim
 	t.Cleanup(in.Close)
 	h := in.Hello()
 	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	res, err := sim.RunTimedSourcesCtx(context.Background(), cfg, run, sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}, nil)
+	res, err := run1(context.Background(), cfg, sim.FromSources(run), sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +99,7 @@ func TestLoopbackBitIdentical(t *testing.T) {
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
 
-	direct, err := sim.RunTimedTapeCtx(context.Background(), cfg, tape, ps, nil)
+	direct, err := run1(context.Background(), cfg, sim.FromTape(tape), ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +136,7 @@ func TestReconnectSweepBitIdentical(t *testing.T) {
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
 
-	direct, err := sim.RunFunctionalTapeCtx(context.Background(), cfg, tape, ps, nil)
+	direct, err := run1(context.Background(), cfg, sim.FromTape(tape), ps, sim.WithMode(sim.Functional))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestReconnectSweepBitIdentical(t *testing.T) {
 			defer in.Close()
 			h := in.Hello()
 			run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-			streamed, err := sim.RunFunctionalSourcesCtx(context.Background(), cfg, run, ps, nil)
+			streamed, err := run1(context.Background(), cfg, sim.FromSources(run), ps, sim.WithMode(sim.Functional))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -395,7 +404,7 @@ func TestOutletRestartResume(t *testing.T) {
 	tape := testTape(t, cores, perCore)
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
-	direct, err := sim.RunFunctionalTapeCtx(context.Background(), cfg, tape, ps, nil)
+	direct, err := run1(context.Background(), cfg, sim.FromTape(tape), ps, sim.WithMode(sim.Functional))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +446,7 @@ func TestOutletRestartResume(t *testing.T) {
 
 	h := in.Hello()
 	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
-	streamed, err := sim.RunFunctionalSourcesCtx(context.Background(), cfg, run, ps, nil)
+	streamed, err := run1(context.Background(), cfg, sim.FromSources(run), ps, sim.WithMode(sim.Functional))
 	if err != nil {
 		t.Fatal(err)
 	}

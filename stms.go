@@ -99,7 +99,7 @@ type ResultEvent = lab.ResultEvent
 type EventKind = lab.EventKind
 
 // Mode selects the simulation driver for a plan's cells.
-type Mode = lab.Mode
+type Mode = sim.Mode
 
 // Result-event kinds and driver modes, re-exported for plan options and
 // progress sinks.
@@ -108,8 +108,8 @@ const (
 	CellFinished = lab.CellFinished
 	CellFailed   = lab.CellFailed
 
-	Timed      = lab.Timed
-	Functional = lab.Functional
+	Timed      = sim.Timed
+	Functional = sim.Functional
 )
 
 // New creates a session over the paper's Table 1 system, modified by
@@ -325,10 +325,10 @@ func Drift(name string, from, to WorkloadSpec, steps int) Scenario {
 // Tape is a columnar (structure-of-arrays) materialization of one
 // bounded multi-core trace: built once per trace identity, replayed any
 // number of times through zero-allocation cursors. Lab sessions
-// materialize and share tapes automatically; NewTape and the tape run
-// functions expose the substrate for callers orchestrating their own
-// runs or persisting tapes with trace.WriteTape/ReadTape via the
-// stms-trace command.
+// materialize and share tapes automatically; NewTape and FromTape
+// expose the substrate for callers orchestrating their own runs or
+// persisting tapes with trace.WriteTape/ReadTape via the stms-trace
+// command.
 type Tape = trace.Tape
 
 // NewTape materializes perCore records for each of cores generators of
@@ -416,64 +416,63 @@ func FigureEight() []string { return trace.FigureEight() }
 // Commercial returns the commercial (web, OLTP, DSS) workload names.
 func Commercial() []string { return trace.Commercial() }
 
-// RunTimed executes the cycle-level simulation of spec under the given
-// prefetcher and returns measurement-window results (IPC, MLP, coverage,
-// per-class DRAM traffic).
-//
-// Deprecated: build a Lab with New and execute a plan with Lab.Run —
-// one blocking call per cell neither parallelizes nor memoizes. This
-// wrapper remains for scripts and is equivalent to a 1×1 timed matrix.
-func RunTimed(cfg Config, spec WorkloadSpec, ps PrefSpec) Results {
-	return sim.RunTimed(cfg, spec, ps)
+// Input describes the trace a single run consumes: a workload spec or
+// scenario generated live (scaled by Config.Scale), a materialized
+// tape, or externally produced frame sources. Prefer Lab plans for
+// matrices of runs — they parallelize, memoize, and share tapes.
+type Input = sim.Input
+
+// FromSpec generates the workload live.
+func FromSpec(spec WorkloadSpec) Input { return sim.FromSpec(spec) }
+
+// FromScenario generates the phase-structured scenario live,
+// materialized against the warm + measure budget; Results carry
+// per-phase windows.
+func FromScenario(scn Scenario) Input { return sim.FromScenario(scn) }
+
+// FromTape replays a materialized tape whose identity matches the run's
+// configuration (same seed, cores, and a record budget covering warm +
+// measure); Results are bit-identical to FromSpec with the tape's spec.
+func FromTape(tape *Tape) Input { return sim.FromTape(tape) }
+
+// FromSources consumes externally supplied per-core frame sources. A
+// source whose producer dies mid-run surfaces that failure as an error,
+// never as a short clean result.
+func FromSources(run SourceRun) Input { return sim.FromSources(run) }
+
+// Run executes the cycle-level simulation of the input under one
+// prefetcher variant and returns measurement-window results (IPC, MLP,
+// coverage, per-class DRAM traffic). The context is polled every few
+// thousand records; on cancellation ctx.Err() is returned.
+func Run(ctx context.Context, cfg Config, in Input, ps PrefSpec) (Results, error) {
+	return one(sim.Run(ctx, cfg, in, []PrefSpec{ps}))
 }
 
-// RunFunctional executes the fast zero-latency driver (idealized-lookup
-// coverage sweeps; timing fields of the result are zero).
-//
-// Deprecated: build a Lab with New and execute a plan with
-// lab.Plan(..., stms.InMode(stms.Functional)) instead.
-func RunFunctional(cfg Config, spec WorkloadSpec, ps PrefSpec) Results {
-	return sim.RunFunctional(cfg, spec, ps)
-}
-
-// RunTimedCtx is RunTimed with cooperative cancellation; Lab.Run uses
-// it per cell. Exposed for callers driving single runs with their own
-// scheduling.
-func RunTimedCtx(ctx context.Context, cfg Config, spec WorkloadSpec, ps PrefSpec) (Results, error) {
-	return sim.RunTimedCtx(ctx, cfg, spec, ps, nil)
-}
-
-// RunFunctionalCtx is RunFunctional with cooperative cancellation.
-func RunFunctionalCtx(ctx context.Context, cfg Config, spec WorkloadSpec, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalCtx(ctx, cfg, spec, ps, nil)
-}
-
-// RunTimedTapeCtx executes the timed simulation over a materialized
-// tape whose identity matches cfg (same seed, cores, and a record
-// budget covering warm + measure); Results are bit-identical to
-// RunTimedCtx with the tape's spec.
+// RunTimedTapeCtx is Run over FromTape(tape). It stays for the
+// benchmark module (bench/), which calls it by name.
 func RunTimedTapeCtx(ctx context.Context, cfg Config, tape *Tape, ps PrefSpec) (Results, error) {
-	return sim.RunTimedTapeCtx(ctx, cfg, tape, ps, nil)
+	return Run(ctx, cfg, FromTape(tape), ps)
 }
 
-// RunFunctionalTapeCtx is RunFunctionalCtx over a materialized tape.
+// RunFunctionalTapeCtx is RunTimedTapeCtx on the zero-latency
+// functional driver (timing fields stay zero). It stays for the
+// benchmark module (bench/), which calls it by name.
 func RunFunctionalTapeCtx(ctx context.Context, cfg Config, tape *Tape, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalTapeCtx(ctx, cfg, tape, ps, nil)
+	return one(sim.Run(ctx, cfg, sim.FromTape(tape), []PrefSpec{ps}, sim.WithMode(sim.Functional)))
 }
 
-// RunTimedScenarioCtx executes the timed simulation of a
-// phase-structured scenario (scaled by cfg.Scale, materialized against
-// the warm + measure budget); Results carry per-phase windows. Prefer
-// Lab plans with scenario rows — they parallelize, memoize, and share
-// scenario tapes.
-func RunTimedScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps PrefSpec) (Results, error) {
-	return sim.RunTimedScenarioCtx(ctx, cfg, scn, ps, nil)
+// RunFunctionalSourcesCtx is RunFunctionalTapeCtx over FromSources(run).
+// It stays for the benchmark module (bench/), which calls it by name.
+func RunFunctionalSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec) (Results, error) {
+	return one(sim.Run(ctx, cfg, sim.FromSources(run), []PrefSpec{ps}, sim.WithMode(sim.Functional)))
 }
 
-// RunFunctionalScenarioCtx is RunTimedScenarioCtx on the zero-latency
-// functional driver (timing fields stay zero).
-func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalScenarioCtx(ctx, cfg, scn, ps, nil)
+// one unwraps the Results of a single-variant sim.Run.
+func one(rs []Results, err error) (Results, error) {
+	if err != nil {
+		return Results{}, err
+	}
+	return rs[0], nil
 }
 
 // SourceRun bundles externally supplied per-core frame sources — a live
@@ -482,19 +481,6 @@ func RunFunctionalScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps 
 // (DESIGN.md §14). Results are bit-identical to the equivalent direct
 // run when the sources deliver the same record stream.
 type SourceRun = sim.SourceRun
-
-// RunTimedSourcesCtx executes the timed simulation over a SourceRun. A
-// source whose producer dies mid-run surfaces that failure as an error,
-// never as a short clean result.
-func RunTimedSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec) (Results, error) {
-	return sim.RunTimedSourcesCtx(ctx, cfg, run, ps, nil)
-}
-
-// RunFunctionalSourcesCtx is RunTimedSourcesCtx on the zero-latency
-// functional driver (timing fields stay zero).
-func RunFunctionalSourcesCtx(ctx context.Context, cfg Config, run SourceRun, ps PrefSpec) (Results, error) {
-	return sim.RunFunctionalSourcesCtx(ctx, cfg, run, ps, nil)
-}
 
 // Sampling configures a K-window sampled simulation (DESIGN.md §13):
 // the measurement window is split into Windows equal slices, each
@@ -524,47 +510,12 @@ type CI = stats.CI
 // exact counterparts and carry SampledResults with error bars.
 func WithSampling(smp Sampling) Option { return lab.WithSampling(smp) }
 
-// RunSampled executes the K-window sampled estimate of the timed
-// simulation, panicking on configuration errors (prefer RunSampledCtx).
-func RunSampled(cfg Config, spec WorkloadSpec, ps PrefSpec, smp Sampling) SampledResults {
-	return sim.RunSampled(cfg, spec, ps, smp)
-}
-
-// RunSampledCtx executes the K-window sampled estimate of
-// RunTimedCtx: the windows warm and measure concurrently, and the
-// result carries per-window stats and confidence intervals. K <= 1
-// returns the exact serial run (Exact = true, point intervals).
-func RunSampledCtx(ctx context.Context, cfg Config, spec WorkloadSpec, ps PrefSpec, smp Sampling) (SampledResults, error) {
-	return sim.RunSampledCtx(ctx, cfg, spec, ps, smp, nil)
-}
-
-// RunSampledScenarioCtx is RunSampledCtx for a phase-structured
-// scenario (the stitched Results carry no per-phase windows — sampling
-// estimates whole-run metrics).
-func RunSampledScenarioCtx(ctx context.Context, cfg Config, scn Scenario, ps PrefSpec, smp Sampling) (SampledResults, error) {
-	return sim.RunSampledScenarioCtx(ctx, cfg, scn, ps, smp, nil)
-}
-
-// RunSampledTapeCtx is RunSampledCtx over a materialized tape;
-// estimates are bit-identical to the spec run of the same identity.
-func RunSampledTapeCtx(ctx context.Context, cfg Config, tape *Tape, ps PrefSpec, smp Sampling) (SampledResults, error) {
-	return sim.RunSampledTapeCtx(ctx, cfg, tape, ps, smp, nil)
-}
-
-// ResumeSampledCtx resumes a sampled run from a checkpoint taken by one
-// of its windows (sim.WithCheckpointFunc): finished windows replay
-// from the checkpoint manifest, the interrupted window resumes
-// mid-stream, and the stitched estimate is bit-identical to an
-// uninterrupted run.
-func ResumeSampledCtx(ctx context.Context, data []byte) (SampledResults, error) {
-	return sim.ResumeSampledCtx(ctx, data, nil)
-}
-
-// PeekSampled inspects a sampled checkpoint without resuming it:
-// the sampling plan, the underlying run's identity, and the index of
-// the checkpointed window.
-func PeekSampled(data []byte) (Sampling, sim.CheckpointDesc, int, error) {
-	return sim.PeekSampled(data)
+// Sample executes the K-window sampled estimate of the timed run of
+// the input: the windows warm and measure concurrently, and the result
+// carries per-window stats and confidence intervals. K <= 1 returns the
+// exact serial run (Exact = true, point intervals).
+func Sample(ctx context.Context, cfg Config, in Input, ps PrefSpec, smp Sampling) (SampledResults, error) {
+	return sim.Sample(ctx, cfg, in, ps, smp)
 }
 
 // DefaultOptions returns the standard experiment scale for the harness.

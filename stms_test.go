@@ -14,6 +14,16 @@ import (
 	"stms"
 )
 
+// mustRun runs one prefetcher variant over in, failing tb on error.
+func mustRun(tb testing.TB, cfg stms.Config, in stms.Input, ps stms.PrefSpec) stms.Results {
+	tb.Helper()
+	r, err := stms.Run(context.Background(), cfg, in, ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 // tinyLab returns fast-session options: same shapes as the paper runs,
 // much smaller windows.
 func tinyLab(extra ...stms.Option) []stms.Option {
@@ -217,9 +227,9 @@ func TestMatrixMatchesSequential(t *testing.T) {
 		}
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want := stms.RunTimed(cfg, spec, prefs[col])
+			want := mustRun(t, cfg, stms.FromSpec(spec), prefs[col])
 			if !reflect.DeepEqual(*got, want) {
-				t.Fatalf("cell %s/%s differs from sequential RunTimed", w, m.Labels[col])
+				t.Fatalf("cell %s/%s differs from sequential stms.Run", w, m.Labels[col])
 			}
 		}
 	}
@@ -367,10 +377,7 @@ func TestScenarioSuiteMatrix(t *testing.T) {
 		}
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want, err := stms.RunTimedScenarioCtx(context.Background(), cfg, scn, prefs[col])
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustRun(t, cfg, stms.FromScenario(scn), prefs[col])
 			if !reflect.DeepEqual(*got, want) {
 				t.Fatalf("cell %s/%s differs from sequential live scenario run", name, m.Labels[col])
 			}
