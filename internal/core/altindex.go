@@ -214,11 +214,3 @@ func (o *openIndex) Update(blk, ptr uint64) int {
 func (o *openIndex) Len() int { return o.used }
 
 func (o *openIndex) SizeBytes() uint64 { return uint64(len(o.slots)) * 8 }
-
-// AvgProbes returns mean slots probed per operation (diagnostics).
-func (o *openIndex) AvgProbes() float64 {
-	if o.Ops == 0 {
-		return 0
-	}
-	return float64(o.ProbeTotal) / float64(o.Ops)
-}

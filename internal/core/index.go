@@ -81,9 +81,6 @@ func NewIndexTable(buckets, ways int) *IndexTable {
 // Buckets returns the bucket count.
 func (t *IndexTable) Buckets() int { return len(t.blen) }
 
-// Ways returns entries per bucket.
-func (t *IndexTable) Ways() int { return t.ways }
-
 // SizeBytes returns the main-memory footprint: one 64-byte block per
 // bucket.
 func (t *IndexTable) SizeBytes() uint64 { return uint64(len(t.blen)) * 64 }
@@ -149,9 +146,6 @@ func (t *IndexTable) Update(blk, ptr uint64) {
 	t.keys[base] = blk
 	t.ptrs[base] = ptr
 }
-
-// BucketLen returns the occupancy of bucket bi (tests).
-func (t *IndexTable) BucketLen(bi uint32) int { return int(t.blen[bi]) }
 
 // bucketContents returns a copy of bucket bi, MRU first (tests).
 func (t *IndexTable) bucketContents(bi uint32) []indexEntry {

@@ -236,16 +236,6 @@ func (m *Meta) Stats() Stats { return m.st }
 // organization is configured.
 func (m *Meta) Index() *IndexTable { return m.idx }
 
-// AvgProbesPerOp returns the mean slots probed per index operation for
-// the open-addressing organization (0 for the others) — the §5.4 latency
-// argument made measurable.
-func (m *Meta) AvgProbesPerOp() float64 {
-	if o, ok := m.alt.(*openIndex); ok {
-		return o.AvgProbes()
-	}
-	return 0
-}
-
 // History exposes a core's history buffer (tests, harness).
 func (m *Meta) History(core int) *prefetch.History { return m.hist[core] }
 

@@ -54,8 +54,7 @@ func (c *Core) Snapshot(enc *ckpt.Encoder) {
 // Restore rebuilds the core from a Snapshot. The core must be freshly
 // constructed (NewFramed) over a source that regenerates the identical
 // frame sequence; Restore replays NextFrame to the checkpointed frame.
-// The onTarget callback is not serialized — re-attach it afterwards
-// with SetTargetFn if the run had a pending measurement target.
+// The onTarget callback is not serialized; a restored core has none.
 func (c *Core) Restore(dec *ckpt.Decoder) error {
 	dec.Section("cpu.Core")
 	id := dec.Int()
@@ -125,7 +124,3 @@ func (c *Core) Restore(dec *ckpt.Decoder) error {
 	}
 	return nil
 }
-
-// SetTargetFn re-attaches the measurement-target callback after a
-// Restore without disturbing the serialized target/fired state.
-func (c *Core) SetTargetFn(fn func()) { c.onTarget = fn }

@@ -466,19 +466,6 @@ func (s *Store) PutCkpt(key string, data []byte) error {
 	return nil
 }
 
-// DropCkpt discards the checkpoint at key from both tiers — the
-// recovery path for a checkpoint that verified as a container but
-// failed to restore (wrong job, incompatible state).
-func (s *Store) DropCkpt(key string) {
-	s.mu.Lock()
-	delete(s.ckpts, key)
-	dir := s.dir
-	s.mu.Unlock()
-	if dir != "" {
-		os.Remove(s.ckptPath(key))
-	}
-}
-
 // CkptCount returns how many checkpoints the store holds (memory plus
 // disk-only files).
 func (s *Store) CkptCount() int {

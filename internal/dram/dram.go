@@ -249,9 +249,6 @@ func (c *Controller) ResetStats() {
 	c.createdCycle = c.eng.Now()
 }
 
-// QueueLen returns current queue occupancy (high, low).
-func (c *Controller) QueueLen() (hi, lo int) { return c.hi.len(), c.lo.len() }
-
 // Read issues a block read of the given class. done fires when the data is
 // available (service start + access latency). hiPri selects the priority
 // queue; only demand traffic should be high priority.

@@ -130,22 +130,3 @@ func (e *Engine) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (Handler, boo
 	}
 	return dec.Err()
 }
-
-// HasClosureEvents reports whether any pending event is a closure
-// (Schedule/At) rather than a typed handler event. Checkpointing is
-// refused while one is pending.
-func (e *Engine) HasClosureEvents() bool {
-	for i := range e.bucket {
-		for ev := e.bucket[i].head; ev != nil; ev = ev.next {
-			if ev.fn != nil {
-				return true
-			}
-		}
-	}
-	for _, ev := range e.overflow {
-		if ev.fn != nil {
-			return true
-		}
-	}
-	return false
-}

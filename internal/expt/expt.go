@@ -43,15 +43,6 @@ func DefaultOptions() Options {
 	return Options{Scale: 0.125, Seed: 42, Warm: 80_000, Measure: 120_000}
 }
 
-// Quick returns options sized for go test / CI: same shapes, smaller
-// windows.
-func (o Options) Quick() Options {
-	o.Scale = 0.0625
-	o.Warm /= 4
-	o.Measure /= 4
-	return o
-}
-
 // Config builds the simulator configuration for these options.
 func (o Options) Config() sim.Config {
 	cfg := sim.DefaultConfig()

@@ -256,6 +256,28 @@ func TestTapeCacheSharesTraces(t *testing.T) {
 	}
 }
 
+// TestTimedCellsDecodeEveryRecord pins the frame pipeline as the path
+// every timed cell actually takes: each cell decodes frames, and the
+// records handed to its cores are exactly the warm-up plus measured
+// windows on every core.
+func TestTimedCellsDecodeEveryRecord(t *testing.T) {
+	l := testLab(t)
+	m, err := l.Run(context.Background(), l.Plan(
+		[]string{"web-apache", "sci-em3d"},
+		[]sim.PrefSpec{{Kind: sim.None}, {Kind: sim.Ideal}, {Kind: sim.STMS, SampleProb: 0.125}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range m.Cells {
+		cfg := c.Cell.Config
+		want := (cfg.WarmRecords + cfg.MeasureRecords) * uint64(cfg.Cores)
+		if f := c.Res.Frames; f.Frames == 0 || f.Records != want {
+			t.Errorf("%s/%s: %d frames carrying %d records, want > 0 frames carrying %d",
+				c.Cell.Workload, c.Cell.Label, f.Frames, f.Records, want)
+		}
+	}
+}
+
 func TestTapeCacheEviction(t *testing.T) {
 	// A 1-byte budget can hold nothing: every identity evicts the last.
 	l := testLab(t, WithTapeCache(1))

@@ -107,6 +107,10 @@ func TestRemoteMatrixBitIdentical(t *testing.T) {
 	if int(rs.RemoteCells) != len(rm.Cells) || rs.LocalCells != 0 {
 		t.Fatalf("dispatch stats = %+v, want all %d cells remote", rs, len(rm.Cells))
 	}
+	// A healthy fleet on loopback needs none of the resilience machinery.
+	if rs.Retries != 0 || rs.BreakerTrips != 0 {
+		t.Fatalf("dispatch stats = %+v, want no retries and no breaker trips on a healthy fleet", rs)
+	}
 	var builds, peerHits uint64
 	for _, s := range servers {
 		st := s.Store().Stats()

@@ -36,7 +36,7 @@ type TapeStats struct {
 	// Generate is cumulative tape-build wall time; Simulate is
 	// cumulative cell simulation wall time excluding tape access. The
 	// pair splits a run's cost into "materialize the workload once" vs
-	// "simulate the system", the trajectory stms-bench records.
+	// "simulate the system".
 	Generate time.Duration
 	Simulate time.Duration
 }

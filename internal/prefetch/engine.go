@@ -67,11 +67,6 @@ type EngineStats struct {
 // Covered returns total covered misses.
 func (s *EngineStats) Covered() uint64 { return s.FullHits + s.PartialHits }
 
-// Accuracy returns the fraction of issued prefetches that were consumed.
-func (s *EngineStats) Accuracy() float64 {
-	return stats.Ratio(float64(s.Covered()), float64(s.IssuedPrefetches))
-}
-
 type queued struct {
 	addr uint64
 	pos  uint64

@@ -561,9 +561,8 @@ func TestSampledSpeedup(t *testing.T) {
 	}
 }
 
-// sampleErrPct is the benchmark-facing error figure: the worst relative
-// gap between the sampled estimate and the exact run across the four
-// reported metrics, in percent (shared with cmd/stms-bench).
+// sampleErrPct is the worst relative gap between the sampled estimate
+// and the exact run across the four reported metrics, in percent.
 func sampleErrPct(exact Results, sr SampledResults) float64 {
 	worst := 0.0
 	for _, p := range [][2]float64{

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -106,7 +107,7 @@ func FuzzWireEnvelope(f *testing.F) {
 			t.Fatalf("accepted %d-byte envelope (cap %d)", len(body), maxEnvelopeLen)
 		}
 		var h Hello
-		if err := unmarshalStrictish(body, &h); err == nil {
+		if err := json.Unmarshal(body, &h); err == nil {
 			_ = h.validate()
 		}
 	})

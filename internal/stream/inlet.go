@@ -3,6 +3,7 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -59,6 +60,7 @@ type Inlet struct {
 	lastSeq    uint64   // last contiguous frame sequence received
 	err        error    // terminal failure, set before channels close
 	frames     uint64
+	records    uint64 // records received, all cores
 	reconnects uint64
 
 	notify    chan struct{} // pokes the credit writer
@@ -155,7 +157,7 @@ func ReaderInlet(r io.Reader, cfg InletConfig) (*Inlet, error) {
 // pool and per-core channels from its (capped) declarations.
 func (in *Inlet) adoptHello(body []byte) error {
 	var h Hello
-	if err := unmarshalStrictish(body, &h); err != nil {
+	if err := json.Unmarshal(body, &h); err != nil {
 		return fmt.Errorf("%w: hello: %v", ErrProtocol, err)
 	}
 	if err := h.validate(); err != nil {
@@ -342,6 +344,7 @@ func (in *Inlet) acceptFrame(h msgHdr, payload []byte) error {
 	in.lastSeq = h.seq
 	in.held++
 	in.frames++
+	in.records += uint64(h.records)
 	in.mu.Unlock()
 	// Channel capacity covers the whole window: this never blocks.
 	in.chans[h.arg] <- f
@@ -542,10 +545,25 @@ func (c *coreSource) Stats() trace.FrameStats { return c.stats }
 // contract: a producer death must never present as clean end-of-stream.
 func (c *coreSource) Err() error { return c.in.Err() }
 
+// Close closes the whole inlet. A consumer that read its core's whole
+// budget, once every announced record has arrived, first waits for the
+// stream's end message (resuming across a drop if need be): the outlet
+// then finishes cleanly instead of waiting out its reconnect budget for
+// a consumer that hung up before the end.
 func (c *coreSource) Close() {
 	if c.cur != nil {
-		c.in.recycle(c.cur)
+		c.in.recycle(c.cur) // the credit that lets the outlet send its end
 		c.cur = nil
 	}
+	if c.stats.Records >= c.in.hello.PerCore && c.in.received() {
+		<-c.in.done
+	}
 	c.in.Close()
+}
+
+// received reports whether every record the hello announced has arrived.
+func (in *Inlet) received() bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.hello.PerCore > 0 && in.records == in.hello.PerCore*uint64(in.hello.Cores)
 }

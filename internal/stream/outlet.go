@@ -3,6 +3,7 @@ package stream
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -276,7 +277,7 @@ func (o *Outlet) ServeConn(conn net.Conn) (finished bool, err error) {
 		return false, err
 	}
 	var wel Welcome
-	if err := unmarshalStrictish(body, &wel); err != nil {
+	if err := json.Unmarshal(body, &wel); err != nil {
 		return false, fmt.Errorf("%w: welcome: %v", ErrProtocol, err)
 	}
 	if err := wel.validate(); err != nil {
@@ -416,7 +417,9 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 		if msg == nil {
 			if o.w.err != nil {
 				ctrl = appendAbortMsg(ctrl[:0], o.w.err.Error())
-				_ = write(ctrl)
+				if write(ctrl) == nil {
+					<-readerDone // linger, as for the end message below
+				}
 				return true, fmt.Errorf("%w: %v", ErrAborted, o.w.err)
 			}
 			ctrl = appendCtrlMsg(ctrl[:0], msgEnd, 0)
@@ -424,7 +427,10 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 				return false, err
 			}
 			// Linger until the peer closes so the tail flushes; the
-			// reader's deadline bounds the wait.
+			// reader's deadline bounds the wait. Closing first would let
+			// the inlet's next credit write fail, and the inlet severs
+			// the connection on a failed write, before it has read this
+			// message.
 			<-readerDone
 			return true, nil
 		}

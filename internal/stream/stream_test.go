@@ -173,6 +173,39 @@ func TestReconnectSweepBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCloseAtBudgetLetsOutletFinish cuts the connection after the last
+// frame and has the consumer close its sources the moment it holds
+// every announced record, before it could notice the cut. The close
+// must wait for the end message, resuming to get it, so the outlet
+// finishes cleanly instead of waiting out its reconnect budget.
+func TestCloseAtBudgetLetsOutletFinish(t *testing.T) {
+	const cores, perCore = 2, 4096
+	totalFrames := uint64(cores) * ((perCore + trace.FrameCap - 1) / trace.FrameCap)
+	addr, done, out := serveTape(t, testTape(t, cores, perCore), totalFrames)
+	in, err := stream.DialInlet(addr, stream.InletConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	srcs := in.Sources()
+	for i, s := range srcs {
+		for n := uint64(0); n < perCore; {
+			f := s.NextFrame()
+			if f == nil {
+				t.Fatalf("core %d dried up after %d records: %v", i, n, s.Err())
+			}
+			n += uint64(f.Len())
+		}
+	}
+	for _, s := range srcs {
+		s.Close()
+	}
+	waitServe(t, done)
+	if in.Err() != nil || in.Reconnects() != 1 || out.Resumes() != 1 {
+		t.Fatalf("err %v, %d reconnects, %d resumes; want nil, 1, 1", in.Err(), in.Reconnects(), out.Resumes())
+	}
+}
+
 // TestBackpressureBoundsOutlet stalls the consumer and checks the
 // credit window caps how far the outlet can run ahead: a stream much
 // larger than the window must not be pulled into inlet memory.
@@ -396,9 +429,11 @@ func TestOneWayStream(t *testing.T) {
 
 // TestOutletRestartResume kills the whole outlet (not just the
 // connection) and starts a fresh one over the same tape: the inlet's
-// reconnect must land on the new process and resume to bit-identical
+// reconnect must land on the new outlet and resume to bit-identical
 // results, exercising the deterministic re-walk path past the frame
-// ring.
+// ring. Both outlets serve one listening socket, so the port is never
+// released between them (re-listening on a released port can fail with
+// "address already in use", leaving the inlet nothing to resume to).
 func TestOutletRestartResume(t *testing.T) {
 	const cores, perCore = 2, 4096
 	tape := testTape(t, cores, perCore)
@@ -413,36 +448,35 @@ func TestOutletRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := lis.Addr().String()
+	defer lis.Close()
 
-	// First outlet: dies abruptly after frame 3 and its listener closes.
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	out1 := stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{})
-	out1.InjectCuts(3)
-	done1 := make(chan error, 1)
-	go func() { done1 <- out1.Serve(ctx1, lis) }()
+	// The first outlet serves one connection and dies abruptly after
+	// frame 3. The inlet's reconnect waits in the socket's backlog until
+	// the replacement outlet accepts it.
+	done := make(chan error, 1)
+	go func() {
+		out1 := stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{})
+		out1.InjectCuts(3)
+		conn, err := lis.Accept()
+		if err != nil {
+			done <- err
+			return
+		}
+		finished, err := out1.ServeConn(conn)
+		conn.Close()
+		if finished {
+			done <- fmt.Errorf("first outlet finished instead of dying: %v", err)
+			return
+		}
+		out2 := stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{})
+		done <- out2.Serve(context.Background(), lis)
+	}()
 
-	in, err := stream.DialInlet(addr, stream.InletConfig{})
+	in, err := stream.DialInlet(lis.Addr().String(), stream.InletConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer in.Close()
-
-	// Kill the first outlet entirely once its cut has fired, then bring
-	// up a replacement on the same address.
-	go func() {
-		for out1.FramesSent() < 3 {
-			time.Sleep(5 * time.Millisecond)
-		}
-		cancel1()
-		<-done1
-		lis2, err := net.Listen("tcp", addr)
-		if err != nil {
-			return
-		}
-		out2 := stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{})
-		out2.Serve(context.Background(), lis2)
-	}()
 
 	h := in.Hello()
 	run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
@@ -450,6 +484,7 @@ func TestOutletRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitServe(t, done)
 	if !reflect.DeepEqual(direct, streamed) {
 		t.Fatal("results diverged across an outlet restart")
 	}

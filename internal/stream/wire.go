@@ -204,7 +204,10 @@ func writeEnvelope(w io.Writer, v any) error {
 }
 
 // readEnvelope reads and verifies one handshake envelope, returning the
-// JSON body. The declared length is capped before allocation.
+// JSON body. The declared length is capped before allocation. Callers
+// decode the body with json.Unmarshal, which tolerates unknown fields (a
+// newer same-version peer may add optional metadata) but not structural
+// mismatches.
 func readEnvelope(r io.Reader) ([]byte, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -229,13 +232,6 @@ func readEnvelope(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: envelope crc %08x, computed %08x", ErrChecksum, sum, got)
 	}
 	return body, nil
-}
-
-// unmarshalStrictish decodes handshake JSON. Unknown fields are
-// tolerated (a newer same-version peer may add optional metadata);
-// structural mismatches are not.
-func unmarshalStrictish(body []byte, v any) error {
-	return json.Unmarshal(body, v)
 }
 
 // hdrSize is the fixed binary message header: type(1) + arg(4) +

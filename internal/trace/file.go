@@ -71,17 +71,6 @@ func DetectFormat(magic [8]byte) Format {
 	return FormatUnknown
 }
 
-// Writer streams records to an io.Writer in the trace file format. Close
-// must be called to flush; the record count is carried in the header, so
-// the destination must be positioned at the start when NewWriter runs and
-// Count written via Finalize on a seekable target — for pure streams, use
-// WriteAll.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-	err   error
-}
-
 // WriteAll writes a complete trace (header + records) to w.
 func WriteAll(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)

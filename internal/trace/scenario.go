@@ -524,21 +524,6 @@ func (s Scenario) EffectiveSpec(cores int, perCore uint64) Spec {
 	return out
 }
 
-// TotalPerCore returns the scenario's nominal per-core record length
-// when resolved against a budget: the start of the open tail, or the
-// budget itself if every phase is bounded beyond it.
-func (s Scenario) TotalPerCore(cores int, perCore uint64) uint64 {
-	segs, _ := s.segments(cores, perCore)
-	var total uint64
-	for _, seg := range segs {
-		total += seg.records
-	}
-	if total > perCore {
-		total = perCore
-	}
-	return total
-}
-
 // scenarioGen walks one core's pre-built per-segment generators in
 // order; the final segment is unbounded, so Next never runs dry.
 type scenarioGen struct {
