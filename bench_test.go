@@ -170,9 +170,6 @@ func BenchmarkPhaseSensitivitySuite(b *testing.B) {
 		t := r.PhaseSensitivity()
 		if i == 0 {
 			logTable(b, t)
-			ts := r.TapeStats()
-			b.ReportMetric(float64(ts.Builds), "scenario-tapes")
-			b.ReportMetric(float64(ts.Hits), "tape-hits")
 		}
 	}
 }
@@ -338,12 +335,9 @@ func BenchmarkFrameVsNext(b *testing.B) {
 
 // BenchmarkFig8Shared runs the Fig. 8/9 headline matrix — the eight
 // workloads × {baseline, ideal, stms} — on one Lab session per
-// iteration: eight tape builds serve all twenty-four cells. The
-// records/s metric counts every simulated record; tape-hits/op checks
-// the sharing actually happened.
+// iteration. The records/s metric counts every simulated record.
 func BenchmarkFig8Shared(b *testing.B) {
 	o := benchOptions()
-	var hits uint64
 	perCell := (o.Warm + o.Measure) * uint64(stms.DefaultConfig().Cores)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -366,11 +360,9 @@ func BenchmarkFig8Shared(b *testing.B) {
 		if !m.Complete() {
 			b.Fatal("incomplete matrix")
 		}
-		hits += lab.TapeStats().Hits
 	}
 	cells := uint64(len(stms.FigureEight()) * 3)
 	b.ReportMetric(float64(cells*perCell)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	b.ReportMetric(float64(hits)/float64(b.N), "tape-hits/op")
 }
 
 func BenchmarkAblations(b *testing.B) {

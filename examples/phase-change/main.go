@@ -83,8 +83,4 @@ func main() {
 	}
 	fmt.Println("\nDrift degrades coverage smoothly — the working set never flips,")
 	fmt.Println("so meta-data ages gradually instead of dying at a boundary.")
-
-	ts := lab.TapeStats()
-	fmt.Printf("\n(tape cache: %d builds served %d cells; scenario tapes are shared\n", ts.Builds, ts.Builds+ts.Hits)
-	fmt.Println(" across variant columns exactly like stationary workload tapes)")
 }

@@ -6,10 +6,9 @@
 // sampled soon).
 //
 // The sweep is one plan: seven STMS columns differing only in sampling
-// probability, executed in parallel over identical traces — literally
-// identical: the session materializes the workload once as a columnar
-// tape and every column replays it (the tape-cache summary at the end
-// shows one build serving all seven cells).
+// probability, executed in parallel over identical traces: every column
+// generates the workload's records from the same seed, so each one sees
+// exactly the same record stream.
 //
 // The sweep itself then demonstrates the other kind of sampling: the
 // paper's knee point (12.5%) is re-estimated as a K-window sampled
@@ -72,11 +71,6 @@ func main() {
 
 	fmt.Printf("\ncoverage at 100%% sampling was %.1f%%; the paper picks 12.5%% as the\n", covAt100*100)
 	fmt.Println("knee: ~8x less update bandwidth for a few points of coverage (§5.5).")
-
-	ts := lab.TapeStats()
-	fmt.Printf("\ntrace tapes: %d build(s) served %d cells (%.1f MB cached; generate %s, simulate %s)\n",
-		ts.Builds, ts.Hits+ts.Misses, float64(ts.BytesInUse)/1e6,
-		ts.Generate.Round(1e6), ts.Simulate.Round(1e6))
 
 	// Part two: sampled simulation of the knee point. A second session
 	// opts every timed cell into a 4-window sampled estimate; its cell

@@ -1,8 +1,7 @@
 package dist
 
-// The content-addressed tape store. The lab's original in-memory
-// singleflight cache (internal/lab/tapecache.go) is promoted here into
-// a two-tier store shared by in-process sessions and worker daemons:
+// The content-addressed tape store of worker daemons (in-process lab
+// sessions generate their traces live and hold no tapes), two-tier:
 //
 //	memory LRU (bounded by bytes, singleflight-guarded)
 //	  → on-disk STMSTAPE directory (files named by trace-identity hash)
@@ -57,10 +56,9 @@ type storeEntry struct {
 	elem  *list.Element
 }
 
-// StoreStats counts store activity. Hits/Misses/Builds/Evictions keep
-// the exact semantics of the lab's original in-memory cache (a "hit"
-// is a GetOrBuild served by the memory tier, including joining an
-// in-flight resolution); the remaining fields account the new tiers.
+// StoreStats counts store activity. A "hit" is a GetOrBuild served by
+// the memory tier, including joining an in-flight resolution; the
+// remaining fields account the disk and peer tiers.
 type StoreStats struct {
 	Hits      uint64 // GetOrBuild served by the memory tier
 	Misses    uint64 // GetOrBuild that had to resolve the tape

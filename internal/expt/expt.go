@@ -8,9 +8,6 @@
 // and reused across figures, exactly as the paper's matched-pair
 // methodology reuses checkpoints — and each figure's workload × variant
 // cross-product executes in parallel across the session's worker pool.
-// The session also shares materialized trace tapes: every cell of a
-// workload row replays one columnar tape instead of re-deriving its
-// record stream (Runner.TapeStats reports the cache behaviour).
 package expt
 
 import (
@@ -83,10 +80,6 @@ func NewRunner(o Options) *Runner {
 // Lab exposes the underlying session (shared memo, worker pool) so
 // callers can mix bespoke plans with the canned experiments.
 func (r *Runner) Lab() *lab.Lab { return r.l }
-
-// TapeStats reports the shared session's trace-tape accounting: builds
-// vs replays and the generate-vs-simulate wall-time split.
-func (r *Runner) TapeStats() lab.TapeStats { return r.l.TapeStats() }
 
 // run executes a plan, panicking on plan or execution errors —
 // experiment definitions are static, so failures here are programming

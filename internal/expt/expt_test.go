@@ -274,11 +274,6 @@ func TestPhaseSensitivity(t *testing.T) {
 			t.Fatalf("phase table is missing phase-flip phase %q:\n%s", p.Name, out)
 		}
 	}
-	// The suite ran through the shared session: one tape per scenario,
-	// replayed by both variant columns.
-	if ts := r.TapeStats(); ts.Builds != uint64(len(trace.ScenarioNames())) || ts.Hits == 0 {
-		t.Fatalf("tape stats %+v: scenario suite did not share tapes", ts)
-	}
 }
 
 func TestRunnerMemoization(t *testing.T) {

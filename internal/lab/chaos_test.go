@@ -283,6 +283,65 @@ func TestChaosKillResumeFromExchangedCheckpoint(t *testing.T) {
 	}
 }
 
+func TestChaosLocalFallbackResumesExchangedCheckpoint(t *testing.T) {
+	// The only worker checkpoints every job but never gets a result back
+	// to the coordinator: every POST /jobs stream stalls after its first
+	// bytes, while GET /ckpts still answers. Every attempt fails, the
+	// cell degrades to in-process execution, and that local run resumes
+	// from the checkpoint the coordinator fetched. The worker took the
+	// checkpoint over tape replay, so the local run must too: it builds
+	// the job's tape on demand. The export is byte-identical to a purely
+	// local run.
+	urls, _ := ckptWorkers(t, 1, 500)
+	workloads := []string{"sci-em3d"}
+	prefs := remotePrefs[2:]
+	in := dist.NewInjector(42, dist.BaseTransport(dist.Timeouts{}),
+		dist.FaultRule{Kind: dist.FaultStall, Path: "/jobs", After: 20})
+	var notes []string
+	chaos := testLab(t,
+		WithWorkers(urls),
+		WithParallelism(1),
+		WithResilience(fastResilience()),
+		WithWorkerTransport(in),
+		WithProgress(func(ev ResultEvent) {
+			if ev.Note != "" {
+				notes = append(notes, ev.Note)
+			}
+		}),
+	)
+	cm, err := chaos.Run(context.Background(), chaos.Plan(workloads, prefs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := testLab(t)
+	lm, err := local.Run(context.Background(), local.Plan(workloads, prefs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm.Cells[0].Wall, lm.Cells[0].Wall = 0, 0
+	var cj, lj bytes.Buffer
+	if err := cm.WriteJSON(&cj); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.WriteJSON(&lj); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cj.Bytes(), lj.Bytes()) {
+		t.Fatalf("fallback-resume export differs from local:\nchaos %s\nlocal %s", cj.Bytes(), lj.Bytes())
+	}
+
+	rs := chaos.RemoteStats()
+	if rs.LocalCells != 1 || rs.RemoteCells != 0 {
+		t.Fatalf("dispatch stats = %+v, want the one cell degraded to local", rs)
+	}
+	if rs.CkptResumes != 1 || rs.CkptFetches == 0 {
+		t.Fatalf("dispatch stats = %+v, want the local run resumed from a fetched checkpoint", rs)
+	}
+	if !strings.Contains(strings.Join(notes, "\n"), "resumed from the exchanged checkpoint") {
+		t.Fatalf("notes never mention the checkpoint resume: %q", notes)
+	}
+}
+
 func TestChaosCorruptCheckpointFallsBackCold(t *testing.T) {
 	// A checkpoint whose container seals cleanly but whose payload is
 	// garbage sits in the worker's store under exactly the cell's

@@ -84,12 +84,34 @@ func runFunctionalMatrix(t *testing.T, prefs []sim.PrefSpec, opts ...Option) (*M
 	return m, log, err
 }
 
+// runUngrouped runs every cell of the functional groupRows × prefs plan
+// as a one-cell plan of its own, so no lockstep group can form, and
+// assembles the outcomes into the plan's matrix: the reference that
+// grouped runs are compared with.
+func runUngrouped(t *testing.T, prefs []sim.PrefSpec) (*Matrix, *eventLog, error) {
+	t.Helper()
+	log := newEventLog()
+	l := testLab(t, WithParallelism(1), WithProgress(log.note))
+	p := l.Plan(groupRows, prefs, InMode(Functional))
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m := &Matrix{Workloads: p.Workloads, Labels: p.Labels, Cells: make([]CellResult, len(p.Cells))}
+	for i, c := range p.Cells {
+		one := &RunPlan{Workloads: p.Workloads, Labels: p.Labels, Cells: []Cell{c}}
+		// A failed cell carries its error; m.Err reports the first.
+		cm, _ := l.Run(context.Background(), one)
+		m.Cells[i] = cm.Cells[0]
+	}
+	return m, log, m.Err()
+}
+
 // TestGroupedMatrixMatchesUngrouped: lockstep groups change nothing a
 // matrix reports — the export and every cell's Results are byte-identical
-// to the same plan run cell by cell (tapes disabled, so no grouping), at
+// to the same plan run one cell per plan (so no grouping), at
 // parallelism 1 and 4 — and every cell starts before it finishes.
 func TestGroupedMatrixMatchesUngrouped(t *testing.T) {
-	ref, log, err := runFunctionalMatrix(t, groupPrefs, WithTapeCache(0), WithParallelism(1))
+	ref, log, err := runUngrouped(t, groupPrefs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +138,11 @@ func TestGroupedMatrixMatchesUngrouped(t *testing.T) {
 	}
 }
 
-// TestBatchGroups pins the grouping rules: functional cells of one tape
-// and configuration group in plan order up to maxGroup, split further
-// while there are fewer items than workers; timed cells, sampled cells
-// and sessions without a tape store or with workers run cells alone.
+// TestBatchGroups pins the grouping rules: functional cells of one
+// trace identity and configuration group in plan order up to maxGroup,
+// split further while there are fewer items than workers; timed cells,
+// sampled cells and sessions with workers run cells alone. Grouping
+// needs no tape store: the sessions here hold none, and they group.
 func TestBatchGroups(t *testing.T) {
 	l := testLab(t, WithParallelism(1))
 	plan := l.Plan([]string{"oltp-db2", "web-apache"}, groupPrefs, InMode(Functional))
@@ -161,7 +184,6 @@ func TestBatchGroups(t *testing.T) {
 		cells[i].Sampling.Windows = 4
 	}
 	singles(l, cells)
-	singles(testLab(t, WithParallelism(1), WithTapeCache(0)), plan.Cells)
 	remote := testLab(t, WithParallelism(1))
 	remote.remote = &remotePool{}
 	singles(remote, plan.Cells)
@@ -171,7 +193,7 @@ func TestBatchGroups(t *testing.T) {
 // siblings and fails only that cell, with the error it has ungrouped.
 func TestGroupInvalidVariant(t *testing.T) {
 	prefs := []sim.PrefSpec{{Kind: sim.None}, {Kind: sim.STMS, SampleProb: 2}, {Kind: sim.Ideal}}
-	ref, _, refErr := runFunctionalMatrix(t, prefs, WithTapeCache(0))
+	ref, _, refErr := runUngrouped(t, prefs)
 	m, log, err := runFunctionalMatrix(t, prefs)
 	if err == nil || refErr == nil || err.Error() != refErr.Error() {
 		t.Fatalf("grouped run error %v, ungrouped %v", err, refErr)

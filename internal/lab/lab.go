@@ -21,16 +21,16 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
-	"stms/internal/dist"
 	"stms/internal/sim"
 )
 
 // Lab is a simulation session: a base system configuration, an
-// execution-parallelism budget, an optional progress sink, a memo of
-// completed cells, and a bounded store of materialized trace tapes
-// shared by every cell with the same trace identity. A Lab is safe for
-// concurrent use.
+// execution-parallelism budget, an optional progress sink and a memo of
+// completed cells. Cells generate their records live; a session keeps
+// no trace tapes. A Lab is safe for concurrent use.
 //
 // A Lab normally simulates in-process; WithWorkers turns the same
 // session into a coordinator that dispatches cells to stms-serve
@@ -46,11 +46,8 @@ type Lab struct {
 	memo     map[string]*sim.Results
 	memoSmp  map[string]*sim.SampledResults // sampled-cell estimates (session-local)
 	partials map[string]string              // cellKey → checkpoint address of a partial cell
-	tapes    *dist.Store                    // nil = tape caching disabled (live generation)
-	simNS    int64                          // cumulative cell simulation time, excluding tape access
+	simNS    atomic.Int64                   // cumulative cell simulation time, excluding remote overhead
 
-	tapeBytes    int64  // resolved WithTapeCache budget
-	tapeDir      string // resolved WithTapeDir directory
 	workerURLs   []string
 	resilience   Resilience        // worker-pool deadlines, retries, breakers
 	workerToken  string            // shared-secret bearer token for workers
@@ -68,12 +65,11 @@ type Option func(*Lab) error
 // errors and configuration errors are returned, never panicked.
 func New(opts ...Option) (*Lab, error) {
 	l := &Lab{
-		base:      sim.DefaultConfig(),
-		par:       runtime.NumCPU(),
-		memo:      make(map[string]*sim.Results),
-		memoSmp:   make(map[string]*sim.SampledResults),
-		partials:  make(map[string]string),
-		tapeBytes: defaultTapeCacheBytes,
+		base:     sim.DefaultConfig(),
+		par:      runtime.NumCPU(),
+		memo:     make(map[string]*sim.Results),
+		memoSmp:  make(map[string]*sim.SampledResults),
+		partials: make(map[string]string),
 	}
 	for _, opt := range opts {
 		if opt == nil {
@@ -85,9 +81,6 @@ func New(opts ...Option) (*Lab, error) {
 	}
 	if err := l.base.Validate(); err != nil {
 		return nil, err
-	}
-	if l.tapeBytes > 0 || l.tapeDir != "" {
-		l.tapes = dist.NewStore(l.tapeBytes, l.tapeDir)
 	}
 	if len(l.workerURLs) > 0 {
 		l.remote = newRemotePool(l.workerURLs, l.resilience, l.workerToken, l.workerRT)
@@ -174,36 +167,6 @@ func WithParallelism(n int) Option {
 func WithBaseConfig(cfg sim.Config) Option {
 	return func(l *Lab) error {
 		l.base = cfg
-		return nil
-	}
-}
-
-// WithTapeCache bounds the session's materialized-trace cache in bytes
-// (default 512 MB). Cells sharing a trace identity — scaled spec, seed,
-// cores, record budget — replay one columnar tape instead of
-// re-deriving the record stream per variant; results are bit-identical
-// either way. A budget of 0 disables tapes entirely (cells generate
-// live, as the sim package's free functions do); negative budgets are
-// invalid.
-func WithTapeCache(maxBytes int64) Option {
-	return func(l *Lab) error {
-		if maxBytes < 0 {
-			return fmt.Errorf("lab: tape cache budget must be >= 0, got %d", maxBytes)
-		}
-		l.tapeBytes = maxBytes
-		return nil
-	}
-}
-
-// WithTapeDir adds an on-disk tier to the session's tape store: a
-// directory of STMSTAPE files named by trace-identity hash
-// (dist.TapeKey). Tapes built by this session persist there across
-// process restarts, and any session or stms-serve worker pointed at
-// the same directory shares them. The memory tier (WithTapeCache) sits
-// in front; results are bit-identical with or without the directory.
-func WithTapeDir(dir string) Option {
-	return func(l *Lab) error {
-		l.tapeDir = dir
 		return nil
 	}
 }
@@ -330,6 +293,23 @@ func cellKey(c *Cell) string {
 		key += fmt.Sprintf("|smp=%+v", c.Sampling)
 	}
 	return key
+}
+
+// TapeStats reports a session's wall-time accounting. A session keeps
+// no trace tapes: every local cell generates its records inside its run,
+// which costs less processor time than building a tape and decoding it
+// (DESIGN.md §7). Hits, Builds and Generate therefore always read zero;
+// they stay for callers that report them.
+type TapeStats struct {
+	Hits     uint64        // always 0
+	Builds   uint64        // always 0
+	Generate time.Duration // always 0: trace generation is part of Simulate
+	Simulate time.Duration // cumulative cell simulation wall time, excluding remote overhead
+}
+
+// TapeStats returns a snapshot of the session's accounting.
+func (l *Lab) TapeStats() TapeStats {
+	return TapeStats{Simulate: time.Duration(l.simNS.Load())}
 }
 
 // MemoSize reports how many distinct cells the session has memoized.

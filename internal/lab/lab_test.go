@@ -208,54 +208,6 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 }
 
-func TestTapeCacheSharesTraces(t *testing.T) {
-	l := testLab(t)
-	// 2 workloads × 3 variants: six cells, two trace identities. The
-	// variant cells of a row must share one tape build.
-	m, err := l.Run(context.Background(), l.Plan(
-		[]string{"web-apache", "oltp-db2"},
-		[]sim.PrefSpec{{Kind: sim.None}, {Kind: sim.Ideal}, {Kind: sim.STMS}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Complete() {
-		t.Fatal("incomplete matrix")
-	}
-	st := l.TapeStats()
-	if st.Builds != 2 || st.Misses != 2 {
-		t.Fatalf("builds/misses = %d/%d, want 2/2", st.Builds, st.Misses)
-	}
-	if st.Hits != 4 {
-		t.Fatalf("hits = %d, want 4", st.Hits)
-	}
-	if st.BytesInUse <= 0 {
-		t.Fatalf("bytes in use = %d", st.BytesInUse)
-	}
-	if st.Generate <= 0 || st.Simulate <= 0 {
-		t.Fatalf("wall-time split missing: generate %v, simulate %v", st.Generate, st.Simulate)
-	}
-
-	// A functional-mode plan over the same workload reuses the tape:
-	// trace identity is independent of the driver.
-	if _, err := l.Run(context.Background(), l.Plan(
-		[]string{"web-apache"}, []sim.PrefSpec{{Kind: sim.Ideal}}, InMode(Functional))); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.TapeStats(); st.Builds != 2 {
-		t.Fatalf("functional cell rebuilt a cached tape: %d builds", st.Builds)
-	}
-
-	// Different seeds are different identities.
-	if _, err := l.Run(context.Background(), l.Plan(
-		[]string{"web-apache"}, []sim.PrefSpec{{Kind: sim.Ideal}},
-		WithRowSeed(func(string, int) uint64 { return 777 }))); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.TapeStats(); st.Builds != 3 {
-		t.Fatalf("seed change did not build a new tape: %d builds", st.Builds)
-	}
-}
-
 // TestTimedCellsDecodeEveryRecord pins the frame pipeline as the path
 // every timed cell actually takes: each cell decodes frames, and the
 // records handed to its cores are exactly the warm-up plus measured
@@ -275,50 +227,6 @@ func TestTimedCellsDecodeEveryRecord(t *testing.T) {
 			t.Errorf("%s/%s: %d frames carrying %d records, want > 0 frames carrying %d",
 				c.Cell.Workload, c.Cell.Label, f.Frames, f.Records, want)
 		}
-	}
-}
-
-func TestTapeCacheEviction(t *testing.T) {
-	// A 1-byte budget can hold nothing: every identity evicts the last.
-	l := testLab(t, WithTapeCache(1))
-	_, err := l.Run(context.Background(), l.Plan(
-		[]string{"web-apache", "web-zeus", "oltp-db2"}, []sim.PrefSpec{{Kind: sim.None}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := l.TapeStats()
-	if st.Builds != 3 {
-		t.Fatalf("builds = %d, want 3", st.Builds)
-	}
-	if st.Evictions < 2 {
-		t.Fatalf("evictions = %d, want >= 2 from a 1-byte budget", st.Evictions)
-	}
-}
-
-func TestTapeCacheDisabled(t *testing.T) {
-	live := testLab(t, WithTapeCache(0))
-	taped := testLab(t)
-	plan := []string{"sci-ocean"}
-	prefs := []sim.PrefSpec{{Kind: sim.STMS}}
-	a, err := live.Run(context.Background(), live.Plan(plan, prefs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := live.TapeStats(); st.Builds != 0 || st.Hits != 0 || st.Generate != 0 {
-		t.Fatalf("disabled cache reports activity: %+v", st)
-	}
-	b, err := taped.Run(context.Background(), taped.Plan(plan, prefs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := a.At(0, 0).Res, b.At(0, 0).Res
-	if ra == nil || rb == nil || ra.Records != rb.Records || ra.IPC != rb.IPC ||
-		ra.CoveredFull != rb.CoveredFull || ra.Traffic != rb.Traffic {
-		t.Fatal("tape-backed and live cells disagree")
-	}
-
-	if _, err := New(WithTapeCache(-1)); err == nil {
-		t.Fatal("negative tape budget accepted")
 	}
 }
 

@@ -138,8 +138,8 @@ func (l *Lab) PlanSpecs(specs []trace.Spec, prefs []sim.PrefSpec, opts ...PlanOp
 // PlanScenarios builds a run matrix from explicit phase-structured
 // scenarios crossed with prefetcher variants: the scenario-diversity
 // counterpart of PlanSpecs. Every cell's Results carry per-phase stat
-// windows; cells sharing a scenario identity share one materialized
-// tape through the session cache, exactly as spec rows do.
+// windows; functional cells sharing a scenario identity group in
+// lockstep, exactly as spec rows do.
 func (l *Lab) PlanScenarios(scns []trace.Scenario, prefs []sim.PrefSpec, opts ...PlanOption) *RunPlan {
 	rows := make([]planRow, len(scns))
 	for i := range scns {

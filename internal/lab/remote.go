@@ -284,8 +284,8 @@ func ckptMatchesJob(d sim.CheckpointDesc, job *dist.Job) bool {
 // each attempt through the worker's circuit breaker, and falling back
 // to local simulation when every attempt fails. The returned duration
 // is the cell's non-simulation overhead (coordinator wall minus the
-// worker-measured simulation time, or tape wait when local); the
-// returned note records any degradation.
+// worker-measured simulation time; zero when local); the returned note
+// records any degradation.
 //
 // Failures cost the tail of the cell, not the cell: after a transport
 // failure the coordinator fetches the dead attempt's latest checkpoint
@@ -468,7 +468,10 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	}
 	p.count(func(s *RemoteStats) { s.LocalCells++ })
 	if held != nil {
-		res, _, resumed, rerr := dist.ExecuteJob(ctx, job, l.tapes, nil, nil, &dist.ExecOptions{Resume: held})
+		// Worker checkpoints are taken over tape replay, and a resume
+		// must read the same kind of source, so this one job builds its
+		// tape in a store of its own.
+		res, _, resumed, rerr := dist.ExecuteJob(ctx, job, dist.NewStore(0, ""), nil, nil, &dist.ExecOptions{Resume: held})
 		if rerr == nil {
 			if resumed {
 				p.count(func(s *RemoteStats) { s.CkptResumes++ })
@@ -488,6 +491,6 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 		note = fmt.Sprintf("degraded to local after %d failed remote attempts: %s",
 			len(log.entries), log.String())
 	}
-	res, tapeWait, err := l.simulate(ctx, cell)
-	return res, tapeWait, note, err
+	res, err := simulateCell(ctx, cell)
+	return res, 0, note, err
 }

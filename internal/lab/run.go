@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stms/internal/dist"
@@ -53,7 +52,7 @@ type ResultEvent struct {
 // functions of the cell configuration, so the Matrix is identical
 // regardless of parallelism. Cells already in the session memo — or
 // duplicated within the plan — are simulated only once, and functional
-// cells that share a tape simulate in lockstep groups (see batch).
+// cells that share a trace simulate in lockstep groups (see batch).
 //
 // Cancelling ctx stops the workers promptly (in-flight simulations poll
 // the context every few thousand records); Run then returns the partial
@@ -146,75 +145,34 @@ feed:
 // configured (WithWorkers) and to in-process simulation otherwise.
 // Either path produces bit-identical results; the remote pool itself
 // degrades to simulate when every attempt fails. The duration is the
-// cell's non-simulation overhead (tape access locally; network,
-// queueing and retries remotely) and the note records any remote
-// degradation for the progress stream. Sampled cells always simulate
-// locally: their parallelism is the window fan-out itself, and the
-// worker protocol ships exact results only.
+// cell's non-simulation overhead (network, queueing and retries; zero
+// locally) and the note records any remote degradation for the
+// progress stream. Sampled cells always simulate locally: their
+// parallelism is the window fan-out itself, and the worker protocol
+// ships exact results only.
 func (l *Lab) dispatch(ctx context.Context, cell *Cell) (sim.Results, *sim.SampledResults, time.Duration, string, error) {
 	if cell.Sampling.Windows > 1 {
-		sr, tapeWait, err := l.simulateSampled(ctx, cell)
+		sr, err := sim.Sample(ctx, cell.Config, input(cell), cell.Pref, cell.Sampling)
 		if err != nil {
-			return sim.Results{}, nil, tapeWait, "", err
+			return sim.Results{}, nil, 0, "", err
 		}
-		return sr.Results, sr, tapeWait, "", nil
+		return sr.Results, &sr, 0, "", nil
 	}
 	if l.remote == nil {
-		res, tapeWait, err := l.simulate(ctx, cell)
-		return res, nil, tapeWait, "", err
+		res, err := simulateCell(ctx, cell)
+		return res, nil, 0, "", err
 	}
 	res, d, note, err := l.remote.run(ctx, l, cell)
 	return res, nil, d, note, err
 }
 
-// simulate executes one cell's simulation, serving its record stream
-// from the session tape store when enabled: every cell with the same
-// trace identity replays one materialized tape. tapeWait is how much of
-// the cell's wall time went to tape access (building, or waiting on a
-// sibling's build) rather than simulation.
-func (l *Lab) simulate(ctx context.Context, cell *Cell) (sim.Results, time.Duration, error) {
-	rs, tapeWait, err := l.simulateGroup(ctx, []*Cell{cell})
-	if err != nil {
-		return sim.Results{}, tapeWait, err
+// input returns the cell's trace input: its scenario or spec, generated
+// live inside the run.
+func input(cell *Cell) sim.Input {
+	if cell.Scenario != nil {
+		return sim.FromScenario(*cell.Scenario)
 	}
-	return rs[0], tapeWait, nil
-}
-
-// simulateSampled executes one sampled cell (Sampling.Windows > 1):
-// the K-window fork/join estimate of the same timed run, served from
-// the session tape store when enabled so sampled and exact cells of
-// one trace identity share a materialized tape.
-func (l *Lab) simulateSampled(ctx context.Context, cell *Cell) (*sim.SampledResults, time.Duration, error) {
-	in, tapeWait, err := l.input(ctx, cell)
-	if err != nil {
-		return nil, tapeWait, err
-	}
-	sr, err := sim.Sample(ctx, cell.Config, in, cell.Pref, cell.Sampling)
-	if err != nil {
-		return nil, tapeWait, err
-	}
-	return &sr, tapeWait, nil
-}
-
-// input returns the cell's trace input: its tape from the session
-// store when enabled, else its spec or scenario generated live. The
-// cell's configuration is validated before the store is touched:
-// sim.Run validates again, but only after the tape exists, and a cell
-// with a broken per-cell override must not cost a tape build.
-func (l *Lab) input(ctx context.Context, cell *Cell) (sim.Input, time.Duration, error) {
-	switch {
-	case l.tapes != nil:
-		if err := cell.Config.Validate(); err != nil {
-			return sim.Input{}, 0, err
-		}
-		key, build := dist.TapeIdentity(cell.Config, &cell.Spec, cell.Scenario)
-		t0 := time.Now()
-		tape, _, err := l.tapes.GetOrBuild(ctx, key, nil, build)
-		return sim.FromTape(tape), time.Since(t0), err
-	case cell.Scenario != nil:
-		return sim.FromScenario(*cell.Scenario), 0, nil
-	}
-	return sim.FromSpec(cell.Spec), 0, nil
+	return sim.FromSpec(cell.Spec)
 }
 
 // maxGroup caps the cells one lockstep group simulates together.
@@ -222,11 +180,11 @@ const maxGroup = 4
 
 // batch splits the cells to simulate into work items, in plan order. A
 // work item is one cell, or a lockstep group of functional cells that
-// share a tape and a configuration: the group simulates the base
-// hierarchy once for all its variants (sim.Run over several variants).
-// Grouping needs local execution and the tape store; sampled cells run
-// alone. Groups hold at most maxGroup cells and split further while
-// there are fewer items than workers.
+// share a trace identity and a configuration: the group generates the
+// trace and simulates the base hierarchy once for all its variants
+// (sim.Run over several variants). Grouping needs local execution;
+// sampled cells run alone. Groups hold at most maxGroup cells and split
+// further while there are fewer items than workers.
 func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 	type groupKey struct {
 		tape string
@@ -236,7 +194,7 @@ func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 	var items [][]int
 	for _, i := range todo {
 		c := &cells[i]
-		if l.remote != nil || l.tapes == nil || c.Mode != Functional || c.Sampling.Windows > 1 {
+		if l.remote != nil || c.Mode != Functional || c.Sampling.Windows > 1 {
 			items = append(items, []int{i})
 			continue
 		}
@@ -267,20 +225,24 @@ func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 	return items
 }
 
-// simulateGroup runs cells that share a trace and a configuration —
-// one cell, or a lockstep group of functional cells — and returns their
+// simulate runs cells that share a trace and a configuration — one
+// cell, or a lockstep group of functional cells — and returns their
 // Results in cell order.
-func (l *Lab) simulateGroup(ctx context.Context, cells []*Cell) ([]sim.Results, time.Duration, error) {
-	in, tapeWait, err := l.input(ctx, cells[0])
-	if err != nil {
-		return nil, tapeWait, err
-	}
+func simulate(ctx context.Context, cells []*Cell) ([]sim.Results, error) {
 	ps := make([]sim.PrefSpec, len(cells))
 	for k, c := range cells {
 		ps[k] = c.Pref
 	}
-	rs, err := sim.Run(ctx, cells[0].Config, in, ps, sim.WithMode(cells[0].Mode))
-	return rs, tapeWait, err
+	return sim.Run(ctx, cells[0].Config, input(cells[0]), ps, sim.WithMode(cells[0].Mode))
+}
+
+// simulateCell runs one cell alone.
+func simulateCell(ctx context.Context, cell *Cell) (sim.Results, error) {
+	rs, err := simulate(ctx, []*Cell{cell})
+	if err != nil {
+		return sim.Results{}, err
+	}
+	return rs[0], nil
 }
 
 // runState carries the per-Run bookkeeping shared by the workers.
@@ -356,7 +318,6 @@ func (st *runState) runGroup(ctx context.Context, item []int) {
 	}
 	start := time.Now()
 	var rs []sim.Results
-	var tapeWait time.Duration
 	var err error
 	func() {
 		defer func() {
@@ -364,10 +325,10 @@ func (st *runState) runGroup(ctx context.Context, item []int) {
 				err = fmt.Errorf("lab: group panicked: %v", r)
 			}
 		}()
-		rs, tapeWait, err = st.lab.simulateGroup(ctx, cells)
+		rs, err = simulate(ctx, cells)
 	}()
 	wall := time.Since(start)
-	st.addSim(wall, tapeWait)
+	st.addSim(wall, 0)
 	if err != nil {
 		if ctx.Err() == nil {
 			for _, i := range item {
@@ -382,13 +343,13 @@ func (st *runState) runGroup(ctx context.Context, item []int) {
 	}
 }
 
-// addSim accounts a simulation's wall time, less its overhead (tape
-// access, network), as session simulation time.
+// addSim accounts a simulation's wall time, less its remote overhead
+// (network, queueing, retries), as session simulation time.
 func (st *runState) addSim(wall, overhead time.Duration) {
 	if overhead > wall {
 		overhead = wall
 	}
-	atomic.AddInt64(&st.lab.simNS, int64(wall-overhead))
+	st.lab.simNS.Add(int64(wall - overhead))
 }
 
 // finish records a simulated cell's outcome on it and its duplicates,

@@ -20,54 +20,49 @@ func scenarioLab(t *testing.T, opts ...Option) *Lab {
 	return l
 }
 
-// TestScenarioMatrixSharesTapes runs scenario rows through a matrix and
-// checks that variant columns replay one shared scenario tape per row,
-// exactly like stationary rows do — and that the results match
-// sequential live scenario runs bit for bit.
-func TestScenarioMatrixSharesTapes(t *testing.T) {
+// TestMatrixMatchesTapeReplay: a session generates every cell's trace
+// live, and each cell — timed alone, or functional in a lockstep group —
+// is bit-identical to the same run replaying a materialized tape, for
+// stationary and scenario rows alike.
+func TestMatrixMatchesTapeReplay(t *testing.T) {
 	l := scenarioLab(t)
-	scns := []trace.Scenario{}
-	for _, name := range []string{"phase-flip", "migratory-handoff"} {
-		scn, err := trace.ScenarioByName(name)
+	rows := []string{"oltp-db2", "phase-flip", "migratory-handoff"}
+	prefs := []sim.PrefSpec{{Kind: sim.None}, {Kind: sim.Ideal}, {Kind: sim.STMS, SampleProb: 0.125}}
+	cfg := l.BaseConfig()
+	perCore := cfg.WarmRecords + cfg.MeasureRecords
+	for _, mode := range []Mode{Timed, Functional} {
+		m, err := l.Run(context.Background(), l.Plan(rows, prefs, InMode(mode)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		scns = append(scns, scn)
-	}
-	prefs := []sim.PrefSpec{{Kind: sim.None}, {Kind: sim.STMS, SampleProb: 0.125}}
-	m, err := l.Run(context.Background(), l.PlanScenarios(scns, prefs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Complete() {
-		t.Fatal("matrix has empty cells")
-	}
-	ts := l.TapeStats()
-	if ts.Builds != uint64(len(scns)) {
-		t.Fatalf("built %d tapes for %d scenario rows", ts.Builds, len(scns))
-	}
-	if ts.Hits == 0 {
-		t.Fatal("variant columns never hit the shared scenario tape")
-	}
-
-	cfg := l.BaseConfig()
-	for row, name := range m.Workloads {
-		if name != scns[row].Name {
-			t.Fatalf("row %d label %q, want %q", row, name, scns[row].Name)
+		if !m.Complete() {
+			t.Fatalf("%v matrix has empty cells", mode)
 		}
-		for col := range m.Labels {
-			got := m.At(row, col).Res
-			want, err := sim.Run(context.Background(), cfg, sim.FromScenario(scns[row]), []sim.PrefSpec{prefs[col]})
-			if err != nil {
-				t.Fatal(err)
+		for row, name := range m.Workloads {
+			c := m.At(row, 0).Cell
+			var tape *trace.Tape
+			if c.Scenario != nil {
+				tape = trace.NewScenarioTape(c.Scenario.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
+			} else {
+				tape = trace.NewTape(c.Spec.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
 			}
-			if !reflect.DeepEqual(*got, want[0]) {
-				t.Fatalf("cell %s/%s differs from sequential live scenario run", name, m.Labels[col])
-			}
-			if len(got.Phases) == 0 {
-				t.Fatalf("cell %s/%s carries no phase windows", name, m.Labels[col])
+			for col := range m.Labels {
+				got := m.At(row, col).Res
+				want, err := sim.Run(context.Background(), cfg, sim.FromTape(tape), []sim.PrefSpec{prefs[col]}, sim.WithMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(*got, want[0]) {
+					t.Fatalf("%v cell %s/%s differs from its tape replay", mode, name, m.Labels[col])
+				}
+				if c.Scenario != nil && len(got.Phases) == 0 {
+					t.Fatalf("%v cell %s/%s carries no phase windows", mode, name, m.Labels[col])
+				}
 			}
 		}
+	}
+	if ts := l.TapeStats(); ts.Simulate <= 0 || ts.Builds != 0 || ts.Generate != 0 {
+		t.Fatalf("tape stats %+v, want simulation time and no tape work", ts)
 	}
 }
 
@@ -119,29 +114,6 @@ func TestPlanMixesSpecAndScenarioRows(t *testing.T) {
 	bad := l.Plan([]string{"no-such-thing"}, prefs)
 	if bad.Err() == nil {
 		t.Fatal("plan accepted an unknown name")
-	}
-}
-
-// TestScenarioTapeCacheDisabled: with tapes off, scenario cells run the
-// live path and still produce identical results.
-func TestScenarioTapeCacheDisabled(t *testing.T) {
-	with := scenarioLab(t)
-	without := scenarioLab(t, WithTapeCache(0))
-	prefs := []sim.PrefSpec{{Kind: sim.STMS, SampleProb: 0.125}}
-	row := []string{"stream-decay"}
-	ma, err := with.Run(context.Background(), with.Plan(row, prefs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, err := without.Run(context.Background(), without.Plan(row, prefs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts := without.TapeStats(); ts.Builds != 0 {
-		t.Fatalf("disabled tape cache built %d tapes", ts.Builds)
-	}
-	if !reflect.DeepEqual(ma.At(0, 0).Res, mb.At(0, 0).Res) {
-		t.Fatal("tape-cached and live scenario results differ")
 	}
 }
 

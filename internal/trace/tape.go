@@ -5,11 +5,15 @@ package trace
 // (spec, seed, cores, records-per-core) identity — per-core segments
 // generate in parallel, since generation is a pure per-core function —
 // and then replayed any number of times through zero-allocation Cursors.
-// Replay is a sequential array walk (varint decode + column loads), an
-// order of magnitude cheaper than re-running the generator state machine
-// and its RNG, and every consumer of the same tape observes literally
-// identical records: the lab's run matrix materializes each workload
-// once and shares it across every variant cell.
+// Replay is a sequential array walk (varint decode + column loads), and
+// every consumer of the same tape observes literally identical records.
+// It is not much cheaper than generation: on the Fig. 8 workloads
+// (scale 0.125, 4 cores, 200k records/core, 2-vCPU host) a build costs
+// about 87 ns/record of processor time and a replay 25, against 38 for
+// generating the records live, so a tape pays for its build only after
+// about seven replays. Tapes serve traces that must outlive or leave
+// one run — stms-trace files, worker stores, the stream outlet — while
+// lab sessions generate each cell's trace live.
 //
 // Column layout, per core:
 //

@@ -134,22 +134,9 @@ func WithParallelism(n int) Option { return lab.WithParallelism(n) }
 // WithBaseConfig replaces the base system configuration wholesale.
 func WithBaseConfig(cfg Config) Option { return lab.WithBaseConfig(cfg) }
 
-// WithTapeCache bounds the session's materialized-trace cache in bytes
-// (default 512 MB; 0 disables tape caching). Cells sharing a trace
-// identity — scaled spec, seed, cores, record budget — replay one
-// columnar tape instead of re-deriving the record stream per variant;
-// results are bit-identical either way.
-func WithTapeCache(maxBytes int64) Option { return lab.WithTapeCache(maxBytes) }
-
-// TapeStats reports a session's tape-cache accounting and its
-// generate-vs-simulate wall-time split (Lab.TapeStats).
+// TapeStats reports a session's simulation wall time (Lab.TapeStats).
+// Sessions generate every cell's trace live, so its tape fields read 0.
 type TapeStats = lab.TapeStats
-
-// WithTapeDir adds an on-disk tier to the session's tape store: a
-// directory of STMSTAPE files named by trace-identity hash, shared
-// across sessions, process restarts, and any stms-serve worker pointed
-// at the same directory. Results are bit-identical with or without it.
-func WithTapeDir(dir string) Option { return lab.WithTapeDir(dir) }
 
 // WithWorkers turns the session into a coordinator: plan cells are
 // dispatched to the stms-serve worker daemons at the given base URLs,
@@ -190,8 +177,7 @@ func WithManifest(path string) Option { return lab.WithManifest(path) }
 type RemoteStats = lab.RemoteStats
 
 // TapeStore is the content-addressed two-tier (memory LRU → on-disk
-// STMSTAPE directory) tape store underlying lab sessions and worker
-// daemons. Tapes are addressed by the hash of their trace identity,
+// STMSTAPE directory) tape store underlying worker daemons. Tapes are addressed by the hash of their trace identity,
 // and every receiving tier re-derives the address before trusting a
 // tape, so corrupt files are rebuilt rather than served.
 type TapeStore = dist.Store
@@ -325,10 +311,10 @@ func Drift(name string, from, to WorkloadSpec, steps int) Scenario {
 // Tape is a columnar (structure-of-arrays) materialization of one
 // bounded multi-core trace: built once per trace identity, replayed any
 // number of times through zero-allocation cursors. Lab sessions
-// materialize and share tapes automatically; NewTape and FromTape
-// expose the substrate for callers orchestrating their own runs or
-// persisting tapes with trace.WriteTape/ReadTape via the stms-trace
-// command.
+// generate their traces live; stms-serve workers keep tapes in their
+// stores. NewTape and FromTape expose the substrate for callers
+// orchestrating their own runs or persisting tapes with
+// trace.WriteTape/ReadTape via the stms-trace command.
 type Tape = trace.Tape
 
 // NewTape materializes perCore records for each of cores generators of
@@ -419,7 +405,8 @@ func Commercial() []string { return trace.Commercial() }
 // Input describes the trace a single run consumes: a workload spec or
 // scenario generated live (scaled by Config.Scale), a materialized
 // tape, or externally produced frame sources. Prefer Lab plans for
-// matrices of runs — they parallelize, memoize, and share tapes.
+// matrices of runs — they parallelize, memoize, and group functional
+// variants in lockstep.
 type Input = sim.Input
 
 // FromSpec generates the workload live.

@@ -193,11 +193,11 @@ func TestRunCancellation(t *testing.T) {
 }
 
 // TestMatrixMatchesSequential is the acceptance matrix — and the
-// golden tape-vs-live equality check: one Lab.Run over the paper's
-// figure-eight workloads × {baseline, ideal, stms} executes on shared
-// columnar tapes (asserted via TapeStats), and every cell's Results
-// must be bit-identical to a sequential live-generation RunTimed call
-// at the same seed.
+// golden live-vs-tape equality check: one Lab.Run over the paper's
+// figure-eight workloads × {baseline, ideal, stms} generates every
+// cell's trace live, and every cell's Results must be bit-identical to
+// a sequential run replaying the workload's columnar tape at the same
+// seed.
 func TestMatrixMatchesSequential(t *testing.T) {
 	lab, err := stms.New(tinyLab(stms.WithParallelism(4))...)
 	if err != nil {
@@ -215,9 +215,6 @@ func TestMatrixMatchesSequential(t *testing.T) {
 	if !m.Complete() {
 		t.Fatal("matrix has empty cells")
 	}
-	if ts := lab.TapeStats(); ts.Builds != uint64(len(m.Workloads)) {
-		t.Fatalf("matrix built %d tapes for %d workloads — the equality below would not be testing tape replay", ts.Builds, len(m.Workloads))
-	}
 
 	cfg := lab.BaseConfig()
 	for row, w := range m.Workloads {
@@ -225,11 +222,12 @@ func TestMatrixMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tape := stms.NewTape(spec.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want := mustRun(t, cfg, stms.FromSpec(spec), prefs[col])
+			want := mustRun(t, cfg, stms.FromTape(tape), prefs[col])
 			if !reflect.DeepEqual(*got, want) {
-				t.Fatalf("cell %s/%s differs from sequential stms.Run", w, m.Labels[col])
+				t.Fatalf("cell %s/%s differs from its sequential tape replay", w, m.Labels[col])
 			}
 		}
 	}
@@ -345,11 +343,10 @@ func TestFunctionalModeAndExport(t *testing.T) {
 }
 
 // TestScenarioSuiteMatrix is the scenario acceptance check: the whole
-// built-in suite runs through one Lab matrix on the shared tape cache
-// (one scenario tape per row, replayed by every variant column), every
-// multi-phase row carries phase windows that sum to its totals, and
-// each cell is bit-identical to a sequential live-generation scenario
-// run at the same seed — the tape-replay-equals-live golden, covering
+// built-in suite runs through one Lab matrix, every multi-phase row
+// carries phase windows that sum to its totals, and each live-generated
+// cell is bit-identical to a sequential run replaying the scenario's
+// tape at the same seed — the live-equals-tape-replay golden, covering
 // multi-phase, mixed-core, drift and reseed scenarios.
 func TestScenarioSuiteMatrix(t *testing.T) {
 	lab, err := stms.New(tinyLab(stms.WithParallelism(4))...)
@@ -364,9 +361,6 @@ func TestScenarioSuiteMatrix(t *testing.T) {
 	if !m.Complete() {
 		t.Fatal("matrix has empty cells")
 	}
-	if ts := lab.TapeStats(); ts.Builds != uint64(len(m.Workloads)) || ts.Hits == 0 {
-		t.Fatalf("tape stats %+v: suite did not share one tape per scenario row", ts)
-	}
 
 	cfg := lab.BaseConfig()
 	multiPhase := 0
@@ -375,11 +369,12 @@ func TestScenarioSuiteMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tape := stms.NewScenarioTape(scn.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords)
 		for col := range m.Labels {
 			got := m.At(row, col).Res
-			want := mustRun(t, cfg, stms.FromScenario(scn), prefs[col])
+			want := mustRun(t, cfg, stms.FromTape(tape), prefs[col])
 			if !reflect.DeepEqual(*got, want) {
-				t.Fatalf("cell %s/%s differs from sequential live scenario run", name, m.Labels[col])
+				t.Fatalf("cell %s/%s differs from its sequential tape replay", name, m.Labels[col])
 			}
 		}
 		res := m.At(row, 0).Res
