@@ -12,8 +12,8 @@
 //     pure functions of that identity, so remote execution is
 //     memoization over the network: any worker, any time, same bits.
 //   - Store: a two-tier (memory LRU → on-disk STMSTAPE directory)
-//     content-addressed tape store, singleflight-guarded, shared by
-//     the lab's in-process tape cache and every worker.
+//     content-addressed tape store, singleflight-guarded, that every
+//     worker serves its jobs' tapes from.
 //   - Server: the worker daemon's HTTP API — POST /jobs streams
 //     progress and the final result as JSON lines, GET/PUT
 //     /tapes/{key} move tapes between workers so each unique tape is

@@ -201,7 +201,7 @@ func (s Scenario) Scaled(factor float64) Scenario {
 // Key returns the scenario's canonical identity string: everything that
 // determines its record streams, in a stable encoding. Two scenarios
 // with equal keys materialize identical traces at equal (seed, cores,
-// per-core budget); the lab's tape cache and memo key on it.
+// per-core budget); tape identities and the lab's memo key on it.
 func (s Scenario) Key() string {
 	s.Version = ScenarioFormatVersion
 	b, err := json.Marshal(s)

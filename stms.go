@@ -177,9 +177,10 @@ func WithManifest(path string) Option { return lab.WithManifest(path) }
 type RemoteStats = lab.RemoteStats
 
 // TapeStore is the content-addressed two-tier (memory LRU → on-disk
-// STMSTAPE directory) tape store underlying worker daemons. Tapes are addressed by the hash of their trace identity,
-// and every receiving tier re-derives the address before trusting a
-// tape, so corrupt files are rebuilt rather than served.
+// STMSTAPE directory) tape store underlying worker daemons. Tapes are
+// addressed by the hash of their trace identity, and every receiving
+// tier re-derives the address before trusting a tape, so corrupt files
+// are rebuilt rather than served.
 type TapeStore = dist.Store
 
 // NewTapeStore creates a tape store with the given memory budget and
