@@ -21,10 +21,24 @@ package core
 import "fmt"
 
 // indexEntry maps a miss address to a packed {core, position} history
-// pointer (the test-visible bucket view).
+// pointer.
 type indexEntry struct {
 	blk uint64
 	ptr uint64
+}
+
+const (
+	headWays  = 3    // entries a bucket keeps in its head line
+	chunkPage = 4096 // overflow entries per page
+)
+
+// bucketHead is one bucket's 64-byte host line: its length, the offset
+// of its overflow chunk, and its headWays most-recent entries.
+type bucketHead struct {
+	n  uint32
+	ov uint32 // first entry of the overflow chunk; meaningful once n > headWays
+	e  [headWays]indexEntry
+	_  [8]byte
 }
 
 // IndexTable is the functional model of the main-memory hash table:
@@ -32,18 +46,19 @@ type indexEntry struct {
 // Memory traffic and latency for reaching it are charged by Meta through
 // the prefetch.Env; this structure is the authoritative contents.
 //
-// Storage is flat and column-split: all bucket keys in one array, all
-// history pointers in another, with a per-bucket occupancy count. The
-// lookup — one per off-chip demand miss — then scans a dense run of
-// keys (up to 12 x 8 bytes, at most two cache lines) with no per-bucket
-// slice headers or pointer indirection, and loads the pointer column
-// only on a hit.
+// Host storage follows occupancy, not the modelled capacity. Each bucket
+// is one 64-byte head line holding its length and its three most-recent
+// entries, addressed straight from BucketOf, so the lookup — one per
+// off-chip demand miss — usually touches one host line. Ways four and up
+// live in a per-bucket overflow chunk of ways-3 entries, handed out on
+// the bucket's fourth insert from fixed 4096-entry pages (DESIGN.md §5).
+// Buckets never shrink, so a chunk is never freed, moved or copied.
 type IndexTable struct {
 	ways  int
 	shift uint
-	keys  []uint64 // buckets x ways, bucket-major, MRU first
-	ptrs  []uint64 // history pointer for keys[i]
-	blen  []uint8  // live entries per bucket
+	heads []bucketHead
+	pages []*[chunkPage]indexEntry
+	next  uint32 // first unallocated overflow entry
 
 	// Stats.
 	Hits      uint64
@@ -65,6 +80,10 @@ func NewIndexTable(buckets, ways int) *IndexTable {
 	if ways > 255 {
 		panic("core: ways above 255 unsupported")
 	}
+	// Overflow offsets are uint32, so chunks may fill at most 2^20 pages.
+	if ways > headWays && buckets/(chunkPage/(ways-headWays)) >= 1<<20 {
+		panic("core: index table too large")
+	}
 	log2 := 0
 	for 1<<log2 < buckets {
 		log2++
@@ -72,24 +91,22 @@ func NewIndexTable(buckets, ways int) *IndexTable {
 	return &IndexTable{
 		ways:  ways,
 		shift: uint(64 - log2),
-		keys:  make([]uint64, buckets*ways),
-		ptrs:  make([]uint64, buckets*ways),
-		blen:  make([]uint8, buckets),
+		heads: make([]bucketHead, buckets),
 	}
 }
 
 // Buckets returns the bucket count.
-func (t *IndexTable) Buckets() int { return len(t.blen) }
+func (t *IndexTable) Buckets() int { return len(t.heads) }
 
 // SizeBytes returns the main-memory footprint: one 64-byte block per
 // bucket.
-func (t *IndexTable) SizeBytes() uint64 { return uint64(len(t.blen)) * 64 }
+func (t *IndexTable) SizeBytes() uint64 { return uint64(len(t.heads)) * 64 }
 
 // Len returns the number of live entries.
 func (t *IndexTable) Len() int {
 	n := 0
-	for _, l := range t.blen {
-		n += int(l)
+	for i := range t.heads {
+		n += int(t.heads[i].n)
 	}
 	return n
 }
@@ -101,58 +118,131 @@ func (t *IndexTable) BucketOf(blk uint64) uint32 {
 }
 
 // Lookup searches blk's bucket linearly (§4.3: "searched linearly; linear
-// search is negligible relative to the off-chip read latency"). A lookup
-// does not reorder the bucket: only updates rewrite it.
-func (t *IndexTable) Lookup(blk uint64) (ptr uint64, ok bool) {
-	bi := t.BucketOf(blk)
-	base := int(bi) * t.ways
-	keys := t.keys[base : base+int(t.blen[bi])]
-	for i := range keys {
-		if keys[i] == blk {
+// search is negligible relative to the off-chip read latency"): the head
+// line first, then the overflow chunk. A lookup does not reorder the
+// bucket: only updates rewrite it.
+func (t *IndexTable) Lookup(blk uint64) (uint64, bool) {
+	h, ptr, ok := t.probe(blk)
+	if !ok {
+		ptr, ok = t.lookupOverflow(h, blk)
+	}
+	return ptr, ok
+}
+
+// probe and lookupOverflow are Lookup's two halves. Each fits the
+// inliner's budget where Lookup does not, so the per-miss caller
+// (Meta.resolve) calls them in turn and keeps the whole search inline.
+// probe scans the head line of blk's bucket and counts a hit there; on a
+// miss lookupOverflow searches the chunk and counts the outcome.
+func (t *IndexTable) probe(blk uint64) (h *bucketHead, ptr uint64, ok bool) {
+	h = &t.heads[t.BucketOf(blk)]
+	for i := range min(h.n, headWays) {
+		if h.e[i].blk == blk {
 			t.Hits++
-			return t.ptrs[base+i], true
+			return h, h.e[i].ptr, true
+		}
+	}
+	return h, 0, false
+}
+
+func (t *IndexTable) lookupOverflow(h *bucketHead, blk uint64) (uint64, bool) {
+	if h.n > headWays {
+		for _, e := range t.chunk(h)[:h.n-headWays] {
+			if e.blk == blk {
+				t.Hits++
+				return e.ptr, true
+			}
 		}
 	}
 	t.Misses++
 	return 0, false
 }
 
+// chunk returns h's overflow entries (ways-3 of them, live or not).
+func (t *IndexTable) chunk(h *bucketHead) []indexEntry {
+	off := h.ov % chunkPage
+	return t.pages[h.ov/chunkPage][off : off+uint32(t.ways-headWays)]
+}
+
 // Update sets blk's history pointer, moving the entry to the bucket's MRU
 // position; a missing address replaces the bucket's LRU entry (§4.3).
 func (t *IndexTable) Update(blk, ptr uint64) {
 	t.Updates++
-	bi := t.BucketOf(blk)
-	base := int(bi) * t.ways
-	n := int(t.blen[bi])
-	keys := t.keys[base : base+n]
-	for i := range keys {
-		if keys[i] == blk {
-			copy(t.keys[base+1:base+i+1], t.keys[base:base+i])
-			copy(t.ptrs[base+1:base+i+1], t.ptrs[base:base+i])
-			t.keys[base] = blk
-			t.ptrs[base] = ptr
-			return
+	h := &t.heads[t.BucketOf(blk)]
+	n := int(h.n)
+	// i is blk's position, or n when it is absent.
+	i := 0
+	for i < min(n, headWays) && h.e[i].blk != blk {
+		i++
+	}
+	var ov []indexEntry
+	if n > headWays {
+		ov = t.chunk(h)
+		if i == headWays {
+			for i < n && ov[i-headWays].blk != blk {
+				i++
+			}
 		}
 	}
-	t.Inserts++
-	if n < t.ways {
-		t.blen[bi]++
-		n++
-	} else {
-		t.Evictions++
+	if i == n {
+		t.Inserts++
+		if n < t.ways {
+			if n == headWays {
+				t.grow(h)
+				ov = t.chunk(h)
+			}
+			n++
+			h.n++
+		} else {
+			t.Evictions++
+		}
+		i = n - 1 // the slot the shift overwrites: blk's new slot or the LRU entry
 	}
-	copy(t.keys[base+1:base+n], t.keys[base:base+n-1])
-	copy(t.ptrs[base+1:base+n], t.ptrs[base:base+n-1])
-	t.keys[base] = blk
-	t.ptrs[base] = ptr
+	// Shift entries [0, i) down one slot, crossing from the head into
+	// the chunk, and put blk first.
+	if i >= headWays {
+		copy(ov[1:i-headWays+1], ov[:i-headWays])
+		ov[0] = h.e[headWays-1]
+		i = headWays - 1
+	}
+	switch i { // i < headWays = 3
+	case 2:
+		h.e[2] = h.e[1]
+		fallthrough
+	case 1:
+		h.e[1] = h.e[0]
+	}
+	h.e[0] = indexEntry{blk: blk, ptr: ptr}
+}
+
+// grow gives h its overflow chunk from the current page, starting a new
+// page when the chunk would not fit in what is left of it.
+func (t *IndexTable) grow(h *bucketHead) {
+	c := uint32(t.ways - headWays)
+	if t.next%chunkPage+c > chunkPage {
+		t.next += chunkPage - t.next%chunkPage
+	}
+	if int(t.next/chunkPage) == len(t.pages) {
+		t.pages = append(t.pages, new([chunkPage]indexEntry))
+	}
+	h.ov = t.next
+	t.next += c
+}
+
+// slot returns way w of bucket h, MRU first.
+func (t *IndexTable) slot(h *bucketHead, w int) *indexEntry {
+	if w < headWays {
+		return &h.e[w]
+	}
+	return &t.chunk(h)[w-headWays]
 }
 
 // bucketContents returns a copy of bucket bi, MRU first (tests).
 func (t *IndexTable) bucketContents(bi uint32) []indexEntry {
-	base := int(bi) * t.ways
-	out := make([]indexEntry, t.blen[bi])
-	for i := range out {
-		out[i] = indexEntry{blk: t.keys[base+i], ptr: t.ptrs[base+i]}
+	h := &t.heads[bi]
+	out := make([]indexEntry, h.n)
+	for w := range out {
+		out[w] = *t.slot(h, w)
 	}
 	return out
 }

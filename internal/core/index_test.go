@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"stms/internal/ckpt"
 )
@@ -121,44 +126,249 @@ func TestIndexTableGeometryPanics(t *testing.T) {
 	}
 }
 
-// TestIndexTableMatchesReferenceLRU compares one bucket against a simple
-// reference model under random updates.
-func TestIndexTableMatchesReferenceLRU(t *testing.T) {
-	f := func(ops []uint8) bool {
-		idx := NewIndexTable(1, 4)
-		type ent struct{ blk, ptr uint64 }
-		var ref []ent // MRU first
-		refUpdate := func(blk, ptr uint64) {
-			for i := range ref {
-				if ref[i].blk == blk {
-					e := ref[i]
-					e.ptr = ptr
-					copy(ref[1:i+1], ref[:i])
-					ref[0] = e
-					return
-				}
-			}
-			if len(ref) < 4 {
-				ref = append(ref, ent{})
-			}
-			copy(ref[1:], ref[:len(ref)-1])
-			ref[0] = ent{blk, ptr}
+// refIndex is a dense reference model of IndexTable: every bucket holds
+// ways entries MRU first, as the table's snapshot format lays them out.
+type refIndex struct {
+	ways int
+	t    *IndexTable // hashes keys to buckets (BucketOf)
+	ents [][]indexEntry
+}
+
+func newRefIndex(buckets, ways int) *refIndex {
+	return &refIndex{ways: ways, t: NewIndexTable(buckets, ways), ents: make([][]indexEntry, buckets)}
+}
+
+func (r *refIndex) update(blk, ptr uint64) {
+	b := r.ents[r.t.BucketOf(blk)]
+	i := slices.IndexFunc(b, func(e indexEntry) bool { return e.blk == blk })
+	if i < 0 {
+		if len(b) < r.ways {
+			b = append(b, indexEntry{})
 		}
-		for i, op := range ops {
-			blk := uint64(op % 8)
-			idx.Update(blk, uint64(i))
-			refUpdate(blk, uint64(i))
-		}
-		for _, e := range ref {
-			ptr, ok := idx.Lookup(e.blk)
-			if !ok || ptr != e.ptr {
-				return false
-			}
-		}
-		return true
+		i = len(b) - 1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	copy(b[1:i+1], b[:i])
+	b[0] = indexEntry{blk, ptr}
+	r.ents[r.t.BucketOf(blk)] = b
+}
+
+// snapshot encodes r in the dense format with the given counters.
+func (r *refIndex) snapshot(t *IndexTable) []byte {
+	keys := make([]uint64, len(r.ents)*r.ways)
+	ptrs := make([]uint64, len(keys))
+	for bi, b := range r.ents {
+		for w, e := range b {
+			keys[bi*r.ways+w] = e.blk
+			ptrs[bi*r.ways+w] = e.ptr
+		}
+	}
+	enc := ckpt.NewEncoder()
+	enc.Section("core.IndexTable")
+	enc.Int(r.ways)
+	enc.Int(len(r.ents))
+	enc.U64s(keys)
+	enc.U64s(ptrs)
+	enc.U64(uint64(len(r.ents)))
+	for _, b := range r.ents {
+		enc.U8(uint8(len(b)))
+	}
+	for _, c := range []uint64{t.Hits, t.Misses, t.Updates, t.Inserts, t.Evictions} {
+		enc.U64(c)
+	}
+	return enc.Payload()
+}
+
+func snapshotBytes(t *IndexTable) []byte {
+	enc := ckpt.NewEncoder()
+	t.Snapshot(enc)
+	return enc.Payload()
+}
+
+// TestIndexTableMatchesReferenceLRU drives tables of 1 to 12 ways with
+// random updates over twice as many keys as the table holds, so buckets
+// fill, cross from the head line into the overflow chunk and evict, and
+// checks every bucket's contents and order against the dense model.
+func TestIndexTableMatchesReferenceLRU(t *testing.T) {
+	for _, ways := range []int{1, 2, 3, 4, 12} {
+		for _, buckets := range []int{1, 4} {
+			f := func(seed uint64) bool {
+				idx := NewIndexTable(buckets, ways)
+				ref := newRefIndex(buckets, ways)
+				rng := rand.New(rand.NewPCG(seed, 0))
+				for i := range 20 * ways * buckets {
+					blk := rng.Uint64N(uint64(2*ways*buckets + 1))
+					if _, ok := idx.Lookup(blk); ok != slices.ContainsFunc(ref.ents[idx.BucketOf(blk)], func(e indexEntry) bool { return e.blk == blk }) {
+						return false
+					}
+					idx.Update(blk, uint64(i))
+					ref.update(blk, uint64(i))
+				}
+				n := 0
+				for bi, want := range ref.ents {
+					n += len(want)
+					if got := idx.bucketContents(uint32(bi)); !slices.Equal(got, want) {
+						t.Logf("%dx%d bucket %d: got %v, want %v", buckets, ways, bi, got, want)
+						return false
+					}
+					for _, e := range want {
+						if ptr, ok := idx.Lookup(e.blk); !ok || ptr != e.ptr {
+							return false
+						}
+					}
+				}
+				return idx.Len() == n && idx.Inserts-idx.Evictions == uint64(n) && idx.Evictions > 0
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+				t.Fatalf("%d buckets x %d ways: %v", buckets, ways, err)
+			}
+		}
+	}
+}
+
+// TestIndexTableSnapshotDense checks that a snapshot is byte-for-byte the
+// dense full-capacity encoding, and that restoring one mid-sequence and
+// continuing gives the same table as never stopping.
+func TestIndexTableSnapshotDense(t *testing.T) {
+	for _, ways := range []int{2, 3, 4, 12} {
+		const buckets = 8
+		idx := NewIndexTable(buckets, ways)
+		ref := newRefIndex(buckets, ways)
+		rng := rand.New(rand.NewPCG(uint64(ways), 1))
+		step := func(i int) {
+			blk := rng.Uint64N(uint64(3 * ways * buckets))
+			idx.Lookup(blk)
+			idx.Update(blk, uint64(i))
+			ref.update(blk, uint64(i))
+		}
+		for i := range 2000 {
+			step(i)
+			if i%250 != 0 {
+				continue
+			}
+			got := snapshotBytes(idx)
+			if want := ref.snapshot(idx); !bytes.Equal(got, want) {
+				t.Fatalf("ways %d op %d: snapshot differs from the dense encoding", ways, i)
+			}
+			r := NewIndexTable(buckets, ways)
+			if err := r.Restore(ckpt.NewDecoder(got)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snapshotBytes(r), got) {
+				t.Fatalf("ways %d op %d: restore does not round-trip", ways, i)
+			}
+			idx = r // continue from the restored table
+		}
+		if !bytes.Equal(snapshotBytes(idx), ref.snapshot(idx)) {
+			t.Fatalf("ways %d: restored table diverged from the model", ways)
+		}
+	}
+}
+
+// TestIndexTableRestoreRejectsCorrupt: a snapshot that decodes but
+// describes an impossible table fails with ckpt.ErrCorrupt instead of
+// restoring a table that panics on its next use.
+func TestIndexTableRestoreRejectsCorrupt(t *testing.T) {
+	good := NewIndexTable(2, 2)
+	good.Update(1, 10)
+	good.Update(2, 20)
+	base := snapshotBytes(good)
+	// The length bytes sit just before the five counters.
+	lenAt := len(base) - 5*8 - 2
+	cases := []struct {
+		name  string
+		patch func([]byte) []byte
+	}{
+		{"length above ways", func(b []byte) []byte { b[lenAt] = 200; return b }},
+		{"length one above ways", func(b []byte) []byte { b[lenAt+1] = 3; return b }},
+		{"length count mismatch", func(b []byte) []byte { b[lenAt-8] = 3; return b }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := c.patch(bytes.Clone(base))
+			r := NewIndexTable(2, 2)
+			err := r.Restore(ckpt.NewDecoder(b))
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Fatalf("Restore = %v, want ckpt.ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestIndexTableFootprint: host storage follows occupancy. A table
+// modelling an 8 MB index (131072 buckets) that holds 1000 entries
+// allocates its 64-byte heads and at most one overflow page.
+func TestIndexTableFootprint(t *testing.T) {
+	if s := unsafe.Sizeof(bucketHead{}); s != 64 {
+		t.Fatalf("bucketHead is %d bytes, want one 64-byte line", s)
+	}
+	const buckets = 131072
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	idx := NewIndexTable(buckets, 12)
+	for i := range uint64(1000) {
+		idx.Update(i*0x9e37, i)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(idx)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(buckets*64 + chunkPage*16 + 1024) // heads, one page, the table itself
+	if idx.Len() != 1000 || got >= limit {
+		t.Fatalf("table of %d entries allocated %d bytes, want < %d", idx.Len(), got, limit)
+	}
+	t.Logf("%d entries: %d bytes allocated (%d bytes modelled)", idx.Len(), got, idx.SizeBytes())
+}
+
+// TestIndexTableFullPages fills every bucket of a 1024x12 table, so 1024
+// nine-entry chunks fill three pages (455 to a page, none straddling a
+// page boundary), and checks every bucket against the dense model.
+func TestIndexTableFullPages(t *testing.T) {
+	const buckets, ways = 1024, 12
+	idx := NewIndexTable(buckets, ways)
+	ref := newRefIndex(buckets, ways)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range 3 * buckets * ways {
+		blk := rng.Uint64N(4 * buckets * ways)
+		idx.Update(blk, uint64(i))
+		ref.update(blk, uint64(i))
+	}
+	if len(idx.pages) != 3 || idx.Len() != buckets*ways {
+		t.Fatalf("%d entries in %d pages, want %d in 3", idx.Len(), len(idx.pages), buckets*ways)
+	}
+	for bi, want := range ref.ents {
+		if got := idx.bucketContents(uint32(bi)); !slices.Equal(got, want) {
+			t.Fatalf("bucket %d: got %v, want %v", bi, got, want)
+		}
+	}
+}
+
+// BenchmarkIndexTable times one Lookup and one Update on a sparse table
+// modelling the Figure 5 8 MB index and on a full 64 KB one.
+func BenchmarkIndexTable(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		buckets int
+		keys    int // distinct keys in the access stream
+	}{
+		{"sparse-8MB", 131072, 150_000},
+		{"full-64KB", 1024, 3 * 1024 * 12},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			idx := NewIndexTable(c.buckets, 12)
+			rng := rand.New(rand.NewPCG(1, 2))
+			stream := make([]uint64, 1<<16)
+			for i := range stream {
+				stream[i] = rng.Uint64N(uint64(c.keys)) << 6
+			}
+			for i, blk := range stream {
+				idx.Update(blk, uint64(i))
+			}
+			b.ResetTimer()
+			for i := range b.N {
+				blk := stream[i&(len(stream)-1)]
+				idx.Lookup(blk)
+				idx.Update(blk, uint64(i))
+			}
+		})
 	}
 }
 
@@ -207,7 +417,7 @@ func TestBucketBufferCapacity(t *testing.T) {
 }
 
 // TestBucketBufferSnapshot: a snapshot restores to the same LRU order
-// and dirty bits, and a snapshot listing a bucket twice is rejected.
+// and dirty bits.
 func TestBucketBufferSnapshot(t *testing.T) {
 	b := newBucketBuffer(4)
 	for _, id := range []uint32{7, 3, 9, 3, 11, 5} {
@@ -225,19 +435,35 @@ func TestBucketBufferSnapshot(t *testing.T) {
 		t.Fatal("restored bucket buffer differs from the original")
 	}
 
-	dup := ckpt.NewEncoder()
-	dup.Section("core.bucketBuffer")
-	dup.Int(4)
-	dup.Int(2)
-	for range 2 {
-		dup.U32(7)
-		dup.Bool(false)
-	}
-	dup.U64(0)
-	dup.U64(0)
-	dup.U64(0)
-	if err := newBucketBuffer(4).restore(ckpt.NewSnapshot(dup).Decoder()); err == nil {
-		t.Fatal("snapshot repeating a bucket accepted")
+}
+
+// TestBucketBufferRestoreRejectsCorrupt: a residency list longer than the
+// buffer or naming a bucket twice fails with ckpt.ErrCorrupt.
+func TestBucketBufferRestoreRejectsCorrupt(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ids  []uint32
+	}{
+		{"count above capacity", []uint32{1, 2, 3, 4, 5}},
+		{"repeated bucket", []uint32{7, 7}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			enc := ckpt.NewEncoder()
+			enc.Section("core.bucketBuffer")
+			enc.Int(4)
+			enc.Int(len(c.ids))
+			for _, id := range c.ids {
+				enc.U32(id)
+				enc.Bool(false)
+			}
+			enc.U64(0)
+			enc.U64(0)
+			enc.U64(0)
+			err := newBucketBuffer(4).restore(ckpt.NewSnapshot(enc).Decoder())
+			if !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Fatalf("restore = %v, want ckpt.ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -31,15 +31,33 @@ func (m *Meta) Checkpointable() error {
 }
 
 // Snapshot serializes the index table: contents, occupancy, counters.
+// The format is the dense one of a full-capacity table: every bucket's
+// ways keys, MRU first and zero-padded past its length, then the
+// pointers laid out the same way, then the length bytes.
 func (t *IndexTable) Snapshot(enc *ckpt.Encoder) {
 	enc.Section("core.IndexTable")
 	enc.Int(t.ways)
-	enc.Int(len(t.blen))
-	enc.U64s(t.keys)
-	enc.U64s(t.ptrs)
-	enc.U64(uint64(len(t.blen)))
-	for _, l := range t.blen {
-		enc.U8(l)
+	enc.Int(len(t.heads))
+	for _, ptrs := range []bool{false, true} {
+		enc.U64(uint64(len(t.heads) * t.ways))
+		for i := range t.heads {
+			h := &t.heads[i]
+			for w := range t.ways {
+				var v uint64
+				if w < int(h.n) {
+					e := t.slot(h, w)
+					v = e.blk
+					if ptrs {
+						v = e.ptr
+					}
+				}
+				enc.U64(v)
+			}
+		}
+	}
+	enc.U64(uint64(len(t.heads)))
+	for i := range t.heads {
+		enc.U8(uint8(t.heads[i].n))
 	}
 	enc.U64(t.Hits)
 	enc.U64(t.Misses)
@@ -57,8 +75,8 @@ func (t *IndexTable) Restore(dec *ckpt.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if ways != t.ways || buckets != len(t.blen) {
-		return fmt.Errorf("core: index snapshot %dx%d does not match %dx%d", buckets, ways, len(t.blen), t.ways)
+	if ways != t.ways || buckets != len(t.heads) {
+		return fmt.Errorf("core: index snapshot %dx%d does not match %dx%d", buckets, ways, len(t.heads), t.ways)
 	}
 	keys := dec.U64s()
 	ptrs := dec.U64s()
@@ -66,13 +84,31 @@ func (t *IndexTable) Restore(dec *ckpt.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if len(keys) != len(t.keys) || len(ptrs) != len(t.ptrs) || nb != len(t.blen) {
-		return fmt.Errorf("core: corrupt index snapshot")
+	if len(keys) != buckets*ways || len(ptrs) != buckets*ways || nb != buckets {
+		return fmt.Errorf("%w: core: index snapshot holds %d keys, %d pointers and %d lengths for %dx%d",
+			ckpt.ErrCorrupt, len(keys), len(ptrs), nb, buckets, ways)
 	}
-	t.keys = keys
-	t.ptrs = ptrs
-	for i := range t.blen {
-		t.blen[i] = dec.U8()
+	lens := make([]uint8, buckets)
+	for i := range lens {
+		lens[i] = dec.U8()
+		if int(lens[i]) > ways {
+			return fmt.Errorf("%w: core: index snapshot bucket %d holds %d entries over %d ways", ckpt.ErrCorrupt, i, lens[i], ways)
+		}
+	}
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	clear(t.heads)
+	t.pages, t.next = nil, 0
+	for i := range t.heads {
+		h := &t.heads[i]
+		if lens[i] > headWays {
+			t.grow(h)
+		}
+		h.n = uint32(lens[i])
+		for w := range int(h.n) {
+			*t.slot(h, w) = indexEntry{blk: keys[i*ways+w], ptr: ptrs[i*ways+w]}
+		}
 	}
 	t.Hits = dec.U64()
 	t.Misses = dec.U64()
@@ -109,6 +145,9 @@ func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 	if capacity != b.cap {
 		return fmt.Errorf("core: bucket buffer snapshot capacity %d does not match %d", capacity, b.cap)
 	}
+	if count < 0 || count > b.cap {
+		return fmt.Errorf("%w: core: bucket buffer snapshot holds %d buckets over capacity %d", ckpt.ErrCorrupt, count, b.cap)
+	}
 	if b.m.Len() != 0 {
 		return fmt.Errorf("core: restore into non-empty bucket buffer")
 	}
@@ -119,7 +158,7 @@ func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 			return err
 		}
 		if b.m.Contains(uint64(id)) {
-			return fmt.Errorf("core: bucket buffer snapshot repeats bucket %d", id)
+			return fmt.Errorf("%w: core: bucket buffer snapshot repeats bucket %d", ckpt.ErrCorrupt, id)
 		}
 		b.nodes = append(b.nodes, bbNode{id: id, dirty: dirty, prev: bbNil, next: bbNil})
 		i := int32(len(b.nodes) - 1)

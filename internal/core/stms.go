@@ -356,7 +356,11 @@ func (m *Meta) lookupAlt(blk uint64, done func(*prefetch.Cursor)) {
 }
 
 func (m *Meta) resolve(blk uint64) (prefetch.Cursor, bool) {
-	ptr, ok := m.idx.Lookup(blk)
+	// IndexTable.Lookup, in its two inlinable halves.
+	h, ptr, ok := m.idx.probe(blk)
+	if !ok {
+		ptr, ok = m.idx.lookupOverflow(h, blk)
+	}
 	if !ok {
 		return prefetch.Cursor{}, false
 	}

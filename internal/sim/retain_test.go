@@ -10,11 +10,14 @@ import (
 )
 
 // retainIndexBytes is the modelled index of the retention tests, and
-// retainTableBytes the Go table that models it: 32k buckets of 12 ways,
-// each way a key and a pointer, plus a length byte per bucket (6 MB).
+// retainTableBytes the host memory of the table that models it. Storage
+// follows occupancy: 32k buckets are 32k 64-byte head lines (2 MB), and
+// a bucket's fourth entry takes an overflow chunk from 64 KB pages. The
+// runs here record about 12k misses, under half an entry per bucket, so
+// each of their tables fills at most one page.
 const (
 	retainIndexBytes = 2 << 20
-	retainTableBytes = retainIndexBytes / 64 * (12*16 + 1)
+	retainTableBytes = retainIndexBytes/64*64 + 4096*16
 )
 
 // retainPref is STMS with an index big enough that a pinned prefetcher
