@@ -1,21 +1,23 @@
 package core
 
-import "stms/internal/mem"
-
 // bucketBuffer models the 8 KB on-chip buffer that holds index-table
 // buckets between lookup, update, and write-back (§4.3, §5.3). It caches
 // bucket *identities* with dirty bits and LRU replacement; the bucket
 // contents themselves live in the authoritative IndexTable. Its effect is
 // purely on traffic and latency: operations hitting the buffer avoid a
 // memory read, and dirty buckets are written back once on eviction no
-// matter how many updates they absorbed. Residency is indexed by an
-// open-addressed mem.BlockMap (bucket id → node), off the built-in map
-// machinery on the per-miss path.
+// matter how many updates they absorbed.
+//
+// The buffer is bound to its table: each bucket's residency is the bb
+// field of the bucket's own head line (node + 1, 0 when not resident), so
+// the residency check reads the line that the lookup or update just
+// loaded, with no search structure of its own. The table's heads are
+// allocated once and never move; IndexTable.Restore clears the field and
+// restore sets it again.
 type bucketBuffer struct {
 	cap   int
-	m     *mem.BlockMap
+	heads []bucketHead
 	nodes []bbNode
-	free  []int32
 	head  int32
 	tail  int32
 
@@ -34,15 +36,15 @@ type bbNode struct {
 const bbNil = int32(-1)
 
 // newBucketBuffer builds a buffer holding capacity buckets (8 KB / 64 B =
-// 128).
-func newBucketBuffer(capacity int) *bucketBuffer {
+// 128) of table t.
+func newBucketBuffer(capacity int, t *IndexTable) *bucketBuffer {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &bucketBuffer{cap: capacity, m: mem.NewBlockMap(capacity), head: bbNil, tail: bbNil}
+	return &bucketBuffer{cap: capacity, heads: t.heads, head: bbNil, tail: bbNil}
 }
 
-func (b *bucketBuffer) len() int { return b.m.Len() }
+func (b *bucketBuffer) len() int { return len(b.nodes) }
 
 func (b *bucketBuffer) detach(i int32) {
 	n := &b.nodes[i]
@@ -72,18 +74,24 @@ func (b *bucketBuffer) pushFront(i int32) {
 	}
 }
 
-// touch refreshes bucket id if present, optionally dirtying it. It reports
-// whether the bucket was resident.
-func (b *bucketBuffer) touch(id uint32, dirty bool) bool {
-	i, ok := b.m.Get(uint64(id))
-	if !ok {
-		return false
-	}
+// refresh moves resident node i to the MRU position, optionally dirtying
+// it.
+func (b *bucketBuffer) refresh(i int32, dirty bool) {
 	b.detach(i)
 	b.pushFront(i)
 	if dirty {
 		b.nodes[i].dirty = true
 	}
+}
+
+// touch refreshes bucket id if present, optionally dirtying it. It reports
+// whether the bucket was resident.
+func (b *bucketBuffer) touch(id uint32, dirty bool) bool {
+	i := b.heads[id].bb - 1
+	if i < 0 {
+		return false
+	}
+	b.refresh(i, dirty)
 	b.Hits++
 	return true
 }
@@ -92,36 +100,30 @@ func (b *bucketBuffer) touch(id uint32, dirty bool) bool {
 // dirty bucket is evicted to make room, evictedDirty reports it so the
 // caller can charge the write-back.
 func (b *bucketBuffer) insert(id uint32, dirty bool) (evictedDirty bool) {
-	if i, ok := b.m.Get(uint64(id)); ok {
+	h := &b.heads[id]
+	if h.bb != 0 {
 		// Already resident (racing fills); just refresh.
-		b.detach(i)
-		b.pushFront(i)
-		if dirty {
-			b.nodes[i].dirty = true
-		}
+		b.refresh(h.bb-1, dirty)
 		return false
 	}
 	b.MissesRead++
-	if b.m.Len() >= b.cap {
-		victim := b.tail
-		b.detach(victim)
-		b.m.Delete(uint64(b.nodes[victim].id))
-		if b.nodes[victim].dirty {
+	var i int32
+	if len(b.nodes) < b.cap {
+		b.nodes = append(b.nodes, bbNode{})
+		i = int32(len(b.nodes) - 1)
+	} else {
+		// Full: the LRU node's slot takes the new bucket.
+		i = b.tail
+		b.detach(i)
+		v := &b.nodes[i]
+		b.heads[v.id].bb = 0
+		if v.dirty {
 			evictedDirty = true
 			b.Writebacks++
 		}
-		b.free = append(b.free, victim)
-	}
-	var i int32
-	if n := len(b.free); n > 0 {
-		i = b.free[n-1]
-		b.free = b.free[:n-1]
-	} else {
-		b.nodes = append(b.nodes, bbNode{})
-		i = int32(len(b.nodes) - 1)
 	}
 	b.nodes[i] = bbNode{id: id, dirty: dirty, prev: bbNil, next: bbNil}
-	b.m.Put(uint64(id), i)
+	h.bb = i + 1
 	b.pushFront(i)
 	return evictedDirty
 }

@@ -33,12 +33,14 @@ const (
 )
 
 // bucketHead is one bucket's 64-byte host line: its length, the offset
-// of its overflow chunk, and its headWays most-recent entries.
+// of its overflow chunk, its headWays most-recent entries, and its
+// bucket-buffer residency.
 type bucketHead struct {
 	n  uint32
 	ov uint32 // first entry of the overflow chunk; meaningful once n > headWays
 	e  [headWays]indexEntry
-	_  [8]byte
+	bb int32 // bucket-buffer node + 1, 0 when not resident (bucketBuffer)
+	_  [4]byte
 }
 
 // IndexTable is the functional model of the main-memory hash table:
@@ -47,9 +49,10 @@ type bucketHead struct {
 // the prefetch.Env; this structure is the authoritative contents.
 //
 // Host storage follows occupancy, not the modelled capacity. Each bucket
-// is one 64-byte head line holding its length and its three most-recent
-// entries, addressed straight from BucketOf, so the lookup — one per
-// off-chip demand miss — usually touches one host line. Ways four and up
+// is one 64-byte head line holding its length, its three most-recent
+// entries and its bucket-buffer residency, addressed straight from
+// BucketOf, so the lookup — one per off-chip demand miss — and the
+// residency check after it usually touch one host line. Ways four and up
 // live in a per-bucket overflow chunk of ways-3 entries, handed out on
 // the bucket's fourth insert from fixed 4096-entry pages (DESIGN.md §5).
 // Buckets never shrink, so a chunk is never freed, moved or copied.
@@ -122,7 +125,7 @@ func (t *IndexTable) BucketOf(blk uint64) uint32 {
 // line first, then the overflow chunk. A lookup does not reorder the
 // bucket: only updates rewrite it.
 func (t *IndexTable) Lookup(blk uint64) (uint64, bool) {
-	h, ptr, ok := t.probe(blk)
+	h, ptr, ok := t.probe(t.BucketOf(blk), blk)
 	if !ok {
 		ptr, ok = t.lookupOverflow(h, blk)
 	}
@@ -132,10 +135,10 @@ func (t *IndexTable) Lookup(blk uint64) (uint64, bool) {
 // probe and lookupOverflow are Lookup's two halves. Each fits the
 // inliner's budget where Lookup does not, so the per-miss caller
 // (Meta.resolve) calls them in turn and keeps the whole search inline.
-// probe scans the head line of blk's bucket and counts a hit there; on a
-// miss lookupOverflow searches the chunk and counts the outcome.
-func (t *IndexTable) probe(blk uint64) (h *bucketHead, ptr uint64, ok bool) {
-	h = &t.heads[t.BucketOf(blk)]
+// probe scans the head line of blk's bucket bi and counts a hit there;
+// on a miss lookupOverflow searches the chunk and counts the outcome.
+func (t *IndexTable) probe(bi uint32, blk uint64) (h *bucketHead, ptr uint64, ok bool) {
+	h = &t.heads[bi]
 	for i := range min(h.n, headWays) {
 		if h.e[i].blk == blk {
 			t.Hits++

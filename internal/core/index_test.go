@@ -371,115 +371,3 @@ func BenchmarkIndexTable(b *testing.B) {
 		})
 	}
 }
-
-func TestBucketBufferLRUAndDirty(t *testing.T) {
-	b := newBucketBuffer(2)
-	if b.touch(1, false) {
-		t.Fatal("empty buffer hit")
-	}
-	if evicted := b.insert(1, false); evicted {
-		t.Fatal("insert into empty evicted")
-	}
-	if !b.touch(1, true) {
-		t.Fatal("resident bucket missed")
-	}
-	b.insert(2, false)
-	// Order is [2 MRU, 1]; refresh 1 so 2 becomes the LRU.
-	b.touch(1, false)
-	// Insert 3: evicts LRU (2, clean).
-	if evicted := b.insert(3, false); evicted {
-		t.Fatal("clean eviction reported dirty")
-	}
-	if b.touch(2, false) {
-		t.Fatal("bucket 2 should be evicted")
-	}
-	// 1 is dirty; evicting it must report the write-back.
-	if evicted := b.insert(4, false); !evicted {
-		t.Fatal("dirty eviction not reported")
-	}
-	if b.Writebacks != 1 {
-		t.Fatalf("writebacks = %d", b.Writebacks)
-	}
-}
-
-func TestBucketBufferCapacity(t *testing.T) {
-	b := newBucketBuffer(128)
-	for i := uint32(0); i < 1000; i++ {
-		b.insert(i, i%2 == 0)
-	}
-	if b.len() != 128 {
-		t.Fatalf("len = %d", b.len())
-	}
-	// The resident buckets are the last 128 inserted, half of them even.
-	if n := b.flushDirtyCount(); n != 64 {
-		t.Fatalf("dirty count = %d, want 64", n)
-	}
-}
-
-// TestBucketBufferSnapshot: a snapshot restores to the same LRU order
-// and dirty bits.
-func TestBucketBufferSnapshot(t *testing.T) {
-	b := newBucketBuffer(4)
-	for _, id := range []uint32{7, 3, 9, 3, 11, 5} {
-		b.insert(id, id%3 == 0)
-	}
-	enc := ckpt.NewEncoder()
-	b.snapshot(enc)
-	r := newBucketBuffer(4)
-	if err := r.restore(ckpt.NewSnapshot(enc).Decoder()); err != nil {
-		t.Fatal(err)
-	}
-	again := ckpt.NewEncoder()
-	r.snapshot(again)
-	if !bytes.Equal(again.Payload(), enc.Payload()) || r.flushDirtyCount() != b.flushDirtyCount() {
-		t.Fatal("restored bucket buffer differs from the original")
-	}
-
-}
-
-// TestBucketBufferRestoreRejectsCorrupt: a residency list longer than the
-// buffer or naming a bucket twice fails with ckpt.ErrCorrupt.
-func TestBucketBufferRestoreRejectsCorrupt(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		ids  []uint32
-	}{
-		{"count above capacity", []uint32{1, 2, 3, 4, 5}},
-		{"repeated bucket", []uint32{7, 7}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			enc := ckpt.NewEncoder()
-			enc.Section("core.bucketBuffer")
-			enc.Int(4)
-			enc.Int(len(c.ids))
-			for _, id := range c.ids {
-				enc.U32(id)
-				enc.Bool(false)
-			}
-			enc.U64(0)
-			enc.U64(0)
-			enc.U64(0)
-			err := newBucketBuffer(4).restore(ckpt.NewSnapshot(enc).Decoder())
-			if !errors.Is(err, ckpt.ErrCorrupt) {
-				t.Fatalf("restore = %v, want ckpt.ErrCorrupt", err)
-			}
-		})
-	}
-}
-
-func TestBucketBufferReinsertRefreshes(t *testing.T) {
-	b := newBucketBuffer(2)
-	b.insert(1, false)
-	b.insert(2, false)
-	b.insert(1, true) // refresh + dirty, no eviction
-	if b.len() != 2 {
-		t.Fatalf("len = %d", b.len())
-	}
-	b.insert(3, false) // evicts 2, clean
-	if b.touch(2, false) {
-		t.Fatal("2 should be evicted")
-	}
-	if !b.touch(1, false) {
-		t.Fatal("refreshed 1 evicted")
-	}
-}

@@ -123,7 +123,7 @@ func (t *IndexTable) Restore(dec *ckpt.Decoder) error {
 func (b *bucketBuffer) snapshot(enc *ckpt.Encoder) {
 	enc.Section("core.bucketBuffer")
 	enc.Int(b.cap)
-	enc.Int(b.m.Len())
+	enc.Int(len(b.nodes))
 	for i := b.tail; i != bbNil; i = b.nodes[i].prev {
 		enc.U32(b.nodes[i].id)
 		enc.Bool(b.nodes[i].dirty)
@@ -134,7 +134,8 @@ func (b *bucketBuffer) snapshot(enc *ckpt.Encoder) {
 }
 
 // restore rebuilds the bucket buffer from a snapshot: entries are
-// re-inserted LRU-first so pushFront reproduces the exact order.
+// re-inserted LRU-first so pushFront reproduces the exact order. It runs
+// after the table's Restore, which clears every head's residency.
 func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 	dec.Section("core.bucketBuffer")
 	capacity := dec.Int()
@@ -148,7 +149,7 @@ func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 	if count < 0 || count > b.cap {
 		return fmt.Errorf("%w: core: bucket buffer snapshot holds %d buckets over capacity %d", ckpt.ErrCorrupt, count, b.cap)
 	}
-	if b.m.Len() != 0 {
+	if len(b.nodes) != 0 {
 		return fmt.Errorf("core: restore into non-empty bucket buffer")
 	}
 	for k := 0; k < count; k++ {
@@ -157,12 +158,15 @@ func (b *bucketBuffer) restore(dec *ckpt.Decoder) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if b.m.Contains(uint64(id)) {
+		if int(id) >= len(b.heads) {
+			return fmt.Errorf("%w: core: bucket buffer snapshot names bucket %d of %d", ckpt.ErrCorrupt, id, len(b.heads))
+		}
+		if b.heads[id].bb != 0 {
 			return fmt.Errorf("%w: core: bucket buffer snapshot repeats bucket %d", ckpt.ErrCorrupt, id)
 		}
 		b.nodes = append(b.nodes, bbNode{id: id, dirty: dirty, prev: bbNil, next: bbNil})
 		i := int32(len(b.nodes) - 1)
-		b.m.Put(uint64(id), i)
+		b.heads[id].bb = i + 1
 		b.pushFront(i)
 	}
 	b.Hits = dec.U64()

@@ -5,7 +5,6 @@ import (
 
 	"stms/internal/dram"
 	"stms/internal/event"
-	"stms/internal/mem"
 	"stms/internal/prefetch"
 	"stms/internal/rng"
 )
@@ -43,8 +42,8 @@ type Config struct {
 func DefaultConfig(cores int) Config {
 	return Config{
 		Cores:               cores,
-		HistoryBytesPerCore: 8 * mem.MB,
-		IndexBytes:          16 * mem.MB,
+		HistoryBytesPerCore: 8 << 20,
+		IndexBytes:          16 << 20,
 		BucketWays:          12,
 		SampleProb:          0.125,
 		BucketBufferBytes:   8 << 10,
@@ -125,8 +124,8 @@ type Meta struct {
 	cfg  Config
 	env  prefetch.Env
 	idx  *IndexTable
-	alt  altIndex // non-nil for the alternative organizations
-	bbuf *bucketBuffer
+	alt  altIndex      // non-nil for the alternative organizations
+	bbuf *bucketBuffer // bound to idx; nil with alt
 	hist []*prefetch.History
 	wc   []int // per-core write-combining fill counts
 	rnd  *rng.Rand
@@ -196,11 +195,10 @@ func NewMeta(env prefetch.Env, cfg Config) *Meta {
 		panic(fmt.Sprintf("core: sample probability %v out of (0,1]", cfg.SampleProb))
 	}
 	m := &Meta{
-		cfg:  cfg,
-		env:  env,
-		bbuf: newBucketBuffer(cfg.BucketBufferBytes / 64),
-		wc:   make([]int, cfg.Cores),
-		rnd:  rng.New(cfg.Seed ^ 0x57a7e5eed),
+		cfg: cfg,
+		env: env,
+		wc:  make([]int, cfg.Cores),
+		rnd: rng.New(cfg.Seed ^ 0x57a7e5eed),
 	}
 	switch cfg.Org {
 	case OrgDirectMapped:
@@ -209,6 +207,7 @@ func NewMeta(env prefetch.Env, cfg Config) *Meta {
 		m.alt = newOpenIndex(cfg.IndexBytes, cfg.OpenProbeCap)
 	default:
 		m.idx = NewIndexTable(cfg.IndexBuckets(), cfg.BucketWays)
+		m.bbuf = newBucketBuffer(cfg.BucketBufferBytes/64, m.idx)
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		m.hist = append(m.hist, prefetch.NewHistory(cfg.HistoryEntriesPerCore()))
@@ -260,8 +259,8 @@ func (m *Meta) Lookup(core int, blk uint64, done func(*prefetch.Cursor)) {
 		m.lookupAlt(blk, done)
 		return
 	}
-	cur, ok := m.resolve(blk)
 	bi := m.idx.BucketOf(blk)
+	cur, ok := m.resolve(bi, blk)
 	if m.bbuf.touch(bi, false) {
 		m.st.LookupBufHits++
 		m.deliverCursor(cur, ok, done)
@@ -355,9 +354,10 @@ func (m *Meta) lookupAlt(blk uint64, done func(*prefetch.Cursor)) {
 	m.env.MetaRead(dram.IndexLookup, step)
 }
 
-func (m *Meta) resolve(blk uint64) (prefetch.Cursor, bool) {
-	// IndexTable.Lookup, in its two inlinable halves.
-	h, ptr, ok := m.idx.probe(blk)
+// resolve is IndexTable.Lookup of blk, whose bucket is bi, in its two
+// inlinable halves.
+func (m *Meta) resolve(bi uint32, blk uint64) (prefetch.Cursor, bool) {
+	h, ptr, ok := m.idx.probe(bi, blk)
 	if !ok {
 		ptr, ok = m.idx.lookupOverflow(h, blk)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"stms/internal/dram"
@@ -335,5 +336,74 @@ func TestEndToEndWithEngine(t *testing.T) {
 	}
 	if m.Stats().HistoryWrites == 0 {
 		t.Fatal("no packed history writes")
+	}
+}
+
+// perMiss drives one off-chip miss at a time through a Meta on the
+// synchronous fakeEnv: Lookup, its completion, and Record with every
+// update applied (the Fig. 5 capacity sweep's p = 1).
+type perMiss struct {
+	m      *Meta
+	stream []uint64
+	done   func(*prefetch.Cursor)
+	i      int
+}
+
+// perMissSizes are the Fig. 5 (right) index sizes of the
+// capacity-functional benchmark workload.
+var perMissSizes = []struct {
+	name  string
+	bytes uint64
+}{{"64KB", 64 << 10}, {"1MB", 1 << 20}, {"8MB", 8 << 20}}
+
+// newPerMiss builds the driver over an index of indexBytes and warms it
+// with one pass over its 64K-miss stream, which wraps the history and
+// gives every bucket the stream reaches its overflow chunk: after it,
+// the loop allocates nothing.
+func newPerMiss(indexBytes uint64) *perMiss {
+	cfg := Config{Cores: 1, HistoryBytesPerCore: 64 << 10, IndexBytes: indexBytes,
+		BucketWays: 12, SampleProb: 1, BucketBufferBytes: 8 << 10, Seed: 1}
+	p := &perMiss{m: NewMeta(newFakeEnv(), cfg), stream: make([]uint64, 1<<16), done: func(*prefetch.Cursor) {}}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range p.stream {
+		p.stream[i] = rng.Uint64N(150_000) << 6
+	}
+	for range p.stream {
+		p.step()
+	}
+	return p
+}
+
+func (p *perMiss) step() {
+	blk := p.stream[p.i&(len(p.stream)-1)]
+	p.i++
+	p.m.Lookup(0, blk, p.done)
+	p.m.Record(0, blk, false)
+}
+
+// BenchmarkMetaPerMiss times one miss's meta-data work — index lookup,
+// bucket-buffer residency, completion, history append and index update —
+// at each capacity-functional index size.
+func BenchmarkMetaPerMiss(b *testing.B) {
+	for _, c := range perMissSizes {
+		b.Run(c.name, func(b *testing.B) {
+			p := newPerMiss(c.bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				p.step()
+			}
+		})
+	}
+}
+
+// TestMetaPerMissAllocationFree: in steady state a miss through the
+// STMS meta-data engine allocates nothing.
+func TestMetaPerMissAllocationFree(t *testing.T) {
+	for _, c := range perMissSizes {
+		p := newPerMiss(c.bytes)
+		if n := testing.AllocsPerRun(1000, p.step); n != 0 {
+			t.Errorf("%s: %v allocations per miss, want 0", c.name, n)
+		}
 	}
 }

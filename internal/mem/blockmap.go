@@ -21,6 +21,12 @@ const emptyKey = ^uint64(0)
 // power-of-two size chosen from the expected population (these structures
 // are architecturally bounded — 64 MSHRs, 32 buffer blocks), growing only
 // if the caller overshoots the hint.
+//
+// Keys and values stay in two arrays rather than interleaved 16-byte
+// slots. The ideal index's table runs to 524,288 slots, and the GC heap
+// goal doubles any bytes a slot adds: interleaving raised the fig8-timed
+// benchmark's peak RSS from about 35 to 46 MB (5 of 5 runs) and did not
+// raise its throughput.
 type BlockMap struct {
 	keys []uint64
 	vals []int32

@@ -9,6 +9,10 @@
 # Defaults to `-run fig8` at the stms-bench default scale; pass any
 # stms-bench flags to override (e.g. `scripts/profile.sh -run all
 # -scale 0.0625`). Profiles and the built binary land in ./profile.out/.
+#
+# `GOMAXPROCS=1 scripts/profile.sh -run fig5r -par 1` profiles the Fig. 5
+# index-capacity sweep on the functional driver, the path of the
+# benchmark's capacity-functional workload.
 set -eu
 
 outdir=profile.out
