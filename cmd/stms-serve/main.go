@@ -1,23 +1,21 @@
 // Command stms-serve is the distributed lab: the same run matrices the
-// stms.Lab API executes in-process, sharded across worker processes
-// over a content-addressed tape store.
+// stms.Lab API executes in-process, sharded across worker processes.
 //
 // Worker mode serves the dist HTTP API — cell jobs in, streamed JSON
-// progress events out — over a two-tier tape store (memory LRU → an
-// optional on-disk STMSTAPE directory):
+// progress events out. Workers generate every job's trace live, as an
+// in-process lab does, and keep a checkpoint store (in memory, and in
+// the -ckpt-dir directory when one is given):
 //
-//	stms-serve -worker -listen :9090 -tape-dir /var/tmp/stms-tapes \
-//	           -peers http://host2:9090,http://host3:9090
+//	stms-serve -worker -listen :9090 -ckpt-dir /var/tmp/stms-ckpts \
+//	           -checkpoint-every 100000 -peers http://host2:9090,http://host3:9090
 //
-// Peers let workers exchange tapes (GET/PUT /tapes/{key}) so each
-// unique trace identity is materialized once fleet-wide, wherever the
-// coordinator's affinity routing first lands it. With
-// -checkpoint-every, workers also checkpoint running jobs to the store
+// With -checkpoint-every, workers checkpoint running jobs to the store
 // (exchanged over GET/PUT /ckpts/{key}), so a worker lost mid-cell
 // costs only the tail of the cell: the coordinator moves the dead
 // worker's latest checkpoint to the retry, which resumes mid-run.
-// SIGINT drains gracefully — in-progress jobs flush a final checkpoint
-// before the listener closes.
+// Peers are asked for a job's freshest checkpoint before it starts
+// cold. SIGINT drains gracefully — in-progress jobs flush a final
+// checkpoint before the listener closes.
 //
 // Coordinate mode plans a workload × variant matrix and dispatches its
 // cells to workers, retrying transport failures and degrading to local
@@ -76,11 +74,10 @@ func main() {
 	// Worker flags.
 	listen := flag.String("listen", ":9090", "worker listen address")
 	name := flag.String("name", "", "worker name in results and health documents (default: the listen address)")
-	tapeMem := flag.Int64("tape-mem", 512<<20, "tape store memory-tier budget in bytes")
-	tapeDir := flag.String("tape-dir", "", "tape store disk tier (STMSTAPE directory; empty = memory only)")
-	peers := flag.String("peers", "", "comma-separated sibling worker URLs to fetch tapes from")
+	ckptDir := flag.String("ckpt-dir", "", "checkpoint store disk tier (STMSCKPT directory; empty = memory only)")
+	peers := flag.String("peers", "", "comma-separated sibling worker URLs to ask for a job's checkpoint")
 	maxJobs := flag.Int("max-jobs", 0, "concurrent job bound (0 = all CPUs)")
-	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint running jobs to the tape store every N records (0 = only on graceful shutdown)")
+	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint running jobs to the checkpoint store every N records (0 = only on graceful shutdown)")
 
 	// Stream flags.
 	streamAddr := flag.String("stream", "", "serve one trace as a live STMSWIRE stream on ADDR")
@@ -136,7 +133,7 @@ func main() {
 			os.Exit(1)
 		}
 	case *worker:
-		if err := runWorker(*listen, *name, *tapeMem, *tapeDir, splitList(*peers), *maxJobs, *token, *ckptEvery); err != nil {
+		if err := runWorker(*listen, *name, *ckptDir, splitList(*peers), *maxJobs, *token, *ckptEvery); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -184,17 +181,13 @@ func splitList(s string) []string {
 // flush a final checkpoint to the store and end its stream with a
 // terminal "checkpointed" event — so the coordinator retries the job
 // warm on another worker — before the listener closes.
-func runWorker(listen, name string, tapeMem int64, tapeDir string, peers []string, maxJobs int, token string, ckptEvery uint64) error {
+func runWorker(listen, name, ckptDir string, peers []string, maxJobs int, token string, ckptEvery uint64) error {
 	if name == "" {
 		name = listen
 	}
-	var store *stms.TapeStore
-	if tapeMem > 0 || tapeDir != "" {
-		store = stms.NewTapeStore(tapeMem, tapeDir)
-	}
 	srv := stms.NewWorkerServer(stms.WorkerConfig{
 		Name:            name,
-		Store:           store,
+		CkptDir:         ckptDir,
 		Peers:           peers,
 		MaxJobs:         maxJobs,
 		Token:           token,
@@ -206,8 +199,8 @@ func runWorker(listen, name string, tapeMem int64, tapeDir string, peers []strin
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "stms-serve: worker %q listening on %s (tapes: mem=%d dir=%q, peers=%d, checkpoint-every=%d)\n",
-		name, listen, tapeMem, tapeDir, len(peers), ckptEvery)
+	fmt.Fprintf(os.Stderr, "stms-serve: worker %q listening on %s (ckpt-dir=%q, peers=%d, checkpoint-every=%d)\n",
+		name, listen, ckptDir, len(peers), ckptEvery)
 
 	select {
 	case err := <-errc:
@@ -371,7 +364,7 @@ func runCoordinator(o coordinatorOptions) error {
 			fmt.Fprintf(os.Stderr, "stms-serve: worker %s unreachable (%v); its cells will retry elsewhere or run locally\n", u, err)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "stms-serve: worker %s: %q, %d cores, %d tapes resident\n", u, h.Name, h.Cores, h.Tapes)
+		fmt.Fprintf(os.Stderr, "stms-serve: worker %s: %q, %d cores, %d checkpoints held\n", u, h.Name, h.Cores, h.Ckpts)
 	}
 
 	planOpts := []stms.PlanOption{stms.WithLabels(labels...)}

@@ -4,8 +4,8 @@
 //
 // The walkthrough starts two in-process workers (the same
 // stms.NewWorkerServer handler the stms-serve -worker binary mounts),
-// peers them so materialized trace tapes move between them instead of
-// being rebuilt, runs a workload × variant matrix through the pool,
+// each checkpointing its jobs as they run, sends a workload × variant
+// matrix through the pool,
 // and then byte-compares its canonical JSON export against a purely
 // local run of the same plan. It finishes by demonstrating graceful
 // degradation (a coordinator with no reachable workers still
@@ -28,18 +28,18 @@ import (
 )
 
 func main() {
-	// Two workers, each an ordinary http.Handler over its own tape
-	// store. Real deployments run `stms-serve -worker` on separate
-	// machines; httptest keeps the walkthrough self-contained.
+	// Two workers, each an ordinary http.Handler that generates its
+	// jobs' traces live and checkpoints them every 16,000 records to a
+	// store of its own. Real deployments run `stms-serve -worker` on
+	// separate machines; httptest keeps the walkthrough self-contained.
 	w1 := httptest.NewServer(stms.NewWorkerServer(stms.WorkerConfig{
-		Name: "w1", Store: stms.NewTapeStore(256<<20, ""),
+		Name: "w1", CheckpointEvery: 16_000,
 	}))
 	defer w1.Close()
-	// w2 lists w1 as a peer: a tape w1 already built is fetched over
-	// GET /tapes/{key}, not rebuilt — each unique trace identity is
-	// materialized once fleet-wide.
+	// w2 lists w1 as a peer: before it starts a job cold, it asks w1
+	// for the job's freshest checkpoint over GET /ckpts/{key}.
 	w2 := httptest.NewServer(stms.NewWorkerServer(stms.WorkerConfig{
-		Name: "w2", Store: stms.NewTapeStore(256<<20, ""), Peers: []string{w1.URL},
+		Name: "w2", CheckpointEvery: 16_000, Peers: []string{w1.URL},
 	}))
 	defer w2.Close()
 
@@ -64,8 +64,8 @@ func main() {
 		log.Fatal(err)
 	}
 	rs := coord.RemoteStats()
-	fmt.Printf("dispatch: %d remote cells across %d workers, %d tape builds, %d peer fetches\n",
-		rs.RemoteCells, rs.Workers, rs.TapeBuilds, rs.TapeFetches)
+	fmt.Printf("dispatch: %d remote cells across %d workers, %d checkpoints written (%d bytes)\n",
+		rs.RemoteCells, rs.Workers, rs.CkptWrites, rs.CkptBytes)
 
 	// The same plan, in-process.
 	local, err := stms.New(smoke...)

@@ -6,8 +6,8 @@ package dist
 // skipped outright, and after a cooldown a single /healthz probe
 // (half-open state) decides whether it rejoins. Recovery restores the
 // worker to exactly its old rendezvous positions — the ranking is a
-// pure function of (worker URL, tape key), the breaker only gates it —
-// so tape affinity survives a bounce.
+// pure function of (worker URL, trace key), the breaker only gates it —
+// so trace affinity survives a bounce.
 
 import (
 	"sync"

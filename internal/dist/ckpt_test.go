@@ -4,8 +4,8 @@ package dist
 // to their store, a drained worker flushes a final checkpoint and ends
 // the stream with a terminal "checkpointed" event, coordinators move
 // checkpoints by hand over GET/PUT /ckpts/{key}, and corruption is
-// re-derived-or-discarded at every hop — a bad checkpoint can cost a
-// cold restart, never a wrong result.
+// discarded at every hop — a bad checkpoint can cost a cold restart,
+// never a wrong result.
 
 import (
 	"context"
@@ -24,7 +24,7 @@ import (
 )
 
 func TestCkptWriteFetchPushResume(t *testing.T) {
-	a := NewServer(ServerConfig{Name: "a", Store: NewStore(1<<30, ""), CheckpointEvery: 500})
+	a := NewServer(ServerConfig{Name: "a", CheckpointEvery: 500})
 	tsA := httptest.NewServer(a)
 	defer tsA.Close()
 	ca := NewClient(tsA.URL)
@@ -33,8 +33,8 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.Resumable || h.Ckpts != 0 {
-		t.Fatalf("health = %+v, want resumable with no checkpoints yet", h)
+	if h.Ckpts != 0 {
+		t.Fatalf("health = %+v, want no checkpoints yet", h)
 	}
 
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
@@ -65,11 +65,19 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	if d.Records == 0 || d.Records >= total {
 		t.Fatalf("checkpoint at %d of %d records, want a mid-run snapshot", d.Records, total)
 	}
+	// Workers generate live, so the checkpoint names its spec and
+	// resumes anywhere without the trace being shipped along.
+	if d.Source != "spec" || d.Spec == nil || *d.Spec != *job.Spec {
+		t.Fatalf("checkpoint source %q (spec %v), want the job's spec", d.Source, d.Spec)
+	}
+	if h, err := ca.Health(context.Background()); err != nil || h.Ckpts != 1 {
+		t.Fatalf("health after the run = %+v, %v; want one checkpoint held", h, err)
+	}
 
 	// Push it to an unrelated worker and run the same job there: the
 	// worker resumes mid-run and the result is bit-identical to a cold
 	// direct simulation.
-	b := NewServer(ServerConfig{Name: "b", Store: NewStore(1<<30, "")})
+	b := NewServer(ServerConfig{Name: "b"})
 	tsB := httptest.NewServer(b)
 	defer tsB.Close()
 	cb := NewClient(tsB.URL)
@@ -92,7 +100,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	}
 
 	// A peer-wired worker finds A's checkpoint on its own.
-	c := NewServer(ServerConfig{Name: "c", Store: NewStore(1<<30, ""), Peers: []string{tsA.URL}})
+	c := NewServer(ServerConfig{Name: "c", Peers: []string{tsA.URL}})
 	tsC := httptest.NewServer(c)
 	defer tsC.Close()
 	cc := NewClient(tsC.URL)
@@ -106,7 +114,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 }
 
 func TestDrainCheckpointsInProgressJob(t *testing.T) {
-	srv := NewServer(ServerConfig{Name: "w", Store: NewStore(1<<30, ""), CheckpointEvery: 500})
+	srv := NewServer(ServerConfig{Name: "w", CheckpointEvery: 500})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -145,7 +153,7 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewServer(ServerConfig{Name: "b", Store: NewStore(1<<30, "")})
+	b := NewServer(ServerConfig{Name: "b"})
 	tsB := httptest.NewServer(b)
 	defer tsB.Close()
 	cb := NewClient(tsB.URL)
@@ -167,8 +175,8 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 
 func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 	dir := t.TempDir()
-	store := NewStore(1<<30, dir)
-	srv := NewServer(ServerConfig{Name: "w", Store: store, CheckpointEvery: 500})
+	srv := NewServer(ServerConfig{Name: "w", CkptDir: dir, CheckpointEvery: 500})
+	store := srv.Store()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -207,8 +215,8 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reopened := NewStore(1<<30, dir)
-	srv2 := NewServer(ServerConfig{Name: "w2", Store: reopened})
+	srv2 := NewServer(ServerConfig{Name: "w2", CkptDir: dir})
+	reopened := srv2.Store()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	c2 := NewClient(ts2.URL)
@@ -229,7 +237,7 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 		t.Fatalf("garbage fetch: %v, want a transport-class rejection", err)
 	}
 
-	// An unknown key 404s with a nearest-address hint, like tapes.
+	// An unknown key 404s with a nearest-address hint, like job ids.
 	typo := "0" + key[1:]
 	if _, err := c.FetchCkpt(context.Background(), typo); err == nil ||
 		!strings.Contains(err.Error(), "nearest") {
@@ -238,7 +246,6 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 }
 
 func TestExecuteJobResumeNeverTrusted(t *testing.T) {
-	store := NewStore(1<<30, "")
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
 	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
@@ -247,7 +254,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 
 	// Harvest a genuine checkpoint for the job.
 	var snap []byte
-	_, _, _, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{
+	_, _, err = ExecuteJob(context.Background(), job, nil, &ExecOptions{
 		Every: 500,
 		Sink:  func(data []byte) error { snap = data; return nil },
 	})
@@ -262,7 +269,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, resumed, err := ExecuteJob(context.Background(), other, store, nil, nil, &ExecOptions{Resume: snap})
+	res, resumed, err := ExecuteJob(context.Background(), other, nil, &ExecOptions{Resume: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +280,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	// A well-sealed container holding garbage likewise falls back to a
 	// from-scratch run, never wrong results.
 	garbage := ckpt.Seal([]byte("plausible-looking nonsense payload"))
-	res, _, resumed, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{Resume: garbage})
+	res, resumed, err = ExecuteJob(context.Background(), job, nil, &ExecOptions{Resume: garbage})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestExecuteJobResumeNeverTrusted(t *testing.T) {
 	}
 
 	// The genuine checkpoint, for contrast, resumes bit-identically.
-	res, _, resumed, err = ExecuteJob(context.Background(), job, store, nil, nil, &ExecOptions{Resume: snap})
+	res, resumed, err = ExecuteJob(context.Background(), job, nil, &ExecOptions{Resume: snap})
 	if err != nil {
 		t.Fatal(err)
 	}

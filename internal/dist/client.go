@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"stms/internal/ckpt"
-	"stms/internal/trace"
 )
 
 // Timeouts are the client's per-attempt deadlines. Jobs can
@@ -332,60 +331,6 @@ func (c *Client) PushCkpt(ctx context.Context, key string, data []byte) error {
 		return c.authError(resp)
 	case resp.StatusCode != http.StatusNoContent:
 		return &TransportError{fmt.Errorf("dist: %s/ckpts/%.12s…: %s", c.base, key, resp.Status)}
-	}
-	return nil
-}
-
-// FetchTape downloads the tape at the given address. Failures are
-// transport errors — except a credentials rejection, which is
-// deterministic; either way the caller's store verifies any content it
-// does receive against the address before trusting it.
-func (c *Client) FetchTape(ctx context.Context, key string) (*trace.Tape, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/tapes/"+key, nil)
-	if err != nil {
-		return nil, &TransportError{err}
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, &TransportError{err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusUnauthorized {
-		return nil, c.authError(resp)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &TransportError{fmt.Errorf("dist: %s/tapes/%.12s…: %s", c.base, key, resp.Status)}
-	}
-	t, err := trace.ReadTape(resp.Body)
-	if err != nil {
-		return nil, &TransportError{fmt.Errorf("dist: decoding tape %.12s… from %s: %w", key, c.base, err)}
-	}
-	return t, nil
-}
-
-// PushTape uploads a tape to the worker's store under its address.
-func (c *Client) PushTape(ctx context.Context, key string, t *trace.Tape) error {
-	var buf bytes.Buffer
-	if err := trace.WriteTape(&buf, t); err != nil {
-		return fmt.Errorf("dist: encoding tape: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+"/tapes/"+key, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return &TransportError{err}
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return &TransportError{err}
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusBadRequest:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("dist: %s rejected the tape: %s", c.base, strings.TrimSpace(string(msg)))
-	case resp.StatusCode == http.StatusUnauthorized:
-		return c.authError(resp)
-	case resp.StatusCode != http.StatusNoContent:
-		return &TransportError{fmt.Errorf("dist: %s/tapes/%.12s…: %s", c.base, key, resp.Status)}
 	}
 	return nil
 }

@@ -101,7 +101,7 @@ func TestJobJSONRoundTrip(t *testing.T) {
 }
 
 func TestServerRunJobMatchesDirectSim(t *testing.T) {
-	srv := NewServer(ServerConfig{Name: "w1", Store: NewStore(1<<30, "")})
+	srv := NewServer(ServerConfig{Name: "w1"})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -122,8 +122,8 @@ func TestServerRunJobMatchesDirectSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Worker != "w1" || res.TapeSource != TapeBuilt {
-		t.Fatalf("result meta = worker %q, source %q", res.Worker, res.TapeSource)
+	if res.Worker != "w1" {
+		t.Fatalf("result meta = worker %q", res.Worker)
 	}
 	if kinds[0] != "started" || kinds[len(kinds)-1] != "done" {
 		t.Fatalf("event stream %v", kinds)
@@ -139,21 +139,19 @@ func TestServerRunJobMatchesDirectSim(t *testing.T) {
 		t.Fatalf("remote result differs from direct simulation:\n got %+v\nwant %+v", res.Res, want)
 	}
 
-	// A second run of the same job is a memory-tier tape hit.
+	// A second run of the same job generates the trace again, to the
+	// same bits.
 	res2, err := c.RunJob(context.Background(), job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.TapeSource != TapeFromMemory {
-		t.Fatalf("second run tape source = %q, want memory", res2.TapeSource)
-	}
 	if !reflect.DeepEqual(res2.Res, want) {
-		t.Fatal("taped rerun differs from live result")
+		t.Fatal("rerun differs from the first result")
 	}
 }
 
 func TestServerScenarioJob(t *testing.T) {
-	srv := NewServer(ServerConfig{Store: NewStore(1<<30, "")})
+	srv := NewServer(ServerConfig{CheckpointEvery: 500})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -181,10 +179,27 @@ func TestServerScenarioJob(t *testing.T) {
 	if !reflect.DeepEqual(res.Res, want) {
 		t.Fatal("remote scenario result differs from direct simulation")
 	}
+
+	// The worker's checkpoint names the scenario it generated live.
+	key, err := job.CkptKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := c.FetchCkpt(context.Background(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sim.Peek(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Source != "scenario" || d.Scenario == nil || d.Scenario.Key() != scn.Key() {
+		t.Fatalf("checkpoint source %q, want the job's scenario", d.Source)
+	}
 }
 
 func TestServerJobFailureIsNotTransport(t *testing.T) {
-	srv := NewServer(ServerConfig{Store: NewStore(1<<30, "")})
+	srv := NewServer(ServerConfig{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -218,73 +233,8 @@ func TestServerJobFailureIsNotTransport(t *testing.T) {
 	}
 }
 
-func TestServerTapeExchange(t *testing.T) {
-	// Worker A builds a tape; worker B (with A as peer) must fetch it
-	// rather than rebuild, and a coordinator can move tapes by hand via
-	// GET/PUT.
-	a := NewServer(ServerConfig{Name: "a", Store: NewStore(1<<30, "")})
-	tsA := httptest.NewServer(a)
-	defer tsA.Close()
-	b := NewServer(ServerConfig{Name: "b", Store: NewStore(1<<30, ""), Peers: []string{tsA.URL}})
-	tsB := httptest.NewServer(b)
-	defer tsB.Close()
-
-	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.None})
-	ca, cb := NewClient(tsA.URL), NewClient(tsB.URL)
-	resA, err := ca.RunJob(context.Background(), job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA.TapeSource != TapeBuilt {
-		t.Fatalf("first execution tape source = %q", resA.TapeSource)
-	}
-	resB, err := cb.RunJob(context.Background(), job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.TapeSource != TapeFromPeer {
-		t.Fatalf("peer execution tape source = %q, want peer", resB.TapeSource)
-	}
-	if !reflect.DeepEqual(resA.Res, resB.Res) {
-		t.Fatal("peer-taped result differs")
-	}
-	if st := b.Store().Stats(); st.PeerHits != 1 || st.Builds != 0 {
-		t.Fatalf("worker b stats = %+v, want pure peer hit", st)
-	}
-
-	// Manual tape movement: fetch from A, push to a third store-backed
-	// worker, and watch it serve the job without building.
-	key, err := job.TapeKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape, err := ca.FetchTape(context.Background(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cSrv := NewServer(ServerConfig{Name: "c", Store: NewStore(1<<30, "")})
-	tsC := httptest.NewServer(cSrv)
-	defer tsC.Close()
-	cc := NewClient(tsC.URL)
-	if err := cc.PushTape(context.Background(), key, tape); err != nil {
-		t.Fatal(err)
-	}
-	resC, err := cc.RunJob(context.Background(), job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resC.TapeSource != TapeFromMemory {
-		t.Fatalf("pushed-tape execution source = %q, want memory", resC.TapeSource)
-	}
-
-	// Pushing under a wrong address is rejected (content addressing).
-	if err := cc.PushTape(context.Background(), strings.Repeat("0", 64), tape); err == nil || IsTransport(err) {
-		t.Fatalf("mis-addressed push: %v", err)
-	}
-}
-
 func TestServerUnknownIDSuggestions(t *testing.T) {
-	srv := NewServer(ServerConfig{Name: "w", Store: NewStore(1<<30, "")})
+	srv := NewServer(ServerConfig{Name: "w", CheckpointEvery: 500})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := NewClient(ts.URL)
@@ -307,13 +257,13 @@ func TestServerUnknownIDSuggestions(t *testing.T) {
 		t.Fatalf("status %d body %q, want 404 with a job-1 suggestion", resp.StatusCode, body)
 	}
 
-	// GET /tapes/{near-miss} names the nearest resident address.
-	key, err := job.TapeKey()
+	// GET /ckpts/{near-miss} names the nearest resident address.
+	key, err := job.CkptKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	typo := "0" + key[1:]
-	resp2, err := ts.Client().Get(ts.URL + "/tapes/" + typo)
+	resp2, err := ts.Client().Get(ts.URL + "/ckpts/" + typo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,36 +275,13 @@ func TestServerUnknownIDSuggestions(t *testing.T) {
 	}
 }
 
-func TestServerLiveModeWithoutStore(t *testing.T) {
-	srv := NewServer(ServerConfig{Name: "live"})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := NewClient(ts.URL)
-
-	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	res, err := c.RunJob(context.Background(), job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TapeSource != TapeLive {
-		t.Fatalf("storeless worker tape source = %q, want live", res.TapeSource)
-	}
-	want, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Res, want) {
-		t.Fatal("live worker result differs from direct simulation")
-	}
-}
-
 func TestResultJSONRoundTrip(t *testing.T) {
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
 	res, err := run1(context.Background(), job.Config, sim.FromSpec(*job.Spec), job.Pref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Result{Version: ResultFormatVersion, Res: res, TapeSource: TapeBuilt, Worker: "w", WallMS: 1.5}
+	r := Result{Version: ResultFormatVersion, Res: res, Worker: "w", WallMS: 1.5}
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"stms/internal/sim"
-	"stms/internal/trace"
 )
 
 // ExecOptions configures checkpointing for one job execution. The zero
@@ -52,12 +51,11 @@ func (o *ExecOptions) runOptions(job *Job) []sim.RunOption {
 	return opts
 }
 
-// ExecuteJob runs one cell job to completion, serving its record
-// stream from the store when one is given (fetch, usually a peer
-// lookup, feeds the store's miss path). The execution mirrors the
-// in-process lab's cell path exactly — same validation order, same
-// tape identities (TapeIdentity), same sim.Run call — which is what makes a
-// remotely executed matrix bit-identical to a local run.
+// ExecuteJob runs one cell job to completion, generating its trace
+// live. The execution mirrors the in-process lab's cell path exactly —
+// same validation order, same sim.Run call over the same spec or
+// scenario — which is what makes a remotely executed matrix
+// bit-identical to a local run.
 //
 // exec (nil for a plain run) threads checkpointing through: a
 // validated ExecOptions.Resume warm-starts the run (resumed reports
@@ -66,52 +64,17 @@ func (o *ExecOptions) runOptions(job *Job) []sim.RunOption {
 // requests a final checkpoint + sim.ErrCheckpointed for graceful
 // shutdown. Because checkpoints are pure observation, results are
 // bit-identical with or without them, resumed or cold.
-func ExecuteJob(ctx context.Context, job *Job, store *Store,
-	fetch func(context.Context, string) (*trace.Tape, error), progress sim.Progress,
-	exec *ExecOptions) (sim.Results, TapeSource, bool, error) {
+func ExecuteJob(ctx context.Context, job *Job, progress sim.Progress, exec *ExecOptions) (sim.Results, bool, error) {
 	if err := job.Validate(); err != nil {
-		return sim.Results{}, TapeLive, false, err
+		return sim.Results{}, false, err
 	}
-	scn, err := job.scenario()
+	in, mode, err := job.run()
 	if err != nil {
-		return sim.Results{}, TapeLive, false, err
-	}
-	cfg := job.Config
-
-	var src TapeSource = TapeLive
-	var in sim.Input
-	switch {
-	case store != nil:
-		// Validate before touching the store — sim.Run validates again,
-		// but only after the tape exists, and a job with a broken config
-		// must not cost a tape build.
-		if err := cfg.Validate(); err != nil {
-			return sim.Results{}, TapeLive, false, err
-		}
-		key, build := TapeIdentity(cfg, job.Spec, scn)
-		var fetchKey func(context.Context) (*trace.Tape, error)
-		if fetch != nil {
-			fetchKey = func(ctx context.Context) (*trace.Tape, error) { return fetch(ctx, key) }
-		}
-		var tape *trace.Tape
-		tape, src, err = store.GetOrBuild(ctx, key, fetchKey, build)
-		if err != nil {
-			return sim.Results{}, src, false, err
-		}
-		in = sim.FromTape(tape)
-	case scn != nil:
-		in = sim.FromScenario(*scn)
-	default:
-		in = sim.FromSpec(*job.Spec)
-	}
-
-	mode := sim.Timed
-	if job.Mode == sim.Functional.String() {
-		mode = sim.Functional
+		return sim.Results{}, false, err
 	}
 	opts := append(exec.runOptions(job), sim.WithMode(mode), sim.WithProgress(progress))
 	run := func(opts ...sim.RunOption) (sim.Results, error) {
-		rs, err := sim.Run(ctx, cfg, in, []sim.PrefSpec{job.Pref}, opts...)
+		rs, err := sim.Run(ctx, job.Config, in, []sim.PrefSpec{job.Pref}, opts...)
 		if err != nil {
 			return sim.Results{}, err
 		}
@@ -124,13 +87,13 @@ func ExecuteJob(ctx context.Context, job *Job, store *Store,
 		res, err := run(append(opts[:len(opts):len(opts)], sim.WithResume(exec.Resume))...)
 		switch {
 		case err == nil:
-			return res, src, true, nil
+			return res, true, nil
 		case errors.Is(err, sim.ErrCheckpointed) || ctx.Err() != nil:
-			return res, src, true, err
+			return res, true, err
 		}
 		// The container belongs to another run or would not restore:
 		// discard it and fall through to a cold run.
 	}
 	res, err := run(opts...)
-	return res, src, false, err
+	return res, false, err
 }

@@ -50,7 +50,7 @@ const (
 	// cut mid-job.
 	FaultCut FaultKind = "cut"
 	// FaultCorrupt delivers rule.After body bytes intact, then flips
-	// bits in everything after — a tape corrupted in flight.
+	// bits in everything after — a checkpoint corrupted in flight.
 	FaultCorrupt FaultKind = "corrupt"
 )
 
@@ -247,8 +247,8 @@ func (b *chaosBody) Read(p []byte) (int, error) {
 // worker's handler. Refuse aborts the connection (the client sees a
 // cut, not a status); Stall and Cut deliver After response bytes and
 // then hang (until the client goes away) or abort; Corrupt flips bits
-// after the threshold — the receiving store's content addressing must
-// reject the tape.
+// after the threshold — the receiver's container check must reject
+// the checkpoint.
 func (in *Injector) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var body *FaultRule

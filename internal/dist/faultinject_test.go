@@ -138,7 +138,7 @@ func TestClientStallAbortsBounded(t *testing.T) {
 	// injector delivers 10 bytes of the first event and then stalls. The
 	// stall detector must abort the cell within its window rather than
 	// hanging Run forever.
-	srv := NewServer(ServerConfig{Name: "w", Store: NewStore(1<<30, "")})
+	srv := NewServer(ServerConfig{Name: "w"})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -245,7 +245,7 @@ func TestClientCancellationRacesHeartbeat(t *testing.T) {
 }
 
 func TestServerAuth(t *testing.T) {
-	srv := NewServer(ServerConfig{Name: "locked", Store: NewStore(1<<30, ""), Token: "s3cret"})
+	srv := NewServer(ServerConfig{Name: "locked", Token: "s3cret"})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
@@ -267,7 +267,7 @@ func TestServerAuth(t *testing.T) {
 	if _, err := wrong.RunJob(context.Background(), job, nil); err == nil || IsTransport(err) {
 		t.Fatalf("wrong-token job error = %v, want plain 401 rejection", err)
 	}
-	if _, err := wrong.FetchTape(context.Background(), strings.Repeat("0", 64)); err == nil || IsTransport(err) {
+	if _, err := wrong.FetchCkpt(context.Background(), strings.Repeat("0", 64)); err == nil || IsTransport(err) {
 		t.Fatalf("wrong-token fetch error = %v, want plain 401 rejection", err)
 	}
 
@@ -281,43 +281,48 @@ func TestServerAuth(t *testing.T) {
 	}
 }
 
-func TestAuthedPeersExchangeTapes(t *testing.T) {
-	// Workers sharing a token still exchange tapes: the server's peer
-	// clients present the same credential it demands.
-	a := NewServer(ServerConfig{Name: "a", Store: NewStore(1<<30, ""), Token: "tok"})
+func TestAuthedPeersExchangeCheckpoints(t *testing.T) {
+	// Workers sharing a token still exchange checkpoints: the server's
+	// peer clients present the same credential it demands, so b finds
+	// a's checkpoint of the job and resumes from it.
+	a := NewServer(ServerConfig{Name: "a", Token: "tok", CheckpointEvery: 500})
 	tsA := httptest.NewServer(a)
 	defer tsA.Close()
-	b := NewServer(ServerConfig{Name: "b", Store: NewStore(1<<30, ""), Peers: []string{tsA.URL}, Token: "tok"})
+	b := NewServer(ServerConfig{Name: "b", Peers: []string{tsA.URL}, Token: "tok"})
 	tsB := httptest.NewServer(b)
 	defer tsB.Close()
 
-	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.None})
+	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
 	ca, cb := NewClient(tsA.URL, WithAuth("tok")), NewClient(tsB.URL, WithAuth("tok"))
-	if _, err := ca.RunJob(context.Background(), job, nil); err != nil {
+	resA, err := ca.RunJob(context.Background(), job, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := cb.RunJob(context.Background(), job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TapeSource != TapeFromPeer {
-		t.Fatalf("authed peer fetch source = %q, want peer", res.TapeSource)
+	if !res.Resumed {
+		t.Fatal("authed peer checkpoint was not fetched: b ran cold")
+	}
+	if !reflect.DeepEqual(res.Res, resA.Res) {
+		t.Fatal("result resumed from the peer checkpoint differs")
 	}
 }
 
-func TestCorruptedPeerTapeIsRebuilt(t *testing.T) {
-	// Worker A serves tapes through corrupting middleware; worker B's
-	// peer fetch receives damaged bytes. Content addressing must reject
-	// them — B rebuilds, and the result is still bit-identical.
-	in := NewInjector(5, nil, FaultRule{Kind: FaultCorrupt, Path: "/tapes", After: 64})
-	a := NewServer(ServerConfig{Name: "a", Store: NewStore(1<<30, "")})
+func TestCorruptedPeerCheckpointIsDiscarded(t *testing.T) {
+	// Worker A serves checkpoints through corrupting middleware; worker
+	// B's peer lookup receives damaged bytes. The container check must
+	// reject them — B runs cold, and the result is still bit-identical.
+	in := NewInjector(5, nil, FaultRule{Kind: FaultCorrupt, Path: "/ckpts", After: 64})
+	a := NewServer(ServerConfig{Name: "a", CheckpointEvery: 500})
 	tsA := httptest.NewServer(in.Wrap(a))
 	defer tsA.Close()
-	b := NewServer(ServerConfig{Name: "b", Store: NewStore(1<<30, ""), Peers: []string{tsA.URL}})
+	b := NewServer(ServerConfig{Name: "b", Peers: []string{tsA.URL}})
 	tsB := httptest.NewServer(b)
 	defer tsB.Close()
 
-	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.None})
+	job := testJob(t, "oltp-db2", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
 	ca, cb := NewClient(tsA.URL), NewClient(tsB.URL)
 	resA, err := ca.RunJob(context.Background(), job, nil)
 	if err != nil {
@@ -327,16 +332,13 @@ func TestCorruptedPeerTapeIsRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resB.TapeSource != TapeBuilt {
-		t.Fatalf("tape source after corrupted peer fetch = %q, want a rebuild", resB.TapeSource)
+	if resB.Resumed {
+		t.Fatal("b resumed from a corrupted peer checkpoint")
 	}
 	if got := in.Fired()[FaultCorrupt]; got == 0 {
 		t.Fatal("corruption rule never fired")
 	}
 	if !reflect.DeepEqual(resA.Res, resB.Res) {
-		t.Fatal("rebuilt result differs from the original")
-	}
-	if st := b.Store().Stats(); st.PeerHits != 0 || st.Builds != 1 {
-		t.Fatalf("worker b stats = %+v, want a pure rebuild", st)
+		t.Fatal("cold result differs from the original")
 	}
 }

@@ -1,7 +1,6 @@
 // Package dist is the distributed lab: it lets a pool of stms-serve
 // worker processes execute run-matrix cells on behalf of a
-// coordinator, over a content-addressed store of materialized trace
-// tapes.
+// coordinator.
 //
 // The package decomposes into four pieces:
 //
@@ -11,20 +10,20 @@
 //     prefetcher variant, system config, driver mode — and cells are
 //     pure functions of that identity, so remote execution is
 //     memoization over the network: any worker, any time, same bits.
-//   - Store: a two-tier (memory LRU → on-disk STMSTAPE directory)
-//     content-addressed tape store, singleflight-guarded, that every
-//     worker serves its jobs' tapes from.
+//   - Store: a worker's checkpoint store (memory, plus an optional
+//     on-disk STMSCKPT directory), content-addressed by job identity.
 //   - Server: the worker daemon's HTTP API — POST /jobs streams
 //     progress and the final result as JSON lines, GET/PUT
-//     /tapes/{key} move tapes between workers so each unique tape is
-//     built once fleet-wide, GET /healthz advertises capacity.
+//     /ckpts/{key} move checkpoints between workers and the
+//     coordinator so a lost attempt costs only the tail of its cell,
+//     GET /healthz advertises capacity.
 //   - Client: the coordinator's view of one worker, separating
 //     transport failures (retry on another worker) from job failures
 //     (deterministic; retrying elsewhere would fail identically).
 //
-// Every simulation a worker runs goes through the same sim.Run call
-// the in-process lab uses, so a matrix executed across
-// workers is bit-identical to the same plan run locally.
+// Workers generate every job's trace live, through the same sim.Run
+// call the in-process lab uses, so a matrix executed across workers
+// is bit-identical to the same plan run locally.
 package dist
 
 import (
@@ -95,7 +94,7 @@ func (j *Job) scenario() (*trace.Scenario, error) {
 
 // CkptKey returns the content address of the job's checkpoint: the hex
 // digest of the full job identity — trace identity (TapeKey) plus mode
-// and the complete prefetcher spec. Unlike tapes, a checkpoint is only
+// and the complete prefetcher spec. Unlike a trace, a checkpoint is only
 // meaningful to the exact job that wrote it (the serialized state
 // embeds the variant's tables and in-flight operations), so the
 // prefetcher spec is part of the address. One key names one job's
@@ -126,37 +125,29 @@ func prefString(ps sim.PrefSpec) string {
 
 // TapeKey returns the content address of the job's trace identity: the
 // hex digest of (scaled spec or scenario, seed, cores, per-core record
-// budget) — everything that determines the materialized tape, and
-// nothing that doesn't (the prefetcher variant, for one, so every
-// variant column of a matrix row shares a key). Coordinator and worker
-// compute it independently and must agree; it names tapes in every
-// store tier and routes cells to workers by affinity.
+// budget) — everything that determines the trace, and nothing that
+// doesn't (the prefetcher variant, for one, so every variant column of
+// a matrix row shares a key). Coordinator and worker compute it
+// independently and must agree; it routes cells to workers by
+// affinity and is part of every checkpoint address (CkptKey).
 func (j *Job) TapeKey() (string, error) {
 	scn, err := j.scenario()
 	if err != nil {
 		return "", err
 	}
-	key, _ := TapeIdentity(j.Config, j.Spec, scn)
-	return key, nil
+	return TapeIdentity(j.Config, j.Spec, scn), nil
 }
 
-// TapeIdentity returns the content address of a run's trace tape and
-// the function that materializes it: the scenario when scn is non-nil,
-// else the spec, scaled by cfg.Scale, at cfg's seed, core count and
-// warm + measure budget. Lab sessions, workers and Job.TapeKey all
-// derive tape identities here.
-func TapeIdentity(cfg sim.Config, spec *trace.Spec, scn *trace.Scenario) (string, func() *trace.Tape) {
+// TapeIdentity returns the content address of a run's trace: the
+// scenario when scn is non-nil, else the spec, scaled by cfg.Scale, at
+// cfg's seed, core count and warm + measure budget. Lab sessions,
+// workers and Job.TapeKey all derive trace identities here.
+func TapeIdentity(cfg sim.Config, spec *trace.Spec, scn *trace.Scenario) string {
 	seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
 	if scn != nil {
-		scaled := scn.Scaled(cfg.Scale)
-		return TapeKey(trace.Spec{}, scaled.Key(), seed, cores, perCore), func() *trace.Tape {
-			return trace.NewScenarioTape(scaled, seed, cores, perCore)
-		}
+		return TapeKey(trace.Spec{}, scn.Scaled(cfg.Scale).Key(), seed, cores, perCore)
 	}
-	scaled := spec.Scaled(cfg.Scale)
-	return TapeKey(scaled, "", seed, cores, perCore), func() *trace.Tape {
-		return trace.NewTape(scaled, seed, cores, perCore)
-	}
+	return TapeKey(spec.Scaled(cfg.Scale), "", seed, cores, perCore)
 }
 
 // TapeKey computes the content address of a trace identity. Exactly
@@ -168,46 +159,46 @@ func TapeKey(spec trace.Spec, scenarioKey string, seed uint64, cores int, perCor
 	return hex.EncodeToString(sum[:])
 }
 
-// tapeKeyOf recomputes the content address of a materialized tape from
-// the identity it carries — the receiving tier of every tape transfer
-// (disk load, PUT /tapes) verifies the address instead of trusting the
-// name it arrived under.
-func tapeKeyOf(t *trace.Tape) string {
-	scnKey := ""
-	spec := trace.Spec{}
-	if scn := t.Scenario(); scn != nil {
-		scnKey = scn.Key()
-	} else {
-		spec = t.Spec()
+// run returns the job's live trace input and driver mode.
+func (j *Job) run() (sim.Input, sim.Mode, error) {
+	mode := sim.Timed
+	if j.Mode == sim.Functional.String() {
+		mode = sim.Functional
 	}
-	return TapeKey(spec, scnKey, t.Seed(), t.Cores(), t.PerCore())
+	scn, err := j.scenario()
+	switch {
+	case err != nil:
+		return sim.Input{}, mode, err
+	case scn != nil:
+		return sim.FromScenario(*scn), mode, nil
+	}
+	return sim.FromSpec(*j.Spec), mode, nil
 }
 
-// TapeSource records which tier satisfied a job's tape: the worker's
-// memory cache, its disk tier, a peer worker, a fresh build, or "live"
-// when the worker runs without a store and generates records in place.
-type TapeSource string
-
-// Tape sources, in lookup order.
-const (
-	TapeFromMemory TapeSource = "memory"
-	TapeFromDisk   TapeSource = "disk"
-	TapeFromPeer   TapeSource = "peer"
-	TapeBuilt      TapeSource = "built"
-	TapeLive       TapeSource = "live"
-)
+// CheckCkpt checks that a sealed checkpoint resumes exactly this job,
+// with the check sim.Run makes before it restores (sim.CheckResume):
+// mode, configuration, the complete prefetcher spec and the trace. It
+// returns the checkpoint's descriptor. Worker and coordinator both
+// vet fetched checkpoints here, because a checkpoint is stored under
+// whatever key it arrives with.
+func (j *Job) CheckCkpt(data []byte) (sim.CheckpointDesc, error) {
+	in, mode, err := j.run()
+	if err != nil {
+		return sim.CheckpointDesc{}, err
+	}
+	return sim.CheckResume(data, mode, j.Config, in, j.Pref)
+}
 
 // Result is a completed job: the full simulation Results (which
 // round-trip JSON losslessly, so the coordinator's matrix is
 // bit-identical to an in-process run) plus execution metadata.
 type Result struct {
-	Version    int         `json:"stms_result"`
-	Res        sim.Results `json:"results"`
-	TapeSource TapeSource  `json:"tape_source"`
-	Worker     string      `json:"worker,omitempty"`
-	WallMS     float64     `json:"wall_ms"`
-	// Checkpoint accounting (additive in result version 1; absent on
-	// workers without checkpointing). Resumed reports that the worker
+	Version int         `json:"stms_result"`
+	Res     sim.Results `json:"results"`
+	Worker  string      `json:"worker,omitempty"`
+	WallMS  float64     `json:"wall_ms"`
+	// Checkpoint accounting (additive in result version 1; absent when
+	// the job neither resumed nor checkpointed). Resumed reports that the worker
 	// restored the run from a checkpoint instead of starting cold;
 	// CkptWrites/CkptBytes count the checkpoints the run itself wrote.
 	Resumed    bool   `json:"resumed,omitempty"`
@@ -233,19 +224,16 @@ type Event struct {
 	Error   string  `json:"error,omitempty"`
 }
 
-// Health is the worker's GET /healthz document. Resumable and Ckpts
-// are additive fields (version stays 1 so old coordinators keep
-// working): a resumable worker checkpoints long jobs to its store and
-// serves them over GET/PUT /ckpts/{key}.
+// Health is the worker's GET /healthz document. Every worker
+// checkpoints jobs to its store and serves them over GET/PUT
+// /ckpts/{key}; Ckpts counts the checkpoints it holds.
 type Health struct {
-	Version   int    `json:"stms_worker"`
-	Name      string `json:"name"`
-	Cores     int    `json:"cores"`
-	MaxJobs   int    `json:"max_jobs"`
-	InFlight  int    `json:"in_flight"`
-	Tapes     int    `json:"tapes"`               // tapes resident in the memory tier
-	Resumable bool   `json:"resumable,omitempty"` // worker checkpoints jobs and serves /ckpts
-	Ckpts     int    `json:"ckpts,omitempty"`     // checkpoints resident in the store
+	Version  int    `json:"stms_worker"`
+	Name     string `json:"name"`
+	Cores    int    `json:"cores"`
+	MaxJobs  int    `json:"max_jobs"`
+	InFlight int    `json:"in_flight"`
+	Ckpts    int    `json:"ckpts,omitempty"` // checkpoints resident in the store
 }
 
 // ErrWorkerCheckpointed marks a job stream that ended with a

@@ -11,14 +11,12 @@ package dist
 //	                     context: a coordinator that dies mid-run
 //	                     cancels its jobs.
 //	GET  /jobs/{id}    → status of a job seen by this worker
-//	GET  /tapes/{key}  → STMSTAPE bytes of a resident tape
-//	PUT  /tapes/{key}  → admit a tape (verified against its address)
 //	GET  /ckpts/{key}  → sealed STMSCKPT bytes of a job's latest
 //	                     checkpoint (content-addressed by Job.CkptKey)
 //	PUT  /ckpts/{key}  → admit a checkpoint (verified container; 400
 //	                     on corruption)
 //
-// Unknown job ids and tape/checkpoint keys answer 404 with a
+// Unknown job ids and checkpoint keys answer 404 with a
 // nearest-match suggestion, the same way trace.ByName treats workload
 // typos.
 
@@ -37,7 +35,6 @@ import (
 
 	"stms/internal/editdist"
 	"stms/internal/sim"
-	"stms/internal/trace"
 )
 
 // ServerConfig configures a worker.
@@ -45,10 +42,12 @@ type ServerConfig struct {
 	// Name identifies the worker in results and health documents
 	// (default: "worker").
 	Name string
-	// Store serves and caches tapes; nil runs every job live.
-	Store *Store
-	// Peers are base URLs of sibling workers asked for a tape before
-	// building it.
+	// CkptDir, when non-empty, mirrors the worker's checkpoints to this
+	// directory (<job hash>.stmsckpt files), so they outlive the
+	// process; otherwise they are held in memory only.
+	CkptDir string
+	// Peers are base URLs of sibling workers asked for a job's
+	// checkpoint before it starts cold.
 	Peers []string
 	// MaxJobs bounds concurrently executing jobs (default:
 	// runtime.NumCPU()); excess POST /jobs block until a slot frees.
@@ -58,18 +57,19 @@ type ServerConfig struct {
 	// 401. The worker presents the same token to its peers, so one
 	// shared secret protects a whole fleet.
 	Token string
-	// CheckpointEvery, when > 0 and a Store is configured, checkpoints
-	// every running checkpointable job to the store each time this many
-	// trace records pass, and the job resumes from the freshest valid
-	// checkpoint found locally or on a peer. Regardless of cadence, a
-	// Store-backed worker flushes a final checkpoint on Drain.
+	// CheckpointEvery, when > 0, checkpoints every running
+	// checkpointable job to the store each time this many trace records
+	// pass. Regardless of cadence, a job resumes from the freshest valid
+	// checkpoint found locally or on a peer, and Drain flushes a final
+	// checkpoint.
 	CheckpointEvery uint64
 }
 
-// Server is the worker daemon: an http.Handler executing cell jobs
-// over a content-addressed tape store.
+// Server is the worker daemon: an http.Handler executing cell jobs,
+// generating their traces live, with a checkpoint store.
 type Server struct {
 	cfg   ServerConfig
+	store *Store
 	peers []*Client
 	sem   chan struct{}
 
@@ -94,7 +94,7 @@ type jobStatus struct {
 	WallMS   float64 `json:"wall_ms,omitempty"`
 }
 
-// NewServer constructs a worker over its store and peer list.
+// NewServer constructs a worker over its checkpoint store and peer list.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "worker"
@@ -104,6 +104,7 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
+		store: NewStore(cfg.CkptDir),
 		sem:   make(chan struct{}, cfg.MaxJobs),
 		drain: make(chan struct{}),
 		jobs:  make(map[string]*jobStatus),
@@ -118,27 +119,24 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Store returns the server's tape store (nil when running live).
-func (s *Server) Store() *Store { return s.cfg.Store }
+// Store returns the server's checkpoint store.
+func (s *Server) Store() *Store { return s.store }
 
 // Drain begins graceful shutdown: every in-flight checkpointable job
 // writes a final checkpoint to the store and ends its stream with a
 // terminal "checkpointed" event, so the coordinator retries warm
 // instead of cold. Call before closing the listener; safe to call more
-// than once. Jobs that cannot checkpoint (no store, non-serializable
-// variant) are unaffected and run to completion or get cut by the
+// than once. Jobs that cannot checkpoint (non-serializable variants)
+// are unaffected and run to completion or get cut by the
 // listener close.
 func (s *Server) Drain() {
 	s.drainOnce.Do(func() { close(s.drain) })
 }
 
-// resumable reports whether this worker checkpoints jobs.
-func (s *Server) resumable() bool { return s.cfg.Store != nil }
-
 // authorized enforces the shared-secret bearer token on everything but
 // the health endpoint (load balancers and half-open breaker probes may
 // check liveness without credentials; the health document carries no
-// job or tape content).
+// job or checkpoint content).
 func (s *Server) authorized(w http.ResponseWriter, r *http.Request) bool {
 	if s.cfg.Token == "" || r.URL.Path == "/healthz" {
 		return true
@@ -165,8 +163,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleRunJob(w, r)
 	case strings.HasPrefix(r.URL.Path, "/jobs/") && r.Method == http.MethodGet:
 		s.handleJobStatus(w, strings.TrimPrefix(r.URL.Path, "/jobs/"))
-	case strings.HasPrefix(r.URL.Path, "/tapes/"):
-		s.handleTape(w, r, strings.TrimPrefix(r.URL.Path, "/tapes/"))
 	case strings.HasPrefix(r.URL.Path, "/ckpts/"):
 		s.handleCkpt(w, r, strings.TrimPrefix(r.URL.Path, "/ckpts/"))
 	default:
@@ -184,11 +180,7 @@ func (s *Server) handleHealth(w http.ResponseWriter) {
 		InFlight: s.inflight,
 	}
 	s.mu.Unlock()
-	if s.cfg.Store != nil {
-		h.Tapes = s.cfg.Store.Len()
-		h.Resumable = true
-		h.Ckpts = s.cfg.Store.CkptCount()
-	}
+	h.Ckpts = s.store.CkptCount()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
 }
@@ -267,34 +259,32 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 		emit(Event{Kind: "progress", Done: done, Total: total})
 	}
 
-	// Checkpointing: a store-backed worker checkpoints the job to its
-	// store under the job's content address (Job.CkptKey) and resumes
-	// from the freshest valid checkpoint it can find — its own store
-	// (a previous attempt that died here, or one the coordinator
-	// pushed) or a peer's. Checkpoints survive job completion: "latest
+	// Checkpointing: the worker checkpoints the job to its store under
+	// the job's content address (Job.CkptKey) and resumes from the
+	// freshest valid checkpoint it can find — its own store (a previous
+	// attempt that died here, or one the coordinator pushed) or a
+	// peer's. Checkpoints survive job completion: "latest
 	// checkpoint per job identity" is the store's contract, and a
 	// coordinator whose stream was cut may still want it.
 	var exec *ExecOptions
 	var ckptWrites, ckptBytes uint64
-	if s.resumable() {
-		if key, kerr := job.CkptKey(); kerr == nil {
-			exec = &ExecOptions{
-				Every: s.cfg.CheckpointEvery,
-				Stop:  s.drain,
-				Sink: func(data []byte) error {
-					ckptWrites++
-					ckptBytes += uint64(len(data))
-					return s.cfg.Store.PutCkpt(key, data)
-				},
-			}
-			if sim.CheckpointablePref(job.Pref) {
-				exec.Resume = s.lookupCkpt(r.Context(), key)
-			}
+	if key, kerr := job.CkptKey(); kerr == nil {
+		exec = &ExecOptions{
+			Every: s.cfg.CheckpointEvery,
+			Stop:  s.drain,
+			Sink: func(data []byte) error {
+				ckptWrites++
+				ckptBytes += uint64(len(data))
+				return s.store.PutCkpt(key, data)
+			},
+		}
+		if sim.CheckpointablePref(job.Pref) {
+			exec.Resume = s.lookupCkpt(r.Context(), &job, key)
 		}
 	}
 
 	start := time.Now()
-	res, src, resumed, err := s.execute(r.Context(), &job, progress, exec)
+	res, resumed, err := s.execute(r.Context(), &job, progress, exec)
 	wallMS := float64(time.Since(start).Microseconds()) / 1000
 
 	s.mu.Lock()
@@ -319,7 +309,6 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 	emit(Event{Kind: "done", Result: &Result{
 		Version:    ResultFormatVersion,
 		Res:        res,
-		TapeSource: src,
 		Worker:     s.cfg.Name,
 		WallMS:     wallMS,
 		Resumed:    resumed,
@@ -330,28 +319,29 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 
 // execute contains panics to the failing job, like the lab's cell
 // runner does — a worker must survive a malformed cell.
-func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, exec *ExecOptions) (res sim.Results, src TapeSource, resumed bool, err error) {
+func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, exec *ExecOptions) (res sim.Results, resumed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dist: job %s/%s panicked: %v", job.Workload, job.Variant, r)
 		}
 	}()
-	return ExecuteJob(ctx, job, s.cfg.Store, s.fetchFromPeers, progress, exec)
+	return ExecuteJob(ctx, job, progress, exec)
 }
 
-// lookupCkpt finds the freshest valid checkpoint for a job key: this
+// lookupCkpt finds the freshest checkpoint of job under its key: this
 // worker's store first, then every peer, keeping whichever had
-// progressed furthest. Containers that fail to verify or describe are
-// ignored — a checkpoint is never trusted on arrival.
-func (s *Server) lookupCkpt(ctx context.Context, key string) []byte {
+// progressed furthest. Containers that fail to verify, or that belong
+// to another run (Job.CheckCkpt), are ignored — a checkpoint is never
+// trusted on arrival.
+func (s *Server) lookupCkpt(ctx context.Context, job *Job, key string) []byte {
 	var best []byte
 	var bestRecs uint64
 	consider := func(data []byte) {
-		if d, err := sim.Peek(data); err == nil && (best == nil || d.Records > bestRecs) {
+		if d, err := job.CheckCkpt(data); err == nil && (best == nil || d.Records > bestRecs) {
 			best, bestRecs = data, d.Records
 		}
 	}
-	if data, ok := s.cfg.Store.GetCkpt(key); ok {
+	if data, ok := s.store.GetCkpt(key); ok {
 		consider(data)
 	}
 	for _, p := range s.peers {
@@ -360,24 +350,6 @@ func (s *Server) lookupCkpt(ctx context.Context, key string) []byte {
 		}
 	}
 	return best
-}
-
-// fetchFromPeers asks each sibling worker for a tape; the first one
-// holding it wins. Used as the store's miss hook so a tape built
-// anywhere in the fleet is fetched, not rebuilt.
-func (s *Server) fetchFromPeers(ctx context.Context, key string) (*trace.Tape, error) {
-	var lastErr error
-	for _, p := range s.peers {
-		t, err := p.FetchTape(ctx, key)
-		if err == nil {
-			return t, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("dist: no peers hold tape %.12s…", key)
-	}
-	return nil, lastErr
 }
 
 // track registers a job in the status table under a fresh id.
@@ -432,61 +404,18 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, id string) {
 	json.NewEncoder(w).Encode(snapshot)
 }
 
-// handleTape serves and accepts tapes in the STMSTAPE wire format.
-func (s *Server) handleTape(w http.ResponseWriter, r *http.Request, key string) {
-	if s.cfg.Store == nil {
-		http.Error(w, "dist: this worker runs without a tape store", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		t, ok := s.cfg.Store.Get(key)
-		if !ok {
-			msg := fmt.Sprintf("dist: no tape at address %.12s…", key)
-			if near := editdist.Nearest(key, s.cfg.Store.Keys()); near != "" {
-				msg += fmt.Sprintf(" (nearest resident address: %.12s…)", near)
-			}
-			http.Error(w, msg, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := trace.WriteTape(w, t); err != nil && r.Context().Err() == nil {
-			// Mid-stream failure; the client sees a truncated tape and
-			// treats it as a miss.
-			return
-		}
-	case http.MethodPut:
-		t, err := trace.ReadTape(r.Body)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("dist: decoding tape: %v", err), http.StatusBadRequest)
-			return
-		}
-		if err := s.cfg.Store.Put(key, t); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "dist: tapes support GET and PUT", http.StatusMethodNotAllowed)
-	}
-}
-
 // handleCkpt serves and accepts sealed STMSCKPT containers — the
 // checkpoint exchange the coordinator uses to move a dead worker's
 // progress to a live one. Both directions verify the container; a
 // corrupt checkpoint is a 404 (GET, after discarding it) or a 400
 // (PUT), never state.
 func (s *Server) handleCkpt(w http.ResponseWriter, r *http.Request, key string) {
-	if s.cfg.Store == nil {
-		http.Error(w, "dist: this worker runs without a store", http.StatusNotFound)
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
-		data, ok := s.cfg.Store.GetCkpt(key)
+		data, ok := s.store.GetCkpt(key)
 		if !ok {
 			msg := fmt.Sprintf("dist: no checkpoint at address %.12s…", key)
-			if near := editdist.Nearest(key, s.cfg.Store.CkptKeys()); near != "" {
+			if near := editdist.Nearest(key, s.store.CkptKeys()); near != "" {
 				msg += fmt.Sprintf(" (nearest resident address: %.12s…)", near)
 			}
 			http.Error(w, msg, http.StatusNotFound)
@@ -500,7 +429,7 @@ func (s *Server) handleCkpt(w http.ResponseWriter, r *http.Request, key string) 
 			http.Error(w, fmt.Sprintf("dist: reading checkpoint: %v", err), http.StatusBadRequest)
 			return
 		}
-		if err := s.cfg.Store.PutCkpt(key, data); err != nil {
+		if err := s.store.PutCkpt(key, data); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

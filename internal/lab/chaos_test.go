@@ -21,6 +21,8 @@ import (
 
 	"stms/internal/ckpt"
 	"stms/internal/dist"
+	"stms/internal/sim"
+	"stms/internal/trace"
 )
 
 // fastResilience keeps chaos tests snappy: millisecond backoffs, a
@@ -39,7 +41,7 @@ func fastResilience() Resilience {
 }
 
 func TestChaosSoakByteIdenticalExport(t *testing.T) {
-	urls, _ := testWorkers(t, 2)
+	urls := testWorkers(t, 2)
 	workloads := []string{"sci-em3d", "oltp-db2"}
 	prefs := remotePrefs[:2]
 
@@ -137,7 +139,7 @@ func TestChaosSoakByteIdenticalExport(t *testing.T) {
 func TestChaosFallbackStillExact(t *testing.T) {
 	// Refuse everything: every cell degrades to in-process execution,
 	// loudly, and the matrix still matches a purely local run.
-	urls, _ := testWorkers(t, 2)
+	urls := testWorkers(t, 2)
 	in := dist.NewInjector(7, dist.BaseTransport(dist.Timeouts{}),
 		dist.FaultRule{Kind: dist.FaultRefuse, Path: "/jobs"})
 	var notes []string
@@ -179,9 +181,9 @@ func TestChaosFallbackStillExact(t *testing.T) {
 	}
 }
 
-// ckptWorkers starts n store-backed, checkpointing workers with NO
-// peer wiring, so the coordinator's GET/PUT /ckpts exchange is the
-// only way a checkpoint can move between them.
+// ckptWorkers starts n workers checkpointing every `every` records (0:
+// only on drain) with NO peer wiring, so the coordinator's GET/PUT
+// /ckpts exchange is the only way a checkpoint can move between them.
 func ckptWorkers(t *testing.T, n int, every uint64) ([]string, []*dist.Server) {
 	t.Helper()
 	servers := make([]*dist.Server, n)
@@ -189,7 +191,6 @@ func ckptWorkers(t *testing.T, n int, every uint64) ([]string, []*dist.Server) {
 	for i := range servers {
 		servers[i] = dist.NewServer(dist.ServerConfig{
 			Name:            fmt.Sprintf("ckpt-w%d", i),
-			Store:           dist.NewStore(1<<30, ""),
 			CheckpointEvery: every,
 		})
 		ts := httptest.NewServer(servers[i])
@@ -288,10 +289,9 @@ func TestChaosLocalFallbackResumesExchangedCheckpoint(t *testing.T) {
 	// to the coordinator: every POST /jobs stream stalls after its first
 	// bytes, while GET /ckpts still answers. Every attempt fails, the
 	// cell degrades to in-process execution, and that local run resumes
-	// from the checkpoint the coordinator fetched. The worker took the
-	// checkpoint over tape replay, so the local run must too: it builds
-	// the job's tape on demand. The export is byte-identical to a purely
-	// local run.
+	// from the checkpoint the coordinator fetched: the worker generated
+	// the trace live, and so does the local run. The export is
+	// byte-identical to a purely local run.
 	urls, _ := ckptWorkers(t, 1, 500)
 	workloads := []string{"sci-em3d"}
 	prefs := remotePrefs[2:]
@@ -392,6 +392,109 @@ func TestChaosCorruptCheckpointFallsBackCold(t *testing.T) {
 	}
 }
 
+// harvestCkpts runs job in-process with a checkpoint every 500 records
+// and returns the sealed checkpoints in the order they were written.
+func harvestCkpts(t *testing.T, job *dist.Job) [][]byte {
+	t.Helper()
+	var snaps [][]byte
+	if _, _, err := dist.ExecuteJob(context.Background(), job, nil, &dist.ExecOptions{
+		Every: 500,
+		Sink:  func(data []byte) error { snaps = append(snaps, append([]byte(nil), data...)); return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("harvested %d checkpoints, want at least 3", len(snaps))
+	}
+	return snaps
+}
+
+func TestChaosForeignCheckpointNeverAdopted(t *testing.T) {
+	// PUT /ckpts admits any sound container under any key. One worker
+	// holds a genuine early checkpoint of the cell; the other holds,
+	// under the same key, a later checkpoint of another workload with
+	// the same mode, configuration and prefetcher. Every job stream
+	// stalls, so the coordinator fetches from both and the cell
+	// degrades to local. Only the genuine checkpoint may be adopted and
+	// resumed: the foreign one, further along, is never counted.
+	urls, servers := ckptWorkers(t, 2, 0)
+	workloads := []string{"sci-em3d"}
+	prefs := remotePrefs[2:]
+	in := dist.NewInjector(42, dist.BaseTransport(dist.Timeouts{}),
+		dist.FaultRule{Kind: dist.FaultStall, Path: "/jobs", After: 20})
+	var notes []string
+	chaos := testLab(t,
+		WithWorkers(urls),
+		WithParallelism(1),
+		WithResilience(fastResilience()),
+		WithWorkerTransport(in),
+		WithProgress(func(ev ResultEvent) {
+			if ev.Note != "" {
+				notes = append(notes, ev.Note)
+			}
+		}),
+	)
+	plan := chaos.Plan(workloads, prefs)
+	job, err := jobFromCell(&plan.Cells[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptKey, err := job.CkptKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := *job
+	spec, err := trace.ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Workload, foreign.Spec = "oltp-db2", &spec
+	genuine := harvestCkpts(t, job)[0]
+	alien := harvestCkpts(t, &foreign)[2]
+	gd, err := sim.Peek(genuine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := sim.Peek(alien)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ad.Mode != gd.Mode || ad.Cfg != gd.Cfg || ad.Records <= gd.Records {
+		t.Fatalf("foreign checkpoint: mode %s, %d records; want genuine's mode %s, config, and more than %d records",
+			ad.Mode, ad.Records, gd.Mode, gd.Records)
+	}
+	if err := servers[0].Store().PutCkpt(ckptKey, genuine); err != nil {
+		t.Fatal(err)
+	}
+	if err := servers[1].Store().PutCkpt(ckptKey, alien); err != nil {
+		t.Fatal(err)
+	}
+
+	cm, err := chaos.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := testLab(t)
+	lm, err := local.Run(context.Background(), local.Plan(workloads, prefs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cm.Cells[0].Res, lm.Cells[0].Res) {
+		t.Fatal("result differs from a purely local run")
+	}
+	rs := chaos.RemoteStats()
+	if rs.LocalCells != 1 || rs.CkptResumes != 1 {
+		t.Fatalf("dispatch stats = %+v, want the cell degraded to local and resumed", rs)
+	}
+	if rs.CkptFetches != 1 {
+		t.Fatalf("checkpoint fetches = %d, want 1: only the genuine checkpoint counts", rs.CkptFetches)
+	}
+	want := fmt.Sprintf("resumed from the exchanged checkpoint (%d records in)", gd.Records)
+	if !strings.Contains(strings.Join(notes, "\n"), want) {
+		t.Fatalf("notes %q, want %q", notes, want)
+	}
+}
+
 func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// A coordinator that died mid-cell left two artifacts: a partial
 	// entry in its manifest (the cell's checkpoint address) and the
@@ -419,17 +522,8 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	}
 	// Manufacture the dead session's leavings: a genuine mid-run
 	// checkpoint parked on a worker, and the manifest recording it.
-	var snap []byte
-	if _, _, _, err := dist.ExecuteJob(context.Background(), job, dist.NewStore(1<<30, ""), nil, nil, &dist.ExecOptions{
-		Every: 500,
-		Sink:  func(data []byte) error { snap = append([]byte(nil), data...); return nil },
-		Stop:  make(chan struct{}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("no checkpoint harvested")
-	}
+	snaps := harvestCkpts(t, job)
+	snap := snaps[len(snaps)-1]
 	for _, s := range servers {
 		if err := s.Store().PutCkpt(ckptKey, snap); err != nil {
 			t.Fatal(err)
@@ -473,7 +567,7 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 }
 
 func TestWorkerAuthAtLabLevel(t *testing.T) {
-	srv := dist.NewServer(dist.ServerConfig{Name: "locked", Store: dist.NewStore(1<<30, ""), Token: "tok"})
+	srv := dist.NewServer(dist.ServerConfig{Name: "locked", Token: "tok"})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	url := ts.URL

@@ -174,9 +174,8 @@ func WithBaseConfig(cfg sim.Config) Option {
 // WithWorkers turns the session into a coordinator: plan cells are
 // dispatched to the stms-serve worker daemons at the given base URLs
 // (e.g. "http://host:9090") instead of simulating in-process. Cells
-// route to workers by tape-identity affinity, so every variant column
-// of a matrix row lands on the worker that already holds the row's
-// tape and each unique tape is built once fleet-wide; transport
+// route to workers by trace-identity affinity, so every variant column
+// of a matrix row lands on the same home worker; transport
 // failures retry on the next worker, and when no worker is reachable
 // the cell degrades gracefully to local execution. Results are
 // bit-identical to an in-process run — remote execution is

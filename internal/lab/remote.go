@@ -4,10 +4,9 @@ package lab
 // WithWorkers dispatches plan cells to stms-serve worker daemons
 // instead of simulating in-process:
 //
-//   - cells route to workers by rendezvous hashing on their tape
-//     address, so every variant column of a matrix row lands where the
-//     row's tape already lives and each unique tape is built once
-//     fleet-wide;
+//   - cells route to workers by rendezvous hashing on their trace
+//     address, so every variant column of a matrix row lands on the
+//     same home worker;
 //   - transport failures (connection refused, stream cut, a stream
 //     silent past the stall window) retry the cell on the next-ranked
 //     worker; after a full pass over the ranking the coordinator backs
@@ -18,7 +17,7 @@ package lab
 //     consecutive transport failures its attempts are skipped outright,
 //     and once the cooldown elapses a single /healthz probe decides
 //     whether it rejoins. Because the rendezvous ranking is a pure
-//     function of (worker URL, tape key) and the breaker only gates it,
+//     function of (worker URL, trace key) and the breaker only gates it,
 //     a recovered worker rejoins exactly its old affinity positions;
 //   - when every attempt fails the cell degrades gracefully to
 //     in-process simulation, so a matrix always completes — but never
@@ -30,7 +29,6 @@ package lab
 // bit-identical to an in-process run, however unkind the network was.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -101,8 +99,6 @@ type RemoteStats struct {
 	RemoteCells uint64 // cells completed by a worker
 	LocalCells  uint64 // cells that fell back to in-process simulation
 	Retries     uint64 // transport failures retried (on another worker or a later round)
-	TapeFetches uint64 // remote cells whose tape crossed the network (peer tier)
-	TapeBuilds  uint64 // remote cells whose tape was built fresh on the worker
 
 	BreakerTrips uint64 // circuit breakers tripped open (fresh trips and failed probes)
 	StallAborts  uint64 // event streams aborted by the stall detector
@@ -197,10 +193,10 @@ func jobFromCell(c *Cell) (*dist.Job, error) {
 	return job, nil
 }
 
-// rank orders the pool's workers for a tape address by rendezvous
+// rank orders the pool's workers for a trace address by rendezvous
 // (highest-random-weight) hashing: every coordinator ranks the same
-// address the same way, cells sharing a tape agree on a home worker,
-// and losing a worker reshuffles only the tapes it owned. The breaker
+// address the same way, cells sharing a trace agree on a home worker,
+// and losing a worker reshuffles only the traces it owned. The breaker
 // gates the ranking but never reorders it, so a recovered worker
 // resumes exactly its old positions.
 func (p *remotePool) rank(key string) []*dist.Client {
@@ -231,7 +227,7 @@ func (p *remotePool) rank(key string) []*dist.Client {
 
 // backoff computes the sleep before retry round `round` (1-based):
 // exponential in the round with full jitter — uniform in (0, cap] —
-// derived deterministically from the tape key, so a replayed run backs
+// derived deterministically from the trace key, so a replayed run backs
 // off identically and concurrent cells don't thundering-herd a
 // recovering worker.
 func (p *remotePool) backoff(key string, round int) time.Duration {
@@ -265,20 +261,6 @@ func (a *attemptLog) String() string {
 		fmt.Sprintf("; (+%d more attempts)", len(a.entries)-max)
 }
 
-// ckptMatchesJob is the coordinator's identity check on a fetched
-// checkpoint: mode, full config, and the complete prefetcher spec
-// (JSON-compared — Kind alone would let a checkpoint from a different
-// sampling probability restore cleanly into wrong results). The trace
-// identity is re-validated by whichever side actually resumes.
-func ckptMatchesJob(d sim.CheckpointDesc, job *dist.Job) bool {
-	if d.Mode != job.Mode || d.Cfg != job.Config {
-		return false
-	}
-	a, err1 := json.Marshal(d.PS)
-	b, err2 := json.Marshal(job.Pref)
-	return err1 == nil && err2 == nil && bytes.Equal(a, b)
-}
-
 // run executes one cell remotely. It makes up to Resilience.RetryRounds
 // passes over the affinity ranking, backing off between passes, gating
 // each attempt through the worker's circuit breaker, and falling back
@@ -309,7 +291,8 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	var log attemptLog
 
 	// held is the freshest valid checkpoint the coordinator has
-	// exchanged for this cell; adopt validates and keeps the best.
+	// exchanged for this cell; adopt keeps the best one that resumes
+	// exactly this job (Job.CheckCkpt) and ignores the rest.
 	ckptKey, err := job.CkptKey()
 	if err != nil {
 		return sim.Results{}, 0, "", err
@@ -318,8 +301,8 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	var held []byte
 	var heldRecs uint64
 	adopt := func(data []byte) bool {
-		d, perr := sim.Peek(data)
-		if perr != nil || !ckptMatchesJob(d, job) {
+		d, perr := job.CheckCkpt(data)
+		if perr != nil {
 			return false
 		}
 		if held != nil && d.Records <= heldRecs {
@@ -396,12 +379,6 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 				b.Success()
 				p.count(func(s *RemoteStats) {
 					s.RemoteCells++
-					switch r.TapeSource {
-					case dist.TapeFromPeer:
-						s.TapeFetches++
-					case dist.TapeBuilt:
-						s.TapeBuilds++
-					}
 					s.CkptWrites += r.CkptWrites
 					s.CkptBytes += r.CkptBytes
 					if r.Resumed {
@@ -412,7 +389,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 				// Satellite accounting fix: the worker measured its own
 				// simulation time (Result.WallMS); everything else the
 				// coordinator waited through — dial, queueing, retries,
-				// tape movement — is overhead, not simulation.
+				// checkpoint movement — is overhead, not simulation.
 				overhead := time.Since(start) - time.Duration(r.WallMS*float64(time.Millisecond))
 				if overhead < 0 {
 					overhead = 0
@@ -468,10 +445,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	}
 	p.count(func(s *RemoteStats) { s.LocalCells++ })
 	if held != nil {
-		// Worker checkpoints are taken over tape replay, and a resume
-		// must read the same kind of source, so this one job builds its
-		// tape in a store of its own.
-		res, _, resumed, rerr := dist.ExecuteJob(ctx, job, dist.NewStore(0, ""), nil, nil, &dist.ExecOptions{Resume: held})
+		res, resumed, rerr := dist.ExecuteJob(ctx, job, nil, &dist.ExecOptions{Resume: held})
 		if rerr == nil {
 			if resumed {
 				p.count(func(s *RemoteStats) { s.CkptResumes++ })

@@ -14,36 +14,30 @@ import (
 	"stms/internal/trace"
 )
 
-// testWorkers starts n store-backed dist workers wired as peers of each
-// other, returning their base URLs and servers.
-func testWorkers(t *testing.T, n int) ([]string, []*dist.Server) {
+// testWorkers starts n dist workers wired as peers of each other,
+// returning their base URLs.
+func testWorkers(t *testing.T, n int) []string {
 	t.Helper()
-	servers := make([]*dist.Server, n)
 	tss := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	// Two passes: peers need every URL, and httptest assigns them on
-	// start — so start with empty peer lists, then rebuild.
-	for i := range servers {
-		servers[i] = dist.NewServer(dist.ServerConfig{Store: dist.NewStore(1<<30, "")})
-		tss[i] = httptest.NewServer(servers[i])
+	// start — so start with placeholder handlers, then install the
+	// workers.
+	for i := range tss {
+		tss[i] = httptest.NewServer(dist.NewServer(dist.ServerConfig{}))
 		urls[i] = tss[i].URL
 		t.Cleanup(tss[i].Close)
 	}
-	for i := range servers {
+	for i := range tss {
 		var peers []string
 		for j, u := range urls {
 			if j != i {
 				peers = append(peers, u)
 			}
 		}
-		servers[i] = dist.NewServer(dist.ServerConfig{
-			Name:  urls[i],
-			Store: servers[i].Store(),
-			Peers: peers,
-		})
-		tss[i].Config.Handler = servers[i]
+		tss[i].Config.Handler = dist.NewServer(dist.ServerConfig{Name: urls[i], Peers: peers})
 	}
-	return urls, servers
+	return urls
 }
 
 var remotePrefs = []sim.PrefSpec{
@@ -61,7 +55,7 @@ func TestRemoteMatrixBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	urls, servers := testWorkers(t, 2)
+	urls := testWorkers(t, 2)
 	remote := testLab(t, WithWorkers(urls))
 	rm, err := remote.Run(context.Background(), remote.Plan(workloads, remotePrefs))
 	if err != nil {
@@ -100,9 +94,7 @@ func TestRemoteMatrixBitIdentical(t *testing.T) {
 		t.Fatalf("JSON exports differ:\nlocal  %s\nremote %s", lj.Bytes(), rj.Bytes())
 	}
 
-	// Every cell ran remotely, and each unique tape was built exactly
-	// once across the fleet: affinity routing sends all variants of a
-	// workload to one home worker, so no tape is rebuilt or refetched.
+	// Every cell ran remotely.
 	rs := remote.RemoteStats()
 	if int(rs.RemoteCells) != len(rm.Cells) || rs.LocalCells != 0 {
 		t.Fatalf("dispatch stats = %+v, want all %d cells remote", rs, len(rm.Cells))
@@ -110,21 +102,6 @@ func TestRemoteMatrixBitIdentical(t *testing.T) {
 	// A healthy fleet on loopback needs none of the resilience machinery.
 	if rs.Retries != 0 || rs.BreakerTrips != 0 {
 		t.Fatalf("dispatch stats = %+v, want no retries and no breaker trips on a healthy fleet", rs)
-	}
-	var builds, peerHits uint64
-	for _, s := range servers {
-		st := s.Store().Stats()
-		builds += st.Builds
-		peerHits += st.PeerHits
-	}
-	if int(builds) != len(workloads) {
-		t.Fatalf("fleet built %d tapes for %d workloads; want exactly one build per unique trace identity", builds, len(workloads))
-	}
-	if rs.TapeBuilds != builds {
-		t.Fatalf("coordinator counted %d tape builds, fleet reports %d", rs.TapeBuilds, builds)
-	}
-	if peerHits != rs.TapeFetches {
-		t.Fatalf("coordinator counted %d tape fetches, fleet reports %d peer hits", rs.TapeFetches, peerHits)
 	}
 }
 
@@ -160,7 +137,7 @@ func TestRemoteDegradesToLocal(t *testing.T) {
 }
 
 func TestRemoteJobFailureNotRetried(t *testing.T) {
-	urls, _ := testWorkers(t, 2)
+	urls := testWorkers(t, 2)
 	remote := testLab(t, WithWorkers(urls))
 	plan := remote.Plan([]string{"sci-em3d"}, []sim.PrefSpec{{Kind: sim.None}},
 		ForEachCell(func(c *Cell) { c.Config.Cores = -1 }))
@@ -346,7 +323,7 @@ func TestWorkerOptionValidation(t *testing.T) {
 }
 
 func TestRemoteScenarioCells(t *testing.T) {
-	urls, _ := testWorkers(t, 2)
+	urls := testWorkers(t, 2)
 	remote := testLab(t, WithWorkers(urls))
 	local := testLab(t)
 

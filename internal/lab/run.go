@@ -198,7 +198,7 @@ func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 			items = append(items, []int{i})
 			continue
 		}
-		tape, _ := dist.TapeIdentity(c.Config, &c.Spec, c.Scenario)
+		tape := dist.TapeIdentity(c.Config, &c.Spec, c.Scenario)
 		k := groupKey{tape, c.Config}
 		if j, ok := open[k]; ok && len(items[j]) < maxGroup {
 			items[j] = append(items[j], i)

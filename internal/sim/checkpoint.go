@@ -173,6 +173,20 @@ func Peek(data []byte) (CheckpointDesc, error) {
 	return d, err
 }
 
+// CheckResume opens a sealed checkpoint and checks it against a run of
+// in under mode, cfg and ps: the identity check Run makes before it
+// restores (mode, trace source, configuration, the complete prefetcher
+// spec and the trace itself). It returns the checkpoint's descriptor,
+// so a caller choosing among several checkpoints of one run can keep
+// the one furthest along.
+func CheckResume(data []byte, mode Mode, cfg Config, in Input, ps PrefSpec) (CheckpointDesc, error) {
+	d, err := Peek(data)
+	if err != nil {
+		return d, err
+	}
+	return d, checkDesc(d, descFor(mode.String(), in.source(), cfg, ps, 0))
+}
+
 // Input rebuilds the trace input the checkpointed run consumed. Spec-
 // and scenario-backed runs carry their input in the descriptor;
 // tape-backed runs need the tape (re-fetched by key in the distributed

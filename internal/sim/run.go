@@ -105,6 +105,19 @@ func FromTape(tape *trace.Tape) Input { return Input{kind: "tape", tape: tape} }
 // source whose producer dies mid-run fails the run.
 func FromSources(run SourceRun) Input { return Input{kind: "external", ext: run} }
 
+// source is the checkpoint identity of the input's trace.
+func (in Input) source() ckptSrc {
+	switch in.kind {
+	case "spec":
+		return ckptSrc{kind: "spec", spec: in.spec}
+	case "scenario":
+		return ckptSrc{kind: "scenario", scn: in.scn}
+	case "tape":
+		return ckptSrc{kind: "tape", spec: in.tape.Spec()}
+	}
+	return ckptSrc{kind: in.kind}
+}
+
 // bound is an Input resolved against one run's configuration.
 type bound struct {
 	spec trace.Spec // the scaled spec the run reports
@@ -124,7 +137,7 @@ func (in Input) bind(cfg Config) (bound, error) {
 	switch in.kind {
 	case "spec":
 		scaled := in.spec.Scaled(cfg.Scale)
-		return bound{spec: scaled, src: ckptSrc{kind: "spec", spec: in.spec},
+		return bound{spec: scaled, src: in.source(),
 			gens: func(skip, budget uint64) ([]trace.Generator, []trace.PhaseMark, error) {
 				lib := trace.NewLibrary(scaled, cfg.Seed)
 				gens := make([]trace.Generator, cfg.Cores)
@@ -142,7 +155,7 @@ func (in Input) bind(cfg Config) (bound, error) {
 			}}, nil
 	case "scenario":
 		scaled := in.scn.Scaled(cfg.Scale)
-		return bound{spec: scaled.EffectiveSpec(cfg.Cores, perCore), src: ckptSrc{kind: "scenario", scn: in.scn},
+		return bound{spec: scaled.EffectiveSpec(cfg.Cores, perCore), src: in.source(),
 			gens: func(skip, budget uint64) ([]trace.Generator, []trace.PhaseMark, error) {
 				// Windows materialize against the whole run's budget so
 				// phase boundaries stay where the exact run puts them.
@@ -163,7 +176,7 @@ func (in Input) bind(cfg Config) (bound, error) {
 		if err := tapeFits(cfg, tape, perCore); err != nil {
 			return bound{}, err
 		}
-		return bound{spec: tape.Spec(), src: ckptSrc{kind: "tape", spec: tape.Spec()},
+		return bound{spec: tape.Spec(), src: in.source(),
 			gens: func(skip, budget uint64) ([]trace.Generator, []trace.PhaseMark, error) {
 				// Cursors decode from the head of each core's column —
 				// the tape has no random access — so very large K over
@@ -183,7 +196,7 @@ func (in Input) bind(cfg Config) (bound, error) {
 		if err := in.ext.validate(cfg); err != nil {
 			return bound{}, err
 		}
-		return bound{spec: in.ext.Spec, src: ckptSrc{kind: "external"}, ext: in.ext}, nil
+		return bound{spec: in.ext.Spec, src: in.source(), ext: in.ext}, nil
 	}
 	return bound{}, fmt.Errorf("sim: empty Input (build one with FromSpec, FromScenario, FromTape or FromSources)")
 }

@@ -140,8 +140,8 @@ type TapeStats = lab.TapeStats
 
 // WithWorkers turns the session into a coordinator: plan cells are
 // dispatched to the stms-serve worker daemons at the given base URLs,
-// routed by tape-identity affinity so each unique tape is built once
-// fleet-wide, with transport failures retried on other workers and
+// routed by trace-identity affinity so a matrix row's cells share a
+// home worker, with transport failures retried on other workers and
 // graceful degradation to local execution when none is reachable. The
 // Matrix is bit-identical to an in-process run.
 func WithWorkers(urls []string) Option { return lab.WithWorkers(urls) }
@@ -172,27 +172,17 @@ func WithManifest(path string) Option { return lab.WithManifest(path) }
 
 // RemoteStats reports a coordinator session's dispatch accounting
 // (Lab.RemoteStats): remote vs local cells, transport retries, breaker
-// trips, stall aborts, backoff waits, and how worker tapes were
-// satisfied.
+// trips, stall aborts, backoff waits, and checkpoint exchange.
 type RemoteStats = lab.RemoteStats
 
-// TapeStore is the content-addressed two-tier (memory LRU → on-disk
-// STMSTAPE directory) tape store underlying worker daemons. Tapes are
-// addressed by the hash of their trace identity, and every receiving
-// tier re-derives the address before trusting a tape, so corrupt files
-// are rebuilt rather than served.
-type TapeStore = dist.Store
-
-// NewTapeStore creates a tape store with the given memory budget and
-// disk directory ("" disables the disk tier).
-func NewTapeStore(memBytes int64, dir string) *TapeStore { return dist.NewStore(memBytes, dir) }
-
-// WorkerConfig configures a worker daemon (name, tape store, sibling
-// workers to fetch tapes from, concurrent-job bound).
+// WorkerConfig configures a worker daemon: its name, checkpoint
+// directory ("" keeps checkpoints in memory), sibling workers to ask
+// for a job's checkpoint, concurrent-job bound, bearer token and
+// checkpoint cadence.
 type WorkerConfig = dist.ServerConfig
 
 // WorkerServer is the stms-serve worker daemon: an http.Handler
-// executing cell jobs over a content-addressed tape store, streaming
+// executing cell jobs, generating their traces live, streaming
 // progress as JSON lines. Mount it on any http.Server; stms-serve
 // -worker is exactly that plus flags.
 type WorkerServer = dist.Server
@@ -311,9 +301,9 @@ func Drift(name string, from, to WorkloadSpec, steps int) Scenario {
 
 // Tape is a columnar (structure-of-arrays) materialization of one
 // bounded multi-core trace: built once per trace identity, replayed any
-// number of times through zero-allocation cursors. Lab sessions
-// generate their traces live; stms-serve workers keep tapes in their
-// stores. NewTape and FromTape expose the substrate for callers
+// number of times through zero-allocation cursors. Lab sessions and
+// stms-serve workers generate their traces live. NewTape and FromTape
+// expose the substrate for callers
 // orchestrating their own runs or persisting tapes with
 // trace.WriteTape/ReadTape via the stms-trace command.
 type Tape = trace.Tape
