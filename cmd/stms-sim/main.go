@@ -51,7 +51,6 @@ import (
 	"os"
 
 	"stms"
-	"stms/internal/ckpt"
 	"stms/internal/dram"
 	"stms/internal/sim"
 	"stms/internal/stats"
@@ -305,14 +304,13 @@ func runCheckpointed(cfg stms.Config, workload string, ps stms.PrefSpec, every u
 	var in sim.Input
 	if resume != "" {
 		// The checkpoint knows its own workload, config and variant.
-		data, err := ckpt.ReadFile(resume)
+		data, err := os.ReadFile(resume)
 		if err != nil {
 			return err
 		}
-		data = ckpt.Seal(data)
 		d, err := sim.Peek(data)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w (%s)", err, resume)
 		}
 		if in, err = d.Input(nil); err != nil {
 			return err

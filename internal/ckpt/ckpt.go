@@ -1,7 +1,8 @@
-// Package ckpt implements the STMSCKPT v1 checkpoint container: a
-// versioned, checksummed binary envelope plus a tiny sticky-error
-// encoder/decoder pair the simulator components serialize themselves
-// through.
+// Package ckpt is the repo's binary codec and durable writer. It
+// implements the STMSCKPT v1 checkpoint container (a versioned,
+// checksummed binary envelope) plus a tiny sticky-error
+// encoder/decoder pair that the simulator components serialize
+// themselves through and that the STMSTAPE tape format is laid out in.
 //
 // The format is deliberately dumb: little-endian fixed-width integers,
 // length-prefixed byte strings, and named section markers that turn
@@ -11,9 +12,7 @@
 // bit-flipped file reads as an error, never as state.
 //
 // Files are written atomically (temp file + fsync + rename + directory
-// fsync) so a crash mid-write leaves either the previous checkpoint or
-// none — the same discipline dist.Store uses for tapes, tightened with
-// the dirent fsync.
+// fsync) so a crash mid-write leaves either the previous file or none.
 package ckpt
 
 import (
@@ -48,9 +47,6 @@ type Encoder struct {
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
-
-// Len returns the number of payload bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // Payload returns the encoded payload (not yet framed; see Seal).
 func (e *Encoder) Payload() []byte { return e.buf }
@@ -344,12 +340,11 @@ func Open(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteFile atomically writes a sealed container to path: temp file in
-// the same directory, fsync, rename over path, then fsync the directory
-// so the rename itself survives a crash. On any error the destination
-// is untouched.
-func WriteFile(path string, payload []byte) error {
-	data := Seal(payload)
+// WriteFile atomically writes data to path: temp file in the same
+// directory, fsync, rename over path, then fsync the directory so the
+// rename itself survives a crash. On any error the destination is
+// untouched.
+func WriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
@@ -374,33 +369,16 @@ func WriteFile(path string, payload []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("ckpt: rename: %w", err)
 	}
-	return SyncDir(dir)
+	syncDir(dir)
+	return nil
 }
 
-// ReadFile reads and verifies a sealed container, returning its payload.
-func ReadFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := Open(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	return payload, nil
-}
-
-// SyncDir fsyncs a directory so freshly renamed dirents are durable.
+// syncDir fsyncs a directory so freshly renamed dirents are durable.
 // Filesystems that refuse directory fsync (some network mounts) are
 // tolerated: the rename is still atomic, just not yet durable.
-func SyncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return nil
+func syncDir(dir string) {
+	if df, err := os.Open(dir); err == nil {
+		df.Sync()
+		df.Close()
 	}
-	defer df.Close()
-	if err := df.Sync(); err != nil {
-		return nil
-	}
-	return nil
 }

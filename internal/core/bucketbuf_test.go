@@ -71,7 +71,7 @@ func TestBucketBufferSnapshot(t *testing.T) {
 	enc := ckpt.NewEncoder()
 	b.snapshot(enc)
 	r := newBoundBuffer(16, 4)
-	if err := r.restore(ckpt.NewSnapshot(enc).Decoder()); err != nil {
+	if err := r.restore(ckpt.NewDecoder(enc.Payload())); err != nil {
 		t.Fatal(err)
 	}
 	again := ckpt.NewEncoder()
@@ -105,7 +105,7 @@ func TestBucketBufferRestoreRejectsCorrupt(t *testing.T) {
 			enc.U64(0)
 			enc.U64(0)
 			enc.U64(0)
-			err := newBoundBuffer(16, 4).restore(ckpt.NewSnapshot(enc).Decoder())
+			err := newBoundBuffer(16, 4).restore(ckpt.NewDecoder(enc.Payload()))
 			if !errors.Is(err, ckpt.ErrCorrupt) {
 				t.Fatalf("restore = %v, want ckpt.ErrCorrupt", err)
 			}
@@ -254,7 +254,7 @@ func TestBucketBufferMatchesReferenceLRU(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := NewMeta(newFakeEnv(), cfg)
-			if err := r.Restore(ckpt.NewSnapshot(enc).Decoder(), nil, nil); err != nil {
+			if err := r.Restore(ckpt.NewDecoder(enc.Payload()), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			checkBucketBuffer(t, r.bbuf, ref)

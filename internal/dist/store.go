@@ -96,8 +96,7 @@ func (s *Store) GetCkpt(key string) ([]byte, bool) {
 // write is atomic (temp + fsync + rename + dirent fsync) and
 // best-effort — a full disk degrades the tier to memory.
 func (s *Store) PutCkpt(key string, data []byte) error {
-	payload, err := ckpt.Open(data)
-	if err != nil {
+	if _, err := ckpt.Open(data); err != nil {
 		s.mu.Lock()
 		s.stats.CkptSkips++
 		s.mu.Unlock()
@@ -112,7 +111,7 @@ func (s *Store) PutCkpt(key string, data []byte) error {
 	s.mu.Unlock()
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err == nil {
-			ckpt.WriteFile(s.ckptPath(key), payload)
+			ckpt.WriteFile(s.ckptPath(key), cp)
 		}
 	}
 	return nil

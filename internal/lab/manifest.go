@@ -19,9 +19,9 @@ package lab
 // A partially written trailing entry (the kill arrived mid-append) is
 // repaired away, not treated as corruption: everything before it is
 // intact by construction. The repair itself is crash-safe — the valid
-// prefix is rewritten through a temp file, fsync'd, renamed over the
-// manifest, and the directory fsync'd so the rename's dirent survives
-// a crash too (the window DESIGN.md §11 used to gloss over).
+// prefix is rewritten with ckpt.WriteFile (temp file, fsync, rename
+// over the manifest, directory fsync so the rename's dirent survives a
+// crash too).
 //
 // Results round-trip the manifest losslessly (sim.Results and
 // stats.CDF define exact JSON codecs), so a resumed matrix is
@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"stms/internal/ckpt"
@@ -163,46 +162,27 @@ func (m *manifest) writeHeader() error {
 	return m.sync()
 }
 
-// repair rewrites the manifest to its first off bytes, atomically: the
-// valid prefix goes into a temp file in the same directory, is
-// fsync'd, renamed over the manifest, and the directory is fsync'd so
-// the rename's dirent is durable — a crash mid-repair leaves either
-// the old file (possibly plus a stale temp, ignored by later opens) or
-// the repaired one, never a torn in-place truncation. The open handle
-// is switched to the repaired file, positioned at its end.
+// repair rewrites the manifest to its first off bytes with
+// ckpt.WriteFile — temp file, fsync, rename over the manifest, then a
+// directory fsync so the rename's dirent is durable. A crash mid-repair
+// leaves either the old file (possibly plus a stale temp, ignored by
+// later opens) or the repaired one, never a torn in-place truncation.
+// The manifest is then reopened for appending.
 func (m *manifest) repair(off int64) error {
 	prefix := make([]byte, off)
 	if _, err := m.f.ReadAt(prefix, 0); err != nil && off > 0 {
 		return fmt.Errorf("lab: manifest repair: %w", err)
 	}
-	dir := filepath.Dir(m.path)
-	tmp, err := os.CreateTemp(dir, ".manifest-repair-*")
+	if err := ckpt.WriteFile(m.path, prefix); err != nil {
+		return fmt.Errorf("lab: manifest repair: %w", err)
+	}
+	f, err := os.OpenFile(m.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return fmt.Errorf("lab: manifest repair: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(prefix); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("lab: manifest repair: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("lab: manifest repair: %w", err)
-	}
-	if err := os.Rename(tmpName, m.path); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("lab: manifest repair: %w", err)
-	}
-	ckpt.SyncDir(dir)
 	m.f.Close()
-	m.f = tmp
-	m.enc = json.NewEncoder(m.f)
-	if _, err := m.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("lab: manifest repair: %w", err)
-	}
+	m.f = f
+	m.enc = json.NewEncoder(f)
 	return nil
 }
 

@@ -254,7 +254,7 @@ func TestManifestRepairSurvivesLostDirent(t *testing.T) {
 	// rename can survive the file but not the dirent — the machine dies
 	// after the temp file's data is durable but before the directory
 	// update is. Recovery then sees the PRE-repair manifest (torn tail
-	// and all) plus a stale .manifest-repair-* temp holding the repaired
+	// and all) plus a stale .ckpt-* temp (ckpt.WriteFile's) holding the repaired
 	// prefix. The next open must redo the repair from the old file and
 	// treat the stale temp as inert; repair now fsyncs the directory so
 	// the window cannot recur on the redo.
@@ -271,7 +271,7 @@ func TestManifestRepairSurvivesLostDirent(t *testing.T) {
 	}
 	// The stale temp: the repaired prefix a dead session wrote and
 	// fsync'd, whose rename's dirent never became durable.
-	stale := filepath.Join(dir, ".manifest-repair-1234567")
+	stale := filepath.Join(dir, ".ckpt-1234567")
 	if err := os.WriteFile(stale, intact, 0o600); err != nil {
 		t.Fatal(err)
 	}

@@ -136,9 +136,8 @@ func TestSampledNormalization(t *testing.T) {
 	}
 }
 
-// TestSampledMatchesDirectRun: the lab's sampled cell (served through
-// the session tape store) is bit-identical to calling the sim API
-// directly on the same configuration.
+// TestSampledMatchesDirectRun: the lab's sampled cell is bit-identical
+// to calling the sim API directly on the same configuration.
 func TestSampledMatchesDirectRun(t *testing.T) {
 	smp := sim.Sampling{Windows: 3}
 	l := testLab(t, WithSampling(smp))

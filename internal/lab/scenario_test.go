@@ -2,6 +2,8 @@ package lab
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -46,17 +48,21 @@ func TestMatrixMatchesTapeReplay(t *testing.T) {
 			} else {
 				tape = trace.NewTape(c.Spec.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
 			}
-			for col := range m.Labels {
-				got := m.At(row, col).Res
-				want, err := sim.Run(context.Background(), cfg, sim.FromTape(tape), []sim.PrefSpec{prefs[col]}, sim.WithMode(mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(*got, want[0]) {
-					t.Fatalf("%v cell %s/%s differs from its tape replay", mode, name, m.Labels[col])
-				}
-				if c.Scenario != nil && len(got.Phases) == 0 {
-					t.Fatalf("%v cell %s/%s carries no phase windows", mode, name, m.Labels[col])
+			// The tape in memory, and the same tape after a
+			// WriteTape→ReadTape file round trip.
+			for i, tape := range []*trace.Tape{tape, tapeFileRoundTrip(t, tape)} {
+				for col := range m.Labels {
+					got := m.At(row, col).Res
+					want, err := sim.Run(context.Background(), cfg, sim.FromTape(tape), []sim.PrefSpec{prefs[col]}, sim.WithMode(mode))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(*got, want[0]) {
+						t.Fatalf("%v cell %s/%s differs from its tape replay (tape %d)", mode, name, m.Labels[col], i)
+					}
+					if c.Scenario != nil && len(got.Phases) == 0 {
+						t.Fatalf("%v cell %s/%s carries no phase windows", mode, name, m.Labels[col])
+					}
 				}
 			}
 		}
@@ -64,6 +70,31 @@ func TestMatrixMatchesTapeReplay(t *testing.T) {
 	if ts := l.TapeStats(); ts.Simulate <= 0 || ts.Builds != 0 || ts.Generate != 0 {
 		t.Fatalf("tape stats %+v, want simulation time and no tape work", ts)
 	}
+}
+
+// tapeFileRoundTrip writes tape to a file and reads it back.
+func tapeFileRoundTrip(t *testing.T, tape *trace.Tape) *trace.Tape {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "row.tape")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteTape(f, tape); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := trace.ReadTape(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // TestPlanMixesSpecAndScenarioRows: Lab.Plan resolves workload and

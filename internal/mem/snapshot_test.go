@@ -13,7 +13,7 @@ func blockMapSnapshot(keys []uint64, vals []int32, n int) *ckpt.Decoder {
 	enc.U64s(keys)
 	enc.I32s(vals)
 	enc.Int(n)
-	return ckpt.NewSnapshot(enc).Decoder()
+	return ckpt.NewDecoder(enc.Payload())
 }
 
 func TestBlockMapSnapshotRoundTrip(t *testing.T) {
@@ -25,7 +25,7 @@ func TestBlockMapSnapshotRoundTrip(t *testing.T) {
 	enc := ckpt.NewEncoder()
 	m.Snapshot(enc)
 	r := NewBlockMap(0)
-	if err := r.Restore(ckpt.NewSnapshot(enc).Decoder()); err != nil {
+	if err := r.Restore(ckpt.NewDecoder(enc.Payload())); err != nil {
 		t.Fatal(err)
 	}
 	for k := uint64(0); k < 8; k++ {

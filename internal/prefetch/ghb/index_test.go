@@ -135,7 +135,7 @@ func roundTrip(t *testing.T, m *Meta) *Meta {
 		t.Fatal(err)
 	}
 	r := New(m.cfg)
-	if err := r.Restore(ckpt.NewSnapshot(enc).Decoder()); err != nil {
+	if err := r.Restore(ckpt.NewDecoder(enc.Payload())); err != nil {
 		t.Fatal(err)
 	}
 	again := ckpt.NewEncoder()

@@ -121,7 +121,7 @@ func TestHistoryMatchesSliceModel(t *testing.T) {
 						t.Fatalf("head %d: snapshot bytes differ from the flat-slice encoding", head)
 					}
 					h = NewHistory(c)
-					if err := h.Restore(ckpt.NewSnapshot(enc).Decoder()); err != nil {
+					if err := h.Restore(ckpt.NewDecoder(enc.Payload())); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -140,7 +140,7 @@ func TestHistoryRestoreRejectsWrongEntryCount(t *testing.T) {
 		enc.U64(c)
 		enc.U64(head)
 		enc.U64s(make([]uint64, n))
-		return ckpt.NewSnapshot(enc).Decoder()
+		return ckpt.NewDecoder(enc.Payload())
 	}
 	for _, c := range []struct {
 		head uint64

@@ -56,7 +56,7 @@ type runOpts struct {
 	// once, so it belongs in the exact numbers, but a K-window sampled
 	// run would pay it K times, which inflates cycles-per-instruction in
 	// every window.
-	warm        *ckpt.Snapshot
+	warm        []byte
 	windowClock bool
 }
 
@@ -189,9 +189,8 @@ func CheckResume(data []byte, mode Mode, cfg Config, in Input, ps PrefSpec) (Che
 
 // Input rebuilds the trace input the checkpointed run consumed. Spec-
 // and scenario-backed runs carry their input in the descriptor;
-// tape-backed runs need the tape (re-fetched by key in the distributed
-// lab, rebuilt locally otherwise), whose identity the resumed run
-// checks against the descriptor.
+// tape-backed runs need the tape handed back, whose identity the
+// resumed run checks against the descriptor.
 func (d CheckpointDesc) Input(tape *trace.Tape) (Input, error) {
 	switch {
 	case d.Source == "tape" && tape != nil:
@@ -236,15 +235,21 @@ func writeCheckpoint(o *runOpts, d CheckpointDesc, snap func(*ckpt.Encoder) erro
 	if err := snap(enc); err != nil {
 		return err
 	}
+	return o.deliver(enc.Payload())
+}
+
+// deliver seals a checkpoint payload once and hands the container to
+// the configured destinations: the file at path, written atomically,
+// and the sink.
+func (o *runOpts) deliver(payload []byte) error {
+	data := ckpt.Seal(payload)
 	if o.path != "" {
-		if err := ckpt.WriteFile(o.path, enc.Payload()); err != nil {
+		if err := ckpt.WriteFile(o.path, data); err != nil {
 			return err
 		}
 	}
 	if o.sink != nil {
-		if err := o.sink(ckpt.Seal(enc.Payload())); err != nil {
-			return err
-		}
+		return o.sink(data)
 	}
 	return nil
 }

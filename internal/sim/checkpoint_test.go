@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"stms/internal/ckpt"
 	"stms/internal/core"
 	"stms/internal/trace"
 )
@@ -191,11 +190,11 @@ func TestCheckpointHaltAndFileResume(t *testing.T) {
 
 // resumeFile continues the run whose checkpoint file is at path.
 func resumeFile(path string) (Results, error) {
-	data, err := ckpt.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return Results{}, err
 	}
-	return resume(context.Background(), ckpt.Seal(data), nil)
+	return resume(context.Background(), data, nil)
 }
 
 // TestCheckpointSignal covers the graceful-shutdown path: a closed

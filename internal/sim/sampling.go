@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,8 +29,8 @@ import (
 //     the last Sampling.FuncWarmup records before the window to heat
 //     the structures that do reach steady state quickly — L1s, L2
 //     recency, stride tables, the prefetch buffer and active streams —
-//     then hands the state to the timed system as an in-memory
-//     ckpt.Snapshot;
+//     then hands the state to the timed system as an in-memory ckpt
+//     payload;
 //  3. a short detailed warm-up (Sampling.Warmup records) inside the
 //     timed run settles the timing state (MSHRs, DRAM queues, in-flight
 //     streams) before measurement opens. The cores barrier on the
@@ -212,15 +213,15 @@ func sampledSupported(src ckptSrc, ps PrefSpec) error {
 // runWarm drives the window's warming schedule — meta-data-only replay
 // over the deep prefix, then full-fidelity functional simulation over
 // the recent horizon — and captures the warm state (caches, stride
-// tables, temporal prefetcher) as an in-memory snapshot. The functional
-// driver is fully synchronous, so the snapshot holds no in-flight
-// operations — it restores cleanly into a timed system whose event
-// engine starts empty.
+// tables, temporal prefetcher) as an in-memory ckpt payload. The
+// functional driver is fully synchronous, so the payload holds no
+// in-flight operations — it restores cleanly into a timed system whose
+// event engine starts empty.
 // The generators are consumed record-at-a-time (no framing read-ahead),
 // so after the warm budget they sit exactly at the window's detailed
 // warm-up boundary and the caller reuses them for the timed run — the
 // window's trace prefix is generated once, not once per stage.
-func runWarm(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, ps PrefSpec, metaPerCore, funcPerCore uint64) (*ckpt.Snapshot, error) {
+func runWarm(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, ps PrefSpec, metaPerCore, funcPerCore uint64) ([]byte, error) {
 	s := newFunctional(cfg, scaled, ps)
 	var r trace.Record
 	metaTotal := metaPerCore * uint64(cfg.Cores)
@@ -246,7 +247,7 @@ func runWarm(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Ge
 // warmSnapshot serializes the functional state shared with the timed
 // system. No handler ids are recorded (nothing is in flight), mirroring
 // snapshotFunc.
-func (s *functional) warmSnapshot() (*ckpt.Snapshot, error) {
+func (s *functional) warmSnapshot() ([]byte, error) {
 	noIDs := func(event.Handler) (uint32, bool) { return 0, false }
 	enc := ckpt.NewEncoder()
 	enc.Section("sim.warm")
@@ -258,13 +259,13 @@ func (s *functional) warmSnapshot() (*ckpt.Snapshot, error) {
 	if err := snapshotPref(enc, &s.vars[0].pref, noIDs); err != nil {
 		return nil, err
 	}
-	return ckpt.NewSnapshot(enc), nil
+	return bytes.Clone(enc.Payload()), nil
 }
 
 // applyWarm restores functionally warmed state into a freshly
 // constructed timed system, before its cores start.
-func (s *timed) applyWarm(snap *ckpt.Snapshot) error {
-	dec := snap.Decoder()
+func (s *timed) applyWarm(payload []byte) error {
+	dec := ckpt.NewDecoder(payload)
 	dec.Section("sim.warm")
 	if err := s.l2.Restore(dec); err != nil {
 		return err
@@ -336,17 +337,7 @@ func (c *sampledCkpt) write() error {
 		enc.U8(c.state[w])
 		enc.Bytes(c.slots[w])
 	}
-	if c.opt.path != "" {
-		if err := ckpt.WriteFile(c.opt.path, enc.Payload()); err != nil {
-			return err
-		}
-	}
-	if c.opt.sink != nil {
-		if err := c.opt.sink(ckpt.Seal(enc.Payload())); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.opt.deliver(enc.Payload())
 }
 
 // onWindow returns window w's checkpoint sink. Which window triggers

@@ -16,11 +16,12 @@ package trace
 //	21     3    reserved (zero)
 //
 //   - Columnar tapes ("STMSTAPE"): the versioned serialization of a
-//     trace.Tape — magic, format version, (seed, cores, per-core
-//     budget), the scaled workload spec as length-prefixed JSON, the
-//     scenario provenance (version 2: length-prefixed scenario JSON,
-//     zero-length for plain spec tapes, plus the phase-mark list), then
-//     each core's encoded columns with u64 length prefixes. Tapes carry
+//     trace.Tape — the magic, then one ckpt.Encoder payload (u64
+//     lengths and values, little-endian): format version, (seed, cores,
+//     per-core budget), the scaled workload spec as length-prefixed
+//     JSON, the scenario provenance (version 2: length-prefixed scenario
+//     JSON, zero-length for plain spec tapes, plus the phase-mark list),
+//     then each core's encoded columns. Tapes carry
 //     per-core segments natively (no round-robin re-dealing on replay)
 //     and are typically ~2.5x smaller than the flat format. Version 1
 //     files (no scenario section) remain readable.
@@ -35,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"stms/internal/ckpt"
 )
 
 var (
@@ -198,7 +201,9 @@ func ReadAll(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, fr.remaining)
+	// The header's record count is untrusted: the slice grows with the
+	// records actually read, never from the declared count.
+	var out []Record
 	var rec Record
 	for fr.Next(&rec) {
 		out = append(out, rec)
@@ -220,25 +225,13 @@ func Capture(gen Generator, n int) []Record {
 	return out
 }
 
-// WriteTape serializes t to w in the versioned columnar tape format.
-// ReadTape recovers a tape that replays identically (lossless).
+// WriteTape serializes t to w in the versioned columnar tape format:
+// the magic, then one ckpt.Encoder payload. ReadTape recovers a tape
+// that replays identically (lossless).
 func WriteTape(w io.Writer, t *Tape) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(tapeMagic[:]); err != nil {
-		return err
-	}
 	specJSON, err := json.Marshal(t.spec)
 	if err != nil {
 		return fmt.Errorf("trace: encoding tape spec: %w", err)
-	}
-	writeU64 := func(v uint64) { _ = binary.Write(bw, binary.LittleEndian, v) }
-	writeU64(tapeVersion)
-	writeU64(t.seed)
-	writeU64(uint64(len(t.cores)))
-	writeU64(t.perCore)
-	writeU64(uint64(len(specJSON)))
-	if _, err := bw.Write(specJSON); err != nil {
-		return err
 	}
 	var scnJSON []byte
 	if t.scenario != nil {
@@ -246,273 +239,210 @@ func WriteTape(w io.Writer, t *Tape) error {
 			return fmt.Errorf("trace: encoding tape scenario: %w", err)
 		}
 	}
-	writeU64(uint64(len(scnJSON)))
-	if _, err := bw.Write(scnJSON); err != nil {
-		return err
-	}
-	writeU64(uint64(len(t.marks)))
+	enc := ckpt.NewEncoder()
+	enc.U64(tapeVersion)
+	enc.U64(t.seed)
+	enc.U64(uint64(len(t.cores)))
+	enc.U64(t.perCore)
+	enc.Bytes(specJSON)
+	enc.Bytes(scnJSON)
+	enc.U64(uint64(len(t.marks)))
 	for _, m := range t.marks {
-		writeU64(m.Start)
-		writeU64(uint64(len(m.Name)))
-		if _, err := bw.Write([]byte(m.Name)); err != nil {
-			return err
-		}
+		enc.U64(m.Start)
+		enc.String(m.Name)
 	}
 	for i := range t.cores {
 		c := &t.cores[i]
-		writeU64(c.n)
-		writeU64(uint64(len(c.data)))
-		if _, err := bw.Write(c.data); err != nil {
-			return err
-		}
-		writeU64(uint64(len(c.pairs)))
-		for _, pair := range c.pairs {
-			writeU64(pair)
-		}
-		writeU64(uint64(len(c.dep)))
-		for _, word := range c.dep {
-			writeU64(word)
-		}
-		writeU64(uint64(len(c.pcDict)))
-		for _, pc := range c.pcDict {
-			_ = binary.Write(bw, binary.LittleEndian, pc)
-		}
+		enc.U64(c.n)
+		enc.Bytes(c.data)
+		enc.U64s(c.pairs)
+		enc.U64s(c.dep)
+		enc.U32s(c.pcDict)
 		if c.pcIdx != nil {
-			writeU64(1) // dictionary-indexed PC column follows
-			writeU64(uint64(len(c.pcIdx)))
-			if _, err := bw.Write(c.pcIdx); err != nil {
-				return err
-			}
+			enc.U64(1) // dictionary-indexed PC column follows
+			enc.Bytes(c.pcIdx)
 		} else {
-			writeU64(0) // raw PC column follows
-			writeU64(uint64(len(c.pcRaw)))
-			for _, pc := range c.pcRaw {
-				_ = binary.Write(bw, binary.LittleEndian, pc)
-			}
+			enc.U64(0) // raw PC column follows
+			enc.U32s(c.pcRaw)
 		}
 	}
-	return bw.Flush()
+	if _, err := w.Write(tapeMagic[:]); err != nil {
+		return err
+	}
+	_, err = w.Write(enc.Payload())
+	return err
 }
 
-// tapeReader tracks the first error while decoding tape sections.
-type tapeReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (tr *tapeReader) u64() uint64 {
-	var v uint64
-	if tr.err == nil {
-		tr.err = binary.Read(tr.r, binary.LittleEndian, &v)
-	}
-	return v
-}
-
-// length reads a section length and sanity-bounds it so a corrupt file
-// cannot provoke huge allocations.
-func (tr *tapeReader) length(what string) int {
-	return tr.sized(what, 0, 1<<34)
-}
-
-// sized reads a section length and requires lo <= n <= hi; out-of-band
-// lengths become errors (and a zero length) before any allocation.
-func (tr *tapeReader) sized(what string, lo, hi uint64) int {
-	n := tr.u64()
-	if tr.err == nil && (n < lo || n > hi) {
-		tr.err = fmt.Errorf("trace: tape %s length %d outside [%d, %d]", what, n, lo, hi)
-	}
-	if tr.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// tapeChunk bounds how much memory any single declared section length
-// can claim before its bytes actually arrive. Reads allocate in chunks
-// of at most this size, so a tiny crafted file declaring a 16 GiB
-// section costs one chunk and then fails on truncation — never a
-// multi-gigabyte make() from untrusted input.
-const tapeChunk = 1 << 20
-
-func (tr *tapeReader) bytes(n int) []byte {
-	if tr.err != nil || n == 0 {
-		return nil
-	}
-	b := make([]byte, 0, min(n, tapeChunk))
-	scratch := make([]byte, min(n, tapeChunk))
-	for len(b) < n {
-		c := min(n-len(b), tapeChunk)
-		if _, err := io.ReadFull(tr.r, scratch[:c]); err != nil {
-			tr.err = err
-			return nil
-		}
-		b = append(b, scratch[:c]...)
-	}
-	return b
-}
-
-// u64s reads n little-endian uint64s with the same chunked-allocation
-// discipline as bytes (and without binary.Read's per-element reflection).
-func (tr *tapeReader) u64s(n int) []uint64 {
-	if tr.err != nil || n == 0 {
-		return nil
-	}
-	const wordsPerChunk = tapeChunk / 8
-	out := make([]uint64, 0, min(n, wordsPerChunk))
-	var buf [8 << 10]byte
-	for len(out) < n {
-		c := min(n-len(out), len(buf)/8)
-		if _, err := io.ReadFull(tr.r, buf[:c*8]); err != nil {
-			tr.err = err
-			return nil
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	}
-	return out
-}
-
-// u32s is u64s for uint32 columns.
-func (tr *tapeReader) u32s(n int) []uint32 {
-	if tr.err != nil || n == 0 {
-		return nil
-	}
-	const wordsPerChunk = tapeChunk / 4
-	out := make([]uint32, 0, min(n, wordsPerChunk))
-	var buf [8 << 10]byte
-	for len(out) < n {
-		c := min(n-len(out), len(buf)/4)
-		if _, err := io.ReadFull(tr.r, buf[:c*4]); err != nil {
-			tr.err = err
-			return nil
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-	}
-	return out
-}
-
-// ReadTape deserializes a columnar tape written by WriteTape.
+// ReadTape deserializes a columnar tape written by WriteTape. It reads
+// r to EOF: bytes after the last core are an error. Section lengths are
+// checked against the bytes actually present, and the core and mark
+// counts against fixed bounds, before anything is sized from them, so a
+// corrupt or crafted file produces an error, never a multi-gigabyte
+// make() (which would be a fatal OOM, not a recoverable failure).
 func ReadTape(r io.Reader) (*Tape, error) {
-	tr := &tapeReader{r: bufio.NewReader(r)}
 	var magic [8]byte
-	if _, err := io.ReadFull(tr.r, magic[:]); err != nil {
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading tape header: %w", err)
 	}
 	if DetectFormat(magic) != FormatTape {
 		return nil, fmt.Errorf("trace: bad tape magic %q", magic[:])
 	}
-	version := tr.u64()
-	if tr.err == nil && (version < 1 || version > tapeVersion) {
+	payload, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading tape: %w", err)
+	}
+	d := ckpt.NewDecoder(payload)
+	version := d.U64()
+	if d.Err() == nil && (version < 1 || version > tapeVersion) {
 		return nil, fmt.Errorf("trace: unsupported tape version %d (have %d)", version, tapeVersion)
 	}
-	t := &Tape{seed: tr.u64()}
-	cores := tr.sized("core count", 0, math.MaxUint16)
-	t.perCore = tr.u64()
-	specJSON := tr.bytes(tr.sized("spec", 0, 1<<24))
-	if tr.err == nil {
+	t := &Tape{seed: d.U64()}
+	cores := d.U64()
+	t.perCore = d.U64()
+	specJSON := d.Bytes()
+	if err := sized("spec", uint64(len(specJSON)), 0, 1<<24); err != nil {
+		return nil, err
+	}
+	if d.Err() == nil {
 		if err := json.Unmarshal(specJSON, &t.spec); err != nil {
 			return nil, fmt.Errorf("trace: decoding tape spec: %w", err)
 		}
 	}
 	if version >= 2 {
-		scnJSON := tr.bytes(tr.sized("scenario", 0, 1<<24))
-		if tr.err == nil && len(scnJSON) > 0 {
-			var scn Scenario
-			if err := json.Unmarshal(scnJSON, &scn); err != nil {
-				return nil, fmt.Errorf("trace: decoding tape scenario: %w", err)
-			}
-			if err := scn.Validate(); err != nil {
-				return nil, fmt.Errorf("trace: tape scenario: %w", err)
-			}
-			t.scenario = &scn
-		}
-		nMarks := tr.sized("phase marks", 0, 1<<16)
-		if nMarks > 0 {
-			t.marks = make([]PhaseMark, nMarks)
-			for i := range t.marks {
-				t.marks[i].Start = tr.u64()
-				t.marks[i].Name = string(tr.bytes(tr.sized("phase name", 0, 1<<10)))
-				// Marks may start past the budget (a bounded phase longer
-				// than the run: the simulator leaves its window empty),
-				// but never before the previous phase.
-				if tr.err == nil && i > 0 && t.marks[i].Start < t.marks[i-1].Start {
-					tr.err = fmt.Errorf("phase mark %d starts at record %d, before mark %d at %d",
-						i, t.marks[i].Start, i-1, t.marks[i-1].Start)
-				}
-			}
+		if err := t.readScenario(d); err != nil {
+			return nil, err
 		}
 	}
-	if tr.err == nil && (cores <= 0 || cores > math.MaxUint16) {
+	if d.Err() == nil && (cores == 0 || cores > math.MaxUint16) {
 		return nil, fmt.Errorf("trace: implausible tape core count %d", cores)
 	}
-	if tr.err != nil {
-		return nil, fmt.Errorf("trace: reading tape: %w", tr.err)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("trace: reading tape: %w", err)
 	}
-	t.cores = make([]tapeColumns, cores)
-	for i := range t.cores {
-		c := &t.cores[i]
-		c.n = tr.u64()
-		// Every column length is cross-checkable against the record
-		// count before anything is allocated, so a corrupt or crafted
-		// file produces an error, never a multi-gigabyte make() (which
-		// would be a fatal OOM, not a recoverable failure).
-		if tr.err == nil && c.n > 1<<34 {
-			tr.err = fmt.Errorf("implausible record count %d", c.n)
-		}
-		// Tapes are built from never-dry sources, so every segment holds
-		// exactly the budget; a short one would replay short without an
-		// error, since run budgets are checked against PerCore alone.
-		if tr.err == nil && c.n != t.perCore {
-			tr.err = fmt.Errorf("segment holds %d records, tape budget is %d per core", c.n, t.perCore)
-		}
-		c.data = tr.bytes(tr.sized("data", 0, 32*c.n+16))
-		c.pairs = tr.u64s(tr.sized("cost pairs", 0, costEscape))
-		depWords := (c.n + 63) / 64
-		c.dep = tr.u64s(tr.sized("dep", depWords, depWords))
-		c.pcDict = tr.u32s(tr.sized("pc dict", 0, 256))
-		switch mode := tr.u64(); {
-		case tr.err != nil:
-		case mode == 1:
-			c.pcIdx = tr.bytes(tr.sized("pc index", c.n, c.n))
-			c.pcRaw = nil
-		case mode == 0:
-			c.pcDict = nil
-			c.pcRaw = tr.u32s(tr.sized("pc raw", c.n, c.n))
-		default:
-			tr.err = fmt.Errorf("trace: unknown tape PC column mode %d", mode)
-		}
-		if tr.err == nil {
-			tr.err = c.validate()
-		}
-		if tr.err != nil {
-			return nil, fmt.Errorf("trace: reading tape core %d: %w", i, tr.err)
+	// Cores are appended as they decode (marks too, in readScenario), so
+	// the slices grow with the bytes present, not the declared counts.
+	for i := uint64(0); i < cores; i++ {
+		var c tapeColumns
+		if err := c.read(d, t.perCore); err != nil {
+			return nil, fmt.Errorf("trace: reading tape core %d: %w", i, err)
 		}
 		t.bytes += c.footprint()
+		t.cores = append(t.cores, c)
+	}
+	if n := d.Remaining(); n > 0 {
+		return nil, fmt.Errorf("trace: tape has %d trailing bytes after its last core", n)
 	}
 	return t, nil
+}
+
+// readScenario decodes a version-2 tape's scenario provenance: the
+// scenario JSON (empty for plain spec tapes) and the phase-mark list.
+func (t *Tape) readScenario(d *ckpt.Decoder) error {
+	scnJSON := d.Bytes()
+	if err := sized("scenario", uint64(len(scnJSON)), 0, 1<<24); err != nil {
+		return err
+	}
+	if d.Err() == nil && len(scnJSON) > 0 {
+		var scn Scenario
+		if err := json.Unmarshal(scnJSON, &scn); err != nil {
+			return fmt.Errorf("trace: decoding tape scenario: %w", err)
+		}
+		if err := scn.Validate(); err != nil {
+			return fmt.Errorf("trace: tape scenario: %w", err)
+		}
+		t.scenario = &scn
+	}
+	nMarks := d.U64()
+	if d.Err() != nil || nMarks == 0 {
+		return nil
+	}
+	if err := sized("phase marks", nMarks, 0, 1<<16); err != nil {
+		return err
+	}
+	for i := uint64(0); i < nMarks && d.Err() == nil; i++ {
+		m := PhaseMark{Start: d.U64(), Name: d.String()}
+		if err := sized("phase name", uint64(len(m.Name)), 0, 1<<10); err != nil {
+			return err
+		}
+		// Marks may start past the budget (a bounded phase longer than
+		// the run: the simulator leaves its window empty), but never
+		// before the previous phase.
+		if d.Err() == nil && i > 0 && m.Start < t.marks[i-1].Start {
+			return fmt.Errorf("trace: reading tape: phase mark %d starts at record %d, before mark %d at %d",
+				i, m.Start, i-1, t.marks[i-1].Start)
+		}
+		t.marks = append(t.marks, m)
+	}
+	return nil
+}
+
+// sized requires a decoded section length n to lie in [lo, hi].
+func sized(what string, n, lo, hi uint64) error {
+	if n < lo || n > hi {
+		return fmt.Errorf("trace: tape %s length %d outside [%d, %d]", what, n, lo, hi)
+	}
+	return nil
+}
+
+// read decodes one core's segment and validates it against the tape's
+// per-core budget.
+func (c *tapeColumns) read(d *ckpt.Decoder, perCore uint64) error {
+	c.n = d.U64()
+	// Tapes are built from never-dry sources, so every segment holds
+	// exactly the budget; a short one would replay short without an
+	// error, since run budgets are checked against PerCore alone.
+	if d.Err() == nil && c.n != perCore {
+		return fmt.Errorf("segment holds %d records, tape budget is %d per core", c.n, perCore)
+	}
+	c.data = d.Bytes()
+	c.pairs = d.U64s()
+	c.dep = d.U64s()
+	c.pcDict = d.U32s()
+	switch mode := d.U64(); {
+	case d.Err() != nil:
+	case mode == 1:
+		c.pcIdx = d.Bytes()
+	case mode == 0:
+		c.pcDict = nil
+		c.pcRaw = d.U32s()
+	default:
+		return fmt.Errorf("trace: unknown tape PC column mode %d", mode)
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return c.validate()
 }
 
 // validate checks a decoded segment's internal consistency so replay
 // cannot index out of bounds on a corrupt file.
 func (c *tapeColumns) validate() error {
-	switch {
-	case c.pcIdx != nil && uint64(len(c.pcIdx)) != c.n:
-		return fmt.Errorf("pc index column holds %d of %d records", len(c.pcIdx), c.n)
-	case c.pcIdx == nil && uint64(len(c.pcRaw)) != c.n:
-		return fmt.Errorf("pc raw column holds %d of %d records", len(c.pcRaw), c.n)
-	case uint64(len(c.dep))*64 < c.n:
-		return fmt.Errorf("dep bitset holds %d bits for %d records", len(c.dep)*64, c.n)
+	if c.n > 1<<34 {
+		return fmt.Errorf("implausible record count %d", c.n)
+	}
+	depWords := (c.n + 63) / 64
+	pcWhat, pcs := "pc raw", len(c.pcRaw)
+	if c.pcIdx != nil {
+		pcWhat, pcs = "pc index", len(c.pcIdx)
+	}
+	for _, l := range []struct {
+		what      string
+		n, lo, hi uint64
+	}{
+		{"data", uint64(len(c.data)), 0, 32*c.n + 16},
+		{"cost pairs", uint64(len(c.pairs)), 0, costEscape},
+		{"dep", uint64(len(c.dep)), depWords, depWords},
+		{"pc dict", uint64(len(c.pcDict)), 0, 256},
+		{pcWhat, uint64(pcs), c.n, c.n},
+	} {
+		if err := sized(l.what, l.n, l.lo, l.hi); err != nil {
+			return err
+		}
 	}
 	for _, idx := range c.pcIdx {
 		if int(idx) >= len(c.pcDict) {
 			return fmt.Errorf("pc index %d outside dictionary of %d", idx, len(c.pcDict))
 		}
-	}
-	if len(c.pairs) > costEscape {
-		return fmt.Errorf("cost-pair dictionary holds %d entries (max %d)", len(c.pairs), costEscape)
 	}
 	// The interleaved stream must decode exactly n records within bounds.
 	off := 0

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +102,22 @@ func TestFileEmpty(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("got %d records", len(got))
+	}
+}
+
+// hugeCountTrace is a bare STMSTRC1 header declaring 2^40 records.
+func hugeCountTrace() []byte {
+	hdr := append([]byte(nil), fileMagic[:]...)
+	return binary.LittleEndian.AppendUint64(hdr, 1<<40)
+}
+
+// TestReadAllHugeDeclaredCount: the header's record count is untrusted.
+// A 16-byte file declaring 2^40 records once sized ReadAll's slice from
+// it and died with a fatal out-of-memory error; it must fail on the
+// missing records instead.
+func TestReadAllHugeDeclaredCount(t *testing.T) {
+	if _, err := ReadAll(bytes.NewReader(hugeCountTrace())); err == nil {
+		t.Fatal("trace declaring 2^40 records with none present accepted")
 	}
 }
 

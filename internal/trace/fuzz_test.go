@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // FuzzReadTape feeds arbitrary bytes to the tape container parser. It
-// must never panic, and every allocation must be bounded by the input
+// must never panic, and allocation must stay bounded by the input
 // length (attacker-declared counts are cross-checked against the bytes
 // actually present before anything is sized from them). Accepted tapes
 // must round-trip: re-encoding yields the identical file.
@@ -29,11 +32,18 @@ func FuzzReadTape(f *testing.F) {
 	corrupt[len(corrupt)/2] ^= 0x10
 	f.Add(corrupt)
 	f.Add(shortSegmentTape(valid))
+	manyCores := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(manyCores[8+2*8:], math.MaxUint16) // after magic, version, seed
+	f.Add(manyCores)
 	f.Add([]byte("STMSTAPE"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadTape(bytes.NewReader(data))
+		var got *Tape
+		var err error
+		if n := allocated(func() { got, err = ReadTape(bytes.NewReader(data)) }); n > 32*uint64(len(data))+1<<20 {
+			t.Fatalf("ReadTape allocated %d bytes for a %d-byte input", n, len(data))
+		}
 		if err != nil {
 			return
 		}
@@ -60,6 +70,74 @@ func FuzzReadTape(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the flat STMSTRC1 reader,
+// through both ReadAll and FileReader.ReadFrame. It must never panic,
+// and allocation must stay bounded by the input, whatever record count
+// the header declares. Both paths must agree on the records read.
+func FuzzReadTrace(f *testing.F) {
+	recs := []Record{
+		{PC: 1, Block: 100, Dep: true, Instrs: 5, Work: 7},
+		{PC: 2, Block: 1 << 40, Instrs: 9, Work: 11},
+		{PC: 3, Block: 7, Dep: true, Instrs: 1, Work: 1},
+	}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, recs); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add(hugeCountTrace())
+	f.Add([]byte("STMSTRC1"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var all []Record
+		var err error
+		// Records are decoded into a growing slice: at most ~4x the
+		// input's record bytes, plus the buffered reader.
+		if n := allocated(func() { all, err = ReadAll(bytes.NewReader(data)) }); n > 8*uint64(len(data))+1<<20 {
+			t.Fatalf("ReadAll allocated %d bytes for a %d-byte input", n, len(data))
+		}
+		if err == nil && 16+len(all)*fileRecSize > len(data) {
+			t.Fatalf("ReadAll returned %d records from %d bytes", len(all), len(data))
+		}
+
+		fr, ferr := NewFileReader(bytes.NewReader(data))
+		if ferr != nil {
+			if err == nil {
+				t.Fatalf("ReadAll accepted a header NewFileReader rejects: %v", ferr)
+			}
+			return
+		}
+		frame := NewFrame()
+		var rec Record
+		n := 0
+		for fr.ReadFrame(frame) > 0 {
+			for i := 0; i < frame.Len(); i++ {
+				frame.Record(i, &rec)
+				if err == nil && rec != all[n] {
+					t.Fatalf("record %d: ReadFrame %+v, ReadAll %+v", n, rec, all[n])
+				}
+				n++
+			}
+		}
+		if (fr.Err() == nil) != (err == nil) || (err == nil && n != len(all)) {
+			t.Fatalf("ReadFrame read %d records (err %v), ReadAll %d (err %v)", n, fr.Err(), len(all), err)
+		}
+	})
+}
+
+// allocated returns the bytes the heap handed out while fn ran.
+func allocated(fn func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	fn()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
 }
 
 // FuzzParseScenario feeds arbitrary bytes to the scenario JSON parser:

@@ -313,6 +313,11 @@ func TestTapeFileRejectsCorruption(t *testing.T) {
 		t.Fatal("bad magic accepted")
 	}
 
+	trailing := append(append([]byte(nil), good...), 0)
+	if _, err := ReadTape(bytes.NewReader(trailing)); err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+		t.Fatalf("tape with trailing bytes: err %v", err)
+	}
+
 	badVersion := append([]byte(nil), good...)
 	badVersion[8] = 0xFF
 	if _, err := ReadTape(bytes.NewReader(badVersion)); err == nil {
