@@ -482,7 +482,7 @@ func replayTrace(cfg stms.Config, path string, ps stms.PrefSpec) (stms.Results, 
 func runGenerators(cfg stms.Config, name string, gens []trace.Generator, dirtyFrac float64, ps stms.PrefSpec) (stms.Results, error) {
 	srcs := make([]trace.FrameSource, len(gens))
 	for i, g := range gens {
-		srcs[i] = trace.AutoFrames(g)
+		srcs[i] = trace.Frames(g)
 	}
 	run := sim.SourceRun{Spec: trace.Spec{Name: name, DirtyFrac: dirtyFrac}, Sources: srcs}
 	return runOne(cfg, sim.FromSources(run), ps)

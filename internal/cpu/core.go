@@ -109,13 +109,6 @@ type Core struct {
 	finish     uint64 // latest load completion time retired so far
 }
 
-// New creates a core reading records from gen and issuing loads via load.
-// Records are consumed through a synchronous frame source; use NewFramed
-// to feed the core from a shared or pipelined source.
-func New(id int, cfg Config, eng *event.Engine, gen trace.Generator, load LoadFunc) *Core {
-	return NewFramed(id, cfg, eng, trace.Frames(gen), load)
-}
-
 // NewFramed creates a core reading records frame-at-a-time from src and
 // issuing loads via load. The core borrows each frame until it requests
 // the next one; it never closes src.

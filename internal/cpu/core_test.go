@@ -22,7 +22,7 @@ func runTrace(t *testing.T, recs []trace.Record, load LoadFunc) (*Core, *event.E
 	t.Helper()
 	eng := event.NewEngine()
 	gen := &trace.SliceGenerator{Records: recs}
-	c := New(0, Config{ROB: 96, Quantum: 256}, eng, gen, load)
+	c := NewFramed(0, Config{ROB: 96, Quantum: 256}, eng, trace.Frames(gen), load)
 	c.Start()
 	eng.Drain(nil)
 	return c, eng
@@ -117,8 +117,13 @@ type asyncMem struct {
 }
 
 func (a *asyncMem) load(core int, pc uint32, blk uint64, issueAt uint64, token uint32) LoadResult {
-	a.eng.At(issueAt+a.latency, func() { a.core.Complete(token, a.eng.Now()) })
+	a.eng.AtH(issueAt+a.latency, a, 0, uint64(token), 0)
 	return LoadResult{}
+}
+
+// Handle completes the load whose token the event carries.
+func (a *asyncMem) Handle(now uint64, _ uint8, token, _ uint64) {
+	a.core.Complete(uint32(token), now)
 }
 
 func TestAsyncCompletionPath(t *testing.T) {
@@ -131,7 +136,7 @@ func TestAsyncCompletionPath(t *testing.T) {
 	}
 	mem := &asyncMem{eng: eng, latency: 50}
 	gen := &trace.SliceGenerator{Records: recs}
-	c := New(0, DefaultConfig(), eng, gen, mem.load)
+	c := NewFramed(0, DefaultConfig(), eng, trace.Frames(gen), mem.load)
 	mem.core = c
 	c.Start()
 	eng.Drain(nil)
@@ -151,7 +156,7 @@ func TestWindowAccounting(t *testing.T) {
 	mem := &fixedMem{latency: 2}
 	eng := event.NewEngine()
 	gen := &trace.SliceGenerator{Records: recs}
-	c := New(0, DefaultConfig(), eng, gen, mem.load)
+	c := NewFramed(0, DefaultConfig(), eng, trace.Frames(gen), mem.load)
 	c.Start()
 	eng.Drain(nil)
 	c.MarkWindow()
@@ -168,7 +173,7 @@ func TestTargetCallback(t *testing.T) {
 	mem := &fixedMem{latency: 2}
 	eng := event.NewEngine()
 	gen := &trace.SliceGenerator{Records: recs}
-	c := New(0, DefaultConfig(), eng, gen, mem.load)
+	c := NewFramed(0, DefaultConfig(), eng, trace.Frames(gen), mem.load)
 	fired := false
 	var committedAtFire uint64
 	c.SetTarget(500, func() {
@@ -193,7 +198,7 @@ func TestStopHaltsDispatch(t *testing.T) {
 	mem := &fixedMem{latency: 2}
 	eng := event.NewEngine()
 	gen := &trace.SliceGenerator{Records: recs}
-	c := New(0, DefaultConfig(), eng, gen, mem.load)
+	c := NewFramed(0, DefaultConfig(), eng, trace.Frames(gen), mem.load)
 	c.SetTarget(100, func() { c.Stop() })
 	c.Start()
 	eng.Drain(nil)
@@ -213,7 +218,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		mem := &asyncMem{eng: eng, latency: 80}
 		gen := &trace.SliceGenerator{Records: recs}
-		c := New(0, DefaultConfig(), eng, gen, mem.load)
+		c := NewFramed(0, DefaultConfig(), eng, trace.Frames(gen), mem.load)
 		mem.core = c
 		c.Start()
 		eng.Drain(nil)
@@ -248,7 +253,7 @@ func TestPauseResume(t *testing.T) {
 	}
 	mem := &fixedMem{latency: 3}
 	eng := event.NewEngine()
-	c := New(0, Config{ROB: 96, Quantum: 256}, eng, &trace.SliceGenerator{Records: recs}, mem.load)
+	c := NewFramed(0, Config{ROB: 96, Quantum: 256}, eng, trace.Frames(&trace.SliceGenerator{Records: recs}), mem.load)
 	c.Pause()
 	c.Start()
 	eng.Drain(nil)

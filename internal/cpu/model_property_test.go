@@ -36,7 +36,7 @@ func TestIPCNeverExceedsWorkBound(t *testing.T) {
 		}
 		eng := event.NewEngine()
 		mem := &asyncMem{eng: eng, latency: uint64(20 + rnd(200))}
-		c := New(0, DefaultConfig(), eng, &trace.SliceGenerator{Records: recs}, mem.load)
+		c := NewFramed(0, DefaultConfig(), eng, trace.Frames(&trace.SliceGenerator{Records: recs}), mem.load)
 		mem.core = c
 		c.Start()
 		eng.Drain(nil)
@@ -71,7 +71,7 @@ func TestLatencyMonotonicity(t *testing.T) {
 	for _, lat := range []uint64{10, 50, 150, 400} {
 		eng := event.NewEngine()
 		mem := &asyncMem{eng: eng, latency: lat}
-		c := New(0, DefaultConfig(), eng, &trace.SliceGenerator{Records: build()}, mem.load)
+		c := NewFramed(0, DefaultConfig(), eng, trace.Frames(&trace.SliceGenerator{Records: build()}), mem.load)
 		mem.core = c
 		c.Start()
 		eng.Drain(nil)
@@ -98,7 +98,7 @@ func TestSmallerROBNeverFaster(t *testing.T) {
 	run := func(rob int) uint64 {
 		eng := event.NewEngine()
 		mem := &asyncMem{eng: eng, latency: 180}
-		c := New(0, Config{ROB: rob, Quantum: 256}, eng, &trace.SliceGenerator{Records: build()}, mem.load)
+		c := NewFramed(0, Config{ROB: rob, Quantum: 256}, eng, trace.Frames(&trace.SliceGenerator{Records: build()}), mem.load)
 		mem.core = c
 		c.Start()
 		eng.Drain(nil)
@@ -132,7 +132,7 @@ func TestQuantumDoesNotChangeResults(t *testing.T) {
 	run := func(q uint64) (uint64, uint64) {
 		eng := event.NewEngine()
 		mem := &asyncMem{eng: eng, latency: 120}
-		c := New(0, Config{ROB: 96, Quantum: q}, eng, &trace.SliceGenerator{Records: build()}, mem.load)
+		c := NewFramed(0, Config{ROB: 96, Quantum: q}, eng, trace.Frames(&trace.SliceGenerator{Records: build()}), mem.load)
 		mem.core = c
 		c.Start()
 		eng.Drain(nil)

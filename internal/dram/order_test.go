@@ -16,6 +16,12 @@ import (
 	"stms/internal/rng"
 )
 
+// fnHandler adapts a func to event.Handler, so the test can schedule
+// its request bursts as closures.
+type fnHandler func()
+
+func (f fnHandler) Handle(uint64, uint8, uint64, uint64) { f() }
+
 // refController is the old eager-event controller, kept verbatim (minus
 // the closure path) as the ordering oracle.
 type refController struct {
@@ -128,14 +134,14 @@ func TestTimeBasedChannelMatchesEagerEventOrder(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				at += rnd.Uint64n(12) // often lands mid-transfer or at its end
 				i := i
-				eng.At(at, func() {
+				eng.AtH(at, fnHandler(func() {
 					switch {
 					case i%7 == 3:
 						log.write(Writeback, i%2 == 0)
 					default:
 						log.read(Class(i%3), i%2 == 0, log, uint8(i%16), uint64(i), 0)
 					}
-				})
+				}), 0, 0, 0)
 			}
 			eng.Drain(nil)
 			return log.events

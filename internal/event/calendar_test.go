@@ -3,6 +3,7 @@ package event
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refEngine is the original binary-heap scheduler, kept verbatim as the
@@ -108,6 +109,20 @@ func (e *refEngine) down(i int) {
 	}
 }
 
+// fnHandler adapts a func to Handler, so tests can schedule closures
+// through the engine's ScheduleH/AtH.
+type fnHandler func()
+
+func (f fnHandler) Handle(uint64, uint8, uint64, uint64) { f() }
+
+// calendar gives Engine the reference heap's closure-based Schedule/At,
+// scheduling through ScheduleH/AtH with a fnHandler.
+type calendar struct{ *Engine }
+
+func (c calendar) Schedule(delay uint64, fn func()) { c.ScheduleH(delay, fnHandler(fn), 0, 0, 0) }
+
+func (c calendar) At(when uint64, fn func()) { c.AtH(when, fnHandler(fn), 0, 0, 0) }
+
 // scheduler abstracts both engines for the property driver.
 type scheduler interface {
 	Now() uint64
@@ -163,7 +178,7 @@ func opTrace(s scheduler, seed int64, n int) []uint64 {
 // binary heap across many random workloads.
 func TestCalendarMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		got := opTrace(NewEngine(), seed, 40)
+		got := opTrace(calendar{NewEngine()}, seed, 40)
 		want := opTrace(newRefEngine(), seed, 40)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: event count diverged: %d vs %d", seed, len(got), len(want))
@@ -183,7 +198,7 @@ func TestCalendarMatchesReferenceHeap(t *testing.T) {
 func TestCalendarRunUntilMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		cal, ref := NewEngine(), newRefEngine()
+		cal, ref := calendar{NewEngine()}, newRefEngine()
 		var calLog, refLog []uint64
 		whens := make([]uint64, 200)
 		for i := range whens {
@@ -217,9 +232,9 @@ func TestCalendarRunUntilMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHandlerEventsInterleaveWithClosures checks that ScheduleH events and
-// closure events share one deterministic order, and that payloads arrive
-// intact.
+// TestHandlerEventsInterleaveWithClosures checks that handler events and
+// closures adapted through fnHandler share one deterministic order, and
+// that payloads arrive intact.
 type recHandler struct {
 	log *[]uint64
 }
@@ -233,7 +248,7 @@ func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
 	var log []uint64
 	h := recHandler{log: &log}
 	e.ScheduleH(10, h, 1, 100, 200)
-	e.Schedule(10, func() { log = append(log, e.Now(), 99, 0, 0) })
+	e.ScheduleH(10, fnHandler(func() { log = append(log, e.Now(), 99, 0, 0) }), 0, 0, 0)
 	e.ScheduleH(10, h, 2, 300, 400)
 	e.ScheduleH(5, h, 3, 1, 2)
 	e.Drain(nil)
@@ -250,6 +265,14 @@ func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
 		if log[i] != want[i] {
 			t.Fatalf("log[%d] = %d, want %d (full: %v)", i, log[i], want[i], log)
 		}
+	}
+}
+
+// TestEventIsOneLine pins the pooled record at one 64-byte host cache
+// line.
+func TestEventIsOneLine(t *testing.T) {
+	if s := unsafe.Sizeof(Event{}); s != 64 {
+		t.Fatalf("Event is %d bytes, want one 64-byte line", s)
 	}
 }
 

@@ -15,9 +15,8 @@
 //
 //   - Event records are pooled. ScheduleH/AtH take a Handler interface plus
 //     a small typed payload (kind + two uint64s) instead of a closure, so a
-//     steady-state simulation performs zero allocations per event. The
-//     closure-based Schedule/At remain for cold paths and tests; they reuse
-//     the same pooled records (only the caller's closure itself allocates).
+//     steady-state simulation performs zero allocations per event, and
+//     every pending event can be checkpointed.
 //   - The priority queue is a hierarchical calendar queue: a
 //     1024-cycle timing wheel of FIFO buckets (with an occupancy bitmap for
 //     constant-time next-event scans) absorbs the short delays, and a
@@ -53,14 +52,14 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// Event is a pooled scheduler record. It is internal to the engine's
-// queues; external code interacts through Handler and the Schedule
-// variants. (Exported so diagnostics and benchmarks can size it.)
+// Event is a pooled scheduler record: one 64-byte host cache line. It is
+// internal to the engine's queues; external code interacts through
+// Handler and the ScheduleH variants. (Exported so diagnostics and
+// benchmarks can size it.)
 type Event struct {
 	when uint64
 	seq  uint64
 	h    Handler
-	fn   func()
 	kind uint8
 	a, b uint64
 	next *Event // bucket FIFO link / free-list link
@@ -110,31 +109,13 @@ func (e *Engine) get() *Event {
 	return ev
 }
 
-// put recycles a record. Closures are cleared so the pool never pins
-// their captures; handler references stay — handlers are long-lived
-// simulator components (cores, controllers, the simulator itself) that
-// outlive the engine anyway, and skipping the store keeps two GC write
-// barriers off the per-event path.
+// put recycles a record. Handler references stay — handlers are
+// long-lived simulator components (cores, controllers, the simulator
+// itself) that outlive the engine anyway, and skipping the store keeps
+// two GC write barriers off the per-event path.
 func (e *Engine) put(ev *Event) {
-	if ev.fn != nil {
-		ev.fn = nil
-	}
 	ev.next = e.free
 	e.free = ev
-}
-
-// Schedule arranges for fn to run delay cycles from now.
-func (e *Engine) Schedule(delay uint64, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
-// At arranges for fn to run at absolute time when. Times in the past are
-// clamped to the present: the event fires at Now() but after events already
-// scheduled for Now().
-func (e *Engine) At(when uint64, fn func()) {
-	ev := e.get()
-	ev.fn = fn
-	e.insert(when, ev)
 }
 
 // ScheduleH arranges for h.Handle(firetime, kind, a, b) to run delay cycles
@@ -144,8 +125,9 @@ func (e *Engine) ScheduleH(delay uint64, h Handler, kind uint8, a, b uint64) {
 	e.AtH(e.now+delay, h, kind, a, b)
 }
 
-// AtH is ScheduleH at an absolute time, with the same past-time clamping as
-// At.
+// AtH is ScheduleH at an absolute time. Times in the past are clamped to
+// the present: the event fires at Now() but after events already
+// scheduled for Now().
 func (e *Engine) AtH(when uint64, h Handler, kind uint8, a, b uint64) {
 	ev := e.get()
 	ev.h = h
@@ -332,12 +314,8 @@ func (e *Engine) fireFrom(b *bucket, i uint64) {
 	e.n--
 	// Copy out and recycle before firing: the handler may schedule new
 	// events, which can immediately reuse this record.
-	h, fn, kind, a, bb := ev.h, ev.fn, ev.kind, ev.a, ev.b
+	h, kind, a, bb := ev.h, ev.kind, ev.a, ev.b
 	e.put(ev)
-	if fn != nil {
-		fn()
-		return
-	}
 	h.Handle(e.now, kind, a, bb)
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestOrdering(t *testing.T) {
-	e := NewEngine()
+	e := calendar{NewEngine()}
 	var got []int
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(10, func() { got = append(got, 1) })
@@ -21,7 +21,7 @@ func TestOrdering(t *testing.T) {
 }
 
 func TestFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
+	e := calendar{NewEngine()}
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
@@ -36,7 +36,7 @@ func TestFIFOAtSameTime(t *testing.T) {
 }
 
 func TestPastEventsClampToNow(t *testing.T) {
-	e := NewEngine()
+	e := calendar{NewEngine()}
 	e.Schedule(100, func() {})
 	e.Step()
 	fired := uint64(0)
@@ -48,7 +48,7 @@ func TestPastEventsClampToNow(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	e := calendar{NewEngine()}
 	var times []uint64
 	e.Schedule(10, func() {
 		times = append(times, e.Now())
@@ -63,7 +63,7 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEngine()
+	e := calendar{NewEngine()}
 	fired := 0
 	e.Schedule(10, func() { fired++ })
 	e.Schedule(20, func() { fired++ })
@@ -81,7 +81,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestDrainStop(t *testing.T) {
-	e := NewEngine()
+	e := calendar{NewEngine()}
 	fired := 0
 	for i := 0; i < 10; i++ {
 		e.Schedule(uint64(i), func() { fired++ })
@@ -103,7 +103,7 @@ func TestStepEmpty(t *testing.T) {
 // global time monotonicity.
 func TestHeapPropertyRandom(t *testing.T) {
 	f := func(delays []uint16) bool {
-		e := NewEngine()
+		e := calendar{NewEngine()}
 		var fireTimes []uint64
 		for _, d := range delays {
 			e.Schedule(uint64(d), func() { fireTimes = append(fireTimes, e.Now()) })
@@ -126,7 +126,7 @@ func TestHeapPropertyRandom(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []uint64 {
-		e := NewEngine()
+		e := calendar{NewEngine()}
 		var out []uint64
 		var rec func(depth int)
 		rec = func(depth int) {

@@ -13,11 +13,6 @@ import (
 // handlers in a fixed construction order); an unregistered handler is
 // an error.
 //
-// Snapshot refuses closure events (Schedule/At): a captured func cannot
-// be serialized. The simulator's hot paths are exclusively handler
-// events; closures appear only on cold paths that are excluded from
-// checkpointable configurations.
-//
 // Snapshot must be called between events (the Drain stop callback),
 // where now == base holds.
 func (e *Engine) Snapshot(enc *ckpt.Encoder, idOf func(Handler) (uint32, bool)) error {
@@ -29,9 +24,6 @@ func (e *Engine) Snapshot(enc *ckpt.Encoder, idOf func(Handler) (uint32, bool)) 
 	enc.U64(e.seq)
 
 	put := func(ev *Event) error {
-		if ev.fn != nil {
-			return fmt.Errorf("event: pending closure event at t=%d cannot be checkpointed", ev.when)
-		}
 		id, ok := idOf(ev.h)
 		if !ok {
 			return fmt.Errorf("event: pending event at t=%d has unregistered handler %T", ev.when, ev.h)

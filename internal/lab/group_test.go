@@ -216,7 +216,7 @@ func TestGroupInvalidVariant(t *testing.T) {
 }
 
 // TestGroupCancel: cancelling a matrix while its groups run returns
-// ctx.Err() and leaves no frame-pipeline goroutines behind.
+// ctx.Err() and leaves no goroutines behind.
 func TestGroupCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

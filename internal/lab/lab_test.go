@@ -208,7 +208,7 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 }
 
-// TestTimedCellsDecodeEveryRecord pins the frame pipeline as the path
+// TestTimedCellsDecodeEveryRecord pins the frame source as the path
 // every timed cell actually takes: each cell decodes frames, and the
 // records handed to its cores are exactly the warm-up plus measured
 // windows on every core.

@@ -206,7 +206,7 @@ type cellJSON struct {
 	Instrs         uint64  `json:"instrs,omitempty"`
 	OverheadTotal  float64 `json:"overhead_total,omitempty"`
 
-	// Frame-pipeline accounting: how many columnar frames (and records
+	// Frame-source accounting: how many columnar frames (and records
 	// inside them) the cell's drivers consumed. Zero would mean the cell
 	// somehow bypassed the batched record path.
 	FramesDecoded uint64 `json:"frames_decoded"`

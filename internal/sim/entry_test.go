@@ -39,7 +39,7 @@ func entryShapes(t *testing.T) map[string]func() (any, error) {
 	sources := func() SourceRun {
 		srcs := make([]trace.FrameSource, cfg.Cores)
 		for i := range srcs {
-			srcs[i] = trace.PipelinedFrames(scnTape.CursorN(i, perCore))
+			srcs[i] = trace.Frames(scnTape.CursorN(i, perCore))
 		}
 		return SourceRun{Spec: scnTape.Spec(), Marks: scnTape.Marks(), Sources: srcs, PerCore: perCore}
 	}

@@ -153,10 +153,9 @@ func runFunctional(ctx context.Context, cfg Config, f feed, ps []PrefSpec, o *ru
 	seen := make([]uint64, cfg.Cores)
 
 	// Frame-at-a-time consumption: each core's records arrive in columnar
-	// frames from a pipelined source (decode overlaps simulation), and the
-	// round-robin interleave reads straight from the frame columns —
-	// identical record order to the old per-record Next loop, without its
-	// per-record interface dispatch.
+	// frames from its frame source, and the round-robin interleave reads
+	// straight from the frame columns — identical record order to the old
+	// per-record Next loop, without its per-record interface dispatch.
 	frames := make([]*trace.Frame, cfg.Cores)
 	pos := make([]int, cfg.Cores)
 	framesRead := make([]uint64, cfg.Cores)
@@ -262,7 +261,7 @@ loop:
 			eng.Flush()
 		}
 	}
-	// A source that ran dry because its producer failed (truncated tape,
+	// A source that ran dry because its reader failed (truncated tape,
 	// dropped stream, dead generator) must fail the run, not pass off the
 	// records it did deliver as a complete result.
 	var fs trace.FrameStats

@@ -232,7 +232,7 @@ func TestFunctionalGroupRejects(t *testing.T) {
 }
 
 // TestFunctionalGroupCancel: cancelling a running group returns
-// ctx.Err() and leaves no frame-pipeline goroutines behind.
+// ctx.Err() and leaves no goroutines behind.
 func TestFunctionalGroupCancel(t *testing.T) {
 	cfg, tapes := groupTapes(t)
 	tape := tapes[0].tape

@@ -71,7 +71,7 @@ type Results struct {
 
 	Engine EngineCounts
 
-	// Frames counts the whole-run frame-pipeline activity (frames and
+	// Frames counts the whole-run frame-source activity (frames and
 	// records decoded into the drivers' columnar batches, warm-up
 	// included). Frame boundaries are a pure function of the trace
 	// identity, so the counts — like every other field — are identical

@@ -226,11 +226,11 @@ func (b bound) feed(cfg Config) (feed, error) {
 		total: perCore * uint64(cfg.Cores), src: b.src}, nil
 }
 
-// frameSources gives each core's generator a pipelined frame source.
+// frameSources gives each core's generator a synchronous frame source.
 func frameSources(gens []trace.Generator) []trace.FrameSource {
 	srcs := make([]trace.FrameSource, len(gens))
 	for i, g := range gens {
-		srcs[i] = trace.AutoFrames(g)
+		srcs[i] = trace.Frames(g)
 	}
 	return srcs
 }

@@ -315,8 +315,7 @@ func TestSampledManyWindows(t *testing.T) {
 }
 
 // TestSampledCancelLeavesNoGoroutines cancels a sampled run mid-flight
-// and verifies every window goroutine (and the pipelined trace decoders
-// under them) winds down.
+// and verifies every window goroutine winds down.
 func TestSampledCancelLeavesNoGoroutines(t *testing.T) {
 	sp, err := trace.ByName("web-apache")
 	if err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func deadProducerSource(t *testing.T, cfg Config, scaled trace.Spec) trace.Frame
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace.PipelinedFrames(rd)
+	return trace.Frames(rd)
 }
 
 // TestSourceDeathIsAnError pins the contract that a FrameSource whose
@@ -56,4 +57,31 @@ func TestSourceDeathIsAnError(t *testing.T) {
 			t.Fatalf("functional driver swallowed a dead producer: err=%v", err)
 		}
 	})
+}
+
+// TestRunStartsNoGoroutine pins the synchronous frame source: with a
+// spare processor to run one on, neither driver starts a goroutine to
+// fill frames — every record is read on the goroutine running the
+// simulation.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := testConfig()
+	cfg.WarmRecords, cfg.MeasureRecords = 4000, 12_000
+	for _, mode := range []Mode{Timed, Functional} {
+		before := runtime.NumGoroutine()
+		most, polls := 0, 0
+		progress := WithProgress(func(done, total uint64) {
+			polls++
+			most = max(most, runtime.NumGoroutine())
+		})
+		if _, err := run1(context.Background(), cfg, FromSpec(spec(t, "web-apache")), PrefSpec{Kind: STMS, SampleProb: 0.125}, WithMode(mode), progress); err != nil {
+			t.Fatal(err)
+		}
+		if polls == 0 {
+			t.Fatalf("mode %v: progress never polled", mode)
+		}
+		if most > before {
+			t.Fatalf("mode %v: %d goroutines during the run, %d before", mode, most, before)
+		}
+	}
 }

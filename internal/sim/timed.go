@@ -55,8 +55,7 @@ type timed struct {
 
 	dirtyThresh uint64
 
-	// srcs are the per-core frame sources feeding the cores: trace decode
-	// (or live generation) is double-buffered behind the simulation.
+	// srcs are the per-core frame sources feeding the cores.
 	srcs []trace.FrameSource
 
 	// Window management.
@@ -261,10 +260,10 @@ func tapeFits(cfg Config, tape *trace.Tape, perCore uint64) error {
 // per-core frame sources; phase marks, when present, request per-phase
 // stat windows in the Results.
 func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) (Results, error) {
-	// Each core consumes its trace frame-at-a-time from a pipelined
-	// source: a producer goroutine decodes (or generates) the next frame
-	// while the simulation works through the current one. Sources are
-	// closed on every exit path — an aborted run must not leak producers.
+	// Each core consumes its trace frame-at-a-time from its source, which
+	// fills the next frame on this goroutine when the core asks for it.
+	// Sources are closed on every exit path, so an aborted run releases
+	// a source that holds a connection (the stream inlet).
 	defer func() {
 		for _, src := range f.srcs {
 			src.Close()
@@ -389,7 +388,7 @@ func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) 
 	case s.halted:
 		return Results{}, ErrCheckpointed
 	}
-	// A frame source that ran dry because its producer died (truncated
+	// A frame source that ran dry because its reader failed (truncated
 	// file, dropped stream) must fail the run — the records are
 	// incomplete, and reporting results over them would silently pass a
 	// short trace off as the real one.

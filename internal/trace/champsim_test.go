@@ -137,8 +137,8 @@ func TestChampSimRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestChampSimThroughFrames drives the importer through the pipelined
-// frame path the simulator uses: a malformed tail must surface through
+// TestChampSimThroughFrames drives the importer through the frame
+// source the simulator uses: a malformed tail must surface through
 // FrameSource.Err, never as a clean end of stream.
 func TestChampSimThroughFrames(t *testing.T) {
 	var instrs []csInstr
@@ -151,7 +151,7 @@ func TestChampSimThroughFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := PipelinedFrames(rd)
+		src := Frames(rd)
 		defer src.Close()
 		total := 0
 		for f := src.NextFrame(); f != nil; f = src.NextFrame() {
@@ -169,7 +169,7 @@ func TestChampSimThroughFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := PipelinedFrames(rd)
+		src := Frames(rd)
 		defer src.Close()
 		for f := src.NextFrame(); f != nil; f = src.NextFrame() {
 		}

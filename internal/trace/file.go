@@ -31,10 +31,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 
 	"stms/internal/ckpt"
@@ -278,7 +280,9 @@ func WriteTape(w io.Writer, t *Tape) error {
 // checked against the bytes actually present, and the core and mark
 // counts against fixed bounds, before anything is sized from them, so a
 // corrupt or crafted file produces an error, never a multi-gigabyte
-// make() (which would be a fatal OOM, not a recoverable failure).
+// make() (which would be a fatal OOM, not a recoverable failure). When r
+// can report its size (an *os.File), the read buffer is sized from it
+// once.
 func ReadTape(r io.Reader) (*Tape, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -287,7 +291,7 @@ func ReadTape(r io.Reader) (*Tape, error) {
 	if DetectFormat(magic) != FormatTape {
 		return nil, fmt.Errorf("trace: bad tape magic %q", magic[:])
 	}
-	payload, err := io.ReadAll(r)
+	payload, err := readRest(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading tape: %w", err)
 	}
@@ -333,6 +337,21 @@ func ReadTape(r io.Reader) (*Tape, error) {
 		return nil, fmt.Errorf("trace: tape has %d trailing bytes after its last core", n)
 	}
 	return t, nil
+}
+
+// readRest reads r to EOF. A reader that reports its size through Stat
+// (an *os.File) gets a buffer of that size up front, so the read never
+// regrows; the size is only a capacity hint, so a file that is shorter
+// or grows still reads exactly.
+func readRest(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if st, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // readScenario decodes a version-2 tape's scenario provenance: the

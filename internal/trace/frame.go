@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Block-batched record plumbing: a Frame is a reusable structure-of-arrays
 // batch of records, the unit the simulation drivers consume instead of one
 // Record at a time. Filling a frame amortizes the per-record virtual call
@@ -20,16 +15,15 @@ import (
 // windowing statistics per record, so results are bit-identical to the
 // record-at-a-time path.
 //
-// On top of FillFrame sit two frame sources: Frames (synchronous, one
-// owned buffer) and PipelinedFrames (a producer goroutine double-buffers
-// the decode so trace generation or tape decompression overlaps
-// simulation of the previous frame).
+// On top of FillFrame sits the one frame source, Frames: synchronous,
+// with one owned buffer, filled on the consumer's goroutine
+// (DESIGN.md §10 says why there is no pipelined producer).
 
 // FrameCap is the default frame capacity in records. Large enough that
-// per-frame bookkeeping (refill dispatch, channel handoff) vanishes,
-// small enough that a frame's columns (~21 KB at 21 bytes/record) stay
-// cache-resident against the simulator's own hot state while it
-// streams through them.
+// per-frame bookkeeping (refill dispatch, the stream inlet's channel
+// handoff) vanishes, small enough that a frame's columns (~21 KB at 21
+// bytes/record) stay cache-resident against the simulator's own hot
+// state while it streams through them.
 const FrameCap = 1024
 
 // Frame is a structure-of-arrays batch of records. The columns share one
@@ -148,10 +142,10 @@ func (s *FrameStats) Add(o FrameStats) {
 
 // FrameSource hands out successive frames of a record stream. NextFrame
 // returns a frame valid until the next NextFrame call, or nil when the
-// stream is dry; Close releases any pipeline resources (safe to call
-// more than once, and required for pipelined sources that were not
-// drained). Stats is consumer-side accounting: identical for the
-// synchronous and pipelined implementations of the same stream.
+// stream is dry. Stats is consumer-side accounting of the frames handed
+// out. Close releases what the source holds open — only sources backed
+// by a connection, such as the stream inlet, hold anything; Frames'
+// Close is a no-op. Close is safe to call more than once.
 //
 // Err distinguishes a clean end of stream from a dead producer: after
 // NextFrame returns nil, a non-nil Err means the stream was cut short
@@ -167,7 +161,7 @@ type FrameSource interface {
 
 // ErrReporter is the optional failure channel of a Generator: sources
 // that can die mid-stream (file readers, network inlets) expose the
-// first error here, and the frame sources propagate it to FrameSource.Err.
+// first error here, and Frames propagates it to FrameSource.Err.
 // Generators without it are assumed infallible (synthetic generators,
 // tape cursors).
 type ErrReporter interface {
@@ -206,131 +200,3 @@ func (it *frameIter) Stats() FrameStats { return it.stats }
 func (it *frameIter) Err() error { return genErr(it.g) }
 
 func (it *frameIter) Close() {}
-
-// AutoFrames returns the best frame source for this process: pipelined
-// (filled by a producer goroutine) when the runtime has a spare
-// processor to run it on, synchronous otherwise — on a single-processor
-// runtime the producer cannot overlap the consumer, so the channel
-// handoff and scheduler switches would be pure cost. The consumed frame
-// sequence and Stats are identical either way; only wall-clock overlap
-// differs.
-func AutoFrames(g Generator) FrameSource {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return PipelinedFrames(g)
-	}
-	return Frames(g)
-}
-
-// pipeDepth is the filled-frame queue depth of a pipelined source. With
-// one frame at the consumer, one in flight, and pipeDepth queued, the
-// producer stays at most pipeDepth frames ahead.
-const pipeDepth = 2
-
-// PipelinedFrames returns a FrameSource whose frames are filled by a
-// dedicated goroutine: decoding (or generating) frame k+1 overlaps the
-// consumer's work on frame k — within one simulation, not just across a
-// run matrix. The consumed frame sequence, and Stats, are identical to
-// Frames(g); only the wall-clock overlap differs. The caller must Close
-// the source (idempotent) unless it drained it to nil.
-//
-// g is handed to the producer goroutine: it must not be used elsewhere
-// while the source is open. Per-core generators, scenario generators,
-// tape cursors and file readers all satisfy this — their mutable state
-// is core-local by construction.
-func PipelinedFrames(g Generator) FrameSource {
-	p := &framePipe{
-		filled: make(chan *Frame, pipeDepth),
-		free:   make(chan *Frame, pipeDepth+1),
-		stop:   make(chan struct{}),
-	}
-	for i := 0; i < pipeDepth+1; i++ {
-		p.free <- NewFrame()
-	}
-	go p.fill(g)
-	return p
-}
-
-type framePipe struct {
-	filled chan *Frame
-	free   chan *Frame
-	stop   chan struct{}
-
-	cur    *Frame // frame the consumer holds; recycled on the next call
-	stats  FrameStats
-	closed bool
-
-	// err is the producer's terminal failure, if any: captured from the
-	// generator when it runs dry, before filled closes, so a consumer
-	// that drained to nil observes it. The mutex (not the channel
-	// ordering) covers the Close path, where Err may race the producer.
-	errMu sync.Mutex
-	err   error
-}
-
-// fill is the producer loop: recycle a buffer, fill it, hand it over.
-// It exits when the generator runs dry (closing filled) or when Close
-// fires stop. A generator that died rather than drained leaves its
-// error behind for Err — end-of-stream and producer death must never
-// look alike to the consumer.
-func (p *framePipe) fill(g Generator) {
-	for {
-		var f *Frame
-		select {
-		case f = <-p.free:
-		case <-p.stop:
-			return
-		}
-		if FillFrame(g, f) == 0 {
-			if err := genErr(g); err != nil {
-				p.errMu.Lock()
-				p.err = err
-				p.errMu.Unlock()
-			}
-			close(p.filled)
-			return
-		}
-		select {
-		case p.filled <- f:
-		case <-p.stop:
-			return
-		}
-	}
-}
-
-func (p *framePipe) NextFrame() *Frame {
-	if p.closed {
-		// The producer may have parked on stop without closing filled;
-		// a post-Close read must not block forever.
-		return nil
-	}
-	if p.cur != nil {
-		// Three buffers circulate and the consumer holds at most one, so
-		// this send cannot block.
-		p.free <- p.cur
-		p.cur = nil
-	}
-	f, ok := <-p.filled
-	if !ok {
-		return nil
-	}
-	p.cur = f
-	p.stats.Frames++
-	p.stats.Records += uint64(f.n)
-	return f
-}
-
-func (p *framePipe) Stats() FrameStats { return p.stats }
-
-func (p *framePipe) Err() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.err
-}
-
-func (p *framePipe) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.stop)
-}

@@ -259,59 +259,6 @@ func TestFileReaderReadFrame(t *testing.T) {
 	}
 }
 
-// TestPipelinedFramesMatchesSync asserts the asynchronous double-buffered
-// source hands out the same frame sequence — and the same consumer-side
-// stats — as the synchronous one, and that Close is safe at any point.
-func TestPipelinedFramesMatchesSync(t *testing.T) {
-	spec, err := ByName("oltp-oracle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = spec.Scaled(0.0625)
-	const total = 50_000
-
-	collect := func(src FrameSource) ([]Record, FrameStats) {
-		defer src.Close()
-		var out []Record
-		var rec Record
-		for {
-			f := src.NextFrame()
-			if f == nil {
-				break
-			}
-			for i := 0; i < f.Len(); i++ {
-				f.Record(i, &rec)
-				out = append(out, rec)
-			}
-		}
-		return out, src.Stats()
-	}
-
-	mk := func() Generator {
-		return &Limit{Gen: NewGenerator(NewLibrary(spec, 13), 0, 13), N: total}
-	}
-	wantRecs, wantStats := collect(Frames(mk()))
-	gotRecs, gotStats := collect(PipelinedFrames(mk()))
-	recordsEqual(t, "pipelined", wantRecs, gotRecs)
-	if wantStats != gotStats {
-		t.Fatalf("stats differ: sync %+v, pipelined %+v", wantStats, gotStats)
-	}
-	if wantStats.Records != total {
-		t.Fatalf("stats records = %d, want %d", wantStats.Records, total)
-	}
-
-	// Close mid-stream: no deadlock, NextFrame returns nil afterwards.
-	p := PipelinedFrames(mk())
-	if f := p.NextFrame(); f == nil {
-		t.Fatal("first frame nil")
-	}
-	p.Close()
-	p.Close() // idempotent
-	if f := p.NextFrame(); f != nil {
-		t.Fatal("NextFrame after Close should be nil")
-	}
-}
-
 // TestFillFrameGenericFallback exercises the Next-loop path used for
 // external generators that do not implement FrameReader.
 func TestFillFrameGenericFallback(t *testing.T) {

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -288,6 +290,42 @@ func TestTapeFileRoundTrip(t *testing.T) {
 				t.Fatalf("%s: loaded tape longer than original", name)
 			}
 		}
+	}
+}
+
+// TestReadTapeFileAllocation: a tape file's read buffer is sized once
+// from the file's size, so ReadTape allocates about the file twice (the
+// payload plus the decoded columns), not the run of copies a buffer
+// that grows by doubling leaves behind.
+func TestReadTapeFileAllocation(t *testing.T) {
+	spec, _ := ByName("oltp-db2")
+	path := filepath.Join(t.TempDir(), "t.tape")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTape(f, NewTape(spec.Scaled(0.0625), 1, 4, 50_000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(fi.Size())
+	n := allocated(func() { _, err = ReadTape(f) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 5*size/2 {
+		t.Fatalf("ReadTape allocated %d bytes for a %d-byte tape file, want at most 2.5x", n, size)
 	}
 }
 

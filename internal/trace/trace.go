@@ -137,7 +137,7 @@ func (l *Limit) ReadFrame(f *Frame) int {
 
 // Err forwards the wrapped generator's failure state (ErrReporter), so
 // bounding a fallible source does not hide its death from the frame
-// pipeline's end-of-stream/error distinction.
+// source's end-of-stream/error distinction.
 func (l *Limit) Err() error {
 	if er, ok := l.Gen.(ErrReporter); ok {
 		return er.Err()

@@ -324,19 +324,13 @@ func NewScenarioTape(scn Scenario, seed uint64, cores int, perCore uint64) *Tape
 }
 
 // Frame is a reusable structure-of-arrays batch of trace records — the
-// unit the simulation drivers consume (DESIGN.md §10). Custom consumers
-// of workload streams can use FillFrame/Frames/PipelinedFrames to read
-// any generator block-at-a-time instead of record-at-a-time.
+// unit the simulation drivers consume (DESIGN.md §10). Custom sources
+// for FromSources hand frames out through a FrameSource.
 type Frame = trace.Frame
 
-// FrameReader is the batched fast path implemented by every built-in
-// generator: ReadFrame fills up to Frame.Cap records and returns the
-// count (0 = dry), producing exactly the sequence Next would.
-type FrameReader = trace.FrameReader
-
-// FrameSource hands out successive frames of a record stream; see
-// trace.Frames (synchronous) and trace.PipelinedFrames (decode
-// overlapped with consumption on a producer goroutine).
+// FrameSource hands out successive frames of a record stream; Frames
+// builds one over any generator, and the stream inlet supplies one per
+// core of a networked stream.
 type FrameSource = trace.FrameSource
 
 // FrameStats counts frames and records consumed from a FrameSource;
@@ -344,22 +338,9 @@ type FrameSource = trace.FrameSource
 // generation and tape replay).
 type FrameStats = trace.FrameStats
 
-// NewFrame returns an empty frame with the default capacity
-// (trace.FrameCap records).
-func NewFrame() *Frame { return trace.NewFrame() }
-
-// FillFrame fills f from any generator, using its ReadFrame fast path
-// when it has one; returns the record count (0 = dry).
-func FillFrame(g trace.Generator, f *Frame) int { return trace.FillFrame(g, f) }
-
-// Frames returns a synchronous frame source over g.
+// Frames returns a synchronous frame source over g: it fills one owned
+// frame on the caller's goroutine.
 func Frames(g trace.Generator) FrameSource { return trace.Frames(g) }
-
-// PipelinedFrames returns a double-buffered frame source: a producer
-// goroutine fills the next frame while the caller works on the current
-// one. The frame sequence is identical to Frames(g); Close it unless it
-// was drained to nil.
-func PipelinedFrames(g trace.Generator) FrameSource { return trace.PipelinedFrames(g) }
 
 // STMSConfig sizes an STMS instance (history buffers, index table,
 // sampling probability, bucket buffer).
