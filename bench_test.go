@@ -249,38 +249,18 @@ func BenchmarkTraceGen(b *testing.B) {
 	spec = spec.Scaled(0.0625)
 	lib := trace.NewLibrary(spec, 1)
 	gen := trace.NewGenerator(lib, 0, 1)
-	var rec trace.Record
+	f := trace.NewFrame()
 	b.ResetTimer()
+	var n int
 	for i := 0; i < b.N; i++ {
-		gen.Next(&rec)
+		n += gen.ReadFrame(f)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkTapeReplay measures the columnar substrate: decoding the
-// identical record stream from a materialized tape through a
-// zero-allocation cursor (compare records/s against BenchmarkTraceGen).
-func BenchmarkTapeReplay(b *testing.B) {
-	spec, err := trace.ByName("web-zeus")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec = spec.Scaled(0.0625)
-	tape := trace.NewTape(spec, 1, 1, 1_000_000)
-	cur := tape.Cursor(0)
-	var rec trace.Record
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !cur.Next(&rec) {
-			cur.Reset()
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkFrameDecode measures the tape fast path: decoding frames
-// straight from a materialized tape's columns through Cursor.ReadFrame
-// (compare records/s against BenchmarkTapeReplay's per-record Next).
+// BenchmarkFrameDecode measures the tape decode: frames straight from a
+// materialized tape's columns through Cursor.ReadFrame (compare
+// records/s against BenchmarkTraceGen).
 func BenchmarkFrameDecode(b *testing.B) {
 	spec, err := trace.ByName("web-zeus")
 	if err != nil {
@@ -300,37 +280,6 @@ func BenchmarkFrameDecode(b *testing.B) {
 		n += f.Len()
 	}
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "records/s")
-}
-
-// BenchmarkFrameVsNext compares the two consumption paths over the same
-// live generator: record-at-a-time Next versus batched ReadFrame.
-func BenchmarkFrameVsNext(b *testing.B) {
-	spec, err := trace.ByName("web-zeus")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec = spec.Scaled(0.0625)
-	b.Run("next", func(b *testing.B) {
-		gen := trace.NewGenerator(trace.NewLibrary(spec, 1), 0, 1)
-		var rec trace.Record
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			gen.Next(&rec)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
-	b.Run("frame", func(b *testing.B) {
-		gen := trace.NewGenerator(trace.NewLibrary(spec, 1), 0, 1)
-		f := trace.NewFrame()
-		b.ResetTimer()
-		var n int
-		for i := 0; i < b.N; i++ {
-			trace.FillFrame(gen, f)
-			n += f.Len()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "records/s")
-	})
 }
 
 // BenchmarkFig8Shared runs the Fig. 8/9 headline matrix — the eight

@@ -200,14 +200,35 @@ func main() {
 		burstLens  stats.Histogram
 		curBurst   uint64
 	)
-	for i := uint64(0); i < *records; i++ {
-		g := gens[i%uint64(len(gens))]
-		if !g.Next(&rec) {
-			break
+	// Records are taken from the cores round-robin. Each core's frames
+	// are capped at the records it still owes, so no generator or
+	// importer reads past the -records total.
+	ncores := uint64(len(gens))
+	lims := make([]trace.Limit, ncores)
+	frames := make([]*trace.Frame, ncores)
+	pos := make([]int, ncores)
+	for c := range lims {
+		owed := *records / ncores
+		if uint64(c) < *records%ncores {
+			owed++
 		}
+		lims[c] = trace.Limit{Gen: gens[c], N: owed}
+		frames[c] = trace.NewFrame()
+	}
+	for i := uint64(0); i < *records; i++ {
+		c := i % ncores
+		f := frames[c]
+		if pos[c] == f.Len() {
+			if lims[c].ReadFrame(f) == 0 {
+				break
+			}
+			pos[c] = 0
+		}
+		f.Record(pos[c], &rec)
+		pos[c]++
 		if int(i) < *dump {
 			fmt.Printf("%6d core=%d pc=%#x blk=%#x dep=%v instrs=%d work=%d\n",
-				i, i%uint64(len(gens)), rec.PC, rec.Block, rec.Dep, rec.Instrs, rec.Work)
+				i, c, rec.PC, rec.Block, rec.Dep, rec.Instrs, rec.Work)
 		}
 		if captured != nil {
 			captured = append(captured, rec)

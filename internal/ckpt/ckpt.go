@@ -16,6 +16,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -224,15 +225,15 @@ func (d *Decoder) lenPrefix(elemSize int) int {
 }
 
 // Bytes reads a length-prefixed byte string (copy).
-func (d *Decoder) Bytes() []byte {
-	n := d.lenPrefix(1)
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.View()) }
+
+// View reads a length-prefixed byte string without copying it: the
+// result aliases the payload, clipped to its own length and capacity so
+// an append cannot reach the bytes after it. Only a caller that owns the
+// payload and never writes to it may keep a view.
+func (d *Decoder) View() []byte {
+	b := d.take(d.lenPrefix(1))
+	return b[:len(b):len(b)]
 }
 
 // String reads a length-prefixed string.

@@ -62,13 +62,15 @@ func missStream(cores, n int) [][2]uint64 {
 	for c := range gens {
 		gens[c] = trace.NewGenerator(lib, c, 42)
 	}
+	frames := make([]*trace.Frame, cores)
+	for c, g := range gens {
+		frames[c] = trace.NewFrameCap(n)
+		g.ReadFrame(frames[c])
+	}
 	var out [][2]uint64
-	var rec trace.Record
 	for i := 0; i < n; i++ {
-		for c, g := range gens {
-			if g.Next(&rec) {
-				out = append(out, [2]uint64{uint64(c), rec.Block})
-			}
+		for c, f := range frames {
+			out = append(out, [2]uint64{uint64(c), f.Block[i]})
 		}
 	}
 	return out

@@ -154,8 +154,7 @@ func runFunctional(ctx context.Context, cfg Config, f feed, ps []PrefSpec, o *ru
 
 	// Frame-at-a-time consumption: each core's records arrive in columnar
 	// frames from its frame source, and the round-robin interleave reads
-	// straight from the frame columns — identical record order to the old
-	// per-record Next loop, without its per-record interface dispatch.
+	// straight from the frame columns, one record per core in turn.
 	frames := make([]*trace.Frame, cfg.Cores)
 	pos := make([]int, cfg.Cores)
 	framesRead := make([]uint64, cfg.Cores)

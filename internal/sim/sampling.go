@@ -187,13 +187,18 @@ func windowPlan(cfg Config, smp Sampling) []windowGeom {
 	return plan
 }
 
-// drainRecords consumes n records from g.
+// drainRecords consumes n records from g. Its frames are capped at the
+// records still owed, so g stops exactly n records further on.
 func drainRecords(g trace.Generator, n uint64) error {
-	var r trace.Record
-	for i := uint64(0); i < n; i++ {
-		if !g.Next(&r) {
-			return fmt.Errorf("sim: trace ran dry after %d of %d skipped records", i, n)
-		}
+	if n == 0 {
+		return nil
+	}
+	l := trace.Limit{Gen: g, N: n}
+	f := trace.NewFrame()
+	for l.ReadFrame(f) > 0 {
+	}
+	if l.N > 0 {
+		return fmt.Errorf("sim: trace ran dry after %d of %d skipped records", n-l.N, n)
 	}
 	return nil
 }
@@ -217,13 +222,19 @@ func sampledSupported(src ckptSrc, ps PrefSpec) error {
 // functional driver is fully synchronous, so the payload holds no
 // in-flight operations — it restores cleanly into a timed system whose
 // event engine starts empty.
-// The generators are consumed record-at-a-time (no framing read-ahead),
-// so after the warm budget they sit exactly at the window's detailed
+// Each core's frames are capped at the records it still owes, so after
+// the warm budget the generators sit exactly at the window's detailed
 // warm-up boundary and the caller reuses them for the timed run — the
 // window's trace prefix is generated once, not once per stage.
 func runWarm(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Generator, ps PrefSpec, metaPerCore, funcPerCore uint64) ([]byte, error) {
 	s := newFunctional(cfg, scaled, ps)
-	var r trace.Record
+	lims := make([]trace.Limit, cfg.Cores)
+	frames := make([]*trace.Frame, cfg.Cores)
+	pos := make([]int, cfg.Cores)
+	for c := range lims {
+		lims[c] = trace.Limit{Gen: gens[c], N: metaPerCore + funcPerCore}
+		frames[c] = trace.NewFrame()
+	}
 	metaTotal := metaPerCore * uint64(cfg.Cores)
 	total := metaTotal + funcPerCore*uint64(cfg.Cores)
 	for i := uint64(0); i < total; i++ {
@@ -231,14 +242,20 @@ func runWarm(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Ge
 			return nil, ctx.Err()
 		}
 		core := int(i % uint64(cfg.Cores))
-		if !gens[core].Next(&r) {
-			break
+		f := frames[core]
+		if pos[core] == f.Len() {
+			if lims[core].ReadFrame(f) == 0 {
+				break
+			}
+			pos[core] = 0
 		}
+		k := pos[core]
+		pos[core]++
 		s.now = i
 		if i < metaTotal {
-			s.metaStep(core, r.Block)
+			s.metaStep(core, f.Block[k])
 		} else {
-			s.step(core, r.PC, r.Block)
+			s.step(core, f.PC[k], f.Block[k])
 		}
 	}
 	return s.warmSnapshot()
@@ -634,8 +651,8 @@ func runOneWindow(ctx context.Context, cfg Config, b bound, ps PrefSpec, g windo
 		gens, _, err = b.gens(g.start-g.warm, g.warm+g.length)
 	case g.funcWarm+g.metaWarm > 0:
 		// One generator set covers warming and the timed run: runWarm
-		// consumes exactly the warming budget record-at-a-time, leaving
-		// the generators positioned at the detailed warm-up boundary.
+		// consumes exactly the warming budget, leaving the generators
+		// positioned at the detailed warm-up boundary.
 		gens, _, err = b.gens(0, g.start+g.length)
 		if err != nil {
 			return Results{}, err

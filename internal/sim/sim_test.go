@@ -479,16 +479,8 @@ func TestRunTimedTraceReplay(t *testing.T) {
 	scaled := s.Scaled(cfg.Scale)
 	lib := trace.NewLibrary(scaled, cfg.Seed)
 	perCore := make([][]trace.Record, cfg.Cores)
-	var rec trace.Record
-	gens := make([]trace.Generator, cfg.Cores)
-	for i := range gens {
-		gens[i] = trace.NewGenerator(lib, i, cfg.Seed)
-	}
-	total := (cfg.WarmRecords + cfg.MeasureRecords) * uint64(cfg.Cores)
-	for i := uint64(0); i < total; i++ {
-		c := int(i % uint64(cfg.Cores))
-		gens[c].Next(&rec)
-		perCore[c] = append(perCore[c], rec)
+	for i := range perCore {
+		perCore[i] = capture(trace.NewGenerator(lib, i, cfg.Seed), cfg.WarmRecords+cfg.MeasureRecords)
 	}
 	replay := make([]trace.Generator, cfg.Cores)
 	for i := range replay {

@@ -10,6 +10,17 @@ import (
 	"stms/internal/trace"
 )
 
+// capture reads the first n records of a never-dry generator.
+func capture(g trace.Generator, n uint64) []trace.Record {
+	f := trace.NewFrameCap(int(n))
+	g.ReadFrame(f)
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		f.Record(i, &recs[i])
+	}
+	return recs
+}
+
 // deadProducerSource builds a FrameSource over a flat trace file whose
 // header promises more records than the file holds — the shape a run
 // sees when its producer dies mid-stream.
@@ -17,7 +28,7 @@ func deadProducerSource(t *testing.T, cfg Config, scaled trace.Spec) trace.Frame
 	t.Helper()
 	total := cfg.WarmRecords + cfg.MeasureRecords
 	lib := trace.NewLibrary(scaled, cfg.Seed)
-	recs := trace.Capture(trace.NewGenerator(lib, 0, cfg.Seed), int(total))
+	recs := capture(trace.NewGenerator(lib, 0, cfg.Seed), total)
 	var buf bytes.Buffer
 	if err := trace.WriteAll(&buf, recs); err != nil {
 		t.Fatal(err)

@@ -154,8 +154,8 @@ func (r *frameRing) get(seq uint64) []byte {
 }
 
 // walker drains a source frame by frame in the canonical order: cores
-// round-robin, each frame filled to capacity through the generator's
-// fast path, dry cores dropping out. The order is a pure function of
+// round-robin, each frame filled by the generator's ReadFrame, dry
+// cores dropping out. The order is a pure function of
 // the source, which is what makes re-walk resume exact.
 type walker struct {
 	gens  []trace.Generator
@@ -196,7 +196,7 @@ func (w *walker) step() ([]byte, int) {
 			w.next = (w.next + 1) % len(w.gens)
 			continue
 		}
-		if trace.FillFrame(w.gens[c], w.frame) == 0 {
+		if w.gens[c].ReadFrame(w.frame) == 0 {
 			if er, ok := w.gens[c].(trace.ErrReporter); ok && w.err == nil {
 				w.err = er.Err()
 			}

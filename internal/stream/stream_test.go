@@ -340,14 +340,17 @@ type erroringGen struct {
 	err error
 }
 
-func (g *erroringGen) Next(r *trace.Record) bool {
-	if g.n == 0 {
+func (g *erroringGen) ReadFrame(f *trace.Frame) int {
+	n := min(g.n, f.Cap())
+	if n == 0 {
 		g.err = errors.New("generator hardware fault")
-		return false
 	}
-	g.n--
-	*r = trace.Record{Block: uint64(g.n), PC: 1, Instrs: 1, Work: 1}
-	return true
+	for i := 0; i < n; i++ {
+		g.n--
+		f.Block[i], f.PC[i], f.Instrs[i], f.Work[i], f.Dep[i] = uint64(g.n), 1, 1, 1, false
+	}
+	f.SetLen(n)
+	return n
 }
 
 func (g *erroringGen) Err() error { return g.err }

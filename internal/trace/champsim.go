@@ -58,7 +58,7 @@ type ChampSimReader struct {
 	err error
 
 	// pending holds the loads decoded from the current instruction that
-	// Next has not yet handed out (an instruction can carry up to four).
+	// ReadFrame has not yet handed out (an instruction can carry up to four).
 	pending [champSimSrcMem]Record
 	npend   int
 	ppos    int
@@ -99,24 +99,26 @@ func (c *ChampSimReader) Instructions() uint64 { return c.instrs }
 // Records returns how many load records have been emitted.
 func (c *ChampSimReader) Records() uint64 { return c.records }
 
-// Next implements Generator: it decodes instructions until one carries
-// a load, then emits that load (and any siblings from the same
-// instruction on subsequent calls).
-func (c *ChampSimReader) Next(r *Record) bool {
-	for {
-		if c.ppos < c.npend {
-			*r = c.pending[c.ppos]
-			c.ppos++
-			c.records++
-			return true
+// ReadFrame decodes instructions until the frame is full of their
+// loads or the trace ends. An instruction's loads that do not fit wait
+// in pending for the next frame.
+func (c *ChampSimReader) ReadFrame(f *Frame) int {
+	n := 0
+	for n < f.cap {
+		if c.ppos == c.npend {
+			if c.err != nil || !c.decodeInstr() {
+				break
+			}
+			continue
 		}
-		if c.err != nil {
-			return false
-		}
-		if !c.decodeInstr() {
-			return false
-		}
+		r := &c.pending[c.ppos]
+		f.Block[n], f.PC[n], f.Instrs[n], f.Work[n], f.Dep[n] = r.Block, r.PC, r.Instrs, r.Work, r.Dep
+		c.ppos++
+		c.records++
+		n++
 	}
+	f.n = n
+	return n
 }
 
 // decodeInstr reads and validates one instruction, queueing its loads

@@ -60,11 +60,7 @@ func TestChampSimImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []Record
-	var r Record
-	for rd.Next(&r) {
-		recs = append(recs, r)
-	}
+	recs := take(t, rd, 100, FrameCap)
 	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +97,10 @@ func TestChampSimGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Record
-	if !rd.Next(&r) || r.Block != 0x1_0000>>mem.BlockShift {
+	if r := take(t, rd, 2, 1); len(r) != 1 || r[0].Block != 0x1_0000>>mem.BlockShift {
 		t.Fatalf("gzip decode: got %+v, err %v", r, rd.Err())
 	}
-	if rd.Next(&r) || rd.Err() != nil {
+	if rd.Err() != nil {
 		t.Fatalf("want clean EOF, got err %v", rd.Err())
 	}
 }
@@ -127,9 +122,7 @@ func TestChampSimRejectsMalformed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var r Record
-			for rd.Next(&r) {
-			}
+			take(t, rd, 100, FrameCap)
 			if err := rd.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}

@@ -31,7 +31,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -108,16 +107,8 @@ func encodeRecord(buf *[fileRecSize]byte, r *Record) {
 	buf[21], buf[22], buf[23] = 0, 0, 0
 }
 
-func decodeRecord(buf *[fileRecSize]byte, r *Record) {
-	r.Block = binary.LittleEndian.Uint64(buf[0:])
-	r.PC = binary.LittleEndian.Uint32(buf[8:])
-	r.Instrs = binary.LittleEndian.Uint32(buf[12:])
-	r.Work = binary.LittleEndian.Uint32(buf[16:])
-	r.Dep = buf[20]&1 != 0
-}
-
 // FileReader streams records from a trace file; it implements Generator
-// and the batched FrameReader fast path.
+// and ErrReporter.
 type FileReader struct {
 	r         *bufio.Reader
 	remaining uint64
@@ -145,26 +136,10 @@ func (f *FileReader) Remaining() uint64 { return f.remaining }
 // Err returns the first I/O error encountered, if any.
 func (f *FileReader) Err() error { return f.err }
 
-// Next implements Generator.
-func (f *FileReader) Next(r *Record) bool {
-	if f.remaining == 0 || f.err != nil {
-		return false
-	}
-	var buf [fileRecSize]byte
-	if _, err := io.ReadFull(f.r, buf[:]); err != nil {
-		f.err = fmt.Errorf("trace: reading record: %w", err)
-		return false
-	}
-	decodeRecord(&buf, r)
-	f.remaining--
-	return true
-}
-
-// ReadFrame implements FrameReader: one bulk read covers the whole
-// frame, then the fixed-size records decode straight into the columns.
-// On a truncated file the complete leading records are still delivered
-// — exactly the records a Next loop would have produced before failing
-// — and the error is retained for Err.
+// ReadFrame fills the frame with one bulk read, then decodes the
+// fixed-size records straight into the columns. On a truncated file the
+// complete leading records are still delivered, whatever the frame's
+// capacity, and the error is retained for Err.
 func (f *FileReader) ReadFrame(fr *Frame) int {
 	if f.remaining == 0 || f.err != nil {
 		fr.n = 0
@@ -207,24 +182,17 @@ func ReadAll(r io.Reader) ([]Record, error) {
 	// records actually read, never from the declared count.
 	var out []Record
 	var rec Record
-	for fr.Next(&rec) {
-		out = append(out, rec)
+	f := NewFrame()
+	for n := fr.ReadFrame(f); n > 0; n = fr.ReadFrame(f) {
+		for i := range n {
+			f.Record(i, &rec)
+			out = append(out, rec)
+		}
 	}
 	if fr.Err() != nil {
 		return nil, fr.Err()
 	}
 	return out, nil
-}
-
-// Capture materializes n records from gen (utility for writing trace
-// files from the synthetic generators).
-func Capture(gen Generator, n int) []Record {
-	out := make([]Record, 0, n)
-	var rec Record
-	for len(out) < n && gen.Next(&rec) {
-		out = append(out, rec)
-	}
-	return out
 }
 
 // WriteTape serializes t to w in the versioned columnar tape format:
@@ -282,7 +250,9 @@ func WriteTape(w io.Writer, t *Tape) error {
 // corrupt or crafted file produces an error, never a multi-gigabyte
 // make() (which would be a fatal OOM, not a recoverable failure). When r
 // can report its size (an *os.File), the read buffer is sized from it
-// once.
+// once. The data and PC-index columns, nearly all of a tape's bytes, are
+// views of that buffer rather than copies, so a loaded tape holds its
+// file about once.
 func ReadTape(r io.Reader) (*Tape, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -342,16 +312,29 @@ func ReadTape(r io.Reader) (*Tape, error) {
 // readRest reads r to EOF. A reader that reports its size through Stat
 // (an *os.File) gets a buffer of that size up front, so the read never
 // regrows; the size is only a capacity hint, so a file that is shorter
-// or grows still reads exactly.
+// or grows still reads exactly. (A bytes.Buffer would allocate its
+// first buffer twice in race-instrumented builds.)
 func readRest(r io.Reader) ([]byte, error) {
-	var buf bytes.Buffer
+	size := 512
 	if st, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
 		if fi, err := st.Stat(); err == nil {
-			buf.Grow(int(fi.Size()) + bytes.MinRead)
+			size += int(fi.Size())
 		}
 	}
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // readScenario decodes a version-2 tape's scenario provenance: the
@@ -413,14 +396,14 @@ func (c *tapeColumns) read(d *ckpt.Decoder, perCore uint64) error {
 	if d.Err() == nil && c.n != perCore {
 		return fmt.Errorf("segment holds %d records, tape budget is %d per core", c.n, perCore)
 	}
-	c.data = d.Bytes()
+	c.data = d.View()
 	c.pairs = d.U64s()
 	c.dep = d.U64s()
 	c.pcDict = d.U32s()
 	switch mode := d.U64(); {
 	case d.Err() != nil:
 	case mode == 1:
-		c.pcIdx = d.Bytes()
+		c.pcIdx = d.View()
 	case mode == 0:
 		c.pcDict = nil
 		c.pcRaw = d.U32s()

@@ -11,7 +11,7 @@ func TestFileRoundTrip(t *testing.T) {
 	spec, _ := ByName("web-apache")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 3)
-	recs := Capture(NewGenerator(lib, 0, 3), 10_000)
+	recs := take(t, NewGenerator(lib, 0, 3), 10_000, FrameCap)
 
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, recs); err != nil {
@@ -47,11 +47,7 @@ func TestFileReaderAsGenerator(t *testing.T) {
 	if fr.Remaining() != 2 {
 		t.Fatalf("remaining = %d", fr.Remaining())
 	}
-	var r Record
-	var got []Record
-	for fr.Next(&r) {
-		got = append(got, r)
-	}
+	got := take(t, fr, 3, 1)
 	if fr.Err() != nil {
 		t.Fatal(fr.Err())
 	}
@@ -78,11 +74,7 @@ func TestFileTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r Record
-	n := 0
-	for fr.Next(&r) {
-		n++
-	}
+	n := len(take(t, fr, 2, 1))
 	if fr.Err() == nil {
 		t.Fatal("truncation not reported")
 	}
@@ -124,25 +116,14 @@ func TestReadAllHugeDeclaredCount(t *testing.T) {
 func TestFileRecordEncodingProperty(t *testing.T) {
 	f := func(block uint64, pc, instrs, work uint32, dep bool) bool {
 		in := Record{PC: pc, Block: block, Dep: dep, Instrs: instrs, Work: work}
-		var buf [fileRecSize]byte
-		encodeRecord(&buf, &in)
-		var out Record
-		decodeRecord(&buf, &out)
-		return in == out
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, []Record{in}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := ReadAll(&buf)
+		return err == nil && len(out) == 1 && out[0] == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCaptureBounded(t *testing.T) {
-	sg := &SliceGenerator{Records: []Record{{Block: 1}, {Block: 2}, {Block: 3}}}
-	got := Capture(sg, 2)
-	if len(got) != 2 {
-		t.Fatalf("captured %d", len(got))
-	}
-	got = Capture(sg, 100)
-	if len(got) != 1 {
-		t.Fatalf("tail capture %d", len(got))
 	}
 }

@@ -1,22 +1,20 @@
 package trace
 
 // Block-batched record plumbing: a Frame is a reusable structure-of-arrays
-// batch of records, the unit the simulation drivers consume instead of one
-// Record at a time. Filling a frame amortizes the per-record virtual call
-// of the Generator interface over FrameCap records, lets the tape Cursor
-// decode straight from its columns in one tight loop, and gives the
-// drivers dense per-column slices to stream through their hot loops.
+// batch of records, the only unit in which record sources are read.
+// Filling a frame amortizes the Generator interface's virtual call over
+// FrameCap records, lets the tape Cursor decode straight from its
+// columns in one tight loop, and gives the drivers dense per-column
+// slices to stream through their hot loops.
 //
-// Every bounded or unbounded generator in this package implements the
-// FrameReader fast path; FillFrame falls back to a Next loop for external
-// generators. Frame boundaries carry no semantics: a frame may span
-// scenario phases (the scenario generator switches segment generators
-// mid-frame with exact per-segment budgets), and the drivers keep
-// windowing statistics per record, so results are bit-identical to the
-// record-at-a-time path.
+// Frame boundaries carry no semantics: a frame may span scenario phases
+// (the scenario generator switches segment generators mid-frame with
+// exact per-segment budgets), and the drivers keep windowing statistics
+// per record, so results do not depend on frame capacity. A frame of
+// capacity 1 reads a source one record at a time.
 //
-// On top of FillFrame sits the one frame source, Frames: synchronous,
-// with one owned buffer, filled on the consumer's goroutine
+// On top of Generator.ReadFrame sits the one frame source, Frames:
+// synchronous, with one owned buffer, filled on the consumer's goroutine
 // (DESIGN.md §10 says why there is no pipelined producer).
 
 // FrameCap is the default frame capacity in records. Large enough that
@@ -66,7 +64,7 @@ func (f *Frame) Cap() int { return f.cap }
 
 // SetLen declares the first n records of the frame valid: the scatter
 // path for decoders (the wire inlet) that fill the columns directly
-// rather than through FillFrame. n must not exceed Cap.
+// rather than through a Generator. n must not exceed Cap.
 func (f *Frame) SetLen(n int) {
 	if n < 0 || n > f.cap {
 		panic("trace: frame SetLen outside capacity")
@@ -96,36 +94,6 @@ func (f *Frame) window(off, n int) Frame {
 		Dep:    f.Dep[off : off+n],
 		cap:    n,
 	}
-}
-
-// FrameReader is the batched fast path of a record source: ReadFrame
-// fills up to f.Cap() records into f's columns, sets f.Len, and returns
-// the count. Zero means the source ran dry (never-dry generators never
-// return zero). A reader must produce exactly the record sequence its
-// Next method would.
-type FrameReader interface {
-	ReadFrame(f *Frame) int
-}
-
-// FillFrame fills f from g: through g's ReadFrame fast path when it has
-// one, otherwise record-by-record through Next. Returns the record
-// count; zero means g ran dry.
-func FillFrame(g Generator, f *Frame) int {
-	if fr, ok := g.(FrameReader); ok {
-		return fr.ReadFrame(f)
-	}
-	n := 0
-	var rec Record
-	for n < f.cap && g.Next(&rec) {
-		f.Block[n] = rec.Block
-		f.PC[n] = rec.PC
-		f.Instrs[n] = rec.Instrs
-		f.Work[n] = rec.Work
-		f.Dep[n] = rec.Dep
-		n++
-	}
-	f.n = n
-	return n
 }
 
 // FrameStats counts a frame source's consumed output.
@@ -187,7 +155,7 @@ type frameIter struct {
 }
 
 func (it *frameIter) NextFrame() *Frame {
-	if FillFrame(it.g, it.f) == 0 {
+	if it.g.ReadFrame(it.f) == 0 {
 		return nil
 	}
 	it.stats.Frames++

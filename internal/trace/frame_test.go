@@ -2,99 +2,190 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
-// drainNext pulls n records from gen through the record-at-a-time path.
-func drainNext(t *testing.T, gen Generator, n int) []Record {
+// take reads up to n records from g through frames of capacity c. The
+// last frame is capped at the records still owed, so g ends exactly n
+// records further on (or dry, if it held fewer).
+func take(t *testing.T, g Generator, n, c int) []Record {
 	t.Helper()
-	out := make([]Record, 0, n)
+	l := &Limit{Gen: g, N: uint64(n)}
+	f := NewFrameCap(c)
+	out := make([]Record, 0, min(n, 1<<16))
 	var rec Record
-	for len(out) < n && gen.Next(&rec) {
-		out = append(out, rec)
-	}
-	return out
-}
-
-// drainFrames pulls up to n records from gen through frames of capacity
-// frameCap, exercising partial final frames and dry sources.
-func drainFrames(t *testing.T, gen Generator, n, frameCap int) []Record {
-	t.Helper()
-	f := NewFrameCap(frameCap)
-	out := make([]Record, 0, n)
-	var rec Record
-	for len(out) < n {
-		got := FillFrame(gen, f)
-		if got == 0 {
-			break
-		}
+	for {
+		got := l.ReadFrame(f)
 		if got != f.Len() {
-			t.Fatalf("FillFrame returned %d but frame len is %d", got, f.Len())
+			t.Fatalf("ReadFrame returned %d but frame len is %d", got, f.Len())
 		}
-		for i := 0; i < got && len(out) < n; i++ {
+		if got == 0 {
+			return out
+		}
+		for i := 0; i < got; i++ {
 			f.Record(i, &rec)
 			out = append(out, rec)
 		}
 	}
-	return out
 }
 
-func recordsEqual(t *testing.T, what string, next, framed []Record) {
+func recordsEqual(t *testing.T, what string, want, got []Record) {
 	t.Helper()
-	if len(next) != len(framed) {
-		t.Fatalf("%s: Next produced %d records, ReadFrame %d", what, len(next), len(framed))
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
 	}
-	for i := range next {
-		if next[i] != framed[i] {
-			t.Fatalf("%s: record %d differs: Next %+v, ReadFrame %+v", what, i, next[i], framed[i])
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: record %d differs: got %+v, want %+v", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestReadFrameMatchesNextAllWorkloads is the core equivalence property:
-// for every workload in the suite, the batched ReadFrame path produces
-// bit-identical record sequences to Next — including at frame sizes that
-// do not divide the record count.
-func TestReadFrameMatchesNextAllWorkloads(t *testing.T) {
-	const n = 20_000
+// frameCaps are the capacities every source is read at: 1 is the
+// record-at-a-time reference, 97 and 513 break frames off phase and
+// segment boundaries, and FrameCap is what the drivers use.
+var frameCaps = []int{1, 97, 513, FrameCap}
+
+// TestFrameSizeIndependence is the frame contract: every record source
+// yields one record sequence whatever the capacity of the frames it
+// fills, including where it runs dry or fails.
+func TestFrameSizeIndependence(t *testing.T) {
+	type source struct {
+		name  string
+		n     int              // records to read (bounded sources hold fewer)
+		open  func() Generator // a fresh source
+		after func(t *testing.T, g Generator, got []Record)
+	}
+	var sources []source
+
 	for _, spec := range Specs() {
 		spec := spec.Scaled(0.0625)
-		for _, frameCap := range []int{97, 1024} {
-			libA := NewLibrary(spec, 7)
-			libB := NewLibrary(spec, 7)
-			want := drainNext(t, NewGenerator(libA, 0, 7), n)
-			got := drainFrames(t, NewGenerator(libB, 0, 7), n, frameCap)
-			recordsEqual(t, spec.Name, want, got)
-		}
+		sources = append(sources, source{name: "live " + spec.Name, n: 20_000,
+			open: func() Generator { return NewGenerator(NewLibrary(spec, 7), 0, 7) }})
 	}
-}
-
-// TestReadFrameMatchesNextScenarios runs the equivalence property over
-// the whole built-in scenario suite, with a frame size chosen to land
-// mid-phase, at phase boundaries, and across drift sub-segments.
-func TestReadFrameMatchesNextScenarios(t *testing.T) {
-	const perCore = 24_000
 	for _, scn := range Scenarios() {
 		scn := scn.Scaled(0.0625)
-		gensA, _, err := scn.Generators(11, 2, perCore)
-		if err != nil {
-			t.Fatalf("%s: %v", scn.Name, err)
-		}
-		gensB, _, err := scn.Generators(11, 2, perCore)
-		if err != nil {
-			t.Fatalf("%s: %v", scn.Name, err)
-		}
 		for core := 0; core < 2; core++ {
-			want := drainNext(t, gensA[core], perCore)
-			got := drainFrames(t, gensB[core], perCore, 513)
-			recordsEqual(t, scn.Name, want, got)
+			sources = append(sources, source{name: "scenario " + scn.Name, n: 24_000,
+				open: func() Generator {
+					gens, _, err := scn.Generators(11, 2, 24_000)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return gens[core]
+				}})
+		}
+	}
+
+	oltp, err := ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip, err := ScenarioByName("phase-flip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specTape := NewTape(oltp.Scaled(0.0625), 3, 1, 16_384)
+	scnTape := NewScenarioTape(flip.Scaled(0.0625), 5, 1, 16_384)
+	for name, tp := range map[string]*Tape{"spec tape": specTape, "scenario tape": scnTape} {
+		sources = append(sources, source{name: name, n: 20_000,
+			open: func() Generator { return tp.Cursor(0) },
+			after: func(t *testing.T, g Generator, got []Record) {
+				if len(got) != 16_384 || g.(*Cursor).Remaining() != 0 {
+					t.Fatalf("cursor read %d records, %d left", len(got), g.(*Cursor).Remaining())
+				}
+			}})
+	}
+
+	recs := take(t, NewGenerator(NewLibrary(oltp.Scaled(0.0625), 2), 0, 2), 3000, FrameCap)
+	sources = append(sources,
+		source{name: "limit over a dry source", n: 5000,
+			open: func() Generator { return &Limit{Gen: &SliceGenerator{Records: recs}, N: 4000} },
+			after: func(t *testing.T, g Generator, got []Record) {
+				if l := g.(*Limit); len(got) != 3000 || l.N != 1000 {
+					t.Fatalf("limit read %d records with %d unclaimed, want 3000 and 1000", len(got), l.N)
+				}
+			}},
+		source{name: "slice", n: 5000,
+			open: func() Generator { return &SliceGenerator{Records: recs} },
+			after: func(t *testing.T, g Generator, got []Record) {
+				recordsEqual(t, "slice", recs, got)
+			}})
+
+	var flat bytes.Buffer
+	if err := WriteAll(&flat, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{0, 10*fileRecSize + 7} {
+		data := flat.Bytes()[:flat.Len()-cut]
+		want := len(recs) - (cut+fileRecSize-1)/fileRecSize
+		sources = append(sources, source{name: "file", n: 5000,
+			open: func() Generator {
+				fr, err := NewFileReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fr
+			},
+			after: func(t *testing.T, g Generator, got []Record) {
+				recordsEqual(t, "file", recs[:want], got)
+				if err := g.(*FileReader).Err(); (err != nil) != (cut > 0) {
+					t.Fatalf("file cut by %d bytes: Err %v", cut, err)
+				}
+			}})
+	}
+
+	var instrs []csInstr
+	for i := 0; i < 2000; i++ {
+		in := csInstr{ip: 0x1000 + uint64(4*i), destRegs: [2]uint8{uint8(i % 5)}, srcRegs: [4]uint8{uint8(i % 3)}}
+		for k := 0; k < i%4; k++ {
+			in.srcMem[k] = uint64(0x4000 + 64*(3*i+k))
+		}
+		instrs = append(instrs, in)
+	}
+	cs := csTrace(instrs...)
+	for _, tail := range [][]byte{nil, {1, 2, 3}} {
+		data := append(bytes.Clone(cs), tail...)
+		sources = append(sources, source{name: "champsim", n: 5000,
+			open: func() Generator {
+				rd, err := NewChampSimReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rd
+			},
+			after: func(t *testing.T, g Generator, got []Record) {
+				rd := g.(*ChampSimReader)
+				if rd.Records() != uint64(len(got)) || rd.Instructions() != uint64(len(instrs)) {
+					t.Fatalf("champsim: %d instrs -> %d records, read %d", rd.Instructions(), rd.Records(), len(got))
+				}
+				if err := rd.Err(); (err != nil) != (tail != nil) || (err != nil && !strings.Contains(err.Error(), "truncated")) {
+					t.Fatalf("champsim with tail %v: Err %v", tail, err)
+				}
+			}})
+	}
+
+	for _, s := range sources {
+		var want []Record
+		for _, c := range frameCaps {
+			g := s.open()
+			got := take(t, g, s.n, c)
+			if c == 1 {
+				want = got
+			} else {
+				recordsEqual(t, s.name, want, got)
+			}
+			if s.after != nil {
+				s.after(t, g, got)
+			}
 		}
 	}
 }
 
-// TestCursorReadFrameMatchesLive checks the tape fast path: frames
-// decoded from a materialized tape equal the live generator's Next
-// sequence, for plain specs and for a phase-structured scenario tape.
+// TestCursorReadFrameMatchesLive checks the tape decode: frames decoded
+// from a materialized tape equal the live generator's frames, for plain
+// specs and for a phase-structured scenario tape.
 func TestCursorReadFrameMatchesLive(t *testing.T) {
 	const perCore = 16_384
 	spec, err := ByName("oltp-db2")
@@ -105,8 +196,8 @@ func TestCursorReadFrameMatchesLive(t *testing.T) {
 	tape := NewTape(spec, 3, 2, perCore)
 	lib := NewLibrary(spec, 3)
 	for core := 0; core < 2; core++ {
-		want := drainNext(t, NewGenerator(lib, core, 3), perCore)
-		got := drainFrames(t, tape.Cursor(core), perCore, 1000)
+		want := take(t, NewGenerator(lib, core, 3), perCore, FrameCap)
+		got := take(t, tape.Cursor(core), perCore, 1000)
 		recordsEqual(t, "tape oltp-db2", want, got)
 	}
 
@@ -121,15 +212,15 @@ func TestCursorReadFrameMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for core := 0; core < 2; core++ {
-		want := drainNext(t, live[core], perCore)
-		got := drainFrames(t, stape.Cursor(core), perCore, 1000)
+		want := take(t, live[core], perCore, FrameCap)
+		got := take(t, stape.Cursor(core), perCore, 1000)
 		recordsEqual(t, "tape phase-flip", want, got)
 	}
 }
 
 // TestScenarioFrameAtPhaseMark fills frames whose boundaries land
 // exactly on, just before, and just after a phase boundary; the record
-// sequence must match Next in all three alignments.
+// sequence must match a record-at-a-time read in all three alignments.
 func TestScenarioFrameAtPhaseMark(t *testing.T) {
 	a, err := ByName("web-apache")
 	if err != nil {
@@ -155,8 +246,8 @@ func TestScenarioFrameAtPhaseMark(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := drainNext(t, ga[0], perCore)
-		got := drainFrames(t, gb[0], perCore, frameCap)
+		want := take(t, ga[0], perCore, 1)
+		got := take(t, gb[0], perCore, frameCap)
 		recordsEqual(t, "mark-align", want, got)
 	}
 }
@@ -187,7 +278,7 @@ func TestLimitReadFrameBudget(t *testing.T) {
 		t.Fatalf("ReadFrame after budget = %d (len %d), want 0", n, f.Len())
 	}
 
-	// A dry source must not burn the remaining budget (mirrors Next).
+	// A dry source must not burn the remaining budget.
 	l = &Limit{Gen: &SliceGenerator{Records: recs[:4]}, N: 100}
 	if n := l.ReadFrame(f); n != 4 {
 		t.Fatalf("ReadFrame over dry source = %d, want 4", n)
@@ -211,8 +302,9 @@ func TestLimitReadFrameBudget(t *testing.T) {
 	}
 }
 
-// TestFileReaderReadFrame checks the batched file decode against Next,
-// and that a truncated file still yields the complete leading records.
+// TestFileReaderReadFrame checks the batched file decode against the
+// records written, and that a truncated file still yields the complete
+// leading records.
 func TestFileReaderReadFrame(t *testing.T) {
 	spec, err := ByName("web-zeus")
 	if err != nil {
@@ -220,7 +312,7 @@ func TestFileReaderReadFrame(t *testing.T) {
 	}
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 2)
-	recs := Capture(NewGenerator(lib, 0, 2), 3000)
+	recs := take(t, NewGenerator(lib, 0, 2), 3000, FrameCap)
 
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, recs); err != nil {
@@ -228,17 +320,11 @@ func TestFileReaderReadFrame(t *testing.T) {
 	}
 	fileBytes := buf.Bytes()
 
-	frA, err := NewFileReader(bytes.NewReader(fileBytes))
+	fr, err := NewFileReader(bytes.NewReader(fileBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frB, err := NewFileReader(bytes.NewReader(fileBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainNext(t, frA, len(recs))
-	got := drainFrames(t, frB, len(recs), 700)
-	recordsEqual(t, "file", want, got)
+	recordsEqual(t, "file", recs, take(t, fr, len(recs)+1, 700))
 
 	// Truncate mid-record: the complete leading records still arrive,
 	// then the reader reports the error.
@@ -256,33 +342,5 @@ func TestFileReaderReadFrame(t *testing.T) {
 	}
 	if n := frC.ReadFrame(f); n != 0 {
 		t.Fatalf("read past truncation = %d, want 0", n)
-	}
-}
-
-// TestFillFrameGenericFallback exercises the Next-loop path used for
-// external generators that do not implement FrameReader.
-func TestFillFrameGenericFallback(t *testing.T) {
-	n := 0
-	gen := Func(func(r *Record) bool {
-		if n >= 130 {
-			return false
-		}
-		r.PC = uint32(n)
-		r.Block = uint64(n) * 7
-		r.Instrs = 2
-		r.Work = 3
-		r.Dep = n%2 == 1
-		n++
-		return true
-	})
-	f := NewFrameCap(100)
-	if got := FillFrame(gen, f); got != 100 {
-		t.Fatalf("first generic fill = %d, want 100", got)
-	}
-	if got := FillFrame(gen, f); got != 30 {
-		t.Fatalf("second generic fill = %d, want 30", got)
-	}
-	if got := FillFrame(gen, f); got != 0 {
-		t.Fatalf("dry generic fill = %d, want 0", got)
 	}
 }

@@ -60,11 +60,12 @@ func FuzzReadTape(f *testing.F) {
 		}
 		// Every accepted tape must be fully walkable: decode all cores
 		// to the end without panicking.
-		var rec Record
+		frame := NewFrame()
 		for c := 0; c < got.Cores(); c++ {
 			cur := got.Cursor(c)
-			for n := uint64(0); cur.Next(&rec); n++ {
-				if n > got.Len(c) {
+			n := uint64(0)
+			for k := cur.ReadFrame(frame); k > 0; k = cur.ReadFrame(frame) {
+				if n += uint64(k); n > got.Len(c) {
 					t.Fatalf("core %d cursor ran past declared length %d", c, got.Len(c))
 				}
 			}
@@ -73,9 +74,10 @@ func FuzzReadTape(f *testing.F) {
 }
 
 // FuzzReadTrace feeds arbitrary bytes to the flat STMSTRC1 reader,
-// through both ReadAll and FileReader.ReadFrame. It must never panic,
-// and allocation must stay bounded by the input, whatever record count
-// the header declares. Both paths must agree on the records read.
+// through both ReadAll and record-at-a-time FileReader.ReadFrame. It
+// must never panic, and allocation must stay bounded by the input,
+// whatever record count the header declares. Both paths must agree on
+// the records read.
 func FuzzReadTrace(f *testing.F) {
 	recs := []Record{
 		{PC: 1, Block: 100, Dep: true, Instrs: 5, Work: 7},
@@ -112,7 +114,7 @@ func FuzzReadTrace(f *testing.F) {
 			}
 			return
 		}
-		frame := NewFrame()
+		frame := NewFrameCap(1)
 		var rec Record
 		n := 0
 		for fr.ReadFrame(frame) > 0 {

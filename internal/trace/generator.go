@@ -124,7 +124,7 @@ func (l *Library) Regenerated() uint64 { return l.regenerated.Load() }
 // Streams are always built in ascending core order from the library RNG,
 // so their content is independent of which core asks first. The mutex
 // makes concurrent generator construction safe; NewGenerator primes the
-// core's stream, so Next never takes the lock.
+// core's stream, so ReadFrame never takes the lock.
 func (l *Library) iterStream(core int) []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -159,7 +159,7 @@ const (
 // the cost structure as compute gaps between bursts of memory records.
 //
 // All mutable replay state — including churn — is per-core: once every
-// core's generator is constructed, concurrent Next calls on different
+// core's generator is constructed, concurrent ReadFrame calls on different
 // generators never touch shared memory, and each core's sequence is
 // identical however the consumers interleave.
 type generator struct {
@@ -198,8 +198,6 @@ type generator struct {
 
 	// The spec's Bernoulli draws, precomputed as integer thresholds.
 	burstCont, noiseInChase, skip, depChase, depNoise rng.Bernoulli
-
-	emitted uint64
 }
 
 // NewGenerator creates the record stream for one core of the workload.
@@ -272,17 +270,34 @@ func (g *generator) streamAt(i int) []uint64 {
 	return g.lib.streams[i]
 }
 
-// Next produces the next record. It never runs dry.
+// ReadFrame runs the emission state machine over the whole frame,
+// scattering each record straight into the frame's columns. Workload
+// generators never run dry, so the frame always fills completely.
+func (g *generator) ReadFrame(f *Frame) int {
+	n := f.cap
+	var rec Record
+	for i := 0; i < n; i++ {
+		g.step(&rec)
+		f.Block[i] = rec.Block
+		f.PC[i] = rec.PC
+		f.Instrs[i] = rec.Instrs
+		f.Work[i] = rec.Work
+		f.Dep[i] = rec.Dep
+	}
+	f.n = n
+	return n
+}
+
+// step produces the next record.
 //
 // The emission alternates one compute record (a hot-set load that always
 // hits the L1, carrying the gap cost) with a burst of 1..BurstMax memory
 // records (small cost, so the ROB can overlap their misses).
-func (g *generator) Next(r *Record) bool {
-	g.emitted++
+func (g *generator) step(r *Record) {
 	if g.burstLeft <= 0 {
 		g.burstLeft = g.drawBurst()
 		g.computeRecord(r)
-		return true
+		return
 	}
 	g.burstLeft--
 	switch g.mode {
@@ -295,26 +310,6 @@ func (g *generator) Next(r *Record) bool {
 	}
 	r.Instrs = g.spec.MemInstrs
 	r.Work = g.spec.MemWork
-	return true
-}
-
-// ReadFrame implements FrameReader: it runs the emission state machine
-// FrameCap records at a time through direct (devirtualized) calls,
-// scattering straight into the frame's columns. Workload generators
-// never run dry, so the frame always fills completely.
-func (g *generator) ReadFrame(f *Frame) int {
-	n := f.cap
-	var rec Record
-	for i := 0; i < n; i++ {
-		g.Next(&rec)
-		f.Block[i] = rec.Block
-		f.PC[i] = rec.PC
-		f.Instrs[i] = rec.Instrs
-		f.Work[i] = rec.Work
-		f.Dep[i] = rec.Dep
-	}
-	f.n = n
-	return n
 }
 
 // drawBurst samples a geometric burst length with mean BurstMean, capped

@@ -15,13 +15,12 @@ func TestGeneratorStructuralInvariants(t *testing.T) {
 			}
 			spec = spec.Scaled(0.0625)
 			lib := NewLibrary(spec, 17)
-			g := NewGenerator(lib, 0, 17)
-			var r Record
+			recs := take(t, NewGenerator(lib, 0, 17), 100_000, FrameCap)
+			if len(recs) != 100_000 {
+				t.Fatal("generator ran dry")
+			}
 			burst := 0
-			for i := 0; i < 100_000; i++ {
-				if !g.Next(&r) {
-					t.Fatal("generator ran dry")
-				}
+			for i, r := range recs {
 				if r.Instrs == 0 || r.Work == 0 {
 					t.Fatalf("record %d has zero cost: %+v", i, r)
 				}
@@ -49,11 +48,8 @@ func TestHotSetBounded(t *testing.T) {
 	spec, _ := ByName("oltp-oracle")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 21)
-	g := NewGenerator(lib, 2, 21)
 	hot := map[uint64]bool{}
-	var r Record
-	for i := 0; i < 50_000; i++ {
-		g.Next(&r)
+	for _, r := range take(t, NewGenerator(lib, 2, 21), 50_000, FrameCap) {
 		if r.Block >= hotBase && r.Block < noiseBase {
 			hot[r.Block] = true
 		}
@@ -70,11 +66,8 @@ func TestNoiseNeverRepeatsInPractice(t *testing.T) {
 	spec, _ := ByName("dss-qry2")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 23)
-	g := NewGenerator(lib, 0, 23)
 	seen := map[uint64]int{}
-	var r Record
-	for i := 0; i < 200_000; i++ {
-		g.Next(&r)
+	for _, r := range take(t, NewGenerator(lib, 0, 23), 200_000, FrameCap) {
 		if r.Block >= noiseBase {
 			seen[r.Block]++
 		}
@@ -96,12 +89,9 @@ func TestScanRecordsAreSequentialPerPC(t *testing.T) {
 	spec, _ := ByName("dss-qry17")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 29)
-	g := NewGenerator(lib, 1, 29)
 	last := map[uint32]uint64{}
-	var r Record
 	checked := 0
-	for i := 0; i < 300_000; i++ {
-		g.Next(&r)
+	for _, r := range take(t, NewGenerator(lib, 1, 29), 300_000, FrameCap) {
 		if r.Block >= scanBase && r.Block < hotBase {
 			if prev, ok := last[r.PC]; ok {
 				if r.Block != prev+1 {
@@ -126,16 +116,13 @@ func TestSharedLibraryCrossCoreStreams(t *testing.T) {
 	g0 := NewGenerator(lib, 0, 31)
 	g1 := NewGenerator(lib, 1, 31)
 	blocks0 := map[uint64]bool{}
-	var r Record
-	for i := 0; i < 150_000; i++ {
-		g0.Next(&r)
+	for _, r := range take(t, g0, 150_000, FrameCap) {
 		if r.Block < scanBase {
 			blocks0[r.Block] = true
 		}
 	}
 	shared := 0
-	for i := 0; i < 150_000; i++ {
-		g1.Next(&r)
+	for _, r := range take(t, g1, 150_000, FrameCap) {
 		if r.Block < scanBase && blocks0[r.Block] {
 			shared++
 		}

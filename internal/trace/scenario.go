@@ -525,7 +525,7 @@ func (s Scenario) EffectiveSpec(cores int, perCore uint64) Spec {
 }
 
 // scenarioGen walks one core's pre-built per-segment generators in
-// order; the final segment is unbounded, so Next never runs dry.
+// order; the final segment is unbounded, so it never runs dry.
 type scenarioGen struct {
 	gens []Generator
 	lims []uint64 // per-segment budgets; 0 = unbounded
@@ -534,34 +534,18 @@ type scenarioGen struct {
 	win  Frame // reusable sub-frame view for batched per-segment fills
 }
 
-// Next implements Generator.
-func (g *scenarioGen) Next(r *Record) bool {
-	for {
-		if g.lims[g.idx] == 0 {
-			return g.gens[g.idx].Next(r)
-		}
-		if g.left > 0 {
-			g.left--
-			return g.gens[g.idx].Next(r)
-		}
-		g.idx++
-		g.left = g.lims[g.idx]
-	}
-}
-
-// ReadFrame implements FrameReader. A frame may span segment (and
-// therefore phase) boundaries: each bounded segment contributes exactly
-// its remaining budget through one batched sub-fill of its own
-// generator, so the record sequence — and any consumer that windows
-// statistics per record — is bit-identical to Next. The final segment
-// is unbounded and fills whatever space remains, so scenario frames,
-// like plain workload frames, always fill completely.
+// ReadFrame fills f across segment (and therefore phase) boundaries:
+// each bounded segment contributes exactly its remaining budget through
+// one sub-fill of its own generator, so the record sequence does not
+// depend on where frames break. The final segment is unbounded and
+// fills whatever space remains, so scenario frames, like plain workload
+// frames, always fill completely.
 func (g *scenarioGen) ReadFrame(f *Frame) int {
 	total := 0
 	for total < f.cap {
 		if g.lims[g.idx] == 0 {
 			g.win = f.window(total, f.cap-total)
-			total += FillFrame(g.gens[g.idx], &g.win)
+			total += g.gens[g.idx].ReadFrame(&g.win)
 			break
 		}
 		if g.left == 0 {
@@ -574,7 +558,7 @@ func (g *scenarioGen) ReadFrame(f *Frame) int {
 			want = int(g.left)
 		}
 		g.win = f.window(total, want)
-		got := FillFrame(g.gens[g.idx], &g.win)
+		got := g.gens[g.idx].ReadFrame(&g.win)
 		g.left -= uint64(got)
 		total += got
 		if got < want {

@@ -15,12 +15,12 @@ import (
 func fingerprintGen(t *testing.T, gen Generator, n uint64) uint64 {
 	t.Helper()
 	h := fnv.New64a()
-	var rec Record
+	recs := take(t, gen, int(n), FrameCap)
+	if uint64(len(recs)) != n {
+		t.Fatalf("generator ran dry at record %d of %d", len(recs), n)
+	}
 	buf := make([]byte, 0, 32)
-	for i := uint64(0); i < n; i++ {
-		if !gen.Next(&rec) {
-			t.Fatalf("generator ran dry at record %d of %d", i, n)
-		}
+	for _, rec := range recs {
 		buf = buf[:0]
 		buf = binary.AppendUvarint(buf, rec.Block)
 		buf = binary.AppendUvarint(buf, uint64(rec.PC))

@@ -164,7 +164,7 @@ func encodeSegment(gen Generator, perCore uint64) tapeColumns {
 		if rem := e.budget - e.n; rem < uint64(f.cap) {
 			*f = f.window(0, int(rem))
 		}
-		if FillFrame(gen, f) == 0 {
+		if gen.ReadFrame(f) == 0 {
 			break
 		}
 		e.frame(f)
@@ -362,7 +362,7 @@ func (t *Tape) Len(core int) uint64 { return t.cores[core].n }
 func (t *Tape) Bytes() int64 { return t.bytes }
 
 // Cursor returns a new replay cursor over core's segment, positioned at
-// the first record. Cursors are independent; Next allocates nothing.
+// the first record. Cursors are independent; ReadFrame allocates nothing.
 func (t *Tape) Cursor(core int) *Cursor {
 	return t.CursorN(core, t.cores[core].n)
 }
@@ -397,43 +397,10 @@ func (cu *Cursor) Reset() { *cu = Cursor{col: cu.col, n: cu.n} }
 // Remaining returns how many records are left.
 func (cu *Cursor) Remaining() uint64 { return cu.n - cu.pos }
 
-// Next implements Generator: it decodes the next record into r.
-func (cu *Cursor) Next(r *Record) bool {
-	col := cu.col
-	if cu.pos >= cu.n {
-		return false
-	}
-	d, off := readUvarint(col.data, cu.off)
-	cu.prev += uint64(unzigzag(d))
-	r.Block = cu.prev
-	if pi := col.data[off]; pi != costEscape {
-		pair := col.pairs[pi]
-		r.Instrs = uint32(pair >> 32)
-		r.Work = uint32(pair)
-		off++
-	} else {
-		var v uint64
-		v, off = readUvarint(col.data, off+1)
-		r.Instrs = uint32(v)
-		v, off = readUvarint(col.data, off)
-		r.Work = uint32(v)
-	}
-	cu.off = off
-	if col.pcIdx != nil {
-		r.PC = col.pcDict[col.pcIdx[cu.pos]]
-	} else {
-		r.PC = col.pcRaw[cu.pos]
-	}
-	r.Dep = col.dep[cu.pos>>6]>>(cu.pos&63)&1 != 0
-	cu.pos++
-	return true
-}
-
-// ReadFrame implements FrameReader: it decodes the next run of records
-// straight from the tape columns into the frame's columns in one pass —
-// no per-record virtual call, column bases hoisted, and the dependence
-// bitset expanded word-at-a-time. The sequence is exactly what Next
-// would produce; Cursor state advances past the decoded run.
+// ReadFrame decodes the next run of records straight from the tape
+// columns into the frame's columns in one pass — no per-record virtual
+// call and column bases hoisted. Cursor state advances past the decoded
+// run.
 func (cu *Cursor) ReadFrame(f *Frame) int {
 	col := cu.col
 	n := uint64(f.cap)

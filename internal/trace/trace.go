@@ -23,7 +23,10 @@
 //     reuse distances and meta-data footprints (Fig. 5).
 //
 // Generators are deterministic: the same spec, seed and core produce the
-// same record sequence on every run.
+// same record sequence on every run. Every record source — live
+// generator, scenario, tape cursor, trace file, ChampSim import — is
+// read a frame at a time (frame.go), and its sequence does not depend
+// on the capacity of the frames it fills.
 //
 // Beyond the stationary Table 1 specs, the package models workload
 // behavior over time with phase-structured Scenarios (scenario.go):
@@ -52,11 +55,15 @@ type Record struct {
 	Work uint32
 }
 
-// Generator produces a stream of records. Next fills r and reports whether
-// a record was produced; generators for the paper's workloads never run
-// dry, but bounded generators (tests, file replay) may.
+// Generator produces a stream of records a frame at a time: ReadFrame
+// fills up to f.Cap() records into f's columns, sets f.Len, and returns
+// the count. Zero means the source ran dry; generators for the paper's
+// workloads never run dry and always fill the whole frame, but bounded
+// generators (tests, file replay) may run dry and may return short
+// frames. A source's record sequence does not depend on the capacities
+// of the frames it fills.
 type Generator interface {
-	Next(r *Record) bool
+	ReadFrame(f *Frame) int
 }
 
 // SliceGenerator replays a fixed record slice (testing helper).
@@ -65,23 +72,9 @@ type SliceGenerator struct {
 	pos     int
 }
 
-// Next returns the next record from the slice.
-func (s *SliceGenerator) Next(r *Record) bool {
-	if s.pos >= len(s.Records) {
-		return false
-	}
-	*r = s.Records[s.pos]
-	s.pos++
-	return true
-}
-
-// ReadFrame implements FrameReader by scattering the next run of records
-// into f's columns.
+// ReadFrame scatters the next run of records into f's columns.
 func (s *SliceGenerator) ReadFrame(f *Frame) int {
-	n := len(s.Records) - s.pos
-	if n > f.cap {
-		n = f.cap
-	}
+	n := min(len(s.Records)-s.pos, f.cap)
 	for i, rec := range s.Records[s.pos : s.pos+n] {
 		f.Block[i] = rec.Block
 		f.PC[i] = rec.PC
@@ -94,32 +87,18 @@ func (s *SliceGenerator) ReadFrame(f *Frame) int {
 	return n
 }
 
-// Limit wraps a generator and stops it after n records.
+// Limit wraps a generator and stops it after N records.
 type Limit struct {
 	Gen Generator
 	N   uint64
 }
 
-// Next forwards to the wrapped generator until the limit is reached. The
-// budget is consumed only by records actually produced: if the wrapped
-// generator runs dry, N still reports exactly how many records remain
-// unclaimed (bounded replay relies on this for exact remaining counts).
-func (l *Limit) Next(r *Record) bool {
-	if l.N == 0 {
-		return false
-	}
-	if !l.Gen.Next(r) {
-		return false
-	}
-	l.N--
-	return true
-}
-
-// ReadFrame implements FrameReader: it shrinks the frame to the
-// remaining budget and fills through the wrapped generator's own fast
-// path. Like Next, the budget is consumed only by records actually
-// produced, so a dry source leaves N at the exact unclaimed count even
-// when the frame was larger than the remaining budget.
+// ReadFrame shrinks the frame to the remaining budget and fills it
+// through the wrapped generator, so the wrapped generator never reads
+// past the budget. The budget is consumed only by records actually
+// produced: if the wrapped generator runs dry, N still reports exactly
+// how many records remain unclaimed (bounded replay relies on this for
+// exact remaining counts).
 func (l *Limit) ReadFrame(f *Frame) int {
 	if l.N == 0 {
 		f.n = 0
@@ -129,7 +108,7 @@ func (l *Limit) ReadFrame(f *Frame) int {
 	if uint64(saved) > l.N {
 		f.cap = int(l.N)
 	}
-	n := FillFrame(l.Gen, f)
+	n := l.Gen.ReadFrame(f)
 	f.cap = saved
 	l.N -= uint64(n)
 	return n
@@ -138,15 +117,4 @@ func (l *Limit) ReadFrame(f *Frame) int {
 // Err forwards the wrapped generator's failure state (ErrReporter), so
 // bounding a fallible source does not hide its death from the frame
 // source's end-of-stream/error distinction.
-func (l *Limit) Err() error {
-	if er, ok := l.Gen.(ErrReporter); ok {
-		return er.Err()
-	}
-	return nil
-}
-
-// Func adapts a function to the Generator interface.
-type Func func(r *Record) bool
-
-// Next invokes the function.
-func (f Func) Next(r *Record) bool { return f(r) }
+func (l *Limit) Err() error { return genErr(l.Gen) }

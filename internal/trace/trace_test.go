@@ -66,12 +66,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 	spec = spec.Scaled(0.0625)
 	collect := func() []Record {
 		lib := NewLibrary(spec, 7)
-		g := NewGenerator(lib, 0, 7)
-		out := make([]Record, 5000)
-		for i := range out {
-			if !g.Next(&out[i]) {
-				t.Fatal("generator ran dry")
-			}
+		out := take(t, NewGenerator(lib, 0, 7), 5000, FrameCap)
+		if len(out) != 5000 {
+			t.Fatal("generator ran dry")
 		}
 		return out
 	}
@@ -87,14 +84,11 @@ func TestGeneratorCoresDiffer(t *testing.T) {
 	spec, _ := ByName("web-apache")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 7)
-	g0 := NewGenerator(lib, 0, 7)
-	g1 := NewGenerator(lib, 1, 7)
-	var r0, r1 Record
+	r0 := take(t, NewGenerator(lib, 0, 7), 1000, FrameCap)
+	r1 := take(t, NewGenerator(lib, 1, 7), 1000, FrameCap)
 	same := 0
-	for i := 0; i < 1000; i++ {
-		g0.Next(&r0)
-		g1.Next(&r1)
-		if r0.Block == r1.Block {
+	for i := range r0 {
+		if r0[i].Block == r1[i].Block {
 			same++
 		}
 	}
@@ -107,11 +101,8 @@ func TestBurstStructure(t *testing.T) {
 	spec, _ := ByName("web-apache")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 3)
-	g := NewGenerator(lib, 0, 3)
-	var r Record
 	var gapRecords, memRecords int
-	for i := 0; i < 20000; i++ {
-		g.Next(&r)
+	for _, r := range take(t, NewGenerator(lib, 0, 3), 20000, FrameCap) {
 		if r.Instrs >= spec.GapInstrs/2 {
 			gapRecords++
 		} else {
@@ -184,11 +175,7 @@ func TestChurnRegeneratesStreams(t *testing.T) {
 	spec, _ := ByName("dss-qry17")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 9)
-	g := NewGenerator(lib, 0, 9)
-	var r Record
-	for i := 0; i < 300000; i++ {
-		g.Next(&r)
-	}
+	take(t, NewGenerator(lib, 0, 9), 300000, FrameCap)
 	if lib.Regenerated() == 0 {
 		t.Fatal("churn never regenerated a stream")
 	}
@@ -199,12 +186,7 @@ func TestLimitGenerator(t *testing.T) {
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 1)
 	g := &Limit{Gen: NewGenerator(lib, 0, 1), N: 10}
-	var r Record
-	n := 0
-	for g.Next(&r) {
-		n++
-	}
-	if n != 10 {
+	if n := len(take(t, g, 100, FrameCap)); n != 10 {
 		t.Fatalf("limit yielded %d records", n)
 	}
 }
@@ -215,20 +197,16 @@ func TestLimitPreservesBudgetWhenDry(t *testing.T) {
 	// replay (tape cursors, file readers).
 	sg := &SliceGenerator{Records: []Record{{Block: 1}, {Block: 2}}}
 	l := &Limit{Gen: sg, N: 5}
-	var r Record
-	n := 0
-	for l.Next(&r) {
-		n++
-	}
-	if n != 2 {
+	if n := len(take(t, l, 100, 1)); n != 2 {
 		t.Fatalf("limit over dry generator yielded %d records, want 2", n)
 	}
 	if l.N != 3 {
 		t.Fatalf("remaining budget = %d after dry generator, want 3", l.N)
 	}
-	// Repeated Next calls on a dry source keep the budget intact.
+	// Repeated reads of a dry source keep the budget intact.
+	f := NewFrameCap(4)
 	for i := 0; i < 4; i++ {
-		if l.Next(&r) {
+		if l.ReadFrame(f) != 0 {
 			t.Fatal("dry limit produced a record")
 		}
 	}
@@ -251,23 +229,15 @@ func TestGeneratorInterleavingIndependent(t *testing.T) {
 		// Reference: core 1 consumed alone.
 		lib := NewLibrary(spec, 11)
 		_ = NewGenerator(lib, 0, 11) // constructed but never consumed
-		g1 := NewGenerator(lib, 1, 11)
-		want := make([]Record, n)
-		for i := range want {
-			g1.Next(&want[i])
-		}
+		want := take(t, NewGenerator(lib, 1, 11), n, FrameCap)
 
 		// Same library consumed with heavy cross-core interleaving.
 		lib2 := NewLibrary(spec, 11)
 		g0 := NewGenerator(lib2, 0, 11)
 		g1b := NewGenerator(lib2, 1, 11)
-		var scratch, got Record
 		for i := 0; i < n; i++ {
-			for k := 0; k < 3; k++ {
-				g0.Next(&scratch)
-			}
-			g1b.Next(&got)
-			if got != want[i] {
+			take(t, g0, 3, 3)
+			if got := take(t, g1b, 1, 1)[0]; got != want[i] {
 				t.Fatalf("%s: core 1 record %d depends on interleaving: %+v vs %+v",
 					name, i, got, want[i])
 			}
@@ -277,14 +247,13 @@ func TestGeneratorInterleavingIndependent(t *testing.T) {
 
 func TestSliceGenerator(t *testing.T) {
 	sg := &SliceGenerator{Records: []Record{{Block: 1}, {Block: 2}}}
-	var r Record
-	if !sg.Next(&r) || r.Block != 1 {
+	if r := take(t, sg, 1, 1); len(r) != 1 || r[0].Block != 1 {
 		t.Fatal("first record wrong")
 	}
-	if !sg.Next(&r) || r.Block != 2 {
+	if r := take(t, sg, 1, 1); len(r) != 1 || r[0].Block != 2 {
 		t.Fatal("second record wrong")
 	}
-	if sg.Next(&r) {
+	if r := take(t, sg, 1, 1); len(r) != 0 {
 		t.Fatal("should be exhausted")
 	}
 }
@@ -295,10 +264,7 @@ func TestArenasDisjoint(t *testing.T) {
 	spec, _ := ByName("dss-qry2")
 	spec = spec.Scaled(0.0625)
 	lib := NewLibrary(spec, 13)
-	g := NewGenerator(lib, 2, 13)
-	var r Record
-	for i := 0; i < 100000; i++ {
-		g.Next(&r)
+	for _, r := range take(t, NewGenerator(lib, 2, 13), 100000, FrameCap) {
 		switch {
 		case r.Block < scanBase: // dataset
 		case r.Block >= scanBase && r.Block < hotBase: // scan arena
