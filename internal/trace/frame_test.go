@@ -47,9 +47,11 @@ func recordsEqual(t *testing.T, what string, want, got []Record) {
 // segment boundaries, and FrameCap is what the drivers use.
 var frameCaps = []int{1, 97, 513, FrameCap}
 
-// TestFrameSizeIndependence is the frame contract: every record source
-// yields one record sequence whatever the capacity of the frames it
-// fills, including where it runs dry or fails.
+// TestFrameSizeIndependence is the frame contract: every stored or
+// bounded record source yields one record sequence whatever the capacity
+// of the frames it fills, including where it runs dry or fails. Live
+// generators and scenarios are held to it by the two
+// TestReadFrameMatchesNext tests below.
 func TestFrameSizeIndependence(t *testing.T) {
 	type source struct {
 		name  string
@@ -58,25 +60,6 @@ func TestFrameSizeIndependence(t *testing.T) {
 		after func(t *testing.T, g Generator, got []Record)
 	}
 	var sources []source
-
-	for _, spec := range Specs() {
-		spec := spec.Scaled(0.0625)
-		sources = append(sources, source{name: "live " + spec.Name, n: 20_000,
-			open: func() Generator { return NewGenerator(NewLibrary(spec, 7), 0, 7) }})
-	}
-	for _, scn := range Scenarios() {
-		scn := scn.Scaled(0.0625)
-		for core := 0; core < 2; core++ {
-			sources = append(sources, source{name: "scenario " + scn.Name, n: 24_000,
-				open: func() Generator {
-					gens, _, err := scn.Generators(11, 2, 24_000)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return gens[core]
-				}})
-		}
-	}
 
 	oltp, err := ByName("oltp-db2")
 	if err != nil {
@@ -167,18 +150,56 @@ func TestFrameSizeIndependence(t *testing.T) {
 	}
 
 	for _, s := range sources {
-		var want []Record
-		for _, c := range frameCaps {
-			g := s.open()
-			got := take(t, g, s.n, c)
-			if c == 1 {
-				want = got
-			} else {
-				recordsEqual(t, s.name, want, got)
-			}
-			if s.after != nil {
-				s.after(t, g, got)
-			}
+		sameAtEveryCap(t, s.name, s.n, s.open, s.after)
+	}
+}
+
+// sameAtEveryCap reads n records from a fresh source at each of
+// frameCaps and checks every capacity yields the capacity-1 sequence.
+// after, if set, inspects the source once each read is done.
+func sameAtEveryCap(t *testing.T, name string, n int, open func() Generator, after func(*testing.T, Generator, []Record)) {
+	t.Helper()
+	var want []Record
+	for _, c := range frameCaps {
+		g := open()
+		got := take(t, g, n, c)
+		if c == 1 {
+			want = got
+		} else {
+			recordsEqual(t, name, want, got)
+		}
+		if after != nil {
+			after(t, g, got)
+		}
+	}
+}
+
+// TestReadFrameMatchesNextAllWorkloads checks every built-in workload's
+// live generator: frames of any capacity carry the record-at-a-time
+// sequence that capacity-1 frames give.
+func TestReadFrameMatchesNextAllWorkloads(t *testing.T) {
+	for _, spec := range Specs() {
+		spec := spec.Scaled(0.0625)
+		sameAtEveryCap(t, "live "+spec.Name, 20_000,
+			func() Generator { return NewGenerator(NewLibrary(spec, 7), 0, 7) }, nil)
+	}
+}
+
+// TestReadFrameMatchesNextScenarios runs the same property over the
+// whole built-in scenario suite, on both cores, with capacities that
+// land mid-phase, at phase boundaries, and across drift sub-segments.
+func TestReadFrameMatchesNextScenarios(t *testing.T) {
+	const perCore = 24_000
+	for _, scn := range Scenarios() {
+		scn := scn.Scaled(0.0625)
+		for core := 0; core < 2; core++ {
+			sameAtEveryCap(t, "scenario "+scn.Name, perCore, func() Generator {
+				gens, _, err := scn.Generators(11, 2, perCore)
+				if err != nil {
+					t.Fatalf("%s: %v", scn.Name, err)
+				}
+				return gens[core]
+			}, nil)
 		}
 	}
 }
