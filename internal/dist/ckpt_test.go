@@ -38,10 +38,7 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 	}
 
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
-	key, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := jobKey(t, job)
 	res, err := ca.RunJob(context.Background(), job, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +142,7 @@ func TestDrainCheckpointsInProgressJob(t *testing.T) {
 
 	// The flushed checkpoint is in the store and resumes elsewhere into
 	// the exact cold-run result.
-	key, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := jobKey(t, job)
 	data, err := c.FetchCkpt(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +176,7 @@ func TestCkptCorruptionDiscardedAtEveryTier(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	job := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
-	key, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := jobKey(t, job)
 	if _, err := c.RunJob(context.Background(), job, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,16 @@ func testJob(t *testing.T, workload string, pref sim.PrefSpec) *Job {
 	}
 }
 
+// jobKey is the job's checkpoint address: its run identity's key.
+func jobKey(t *testing.T, job *Job) string {
+	t.Helper()
+	id, err := job.identity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id.Key()
+}
+
 func TestJobValidate(t *testing.T) {
 	good := testJob(t, "sci-em3d", sim.PrefSpec{Kind: sim.None})
 	if err := good.Validate(); err != nil {
@@ -87,16 +97,16 @@ func TestJobJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(job, &back) {
 		t.Fatalf("job not identical after round trip:\n got %+v\nwant %+v", back, job)
 	}
-	k1, err := job.TapeKey()
+	id1, err := job.identity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := back.TapeKey()
+	id2, err := back.identity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1 != k2 {
-		t.Fatalf("tape address changed across the wire: %s vs %s", k1, k2)
+	if err := id1.Check(id2); err != nil {
+		t.Fatalf("run identity changed across the wire: %v", err)
 	}
 }
 
@@ -181,10 +191,7 @@ func TestServerScenarioJob(t *testing.T) {
 	}
 
 	// The worker's checkpoint names the scenario it generated live.
-	key, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := jobKey(t, job)
 	data, err := c.FetchCkpt(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
@@ -258,10 +265,7 @@ func TestServerUnknownIDSuggestions(t *testing.T) {
 	}
 
 	// GET /ckpts/{near-miss} names the nearest resident address.
-	key, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := jobKey(t, job)
 	typo := "0" + key[1:]
 	resp2, err := ts.Client().Get(ts.URL + "/ckpts/" + typo)
 	if err != nil {

@@ -28,8 +28,6 @@ package dist
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,83 +78,16 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// scenario parses the job's scenario document, if any.
-func (j *Job) scenario() (*trace.Scenario, error) {
-	if len(j.Scenario) == 0 {
-		return nil, nil
-	}
-	s, err := trace.ParseScenario(bytes.NewReader(j.Scenario))
+// identity returns the job's run identity. Its Key addresses the job's
+// checkpoints: a checkpoint is only meaningful to the exact job that
+// wrote it, and one key names one job's latest checkpoint. The
+// coordinator derives the same identity from the cell behind the job.
+func (j *Job) identity() (sim.Identity, error) {
+	in, mode, err := j.run()
 	if err != nil {
-		return nil, err
+		return sim.Identity{}, err
 	}
-	return &s, nil
-}
-
-// CkptKey returns the content address of the job's checkpoint: the hex
-// digest of the full job identity — trace identity (TapeKey) plus mode
-// and the complete prefetcher spec. Unlike a trace, a checkpoint is only
-// meaningful to the exact job that wrote it (the serialized state
-// embeds the variant's tables and in-flight operations), so the
-// prefetcher spec is part of the address. One key names one job's
-// "latest checkpoint": each cadence overwrites the previous container.
-func (j *Job) CkptKey() (string, error) {
-	tk, err := j.TapeKey()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("ckpt|tape=%s|mode=%s|pref=%s", tk, j.Mode, prefString(j.Pref))))
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// prefString renders the complete prefetcher spec for CkptKey,
-// dereferencing the optional config pointers so two specs differing
-// only behind a pointer hash differently.
-func prefString(ps sim.PrefSpec) string {
-	scfg, ecfg := "", ""
-	if ps.STMSCfg != nil {
-		scfg = fmt.Sprintf("%+v", *ps.STMSCfg)
-	}
-	if ps.Engine != nil {
-		ecfg = fmt.Sprintf("%+v", *ps.Engine)
-	}
-	return fmt.Sprintf("k=%d|d=%d|h=%d|i=%d|p=%g|s=%s|e=%s",
-		ps.Kind, ps.MaxDepth, ps.HistoryEntries, ps.IndexEntries, ps.SampleProb, scfg, ecfg)
-}
-
-// TapeKey returns the content address of the job's trace identity: the
-// hex digest of (scaled spec or scenario, seed, cores, per-core record
-// budget) — everything that determines the trace, and nothing that
-// doesn't (the prefetcher variant, for one, so every variant column of
-// a matrix row shares a key). Coordinator and worker compute it
-// independently and must agree; it routes cells to workers by
-// affinity and is part of every checkpoint address (CkptKey).
-func (j *Job) TapeKey() (string, error) {
-	scn, err := j.scenario()
-	if err != nil {
-		return "", err
-	}
-	return TapeIdentity(j.Config, j.Spec, scn), nil
-}
-
-// TapeIdentity returns the content address of a run's trace: the
-// scenario when scn is non-nil, else the spec, scaled by cfg.Scale, at
-// cfg's seed, core count and warm + measure budget. Lab sessions,
-// workers and Job.TapeKey all derive trace identities here.
-func TapeIdentity(cfg sim.Config, spec *trace.Spec, scn *trace.Scenario) string {
-	seed, cores, perCore := cfg.Seed, cfg.Cores, cfg.WarmRecords+cfg.MeasureRecords
-	if scn != nil {
-		return TapeKey(trace.Spec{}, scn.Scaled(cfg.Scale).Key(), seed, cores, perCore)
-	}
-	return TapeKey(spec.Scaled(cfg.Scale), "", seed, cores, perCore)
-}
-
-// TapeKey computes the content address of a trace identity. Exactly
-// one of spec (already scaled) and scenarioKey (a scaled
-// Scenario.Key) is meaningful; the other is its zero value.
-func TapeKey(spec trace.Spec, scenarioKey string, seed uint64, cores int, perCore uint64) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("spec=%+v|scn=%s|seed=%d|cores=%d|per=%d",
-		spec, scenarioKey, seed, cores, perCore)))
-	return hex.EncodeToString(sum[:])
+	return sim.NewIdentity(mode, j.Config, in, j.Pref, sim.Sampling{}), nil
 }
 
 // run returns the job's live trace input and driver mode.
@@ -165,28 +96,11 @@ func (j *Job) run() (sim.Input, sim.Mode, error) {
 	if j.Mode == sim.Functional.String() {
 		mode = sim.Functional
 	}
-	scn, err := j.scenario()
-	switch {
-	case err != nil:
-		return sim.Input{}, mode, err
-	case scn != nil:
-		return sim.FromScenario(*scn), mode, nil
+	if len(j.Scenario) == 0 {
+		return sim.FromSpec(*j.Spec), mode, nil
 	}
-	return sim.FromSpec(*j.Spec), mode, nil
-}
-
-// CheckCkpt checks that a sealed checkpoint resumes exactly this job,
-// with the check sim.Run makes before it restores (sim.CheckResume):
-// mode, configuration, the complete prefetcher spec and the trace. It
-// returns the checkpoint's descriptor. Worker and coordinator both
-// vet fetched checkpoints here, because a checkpoint is stored under
-// whatever key it arrives with.
-func (j *Job) CheckCkpt(data []byte) (sim.CheckpointDesc, error) {
-	in, mode, err := j.run()
-	if err != nil {
-		return sim.CheckpointDesc{}, err
-	}
-	return sim.CheckResume(data, mode, j.Config, in, j.Pref)
+	scn, err := trace.ParseScenario(bytes.NewReader(j.Scenario))
+	return sim.FromScenario(scn), mode, err
 }
 
 // Result is a completed job: the full simulation Results (which
@@ -258,15 +172,6 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // IsTransport reports whether err (anywhere in its chain) is a
 // transport failure, i.e. whether retrying on another worker can help.
 func IsTransport(err error) bool {
-	for err != nil {
-		if _, ok := err.(*TransportError); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+	var te *TransportError
+	return errors.As(err, &te)
 }

@@ -12,7 +12,7 @@ package dist
 //	                     cancels its jobs.
 //	GET  /jobs/{id}    → status of a job seen by this worker
 //	GET  /ckpts/{key}  → sealed STMSCKPT bytes of a job's latest
-//	                     checkpoint (content-addressed by Job.CkptKey)
+//	                     checkpoint (content-addressed by run identity)
 //	PUT  /ckpts/{key}  → admit a checkpoint (verified container; 400
 //	                     on corruption)
 //
@@ -180,7 +180,7 @@ func (s *Server) handleHealth(w http.ResponseWriter) {
 		InFlight: s.inflight,
 	}
 	s.mu.Unlock()
-	h.Ckpts = s.store.CkptCount()
+	h.Ckpts = len(s.store.CkptKeys())
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
 }
@@ -260,7 +260,7 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Checkpointing: the worker checkpoints the job to its store under
-	// the job's content address (Job.CkptKey) and resumes from the
+	// the job's identity key (sim.Identity) and resumes from the
 	// freshest valid checkpoint it can find — its own store (a previous
 	// attempt that died here, or one the coordinator pushed) or a
 	// peer's. Checkpoints survive job completion: "latest
@@ -268,7 +268,8 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 	// coordinator whose stream was cut may still want it.
 	var exec *ExecOptions
 	var ckptWrites, ckptBytes uint64
-	if key, kerr := job.CkptKey(); kerr == nil {
+	if id, kerr := job.identity(); kerr == nil {
+		key := id.Key()
 		exec = &ExecOptions{
 			Every: s.cfg.CheckpointEvery,
 			Stop:  s.drain,
@@ -279,7 +280,7 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 			},
 		}
 		if sim.CheckpointablePref(job.Pref) {
-			exec.Resume = s.lookupCkpt(r.Context(), &job, key)
+			exec.Resume = s.lookupCkpt(r.Context(), id)
 		}
 	}
 
@@ -328,16 +329,17 @@ func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, e
 	return ExecuteJob(ctx, job, progress, exec)
 }
 
-// lookupCkpt finds the freshest checkpoint of job under its key: this
+// lookupCkpt finds the freshest checkpoint of the run id: this
 // worker's store first, then every peer, keeping whichever had
 // progressed furthest. Containers that fail to verify, or that belong
-// to another run (Job.CheckCkpt), are ignored — a checkpoint is never
+// to another run (sim.CheckResume), are ignored — a checkpoint is never
 // trusted on arrival.
-func (s *Server) lookupCkpt(ctx context.Context, job *Job, key string) []byte {
+func (s *Server) lookupCkpt(ctx context.Context, id sim.Identity) []byte {
+	key := id.Key()
 	var best []byte
 	var bestRecs uint64
 	consider := func(data []byte) {
-		if d, err := job.CheckCkpt(data); err == nil && (best == nil || d.Records > bestRecs) {
+		if d, err := sim.CheckResume(data, id); err == nil && (best == nil || d.Records > bestRecs) {
 			best, bestRecs = data, d.Records
 		}
 	}

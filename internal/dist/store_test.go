@@ -1,11 +1,12 @@
 package dist
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
 	"stms/internal/ckpt"
-	"stms/internal/trace"
 )
 
 func TestStoreDiskTierPersists(t *testing.T) {
@@ -54,36 +55,56 @@ func TestStoreKeysSpansTiers(t *testing.T) {
 	if !slices.Equal(keys, []string{"in-memory", "on-disk"}) {
 		t.Fatalf("CkptKeys() = %v, want both tiers once each", keys)
 	}
-	if n := s.CkptCount(); n != 2 {
-		t.Fatalf("CkptCount() = %d, want 2", n)
-	}
 }
 
-func TestTapeKeyDisambiguates(t *testing.T) {
-	spec, err := trace.ByName("web-apache")
-	if err != nil {
+// TestStoreResidentBytesBounded: a worker that runs many jobs keeps at
+// most its byte bound of checkpoints in memory, dropping the least
+// recently written or served ones first; the disk tier still serves
+// what memory dropped.
+func TestStoreResidentBytesBounded(t *testing.T) {
+	if got := NewStore("").limit; got != maxResidentBytes {
+		t.Fatalf("store bound = %d, want maxResidentBytes (%d)", got, maxResidentBytes)
+	}
+	dir := t.TempDir()
+	s := NewStore(dir)
+	s.limit = 64 << 10
+	data := ckpt.Seal(make([]byte, 4<<10))
+	key := func(i int) string { return fmt.Sprintf("job-%03d", i) }
+	const jobs = 100
+	for i := 0; i < jobs; i++ {
+		if err := s.PutCkpt(key(i), data); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.ResidentBytes > uint64(s.limit) {
+			t.Fatalf("after %d puts %d bytes resident, bound %d", i+1, st.ResidentBytes, s.limit)
+		}
+	}
+	st := s.Stats()
+	if want := uint64(s.limit / len(data) * len(data)); st.ResidentBytes != want {
+		t.Fatalf("%d bytes resident, want the bound filled to %d", st.ResidentBytes, want)
+	}
+	if st.CkptEvictions == 0 || len(s.ckpts) != s.limit/len(data) {
+		t.Fatalf("stats %+v with %d resident, want evictions down to %d", st, len(s.ckpts), s.limit/len(data))
+	}
+	// Serving counts as use: the oldest resident checkpoint, once
+	// read, outlives the next oldest.
+	oldest := jobs - len(s.ckpts)
+	if _, ok := s.GetCkpt(key(oldest)); !ok {
+		t.Fatal("oldest resident checkpoint not served")
+	}
+	if err := s.PutCkpt(key(jobs), data); err != nil {
 		t.Fatal(err)
 	}
-	base := TapeKey(spec, "", 1, 4, 1000)
-	if TapeKey(spec, "", 2, 4, 1000) == base {
-		t.Fatal("seed not in the address")
-	}
-	if TapeKey(spec, "", 1, 2, 1000) == base {
-		t.Fatal("cores not in the address")
-	}
-	if TapeKey(spec, "", 1, 4, 2000) == base {
-		t.Fatal("record budget not in the address")
-	}
-	scn := trace.Stationary("w", spec)
-	if TapeKey(trace.Spec{}, scn.Key(), 1, 4, 1000) == base {
-		t.Fatal("scenario identity not in the address")
-	}
-	if len(base) != 64 {
-		t.Fatalf("address %q is not a sha256 hex digest", base)
-	}
-	for i := 0; i < 3; i++ {
-		if TapeKey(spec, "", 1, 4, 1000) != base {
-			t.Fatal("address not deterministic")
+	for i, want := range map[int]bool{oldest: true, oldest + 1: false, jobs: true, 0: false} {
+		if _, ok := s.ckpts[key(i)]; ok != want {
+			t.Errorf("job %d resident = %v, want %v", i, ok, want)
 		}
+	}
+	// Dropped from memory, served from disk, and resident again.
+	if got, ok := s.GetCkpt(key(0)); !ok || !bytes.Equal(got, data) {
+		t.Fatal("the disk tier did not serve a checkpoint memory dropped")
+	}
+	if st := s.Stats(); st.ResidentBytes > uint64(s.limit) {
+		t.Fatalf("after a disk read %d bytes resident, bound %d", st.ResidentBytes, s.limit)
 	}
 }

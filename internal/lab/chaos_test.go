@@ -359,14 +359,7 @@ func TestChaosCorruptCheckpointFallsBackCold(t *testing.T) {
 	if len(plan.Cells) != 1 {
 		t.Fatalf("plan has %d cells, want 1", len(plan.Cells))
 	}
-	job, err := jobFromCell(&plan.Cells[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptKey, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckptKey := cellKey(&plan.Cells[0])
 	if err := servers[0].Store().PutCkpt(ckptKey, ckpt.Seal([]byte("sealed nonsense"))); err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +432,7 @@ func TestChaosForeignCheckpointNeverAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckptKey, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckptKey := cellKey(&plan.Cells[0])
 	foreign := *job
 	spec, err := trace.ByName("oltp-db2")
 	if err != nil {
@@ -516,10 +506,7 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckptKey, err := job.CkptKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckptKey := cellKey(&plan.Cells[0])
 	// Manufacture the dead session's leavings: a genuine mid-run
 	// checkpoint parked on a worker, and the manifest recording it.
 	snaps := harvestCkpts(t, job)
@@ -529,13 +516,13 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seed.recordPartial(cellKey(&plan.Cells[0]), ckptKey)
+	seed.recordPartial(ckptKey)
 
 	// The restarted session: the proactive sweep fetches the checkpoint
 	// and the first attempt resumes.
 	resumed := testLab(t, WithWorkers(urls), WithManifest(path))
-	if got := resumed.partialCkpt(cellKey(&plan.Cells[0])); got != ckptKey {
-		t.Fatalf("restarted session loaded partial %q, want %q", got, ckptKey)
+	if !resumed.hasPartial(ckptKey) {
+		t.Fatal("restarted session did not load the partial cell")
 	}
 	rm, err := resumed.Run(context.Background(), resumed.Plan(workloads, prefs))
 	if err != nil {
@@ -558,8 +545,8 @@ func TestManifestPartialCellResumesAcrossSessions(t *testing.T) {
 	// Completion supersedes the partial: a third session neither resumes
 	// nor re-runs the cell.
 	third := testLab(t, WithWorkers(urls), WithManifest(path))
-	if got := third.partialCkpt(cellKey(&plan.Cells[0])); got != "" {
-		t.Fatalf("completed cell still partial (%q) in a fresh session", got)
+	if third.hasPartial(ckptKey) {
+		t.Fatal("completed cell still partial in a fresh session")
 	}
 	if got := third.MemoSize(); got != 1 {
 		t.Fatalf("third session preloaded %d cells, want 1", got)

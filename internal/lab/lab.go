@@ -45,7 +45,7 @@ type Lab struct {
 	mu       sync.Mutex
 	memo     map[string]*sim.Results
 	memoSmp  map[string]*sim.SampledResults // sampled-cell estimates (session-local)
-	partials map[string]string              // cellKey → checkpoint address of a partial cell
+	partials map[string]bool                // cellKey of each cell a prior session checkpointed
 	simNS    atomic.Int64                   // cumulative cell simulation time, excluding remote overhead
 
 	workerURLs   []string
@@ -69,7 +69,7 @@ func New(opts ...Option) (*Lab, error) {
 		par:      runtime.NumCPU(),
 		memo:     make(map[string]*sim.Results),
 		memoSmp:  make(map[string]*sim.SampledResults),
-		partials: make(map[string]string),
+		partials: make(map[string]bool),
 	}
 	for _, opt := range opts {
 		if opt == nil {
@@ -263,36 +263,14 @@ func (l *Lab) BaseConfig() sim.Config { return l.base }
 // Parallelism returns the session's worker-pool bound.
 func (l *Lab) Parallelism() int { return l.par }
 
-// cellKey identifies a cell by everything that determines its result:
-// the driver mode, the fully resolved workload (spec or scenario),
-// system config and prefetcher spec. Deterministic simulation makes
-// memoization by this key exact.
-func cellKey(c *Cell) string {
-	ps := c.Pref
-	scfg := ""
-	if ps.STMSCfg != nil {
-		scfg = fmt.Sprintf("%+v", *ps.STMSCfg)
-	}
-	ecfg := ""
-	if ps.Engine != nil {
-		ecfg = fmt.Sprintf("%+v", *ps.Engine)
-	}
-	scn := ""
-	if c.Scenario != nil {
-		scn = c.Scenario.Key()
-	}
-	key := fmt.Sprintf("%d|spec=%+v|scn=%s|cfg=%+v|k=%d|d=%d|h=%d|i=%d|p=%g|s=%s|e=%s",
-		c.Mode, c.Spec, scn, c.Config, ps.Kind, ps.MaxDepth,
-		ps.HistoryEntries, ps.IndexEntries, ps.SampleProb, scfg, ecfg)
-	// Sampled cells key (and memoize) distinctly: an estimate must never
-	// be served where an exact result was asked for, or vice versa.
-	// Exact cells keep the historical key so prior-session manifests
-	// stay valid.
-	if c.Sampling.Windows > 1 {
-		key += fmt.Sprintf("|smp=%+v", c.Sampling)
-	}
-	return key
+// cellIdentity is the cell's run identity. Deterministic simulation
+// makes memoization by its key exact.
+func cellIdentity(c *Cell) sim.Identity {
+	return sim.NewIdentity(c.Mode, c.Config, input(c), c.Pref, c.Sampling)
 }
+
+// cellKey is the cell's memo and manifest key and checkpoint address.
+func cellKey(c *Cell) string { return cellIdentity(c).Key() }
 
 // TapeStats reports a session's wall-time accounting. A session keeps
 // no trace tapes: every local cell generates its records inside its run,
@@ -353,24 +331,24 @@ func (l *Lab) storeSmp(key string, sr *sim.SampledResults) {
 	l.store(key, &sr.Results)
 }
 
-// partialCkpt returns the checkpoint address recorded for a cell by a
-// prior (interrupted) session, or "".
-func (l *Lab) partialCkpt(key string) string {
+// hasPartial reports whether a prior (interrupted) session recorded a
+// checkpoint of the cell; workers hold it under the same key.
+func (l *Lab) hasPartial(key string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.partials[key]
 }
 
 // recordPartial remembers — in memory and in the manifest — that a
-// checkpoint for the cell exists at the given address, so a restarted
-// coordinator resumes the cell instead of starting it over. Duplicate
-// records for the same (cell, address) pair are suppressed.
-func (l *Lab) recordPartial(key, ckptKey string) {
+// checkpoint of the cell exists, so a restarted coordinator resumes
+// the cell instead of starting it over. Repeated records are
+// suppressed.
+func (l *Lab) recordPartial(key string) {
 	l.mu.Lock()
-	dup := l.partials[key] == ckptKey
-	l.partials[key] = ckptKey
+	dup := l.partials[key]
+	l.partials[key] = true
 	l.mu.Unlock()
 	if !dup && l.manifest != nil {
-		l.manifest.appendPartial(key, ckptKey)
+		l.manifest.appendPartial(key)
 	}
 }

@@ -1,21 +1,23 @@
 package lab
 
 // The job manifest makes matrix runs resumable. It is a versioned
-// JSON-lines file — a {"stms_manifest":1} header, then one entry per
-// cell — appended and fsync'd as cells progress. Two entry shapes
+// JSON-lines file — a {"stms_manifest":2} header, then one entry per
+// cell — appended and fsync'd as cells progress. Every entry is keyed
+// by the cell's run identity (sim.Identity.Key). Two entry shapes
 // exist:
 //
 //	{"key":..., "results":...}  a completed cell (preloaded into the
 //	                            session memo, so a restarted
 //	                            coordinator skips it)
-//	{"key":..., "ckpt":...}     a partial cell: the coordinator
+//	{"key":..., "partial":true} a partial cell: the coordinator
 //	                            exchanged a checkpoint for it before
-//	                            dying. A restarted session fetches the
-//	                            checkpoint by that address and resumes
-//	                            the cell mid-run instead of starting it
-//	                            over.
+//	                            dying. Workers hold checkpoints under
+//	                            the same key, so a restarted session
+//	                            fetches it and resumes the cell mid-run
+//	                            instead of starting it over.
 //
-// A completed entry supersedes any partial entries for the same key.
+// Version 1 manifests (fmt-rendered keys) match no cell now and fail
+// with ErrManifestVersion instead of being misread. A completed entry supersedes any partial entries for the same key.
 // A partially written trailing entry (the kill arrived mid-append) is
 // repaired away, not treated as corruption: everything before it is
 // intact by construction. The repair itself is crash-safe — the valid
@@ -29,6 +31,7 @@ package lab
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -39,16 +42,20 @@ import (
 )
 
 // manifestFormatVersion stamps the header line.
-const manifestFormatVersion = 1
+const manifestFormatVersion = 2
+
+// ErrManifestVersion marks a manifest written in a format version this
+// build does not read.
+var ErrManifestVersion = errors.New("lab: unsupported manifest format version")
 
 type manifestHeader struct {
 	Version int `json:"stms_manifest"`
 }
 
 type manifestEntry struct {
-	Key  string       `json:"key"`
-	Res  *sim.Results `json:"results,omitempty"`
-	Ckpt string       `json:"ckpt,omitempty"` // checkpoint address (dist.Job.CkptKey) of a partial cell
+	Key     string       `json:"key"`
+	Res     *sim.Results `json:"results,omitempty"`
+	Partial bool         `json:"partial,omitempty"` // a checkpoint of the cell exists
 }
 
 // manifest is an open, append-only manifest file.
@@ -66,7 +73,7 @@ type manifest struct {
 // truncated final entry — the tail of a run killed mid-append — is
 // repaired away by atomically rewriting the file to its last complete
 // entry.
-func openManifest(path string, memo map[string]*sim.Results, partials map[string]string) (*manifest, error) {
+func openManifest(path string, memo map[string]*sim.Results, partials map[string]bool) (*manifest, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lab: opening manifest: %w", err)
@@ -103,8 +110,8 @@ func openManifest(path string, memo map[string]*sim.Results, partials map[string
 	}
 	if hdr.Version != manifestFormatVersion {
 		f.Close()
-		return nil, fmt.Errorf("lab: manifest %s: format version %d, want %d",
-			path, hdr.Version, manifestFormatVersion)
+		return nil, fmt.Errorf("%w: manifest %s has version %d, want %d",
+			ErrManifestVersion, path, hdr.Version, manifestFormatVersion)
 	}
 
 	good := dec.InputOffset()
@@ -122,7 +129,7 @@ func openManifest(path string, memo map[string]*sim.Results, partials map[string
 			break
 		}
 		switch {
-		case e.Key == "" || (e.Res == nil && e.Ckpt == ""):
+		case e.Key == "" || (e.Res == nil && !e.Partial):
 			// Structurally complete JSON but not a valid entry — the
 			// torn tail of a larger entry that happened to parse.
 			if err := m.repair(good); err != nil {
@@ -131,16 +138,12 @@ func openManifest(path string, memo map[string]*sim.Results, partials map[string
 			}
 		case e.Res != nil:
 			memo[e.Key] = e.Res
-			if partials != nil {
-				delete(partials, e.Key) // completed supersedes partial
-			}
+			delete(partials, e.Key) // completed supersedes partial
 			m.loaded++
 			good = dec.InputOffset()
 			continue
 		default:
-			if partials != nil {
-				partials[e.Key] = e.Ckpt
-			}
+			partials[e.Key] = true
 			good = dec.InputOffset()
 			continue
 		}
@@ -204,13 +207,13 @@ func (m *manifest) append(key string, r *sim.Results) {
 	}
 }
 
-// appendPartial records that a checkpoint for the cell exists at the
-// given address, so a restarted coordinator resumes the cell mid-run
-// instead of starting it over. Best-effort, like append.
-func (m *manifest) appendPartial(key, ckptKey string) {
+// appendPartial records that a checkpoint of the cell exists, so a
+// restarted coordinator resumes the cell mid-run instead of starting it
+// over. Best-effort, like append.
+func (m *manifest) appendPartial(key string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.enc.Encode(manifestEntry{Key: key, Ckpt: ckptKey}) == nil {
+	if m.enc.Encode(manifestEntry{Key: key, Partial: true}) == nil {
 		m.f.Sync()
 	}
 }

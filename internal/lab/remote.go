@@ -283,25 +283,17 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	if err != nil {
 		return sim.Results{}, 0, "", err
 	}
-	key, err := job.TapeKey()
-	if err != nil {
-		return sim.Results{}, 0, "", err
-	}
-	ranking := p.rank(key)
+	// The trace key ranks workers; the key addresses the cell's
+	// checkpoints (workers derive it from the job). held is the
+	// freshest checkpoint exchanged that resumes exactly this cell.
+	id := cellIdentity(cell)
+	traceKey, ckptKey := id.TraceKey(), id.Key()
+	ranking := p.rank(traceKey)
 	var log attemptLog
-
-	// held is the freshest valid checkpoint the coordinator has
-	// exchanged for this cell; adopt keeps the best one that resumes
-	// exactly this job (Job.CheckCkpt) and ignores the rest.
-	ckptKey, err := job.CkptKey()
-	if err != nil {
-		return sim.Results{}, 0, "", err
-	}
-	ck := cellKey(cell)
 	var held []byte
 	var heldRecs uint64
 	adopt := func(data []byte) bool {
-		d, perr := job.CheckCkpt(data)
+		d, perr := sim.CheckResume(data, id)
 		if perr != nil {
 			return false
 		}
@@ -309,7 +301,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 			return false
 		}
 		held, heldRecs = data, d.Records
-		l.recordPartial(ck, ckptKey)
+		l.recordPartial(ckptKey)
 		return true
 	}
 	fetchCkpt := func(c *dist.Client) bool {
@@ -327,7 +319,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 	// sweep the ranking for it before the first attempt, so the
 	// restarted coordinator resumes the partial cell instead of
 	// starting it over.
-	if pk := l.partialCkpt(ck); pk == ckptKey {
+	if l.hasPartial(ckptKey) {
 		for _, c := range ranking {
 			if ctx.Err() != nil || fetchCkpt(c) {
 				break
@@ -337,7 +329,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 
 	for round := 0; round < p.res.RetryRounds; round++ {
 		if round > 0 {
-			d := p.backoff(key, round)
+			d := p.backoff(traceKey, round)
 			p.count(func(s *RemoteStats) { s.BackoffWaits++ })
 			select {
 			case <-time.After(d):
@@ -386,10 +378,10 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 						s.ResumeWall += time.Duration(r.WallMS * float64(time.Millisecond))
 					}
 				})
-				// Satellite accounting fix: the worker measured its own
-				// simulation time (Result.WallMS); everything else the
-				// coordinator waited through — dial, queueing, retries,
-				// checkpoint movement — is overhead, not simulation.
+				// The worker measured its own simulation time
+				// (Result.WallMS); everything else the coordinator waited
+				// through — dial, queueing, retries, checkpoint movement
+				// — is overhead, not simulation.
 				overhead := time.Since(start) - time.Duration(r.WallMS*float64(time.Millisecond))
 				if overhead < 0 {
 					overhead = 0

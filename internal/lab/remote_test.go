@@ -3,6 +3,7 @@ package lab
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -303,13 +304,22 @@ func TestManifestRepairSurvivesLostDirent(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsWrongVersion: a manifest of another format
+// version fails with ErrManifestVersion. That includes version 1,
+// whose fmt-rendered keys no longer name any cell: reading it would
+// silently re-run every cell it records.
 func TestManifestRejectsWrongVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.manifest")
-	if err := os.WriteFile(path, []byte(`{"stms_manifest":99}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(WithManifest(path)); err == nil {
-		t.Fatal("wrong manifest version accepted")
+	for _, doc := range []string{
+		`{"stms_manifest":99}` + "\n",
+		`{"stms_manifest":1}` + "\n" + `{"key":"0|spec={Name:web-apache}","ckpt":"ab12"}` + "\n",
+	} {
+		path := filepath.Join(t.TempDir(), "run.manifest")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(WithManifest(path)); !errors.Is(err, ErrManifestVersion) {
+			t.Fatalf("manifest %q: New error %v, want ErrManifestVersion", doc, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"stms/internal/dist"
 	"stms/internal/sim"
 )
 
@@ -187,8 +186,8 @@ const maxGroup = 4
 // further while there are fewer items than workers.
 func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 	type groupKey struct {
-		tape string
-		cfg  sim.Config
+		trace string // sim.Identity.TraceKey
+		cfg   sim.Config
 	}
 	open := make(map[groupKey]int) // group → index of its last item
 	var items [][]int
@@ -198,8 +197,7 @@ func (l *Lab) batch(cells []Cell, todo []int) [][]int {
 			items = append(items, []int{i})
 			continue
 		}
-		tape := dist.TapeIdentity(c.Config, &c.Spec, c.Scenario)
-		k := groupKey{tape, c.Config}
+		k := groupKey{cellIdentity(c).TraceKey(), c.Config}
 		if j, ok := open[k]; ok && len(items[j]) < maxGroup {
 			items[j] = append(items[j], i)
 			continue

@@ -122,7 +122,9 @@ func (b *Buffer) Snapshot(enc *ckpt.Encoder, idOf func(event.Handler) (uint32, b
 
 // Restore rebuilds the buffer from a Snapshot. The buffer must be
 // freshly constructed with the same capacity; insertion order, waiter
-// chains and the evictable accounting are reproduced exactly.
+// chains and the evictable accounting are reproduced exactly. A
+// snapshot holding more entries than the capacity, one block twice, or
+// the reserved all-ones block is rejected with ckpt.ErrCorrupt.
 func (b *Buffer) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (event.Handler, bool)) error {
 	dec.Section("prefetch.Buffer")
 	capacity := dec.Int()
@@ -136,6 +138,9 @@ func (b *Buffer) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (event.Handle
 	if b.m.Len() != 0 {
 		return fmt.Errorf("prefetch: restore into non-empty buffer")
 	}
+	if count < 0 || count > b.cap {
+		return fmt.Errorf("%w: prefetch: buffer snapshot has %d entries, capacity %d", ckpt.ErrCorrupt, count, b.cap)
+	}
 	for k := 0; k < count; k++ {
 		var n pbNode
 		n.blk = dec.U64()
@@ -148,6 +153,9 @@ func (b *Buffer) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (event.Handle
 		nw := dec.Int()
 		if err := dec.Err(); err != nil {
 			return err
+		}
+		if n.blk == ^uint64(0) || b.m.Contains(n.blk) {
+			return fmt.Errorf("%w: prefetch: buffer snapshot repeats block %#x or holds the reserved block", ckpt.ErrCorrupt, n.blk)
 		}
 		b.nodes = append(b.nodes, n)
 		i := int32(len(b.nodes) - 1)
@@ -235,7 +243,10 @@ func (e *Engine) Snapshot(enc *ckpt.Encoder, idOf func(event.Handler) (uint32, b
 }
 
 // Restore rebuilds the engine from a Snapshot. The engine must be
-// freshly constructed with the same configuration.
+// freshly constructed with the same configuration. A queue head or
+// length outside the ring, a cursor on a core that does not exist, or
+// a stream-length sample without its weight is rejected with
+// ckpt.ErrCorrupt.
 func (e *Engine) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (event.Handler, bool)) error {
 	dec.Section("prefetch.Engine")
 	cores := dec.Int()
@@ -263,6 +274,9 @@ func (e *Engine) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (event.Handle
 	sorted := dec.Bool()
 	if err := dec.Err(); err != nil {
 		return err
+	}
+	if len(vals) != len(weights) {
+		return fmt.Errorf("%w: prefetch: engine snapshot has %d stream lengths, %d weights", ckpt.ErrCorrupt, len(vals), len(weights))
 	}
 	e.st.StreamLens.SetSnapshot(vals, weights, sorted)
 	for i := range e.core {
@@ -294,6 +308,17 @@ func (e *Engine) Restore(dec *ckpt.Decoder, handlerOf func(uint32) (event.Handle
 		st.lastHitPos = dec.U64()
 		st.depth = dec.Int()
 		st.credit = dec.Int()
+		if err := dec.Err(); err != nil {
+			return err
+		}
+		switch {
+		case st.qHead < 0 || st.qHead >= qn:
+			return fmt.Errorf("%w: prefetch: engine snapshot queue head %d outside [0, %d)", ckpt.ErrCorrupt, st.qHead, qn)
+		case st.qLen < 0 || st.qLen > qn:
+			return fmt.Errorf("%w: prefetch: engine snapshot queue length %d outside [0, %d]", ckpt.ErrCorrupt, st.qLen, qn)
+		case st.cur.Core < 0 || st.cur.Core >= len(e.core):
+			return fmt.Errorf("%w: prefetch: engine snapshot cursor on core %d of %d", ckpt.ErrCorrupt, st.cur.Core, len(e.core))
+		}
 		if err := st.buf.Restore(dec, handlerOf); err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -173,18 +172,17 @@ func Peek(data []byte) (CheckpointDesc, error) {
 	return d, err
 }
 
-// CheckResume opens a sealed checkpoint and checks it against a run of
-// in under mode, cfg and ps: the identity check Run makes before it
-// restores (mode, trace source, configuration, the complete prefetcher
-// spec and the trace itself). It returns the checkpoint's descriptor,
-// so a caller choosing among several checkpoints of one run can keep
-// the one furthest along.
-func CheckResume(data []byte, mode Mode, cfg Config, in Input, ps PrefSpec) (CheckpointDesc, error) {
+// CheckResume opens a sealed checkpoint and checks it against the
+// identity of the run that would resume from it: the check Run makes
+// before it restores. It returns the checkpoint's descriptor, so a
+// caller choosing among several checkpoints of one run can keep the
+// one furthest along.
+func CheckResume(data []byte, run Identity) (CheckpointDesc, error) {
 	d, err := Peek(data)
 	if err != nil {
 		return d, err
 	}
-	return d, checkDesc(d, descFor(mode.String(), in.source(), cfg, ps, 0))
+	return d, checkDesc(d, run)
 }
 
 // Input rebuilds the trace input the checkpointed run consumed. Spec-
@@ -254,13 +252,19 @@ func (o *runOpts) deliver(payload []byte) error {
 	return nil
 }
 
-// openResume validates and unpacks a WithResume container.
-func openResume(data []byte) (CheckpointDesc, *ckpt.Decoder, error) {
+// openResume validates a WithResume container against the identity of
+// the run restoring from it and returns a decoder positioned after the
+// descriptor.
+func openResume(data []byte, run Identity) (*ckpt.Decoder, error) {
 	payload, err := ckpt.Open(data)
 	if err != nil {
-		return CheckpointDesc{}, nil, err
+		return nil, err
 	}
-	return readDesc(payload)
+	d, dec, err := readDesc(payload)
+	if err != nil {
+		return nil, err
+	}
+	return dec, checkDesc(d, run)
 }
 
 // CheckpointablePref reports whether runs of the given prefetcher
@@ -314,39 +318,25 @@ func descFor(mode string, src ckptSrc, cfg Config, ps PrefSpec, records uint64) 
 	return d
 }
 
-// checkDesc validates a resume descriptor against the run being
-// restored into: mode, source, configuration, sampling plan, the
-// complete prefetcher spec (not just its kind: a checkpoint from a different sampling
-// probability or engine geometry would restore cleanly and then produce
-// wrong results) and the trace identity.
-func checkDesc(d, want CheckpointDesc) error {
-	switch {
-	case d.Mode != want.Mode:
-		return fmt.Errorf("sim: checkpoint is a %s-mode run, resuming %s", d.Mode, want.Mode)
-	case d.Source != want.Source:
-		return fmt.Errorf("sim: checkpoint source %q does not match run source %q", d.Source, want.Source)
-	case d.Cfg != want.Cfg:
-		return fmt.Errorf("sim: checkpoint configuration does not match the run's")
-	case d.PS.Kind != want.PS.Kind:
-		return fmt.Errorf("sim: checkpoint is a %s run, resuming %s", d.PS.Kind, want.PS.Kind)
-	case d.Sampling != want.Sampling:
-		return fmt.Errorf("sim: sampled checkpoint parameters %+v do not match the run's %+v", d.Sampling, want.Sampling)
+// identity is the identity of the run the descriptor belongs to.
+func (d CheckpointDesc) identity() Identity {
+	src := ckptSrc{kind: d.Source}
+	if d.Spec != nil {
+		src.spec = *d.Spec
 	}
-	dps, err1 := json.Marshal(d.PS)
-	wps, err2 := json.Marshal(want.PS)
-	if err1 != nil || err2 != nil || !bytes.Equal(dps, wps) {
-		return fmt.Errorf("sim: checkpoint prefetcher spec does not match the run's")
+	if d.Scenario != nil {
+		src.scn = *d.Scenario
 	}
-	switch want.Source {
-	case "spec", "tape":
-		if d.Spec == nil || *d.Spec != *want.Spec {
-			return fmt.Errorf("sim: checkpoint %s does not match the run's", want.Source)
-		}
-	case "scenario":
-		sc := want.Cfg.Scale
-		if d.Scenario == nil || d.Scenario.Scaled(sc).Key() != want.Scenario.Scaled(sc).Key() {
-			return fmt.Errorf("sim: checkpoint scenario does not match the run's")
-		}
+	return identityOf(d.Mode, src, d.Cfg, d.PS, d.Sampling)
+}
+
+// checkDesc validates a resume descriptor against the identity of the
+// run being restored into. All of it must match: a checkpoint of a
+// different sampling probability or engine geometry would restore
+// cleanly and then produce wrong results.
+func checkDesc(d CheckpointDesc, run Identity) error {
+	if err := d.identity().Check(run); err != nil {
+		return fmt.Errorf("sim: checkpoint does not resume this run: %w", err)
 	}
 	return nil
 }

@@ -170,11 +170,8 @@ func runFunctional(ctx context.Context, cfg Config, f feed, ps []PrefSpec, o *ru
 		}
 	}
 	if opt.resume != nil {
-		d, dec, err := openResume(opt.resume)
+		dec, err := openResume(opt.resume, identityOf("functional", src, cfg, ps[0], Sampling{}))
 		if err != nil {
-			return nil, err
-		}
-		if err := checkDesc(d, descFor("functional", src, cfg, ps[0], 0)); err != nil {
 			return nil, err
 		}
 		if err := s.restoreFunc(dec, ls); err != nil {

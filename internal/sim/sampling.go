@@ -512,7 +512,7 @@ func runSampled(ctx context.Context, cfg Config, b bound, ps PrefSpec, smp Sampl
 		if err != nil {
 			return SampledResults{}, err
 		}
-		if err := checkDesc(d, desc); err != nil {
+		if err := checkDesc(d, desc.identity()); err != nil {
 			return SampledResults{}, err
 		}
 		if len(st) != k {

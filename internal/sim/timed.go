@@ -308,11 +308,8 @@ func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) 
 		// Resumed run: all pending events (including the cores' own
 		// dispatch steps) come back with the engine snapshot, so the
 		// cores must not be started again.
-		d, dec, err := openResume(s.opt.resume)
+		dec, err := openResume(s.opt.resume, identityOf("timed", s.src, cfg, ps, Sampling{}))
 		if err != nil {
-			return Results{}, err
-		}
-		if err := checkDesc(d, descFor("timed", s.src, cfg, ps, 0)); err != nil {
 			return Results{}, err
 		}
 		if err := s.restore(dec); err != nil {
