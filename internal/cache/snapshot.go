@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stms/internal/ckpt"
+	"stms/internal/mem"
 )
 
 // Snapshot serializes the cache's content state: tags, validity,
@@ -113,7 +114,11 @@ func (m *MSHR) Snapshot(enc *ckpt.Encoder) {
 }
 
 // Restore rebuilds the MSHR file from a Snapshot taken on a file of the
-// same capacity (onDone stays as constructed).
+// same capacity (onDone stays as constructed). A snapshot with more
+// entries than the capacity, more waiters than its bytes can hold, an
+// entry, free-list or waiter link outside its array, or a live waiter
+// list that loops is rejected with ckpt.ErrCorrupt before any state
+// changes.
 func (m *MSHR) Restore(dec *ckpt.Decoder) error {
 	dec.Section("cache.MSHR")
 	capacity := dec.Int()
@@ -123,31 +128,79 @@ func (m *MSHR) Restore(dec *ckpt.Decoder) error {
 	if capacity != m.cap {
 		return fmt.Errorf("cache: MSHR snapshot capacity %d does not match %d", capacity, m.cap)
 	}
-	if err := m.idx.Restore(dec); err != nil {
+	idx := mem.NewBlockMap(0)
+	if err := idx.Restore(dec); err != nil {
 		return err
 	}
-	ne := int(dec.U64())
-	if dec.Err() != nil {
-		return dec.Err()
+	ne := dec.U64()
+	if err := dec.Err(); err != nil {
+		return err
 	}
-	m.entries = make([]mshrEntry, ne)
-	for i := range m.entries {
-		m.entries[i].head = int32(dec.U32())
-		m.entries[i].tail = int32(dec.U32())
+	if ne > uint64(m.cap) {
+		return fmt.Errorf("%w: cache: MSHR snapshot has %d entries, capacity %d", ckpt.ErrCorrupt, ne, m.cap)
 	}
-	m.freeEnt = dec.I32s()
-	nw := int(dec.U64())
-	if dec.Err() != nil {
-		return dec.Err()
+	entries := make([]mshrEntry, ne)
+	for i := range entries {
+		entries[i].head = int32(dec.U32())
+		entries[i].tail = int32(dec.U32())
 	}
-	m.waiters = make([]mshrWaiter, nw)
-	for i := range m.waiters {
-		m.waiters[i].a = dec.U64()
-		m.waiters[i].b = dec.U64()
-		m.waiters[i].next = int32(dec.U32())
+	freeEnt := dec.I32s()
+	nw := dec.U64()
+	if err := dec.Err(); err != nil {
+		return err
 	}
-	m.freeW = int32(dec.U32())
-	m.Merged = dec.U64()
-	m.Rejected = dec.U64()
-	return dec.Err()
+	const waiterBytes = 8 + 8 + 4
+	if nw > uint64(dec.Remaining()/waiterBytes) {
+		return fmt.Errorf("%w: cache: MSHR snapshot has %d waiters in %d bytes", ckpt.ErrCorrupt, nw, dec.Remaining())
+	}
+	waiters := make([]mshrWaiter, nw)
+	for i := range waiters {
+		waiters[i].a = dec.U64()
+		waiters[i].b = dec.U64()
+		waiters[i].next = int32(dec.U32())
+	}
+	freeW := int32(dec.U32())
+	merged := dec.U64()
+	rejected := dec.U64()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	// Links may be mshrNil or name a slot of their array.
+	link := func(l int32, n int) bool { return l == mshrNil || l >= 0 && int(l) < n }
+	for _, e := range entries {
+		if !link(e.head, len(waiters)) || !link(e.tail, len(waiters)) {
+			return fmt.Errorf("%w: cache: MSHR snapshot waiter list %d..%d outside %d waiters", ckpt.ErrCorrupt, e.head, e.tail, len(waiters))
+		}
+	}
+	for _, w := range waiters {
+		if !link(w.next, len(waiters)) {
+			return fmt.Errorf("%w: cache: MSHR snapshot waiter link %d outside %d waiters", ckpt.ErrCorrupt, w.next, len(waiters))
+		}
+	}
+	if !link(freeW, len(waiters)) {
+		return fmt.Errorf("%w: cache: MSHR snapshot waiter free list %d outside %d waiters", ckpt.ErrCorrupt, freeW, len(waiters))
+	}
+	if idx.Len()+len(freeEnt) > len(entries) {
+		return fmt.Errorf("%w: cache: MSHR snapshot has %d live and %d free of %d entries", ckpt.ErrCorrupt, idx.Len(), len(freeEnt), len(entries))
+	}
+	for _, i := range freeEnt {
+		if i < 0 || int(i) >= len(entries) {
+			return fmt.Errorf("%w: cache: MSHR snapshot free entry %d outside %d entries", ckpt.ErrCorrupt, i, len(entries))
+		}
+	}
+	for _, i := range idx.All() {
+		if i < 0 || int(i) >= len(entries) {
+			return fmt.Errorf("%w: cache: MSHR snapshot maps a block to entry %d of %d", ckpt.ErrCorrupt, i, len(entries))
+		}
+		// Complete walks a live entry's list to mshrNil: a loop would hang it.
+		n := 0
+		for w := entries[i].head; w != mshrNil; w = waiters[w].next {
+			if n++; n > len(waiters) {
+				return fmt.Errorf("%w: cache: MSHR snapshot waiter list of entry %d loops", ckpt.ErrCorrupt, i)
+			}
+		}
+	}
+	m.idx, m.entries, m.freeEnt, m.waiters, m.freeW = idx, entries, freeEnt, waiters, freeW
+	m.Merged, m.Rejected = merged, rejected
+	return nil
 }

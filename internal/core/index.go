@@ -18,7 +18,12 @@
 // bucket buffer that coalesces index read-modify-write traffic (§4.3).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+
+	"stms/internal/mem"
+)
 
 // indexEntry maps a miss address to a packed {core, position} history
 // pointer.
@@ -118,6 +123,13 @@ func (t *IndexTable) Len() int {
 // cheap enough for the hardware hash unit of Figure 2).
 func (t *IndexTable) BucketOf(blk uint64) uint32 {
 	return uint32((blk * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// Hint asks the host to start loading the head line of blk's bucket,
+// the line Lookup and Update of blk read first. It changes nothing
+// (mem.HintLine).
+func (t *IndexTable) Hint(blk uint64) {
+	mem.HintLine(unsafe.Pointer(&t.heads[t.BucketOf(blk)]))
 }
 
 // Lookup searches blk's bucket linearly (§4.3: "searched linearly; linear

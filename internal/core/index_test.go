@@ -371,3 +371,41 @@ func BenchmarkIndexTable(b *testing.B) {
 		})
 	}
 }
+
+// TestIndexTableHintLeavesNoTrace: Hint changes neither the head lines
+// nor the snapshot bytes of an empty table, one whose buckets have grown
+// overflow chunks, or one whose every bucket is full, for present,
+// absent and reserved blocks, and allocates nothing.
+func TestIndexTableHintLeavesNoTrace(t *testing.T) {
+	grown, full := NewIndexTable(64, 12), NewIndexTable(16, 12)
+	for blk := range uint64(400) {
+		grown.Update(blk, blk+1)
+	}
+	for blk := range uint64(1000) {
+		full.Update(blk, blk+1)
+	}
+	for bi := range full.Buckets() {
+		if n := full.heads[bi].n; n != 12 {
+			t.Fatalf("full table: bucket %d holds %d entries, want 12", bi, n)
+		}
+	}
+	blks := []uint64{0, 7, 399, 999, 123456, ^uint64(0)}
+	for _, c := range []struct {
+		name string
+		t    *IndexTable
+	}{{"empty", NewIndexTable(1024, 12)}, {"grown", grown}, {"full", full}} {
+		before, heads := snapshotBytes(c.t), slices.Clone(c.t.heads)
+		hint := func() {
+			for _, blk := range blks {
+				c.t.Hint(blk)
+			}
+		}
+		hint()
+		if !slices.Equal(c.t.heads, heads) || !bytes.Equal(snapshotBytes(c.t), before) {
+			t.Errorf("%s: Hint changed the table", c.name)
+		}
+		if n := testing.AllocsPerRun(100, hint); n != 0 {
+			t.Errorf("%s: %v allocations per Hint pass, want 0", c.name, n)
+		}
+	}
+}

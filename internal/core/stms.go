@@ -244,6 +244,15 @@ func unpack(v uint64) (core int, pos uint64) {
 	return int(v >> 56), v & (1<<56 - 1)
 }
 
+// Hint asks the host to start loading the index line a miss on blk will
+// look up and update (IndexTable.Hint); a no-op for the alternative
+// organizations. It changes no state.
+func (m *Meta) Hint(blk uint64) {
+	if m.idx != nil {
+		m.idx.Hint(blk)
+	}
+}
+
 // Lookup hashes blk to its bucket and resolves it: from the bucket buffer
 // when resident (no memory traffic), otherwise with exactly one
 // low-priority memory read (§4.3). The resolved pointer addresses the

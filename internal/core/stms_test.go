@@ -374,6 +374,13 @@ func newPerMiss(indexBytes uint64) *perMiss {
 	return p
 }
 
+// stepHinted is step with a host prefetch hint for the miss d ahead,
+// so that miss's index line is on its way while this one runs.
+func (p *perMiss) stepHinted(d int) {
+	p.m.Hint(p.stream[(p.i+d)&(len(p.stream)-1)])
+	p.step()
+}
+
 func (p *perMiss) step() {
 	blk := p.stream[p.i&(len(p.stream)-1)]
 	p.i++
@@ -397,13 +404,40 @@ func BenchmarkMetaPerMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkMetaPerMissHinted is BenchmarkMetaPerMiss with Meta.Hint
+// issued for the miss perMissHintAhead ahead before each miss. If host
+// cache misses on the index lines are what the per-miss time pays for,
+// the gap to the unhinted benchmark grows with the index size (DESIGN.md
+// §6).
+func BenchmarkMetaPerMissHinted(b *testing.B) {
+	for _, c := range perMissSizes {
+		b.Run(c.name, func(b *testing.B) {
+			p := newPerMiss(c.bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				p.stepHinted(perMissHintAhead)
+			}
+		})
+	}
+}
+
+// perMissHintAhead is how many misses ahead BenchmarkMetaPerMissHinted
+// hints: far enough for a DRAM round trip to finish under the misses
+// between.
+const perMissHintAhead = 8
+
 // TestMetaPerMissAllocationFree: in steady state a miss through the
-// STMS meta-data engine allocates nothing.
+// STMS meta-data engine allocates nothing, hinted or not.
 func TestMetaPerMissAllocationFree(t *testing.T) {
 	for _, c := range perMissSizes {
 		p := newPerMiss(c.bytes)
 		if n := testing.AllocsPerRun(1000, p.step); n != 0 {
 			t.Errorf("%s: %v allocations per miss, want 0", c.name, n)
+		}
+		hinted := func() { p.stepHinted(perMissHintAhead) }
+		if n := testing.AllocsPerRun(1000, hinted); n != 0 {
+			t.Errorf("%s: %v allocations per hinted miss, want 0", c.name, n)
 		}
 	}
 }

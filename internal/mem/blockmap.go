@@ -3,6 +3,7 @@ package mem
 import (
 	"iter"
 	"math/bits"
+	"unsafe"
 )
 
 // emptyKey marks a free slot directly in the key array, so the probe
@@ -63,6 +64,21 @@ func (m *BlockMap) Len() int { return m.n }
 func (m *BlockMap) home(k uint64) uint64 {
 	return (k * 0x9E3779B97F4A7C15) >> 32 & m.mask
 }
+
+// Hint asks the host to start loading k's home key and value slots,
+// where Get, Put and Delete of k begin. It changes nothing (HintLine).
+func (m *BlockMap) Hint(k uint64) {
+	i := m.home(k)
+	HintLine(unsafe.Pointer(&m.keys[i]))
+	HintLine(unsafe.Pointer(&m.vals[i]))
+}
+
+// HintLine asks the host CPU to start loading the cache line at p, so a
+// later load of it need not stall: a prefetch instruction on amd64, a
+// no-op elsewhere. It never faults and changes no memory. A plain Go
+// load would not do: a load that misses the host caches blocks
+// retirement until it returns, and a prefetch does not (DESIGN.md §6).
+func HintLine(p unsafe.Pointer) { prefetch(p) }
 
 // Get returns the value stored for k.
 func (m *BlockMap) Get(k uint64) (int32, bool) {

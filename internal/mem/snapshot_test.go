@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
+	"maps"
 	"testing"
 
 	"stms/internal/ckpt"
@@ -80,6 +82,44 @@ func TestBlockMapRestoreRejectsCorruptTables(t *testing.T) {
 		}
 		if m.Len() != 0 {
 			t.Errorf("%s: rejected restore changed the map", name)
+		}
+	}
+}
+
+// TestBlockMapHintLeavesNoTrace: Hint changes neither the contents nor
+// the snapshot bytes of an empty, a grown or a full table, for present,
+// absent and reserved keys, and allocates nothing.
+func TestBlockMapHintLeavesNoTrace(t *testing.T) {
+	grown := NewBlockMap(4)
+	for k := range uint64(100) {
+		grown.Put(k*977, int32(k))
+	}
+	full := NewBlockMap(8) // 16 slots: the ninth Put grows it
+	for k := range uint64(8) {
+		full.Put(k*977, int32(k))
+	}
+	keys := []uint64{0, 977, 5 * 977, 99 * 977, 12345, ^uint64(0)}
+	for _, c := range []struct {
+		name string
+		m    *BlockMap
+	}{{"empty", NewBlockMap(0)}, {"grown", grown}, {"full", full}} {
+		snap := func() []byte {
+			enc := ckpt.NewEncoder()
+			c.m.Snapshot(enc)
+			return enc.Payload()
+		}
+		before, contents := snap(), maps.Collect(c.m.All())
+		hint := func() {
+			for _, k := range keys {
+				c.m.Hint(k)
+			}
+		}
+		hint()
+		if !maps.Equal(maps.Collect(c.m.All()), contents) || !bytes.Equal(snap(), before) {
+			t.Errorf("%s: Hint changed the table", c.name)
+		}
+		if n := testing.AllocsPerRun(100, hint); n != 0 {
+			t.Errorf("%s: %v allocations per Hint pass, want 0", c.name, n)
 		}
 	}
 }

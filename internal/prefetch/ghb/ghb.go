@@ -90,6 +90,10 @@ func (m *Meta) History(core int) *prefetch.History { return m.hist[core] }
 // IndexLen returns the live index entry count.
 func (m *Meta) IndexLen() int { return m.idx.len() }
 
+// Hint asks the host to start loading the index slots a miss on blk will
+// look up and record. It changes no state.
+func (m *Meta) Hint(blk uint64) { m.idx.hint(blk) }
+
 // LookupSync resolves a lookup immediately (zero-latency on-chip
 // meta-data). It returns nil when blk is unknown or its pointer went
 // stale. Shared with backends that reuse ideal storage but charge their

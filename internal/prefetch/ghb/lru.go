@@ -19,6 +19,9 @@ type index interface {
 	// put inserts or updates key as its most recent occurrence.
 	put(key, val uint64)
 	remove(key uint64)
+	// hint asks the host to start loading key's address-map slots
+	// (mem.BlockMap.Hint).
+	hint(key uint64)
 	snapshot(enc *ckpt.Encoder)
 	restore(dec *ckpt.Decoder) error
 }
@@ -70,6 +73,8 @@ func (x *flatIndex) put(key, val uint64) {
 	}
 	*x.at(i) = val
 }
+
+func (x *flatIndex) hint(key uint64) { x.m.Hint(key) }
 
 // alloc returns the most recently freed slot, else a fresh one, adding a
 // page when the last is full.
@@ -150,6 +155,8 @@ func (l *lruIndex) pushFront(i int32) {
 		l.tail = i
 	}
 }
+
+func (l *lruIndex) hint(key uint64) { l.m.Hint(key) }
 
 func (l *lruIndex) get(key uint64) (uint64, bool) {
 	i, ok := l.m.Get(key)

@@ -59,6 +59,8 @@ type funcVariant struct {
 	// resolved once at construction so metaStep pays no per-record
 	// type assertion.
 	warmRec func(core int, blk uint64)
+	// hint is the backend's index-line host prefetch (built.hint), or nil.
+	hint func(blk uint64)
 
 	cnt     counters
 	cntSnap counters
@@ -117,6 +119,7 @@ func newFunctional(cfg Config, scaled trace.Spec, ps ...PrefSpec) *functional {
 	s.strideIssue = s.stridePrefetch
 	for _, p := range ps {
 		v := &funcVariant{ps: p, pref: buildPrefetcher(funcEnv{s}, cfg, p)}
+		v.hint = v.pref.hint()
 		if w, ok := v.pref.temporal.(prefetch.WarmRecorder); ok {
 			v.warmRec = w.RecordWarm
 		}
@@ -302,6 +305,13 @@ func (s *functional) step(core int, pc uint32, blk uint64) {
 	if s.l1[core].Access(blk, false) {
 		s.cnt.L1Hits++
 		return
+	}
+	// Start loading each variant's index line now, so it arrives while
+	// the stride and L2 lookups run (built.hint).
+	for _, v := range s.vars {
+		if v.hint != nil {
+			v.hint(blk)
+		}
 	}
 	// Stride trains on the L1-miss stream before the prefetch-buffer
 	// probe, exactly as in the timed driver, so the base system behaves

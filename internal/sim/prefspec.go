@@ -81,6 +81,18 @@ type built struct {
 	markov   *markov.Prefetcher
 }
 
+// hint returns the temporal backend's host prefetch hint for the index
+// line a miss on blk will touch, nil when it has none (DESIGN.md §6).
+func (b built) hint() func(blk uint64) {
+	switch {
+	case b.stms != nil:
+		return b.stms.Hint
+	case b.ideal != nil:
+		return b.ideal.Hint
+	}
+	return nil
+}
+
 // buildPrefetcher constructs the variant over env.
 func buildPrefetcher(env prefetch.Env, cfg Config, ps PrefSpec) built {
 	ecfg := prefetch.DefaultEngineConfig(cfg.Cores)

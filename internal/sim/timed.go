@@ -49,6 +49,9 @@ type timed struct {
 	pref   built
 	cores  []*cpu.Core
 
+	// hint is pref's index-line host prefetch (built.hint), or nil.
+	hint func(blk uint64)
+
 	// strideIssue is the premade stride-candidate continuation (one
 	// allocation per run instead of one per load).
 	strideIssue func(cand uint64)
@@ -290,6 +293,7 @@ func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) 
 	s.strid = stride.New(cfg.Stride)
 	s.strideIssue = s.stridePrefetch
 	s.pref = buildPrefetcher(timedEnv{s}, cfg, ps)
+	s.hint = s.pref.hint()
 
 	s.committedSnap = make([]uint64, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
@@ -420,6 +424,10 @@ func (s *timed) access(core int, pc uint32, blk uint64, token uint32) (completeA
 	if s.l1[core].Access(blk, false) {
 		s.cnt.L1Hits++
 		return now + s.cfg.L1HitCycles, true
+	}
+	// Start loading the index line now, as in the functional driver.
+	if s.hint != nil {
+		s.hint(blk)
 	}
 	// The stride prefetcher trains on the L1-miss stream (Table 1). It
 	// observes before the prefetch-buffer probe so its training — part of
