@@ -142,6 +142,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stms-sim: -windows composes with workload/scenario runs only (not -trace, -connect, -listen, -checkpoint-every or -resume)")
 		os.Exit(1)
 	}
+	if *traceFile != "" && (*resume != "" || *ckptEvery > 0 || *haltAfter > 0) {
+		// Trace replay reads the file through FromSources, which cannot
+		// checkpoint, and -resume rebuilds only spec and scenario inputs.
+		fmt.Fprintln(os.Stderr, "stms-sim: -trace runs are not checkpointable (drop -checkpoint-every/-halt-after/-resume)")
+		os.Exit(1)
+	}
 
 	if *connect != "" || *listenStream != "" {
 		switch {

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 
+	"stms/internal/cache"
 	"stms/internal/ckpt"
 	"stms/internal/core"
 	"stms/internal/event"
+	"stms/internal/prefetch/stride"
 	"stms/internal/trace"
 )
 
@@ -31,8 +33,8 @@ import (
 // checkpoint on disk resumes the run exactly where it stopped.
 var ErrCheckpointed = errors.New("sim: run halted after writing a checkpoint")
 
-// RunOption configures a Run or Sample call: its driver, progress
-// reporting, and checkpointing.
+// RunOption configures a Run call: its driver, progress reporting, and
+// checkpointing.
 type RunOption func(*runOpts)
 
 type runOpts struct {
@@ -48,8 +50,7 @@ type runOpts struct {
 	// Set by the sampling scheduler only. warm is functionally warmed
 	// state (a "sim.warm" snapshot of caches, stride tables and temporal
 	// prefetcher) injected into a freshly constructed timed system
-	// before its cores start; resumed runs ignore it, as their checkpoint
-	// restores the full state. windowClock ends the measured interval at
+	// before its cores start. windowClock ends the measured interval at
 	// the last instruction commit (max core FinishTime) instead of the
 	// memory-channel drain: a full run pays the end-of-run drain tail
 	// once, so it belongs in the exact numbers, but a K-window sampled
@@ -63,8 +64,7 @@ func (o *runOpts) active() bool {
 	return o.every > 0 || o.stopCh != nil
 }
 
-// WithMode selects the simulation driver (default Timed). Sampled runs
-// are always timed.
+// WithMode selects the simulation driver (default Timed).
 func WithMode(m Mode) RunOption {
 	return func(o *runOpts) { o.mode = m }
 }
@@ -111,11 +111,10 @@ func WithCheckpointSignal(ch <-chan struct{}) RunOption {
 }
 
 // WithResume restores the run from a sealed checkpoint (the bytes of a
-// checkpoint file) before the first event fires; Sample resumes from a
-// sampled container the same way. The mode, configuration, complete
-// prefetcher spec and trace identity of the run must match the ones
-// recorded in the checkpoint (Peek reads them back, and
-// CheckpointDesc.Input rebuilds the trace input); a mismatch fails the
+// checkpoint file) before the first event fires. The mode,
+// configuration, complete prefetcher spec and trace identity of the run
+// must match the ones recorded in the checkpoint (Peek reads them back,
+// and CheckpointDesc.Input rebuilds the trace input); a mismatch fails the
 // run before any progress callback or checkpoint write.
 func WithResume(data []byte) RunOption {
 	return func(o *runOpts) { o.resume = data }
@@ -132,7 +131,7 @@ func gatherOpts(opts []RunOption) runOpts {
 // ckptSrc records how a run's trace sources were built, so a resumed
 // run can rebuild the identical sources.
 type ckptSrc struct {
-	kind string     // "spec" | "scenario" | "tape" | "external" | "window:<kind>"
+	kind string     // "spec" | "scenario" | "tape" | "external"
 	spec trace.Spec // the unscaled spec, or a tape's own spec
 	scn  trace.Scenario
 }
@@ -143,30 +142,22 @@ type ckptSrc struct {
 // checkpoints echo the tape's spec for identity validation and need
 // the tape itself handed to Input.
 type CheckpointDesc struct {
-	Mode     string          `json:"mode"`   // "timed" | "functional" | "sampled"
+	Mode     string          `json:"mode"`   // "timed" | "functional"
 	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
 	Cfg      Config          `json:"cfg"`
 	PS       PrefSpec        `json:"ps"`
 	Spec     *trace.Spec     `json:"spec,omitempty"`
 	Scenario *trace.Scenario `json:"scenario,omitempty"`
 	Records  uint64          `json:"records"` // records processed at capture
-	// Sampling is a sampled container's window plan (Mode "sampled");
-	// it travels in the sampled descriptor, not in this JSON.
-	Sampling Sampling `json:"-"`
 }
 
-// Peek opens a sealed checkpoint — an exact run's or a sampled run's
-// combined container — and returns its descriptor without restoring
-// anything. Resume a run with Run (or Sample, for Mode "sampled") over
-// d.Input, d.Cfg and d.PS, passing WithResume(data).
+// Peek opens a sealed checkpoint and returns its descriptor without
+// restoring anything. Resume the run with Run over d.Input, d.Cfg and
+// d.PS in mode d.Mode, passing WithResume(data).
 func Peek(data []byte) (CheckpointDesc, error) {
 	payload, err := ckpt.Open(data)
 	if err != nil {
 		return CheckpointDesc{}, err
-	}
-	if ckpt.NewDecoder(payload).String() == "sim.sampled" {
-		d, _, _, err := openSampled(data)
-		return d, err
 	}
 	d, _, err := readDesc(payload)
 	return d, err
@@ -272,8 +263,7 @@ func openResume(data []byte, run Identity) (*ckpt.Decoder, error) {
 // bucket-LRU index organization. The distributed lab consults this
 // before requesting checkpoint options for a job, so non-serializable
 // variants run plain instead of failing fast. Sources must still be
-// re-derivable (externally supplied generators are rejected at run
-// time regardless of variant).
+// re-derivable (see checkpointable).
 func CheckpointablePref(ps PrefSpec) bool {
 	switch ps.Kind {
 	case None, Ideal, STMS:
@@ -286,21 +276,17 @@ func CheckpointablePref(ps PrefSpec) bool {
 	return true
 }
 
-// ckptSupported gates checkpoint requests on configurations whose full
-// state is serializable.
-func ckptSupported(src ckptSrc, pref built, ps PrefSpec) error {
-	switch ps.Kind {
-	case None, Ideal, STMS:
-	default:
-		return fmt.Errorf("sim: the %s variant is not checkpointable", ps.Kind)
-	}
-	if pref.stms != nil {
-		if err := pref.stms.Checkpointable(); err != nil {
-			return err
-		}
+// checkpointable is the one rule for which runs can snapshot their
+// state: checkpointing runs, and sampled runs, whose windows start from
+// a snapshot of warmed state. The variant must be CheckpointablePref,
+// and the sources re-derivable from the descriptor, which externally
+// supplied ones are not.
+func checkpointable(src ckptSrc, ps PrefSpec) error {
+	if !CheckpointablePref(ps) {
+		return fmt.Errorf("sim: the %s variant cannot snapshot its state (comparators and index-organization ablations keep closure-based state)", ps.Kind)
 	}
 	if src.kind == "external" {
-		return fmt.Errorf("sim: runs over externally supplied generators are not checkpointable (sources cannot be re-derived)")
+		return fmt.Errorf("sim: runs over externally supplied sources cannot snapshot their state (the sources cannot be re-derived)")
 	}
 	return nil
 }
@@ -327,7 +313,7 @@ func (d CheckpointDesc) identity() Identity {
 	if d.Scenario != nil {
 		src.scn = *d.Scenario
 	}
-	return identityOf(d.Mode, src, d.Cfg, d.PS, d.Sampling)
+	return identityOf(d.Mode, src, d.Cfg, d.PS, Sampling{})
 }
 
 // checkDesc validates a resume descriptor against the identity of the
@@ -502,7 +488,41 @@ func restorePref(dec *ckpt.Decoder, b *built, handlerOf func(uint32) (event.Hand
 	return nil
 }
 
+// snapshotHier writes the hierarchy sections a functional checkpoint
+// and a sampled window's warm handoff share: L2, L1s, stride table,
+// then the prefetcher. The timed checkpoint writes its L2 MSHRs between
+// L2 and L1s, so it keeps its own order.
+func snapshotHier(enc *ckpt.Encoder, l2 *cache.Cache, l1 []*cache.Cache, strid *stride.Prefetcher, pref *built, idOf func(event.Handler) (uint32, bool)) error {
+	l2.Snapshot(enc)
+	for _, c := range l1 {
+		c.Snapshot(enc)
+	}
+	strid.Snapshot(enc)
+	return snapshotPref(enc, pref, idOf)
+}
+
+// restoreHier reads back what snapshotHier wrote.
+func restoreHier(dec *ckpt.Decoder, l2 *cache.Cache, l1 []*cache.Cache, strid *stride.Prefetcher, pref *built, handlerOf func(uint32) (event.Handler, bool)) error {
+	if err := l2.Restore(dec); err != nil {
+		return err
+	}
+	for _, c := range l1 {
+		if err := c.Restore(dec); err != nil {
+			return err
+		}
+	}
+	if err := strid.Restore(dec); err != nil {
+		return err
+	}
+	return restorePref(dec, pref, handlerOf)
+}
+
 // --- handler registry ------------------------------------------------------
+
+// noIDs and noHandlers are the empty handler registry of a system with
+// nothing in flight: the functional driver, which is fully synchronous.
+func noIDs(event.Handler) (uint32, bool)      { return 0, false }
+func noHandlers(uint32) (event.Handler, bool) { return nil, false }
 
 // handlers returns the timed system's event.Handler registry in fixed
 // construction order; snapshot and restore both derive ids from it, so
@@ -685,7 +705,6 @@ type funcLoopState struct {
 // base and variant counters are written as the one counters record of a
 // solo run.
 func (s *functional) snapshotFunc(enc *ckpt.Encoder, ls *funcLoopState) error {
-	noIDs := func(event.Handler) (uint32, bool) { return 0, false }
 	v := s.vars[0]
 	cnt, cntSnap := merge(s.cnt, v.cnt), merge(s.cntSnap, v.cntSnap)
 	enc.Section("sim.functional")
@@ -700,19 +719,13 @@ func (s *functional) snapshotFunc(enc *ckpt.Encoder, ls *funcLoopState) error {
 		enc.Bool(ls.frames[core] != nil)
 	}
 	snapshotPhases(enc, v.phases)
-	s.l2.Snapshot(enc)
-	for _, c := range s.l1 {
-		c.Snapshot(enc)
-	}
-	s.strid.Snapshot(enc)
-	return snapshotPref(enc, &v.pref, noIDs)
+	return snapshotHier(enc, s.l2, s.l1, s.strid, &v.pref, noIDs)
 }
 
 // restoreFunc rebuilds the functional system and the loop cursors from
 // a checkpoint decoder positioned after the descriptor, fast-forwarding
 // each core's frame source to the checkpointed frame.
 func (s *functional) restoreFunc(dec *ckpt.Decoder, ls *funcLoopState) error {
-	noHandlers := func(uint32) (event.Handler, bool) { return nil, false }
 	v := s.vars[0]
 	dec.Section("sim.functional")
 	ls.i = dec.U64()
@@ -753,18 +766,7 @@ func (s *functional) restoreFunc(dec *ckpt.Decoder, ls *funcLoopState) error {
 	if err := restorePhases(dec, v.phases); err != nil {
 		return err
 	}
-	if err := s.l2.Restore(dec); err != nil {
-		return err
-	}
-	for _, c := range s.l1 {
-		if err := c.Restore(dec); err != nil {
-			return err
-		}
-	}
-	if err := s.strid.Restore(dec); err != nil {
-		return err
-	}
-	return restorePref(dec, &v.pref, noHandlers)
+	return restoreHier(dec, s.l2, s.l1, s.strid, &v.pref, noHandlers)
 }
 
 // nextBoundary returns the first checkpoint boundary strictly above n.

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -397,5 +398,66 @@ func TestCheckpointDescMismatch(t *testing.T) {
 	}
 	if _, err := run1(context.Background(), cfg, FromSpec(db2), ps, WithResume(data)); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
+	}
+}
+
+// TestOneCheckpointabilityRule: exact checkpointing runs, in both
+// drivers, and sampled runs refuse exactly the same configurations —
+// the variants CheckpointablePref rejects and externally supplied
+// sources — and run every other one to the end.
+func TestOneCheckpointabilityRule(t *testing.T) {
+	cfg := ckptConfig()
+	cfg.WarmRecords = 500
+	cfg.MeasureRecords = 1_000
+	sp := spec(t, "oltp-db2")
+	scn := testScenario(t, "phase-flip")
+	perCore := cfg.WarmRecords + cfg.MeasureRecords
+	tape := trace.NewTape(sp.Scaled(cfg.Scale), cfg.Seed, cfg.Cores, perCore)
+	inputs := []struct {
+		name     string
+		in       func() Input
+		external bool
+	}{
+		{"spec", func() Input { return FromSpec(sp) }, false},
+		{"scenario", func() Input { return FromScenario(scn) }, false},
+		{"tape", func() Input { return FromTape(tape) }, false},
+		{"sources", func() Input {
+			srcs := make([]trace.FrameSource, cfg.Cores)
+			for i := range srcs {
+				srcs[i] = trace.Frames(tape.CursorN(i, perCore))
+			}
+			return FromSources(SourceRun{Spec: tape.Spec(), Sources: srcs, PerCore: perCore})
+		}, true},
+	}
+	prefs := []PrefSpec{{Kind: None}, {Kind: Ideal}, {Kind: STMS, SampleProb: 0.125},
+		{Kind: TSE}, {Kind: EBCP}, {Kind: ULMT}, {Kind: Markov}}
+	for _, org := range []core.IndexOrg{core.OrgBucketLRU, core.OrgDirectMapped, core.OrgOpenAddress} {
+		scfg := core.DefaultConfig(cfg.Cores).Scaled(cfg.Scale)
+		scfg.Seed = cfg.Seed
+		scfg.Org = org
+		prefs = append(prefs, PrefSpec{Kind: STMS, STMSCfg: &scfg})
+	}
+	sink := WithCheckpointFunc(1_000, func([]byte) error { return nil })
+	ctx := context.Background()
+	for _, ps := range prefs {
+		org := core.OrgBucketLRU
+		if ps.STMSCfg != nil {
+			org = ps.STMSCfg.Org
+		}
+		for _, in := range inputs {
+			name := fmt.Sprintf("%s/%v/%s", ps.Kind, org, in.name)
+			want := !CheckpointablePref(ps) || in.external
+			_, timedErr := run1(ctx, cfg, in.in(), ps, sink)
+			_, funcErr := run1(ctx, cfg, in.in(), ps, sink, WithMode(Functional))
+			_, sampledErr := Sample(ctx, cfg, in.in(), ps, Sampling{Windows: 2})
+			for _, r := range []struct {
+				mode string
+				err  error
+			}{{"timed", timedErr}, {"functional", funcErr}, {"sampled", sampledErr}} {
+				if got := r.err != nil; got != want {
+					t.Errorf("%s %s: error %v, want refusal %v", name, r.mode, r.err, want)
+				}
+			}
+		}
 	}
 }

@@ -95,16 +95,6 @@ func entryShapes(t *testing.T) map[string]func() (any, error) {
 			}
 			return resume(ctx, data, nil)
 		},
-		"resume/sampled": func() (any, error) {
-			data, err := halted(func(o RunOption) error {
-				_, err := Sample(ctx, cfg, FromSpec(sp), ps, smp, o, WithCheckpointHalt(2))
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			return resumeSampled(ctx, data, nil)
-		},
 	}
 }
 
@@ -112,8 +102,7 @@ func entryShapes(t *testing.T) map[string]func() (any, error) {
 // Live generation and replay of the same trace agree, so the tape rows
 // repeat the spec rows and the sources (a scenario tape's frames) repeat
 // the scenario rows; a resumed run returns exactly what the
-// uninterrupted run does, so the resume rows repeat timed/spec and
-// sampled/spec.
+// uninterrupted run does, so the resume row repeats timed/spec.
 var entryGolden = map[string]string{
 	"timed/spec":          "1e494b5fab061ac3c27c3977e27eb7e003bbc4f2c681581fa048bb397ad84d82",
 	"timed/scenario":      "c51175037fc6f73e271c17839384c427c9c4a50a8a3dae6ab732ddb754933fa1",
@@ -129,12 +118,11 @@ var entryGolden = map[string]string{
 	"sampled/scenario":    "244c666cbb0e091f78e7ff66076f77a035044932fa2a79c9ac6bfe8197cbb30b",
 	"sampled/tape":        "ee282b752a6e4a6c7a57d2e10ec588868a1c6b4c45a10e3996439aa86cbd0fe2",
 	"resume/exact":        "1e494b5fab061ac3c27c3977e27eb7e003bbc4f2c681581fa048bb397ad84d82",
-	"resume/sampled":      "ee282b752a6e4a6c7a57d2e10ec588868a1c6b4c45a10e3996439aa86cbd0fe2",
 }
 
 // TestEntryShapesGolden: every way of driving the simulator — timed
 // and functional over a spec, a scenario, a tape and frame sources, a
-// functional group, sampled runs and both resume paths — reproduces
+// functional group, sampled runs and a resumed run — reproduces
 // its pinned Results.
 func TestEntryShapesGolden(t *testing.T) {
 	for name, run := range entryShapes(t) {

@@ -168,7 +168,7 @@ func runFunctional(ctx context.Context, cfg Config, f feed, ps []PrefSpec, o *ru
 	}
 	var start uint64
 	if opt.active() {
-		if err := ckptSupported(src, s.vars[0].pref, ps[0]); err != nil {
+		if err := checkpointable(src, ps[0]); err != nil {
 			return nil, err
 		}
 	}

@@ -3,13 +3,11 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 
 	"stms/internal/ckpt"
-	"stms/internal/event"
 	"stms/internal/stats"
 	"stms/internal/trace"
 )
@@ -150,11 +148,6 @@ type SampledResults struct {
 	CI      SampledCI    `json:"ci"`
 }
 
-// errSampledHalt aborts a window run after the sampled-run coordinator
-// has written its haltAfter-th checkpoint; the scheduler maps it to
-// ErrCheckpointed.
-var errSampledHalt = errors.New("sim: sampled run halting after checkpoint")
-
 // windowGeom is one window's geometry in per-core record indices: the
 // measurement spans [start, start+length), the detailed warm-up
 // [start-warm, start), full-fidelity functional warming
@@ -199,18 +192,6 @@ func drainRecords(g trace.Generator, n uint64) error {
 	}
 	if l.N > 0 {
 		return fmt.Errorf("sim: trace ran dry after %d of %d skipped records", n-l.N, n)
-	}
-	return nil
-}
-
-// sampledSupported gates sampling on configurations whose warm state is
-// snapshotable — the same set as checkpointing.
-func sampledSupported(src ckptSrc, ps PrefSpec) error {
-	if !CheckpointablePref(ps) {
-		return fmt.Errorf("sim: the %s variant is not sampleable (warm state cannot be snapshotted)", ps.Kind)
-	}
-	if src.kind == "external" {
-		return fmt.Errorf("sim: runs over externally supplied generators cannot be sampled (sources cannot be re-derived per window)")
 	}
 	return nil
 }
@@ -262,18 +243,11 @@ func runWarm(ctx context.Context, cfg Config, scaled trace.Spec, gens []trace.Ge
 }
 
 // warmSnapshot serializes the functional state shared with the timed
-// system. No handler ids are recorded (nothing is in flight), mirroring
-// snapshotFunc.
+// system: the hierarchy sections of a functional checkpoint.
 func (s *functional) warmSnapshot() ([]byte, error) {
-	noIDs := func(event.Handler) (uint32, bool) { return 0, false }
 	enc := ckpt.NewEncoder()
 	enc.Section("sim.warm")
-	s.l2.Snapshot(enc)
-	for _, c := range s.l1 {
-		c.Snapshot(enc)
-	}
-	s.strid.Snapshot(enc)
-	if err := snapshotPref(enc, &s.vars[0].pref, noIDs); err != nil {
+	if err := snapshotHier(enc, s.l2, s.l1, s.strid, &s.vars[0].pref, noIDs); err != nil {
 		return nil, err
 	}
 	return bytes.Clone(enc.Payload()), nil
@@ -284,152 +258,10 @@ func (s *functional) warmSnapshot() ([]byte, error) {
 func (s *timed) applyWarm(payload []byte) error {
 	dec := ckpt.NewDecoder(payload)
 	dec.Section("sim.warm")
-	if err := s.l2.Restore(dec); err != nil {
-		return err
-	}
-	for _, c := range s.l1 {
-		if err := c.Restore(dec); err != nil {
-			return err
-		}
-	}
-	if err := s.strid.Restore(dec); err != nil {
-		return err
-	}
-	if err := restorePref(dec, &s.pref, handlerOfFunc(s.handlers())); err != nil {
+	if err := restoreHier(dec, s.l2, s.l1, s.strid, &s.pref, handlerOfFunc(s.handlers())); err != nil {
 		return err
 	}
 	return dec.Err()
-}
-
-// --- sampled checkpoint container ------------------------------------------
-
-// sampledDesc heads a sampled checkpoint container: everything needed
-// to rebuild the sampled run.
-type sampledDesc struct {
-	Mode     string          `json:"mode"`   // "sampled"
-	Source   string          `json:"source"` // "spec" | "scenario" | "tape"
-	Cfg      Config          `json:"cfg"`
-	PS       PrefSpec        `json:"ps"`
-	Spec     *trace.Spec     `json:"spec,omitempty"`
-	Scenario *trace.Scenario `json:"scenario,omitempty"`
-	Smp      Sampling        `json:"sampling"`
-}
-
-// newSampledDesc is d in the sampled container's JSON layout.
-func newSampledDesc(d CheckpointDesc) sampledDesc {
-	return sampledDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS,
-		Spec: d.Spec, Scenario: d.Scenario, Smp: d.Sampling}
-}
-
-// Per-window slot states in a sampled container.
-const (
-	slotNone    uint8 = iota // window not started (or no checkpoint yet)
-	slotPartial              // slot holds a sealed mid-window checkpoint
-	slotDone                 // slot holds the window's JSON Results
-)
-
-// sampledCkpt coordinates checkpointing across the K window goroutines:
-// each window's checkpoint sink lands here, updates the window's slot
-// and rewrites one combined container holding the sampled descriptor
-// plus every window's latest state.
-type sampledCkpt struct {
-	mu     sync.Mutex
-	opt    runOpts // sampled-level options (path/sink/every/haltAfter)
-	desc   []byte  // marshaled sampledDesc
-	state  []byte  // per-window slot states
-	slots  [][]byte
-	writes int
-	halted bool
-	cancel context.CancelFunc
-}
-
-// write rewrites the combined container from the current slots. Caller
-// holds mu.
-func (c *sampledCkpt) write() error {
-	enc := ckpt.NewEncoder()
-	enc.Section("sim.sampled")
-	enc.Bytes(c.desc)
-	enc.Int(len(c.state))
-	for w := range c.state {
-		enc.U8(c.state[w])
-		enc.Bytes(c.slots[w])
-	}
-	return c.opt.deliver(enc.Payload())
-}
-
-// onWindow returns window w's checkpoint sink. Which window triggers
-// the n-th combined write depends on goroutine scheduling, so the
-// container contents are not deterministic — but every slot is, so the
-// resumed run's estimate is identical to the uninterrupted one.
-func (c *sampledCkpt) onWindow(w int) func([]byte) error {
-	return func(data []byte) error {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.halted {
-			return errSampledHalt
-		}
-		c.state[w] = slotPartial
-		c.slots[w] = append([]byte(nil), data...)
-		if err := c.write(); err != nil {
-			return err
-		}
-		c.writes++
-		if c.opt.haltAfter > 0 && c.writes >= c.opt.haltAfter {
-			c.halted = true
-			c.cancel()
-			return errSampledHalt
-		}
-		return nil
-	}
-}
-
-// finish records window w's completed Results and refreshes the
-// container so a later resume skips the window entirely.
-func (c *sampledCkpt) finish(w int, res Results) error {
-	j, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("sim: encoding window results: %w", err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.state[w] = slotDone
-	c.slots[w] = j
-	return c.write()
-}
-
-// openSampled unpacks a sealed sampled container: its descriptor and
-// each window's slot state and contents.
-func openSampled(data []byte) (CheckpointDesc, []byte, [][]byte, error) {
-	payload, err := ckpt.Open(data)
-	if err != nil {
-		return CheckpointDesc{}, nil, nil, err
-	}
-	dec := ckpt.NewDecoder(payload)
-	dec.Section("sim.sampled")
-	j := dec.Bytes()
-	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: not a sampled checkpoint: %w", err)
-	}
-	var d sampledDesc
-	if err := json.Unmarshal(j, &d); err != nil {
-		return CheckpointDesc{}, nil, nil, fmt.Errorf("sim: corrupt sampled descriptor: %w", err)
-	}
-	desc := CheckpointDesc{Mode: d.Mode, Source: d.Source, Cfg: d.Cfg, PS: d.PS,
-		Spec: d.Spec, Scenario: d.Scenario, Sampling: d.Smp}
-	n := dec.Int()
-	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, nil, err
-	}
-	state := make([]byte, n)
-	slots := make([][]byte, n)
-	for w := 0; w < n; w++ {
-		state[w] = dec.U8()
-		slots[w] = dec.Bytes()
-	}
-	if err := dec.Err(); err != nil {
-		return CheckpointDesc{}, nil, nil, err
-	}
-	return desc, state, slots, nil
 }
 
 // --- entry points ----------------------------------------------------------
@@ -456,28 +288,23 @@ func exactSampled(r Results, smp Sampling) SampledResults {
 // Sample executes the timed simulation of the input as K concurrent
 // sampled windows and returns the stitched estimate with confidence
 // intervals. K ≤ 1 delegates to Run: the Results are bit-identical to
-// the exact serial run (and Exact is set). Checkpoint options apply to
-// the sampled run as a whole: windows share one combined container,
-// and WithResume restores it (completed windows are not re-run). A
-// scenario's stitched Results carry no per-phase windows (phases
-// attribute records across window boundaries).
-func Sample(ctx context.Context, cfg Config, in Input, ps PrefSpec, smp Sampling, opts ...RunOption) (SampledResults, error) {
+// the exact serial run (and Exact is set). Sampled runs neither
+// checkpoint nor resume: each window is an independent measurement
+// from warmed state. A scenario's stitched Results carry no per-phase
+// windows (phases attribute records across window boundaries).
+func Sample(ctx context.Context, cfg Config, in Input, ps PrefSpec, smp Sampling) (SampledResults, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := gatherOpts(opts)
 	if err := cfg.Validate(); err != nil {
 		return SampledResults{}, err
 	}
 	if err := smp.validate(); err != nil {
 		return SampledResults{}, err
 	}
-	if o.mode != Timed {
-		return SampledResults{}, fmt.Errorf("sim: sampled runs use the timed driver, not %s", o.mode)
-	}
 	smp = smp.normalized(cfg)
 	if smp.Windows <= 1 {
-		rs, err := Run(ctx, cfg, in, []PrefSpec{ps}, opts...)
+		rs, err := Run(ctx, cfg, in, []PrefSpec{ps})
 		if err != nil {
 			return SampledResults{}, err
 		}
@@ -487,169 +314,64 @@ func Sample(ctx context.Context, cfg Config, in Input, ps PrefSpec, smp Sampling
 	if err != nil {
 		return SampledResults{}, err
 	}
-	return runSampled(ctx, cfg, b, ps, smp, &o)
+	return runSampled(ctx, cfg, b, ps, smp)
 }
 
 // --- scheduler -------------------------------------------------------------
 
 // runSampled is the fork/join scheduler: K goroutines, one per window,
-// each warming and running its own detailed simulation; the join step
-// stitches the window Results and computes the intervals.
-func runSampled(ctx context.Context, cfg Config, b bound, ps PrefSpec, smp Sampling, opt *runOpts) (SampledResults, error) {
-	if err := sampledSupported(b.src, ps); err != nil {
+// each warming and running its own detailed simulation; the first
+// failing window cancels the rest, and the join step stitches the
+// window Results and computes the intervals. Window warm state is
+// handed over as a snapshot, so sampling takes the checkpointable
+// configurations only.
+func runSampled(ctx context.Context, cfg Config, b bound, ps PrefSpec, smp Sampling) (SampledResults, error) {
+	if err := checkpointable(b.src, ps); err != nil {
 		return SampledResults{}, err
 	}
-	desc := descFor("sampled", b.src, cfg, ps, 0)
-	desc.Sampling = smp
 	plan := windowPlan(cfg, smp)
-	k := len(plan)
-
-	// Resume slots: the combined container records each window's state.
-	state := make([]byte, k)
-	slots := make([][]byte, k)
-	if opt.resume != nil {
-		d, st, sl, err := openSampled(opt.resume)
-		if err != nil {
-			return SampledResults{}, err
-		}
-		if err := checkDesc(d, desc.identity()); err != nil {
-			return SampledResults{}, err
-		}
-		if len(st) != k {
-			return SampledResults{}, fmt.Errorf("sim: sampled checkpoint has %d windows, run plans %d", len(st), k)
-		}
-		state, slots = st, sl
-	}
-
 	ctx2, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var sc *sampledCkpt
-	if opt.active() || opt.path != "" || opt.sink != nil {
-		dj, err := json.Marshal(newSampledDesc(desc))
-		if err != nil {
-			return SampledResults{}, fmt.Errorf("sim: encoding sampled descriptor: %w", err)
-		}
-		sc = &sampledCkpt{opt: *opt, desc: dj, state: state, slots: slots, cancel: cancel}
-	}
-
-	// Aggregate progress: each window reports its own (done, total);
-	// the callback forwards the sum. Completed (restored) windows count
-	// at full weight.
-	var totalAll uint64
-	perTotal := make([]uint64, k)
-	for w, g := range plan {
-		perTotal[w] = (g.warm + g.length) * uint64(cfg.Cores)
-		totalAll += perTotal[w]
-	}
-	doneBy := make([]uint64, k)
-	var progMu sync.Mutex
-	progFor := func(w int) Progress {
-		if opt.progress == nil {
-			return nil
-		}
-		return func(done, total uint64) {
-			progMu.Lock()
-			doneBy[w] = min(done, perTotal[w])
-			var sum uint64
-			for _, v := range doneBy {
-				sum += v
-			}
-			progMu.Unlock()
-			opt.progress(sum, totalAll)
-		}
-	}
-
-	wsrc := ckptSrc{kind: "window:" + b.src.kind}
-	results := make([]Results, k)
-	errs := make([]error, k)
+	results := make([]Results, len(plan))
+	errs := make([]error, len(plan))
 	var wg sync.WaitGroup
 	for w := range plan {
-		if state[w] == slotDone {
-			if err := json.Unmarshal(slots[w], &results[w]); err != nil {
-				return SampledResults{}, fmt.Errorf("sim: corrupt window %d results in sampled checkpoint: %w", w, err)
-			}
-			doneBy[w] = perTotal[w]
-			continue
-		}
-		var resume []byte
-		if state[w] == slotPartial {
-			resume = slots[w]
-		}
 		wg.Add(1)
-		go func(w int, resume []byte) {
+		go func() {
 			defer wg.Done()
-			results[w], errs[w] = runOneWindow(ctx2, cfg, b, ps, plan[w], wsrc, sc, w, resume, opt.stopCh, progFor(w))
-			switch {
-			case errs[w] == nil:
-				if sc != nil {
-					if err := sc.finish(w, results[w]); err != nil {
-						errs[w] = err
-						cancel()
-					}
-				}
-			case errors.Is(errs[w], errSampledHalt), errors.Is(errs[w], ErrCheckpointed):
-				// Coordinated halt; siblings are being cancelled (or
-				// flushing their own final checkpoints).
-			default:
+			if results[w], errs[w] = runOneWindow(ctx2, cfg, b, ps, plan[w]); errs[w] != nil {
 				cancel()
 			}
-		}(w, resume)
+		}()
 	}
 	wg.Wait()
-
-	halted := false
-	if sc != nil {
-		sc.mu.Lock()
-		halted = sc.halted
-		sc.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return SampledResults{}, err
 	}
-	var firstErr, canceled error
+	// The windows cancelled by a sibling's failure report
+	// context.Canceled; the sibling's own error is the one to return.
+	var firstErr error
 	for _, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, errSampledHalt), errors.Is(err, ErrCheckpointed):
-			halted = true
-		case errors.Is(err, context.Canceled):
-			canceled = err
-		default:
-			if firstErr == nil {
-				firstErr = err
-			}
+		if err != nil && (firstErr == nil || errors.Is(firstErr, context.Canceled)) {
+			firstErr = err
 		}
 	}
-	switch {
-	case halted:
-		return SampledResults{}, ErrCheckpointed
-	case ctx.Err() != nil:
-		return SampledResults{}, ctx.Err()
-	case firstErr != nil:
+	if firstErr != nil {
 		return SampledResults{}, firstErr
-	case canceled != nil:
-		return SampledResults{}, canceled
 	}
 	return stitchSampled(ps, smp, b.spec, plan, results), nil
 }
 
 // runOneWindow warms and runs one window's detailed simulation.
-func runOneWindow(ctx context.Context, cfg Config, b bound, ps PrefSpec, g windowGeom, wsrc ckptSrc, sc *sampledCkpt, w int, resume []byte, stopCh <-chan struct{}, progress Progress) (Results, error) {
+func runOneWindow(ctx context.Context, cfg Config, b bound, ps PrefSpec, g windowGeom) (Results, error) {
 	cfgW := cfg
 	cfgW.WarmRecords = g.warm
 	cfgW.MeasureRecords = g.length
 
-	wo := runOpts{windowClock: true, progress: progress}
-	if sc != nil {
-		WithCheckpointFunc(sc.opt.every, sc.onWindow(w))(&wo)
-		wo.stopCh = stopCh
-	}
+	wo := runOpts{windowClock: true}
 	var gens []trace.Generator
 	var err error
-	switch {
-	case resume != nil:
-		// A resumed window restores its full mid-run state; the warm
-		// pass already happened in the original run.
-		wo.resume = resume
-		gens, _, err = b.gens(g.start-g.warm, g.warm+g.length)
-	case g.funcWarm+g.metaWarm > 0:
+	if g.funcWarm+g.metaWarm > 0 {
 		// One generator set covers warming and the timed run: runWarm
 		// consumes exactly the warming budget, leaving the generators
 		// positioned at the detailed warm-up boundary.
@@ -658,13 +380,13 @@ func runOneWindow(ctx context.Context, cfg Config, b bound, ps PrefSpec, g windo
 			return Results{}, err
 		}
 		wo.warm, err = runWarm(ctx, cfgW, b.spec, gens, ps, g.metaWarm, g.funcWarm)
-	default:
+	} else {
 		gens, _, err = b.gens(g.start-g.warm, g.warm+g.length)
 	}
 	if err != nil {
 		return Results{}, err
 	}
-	f := feed{spec: b.spec, srcs: frameSources(gens), total: (g.warm + g.length) * uint64(cfg.Cores), src: wsrc}
+	f := feed{spec: b.spec, srcs: frameSources(gens), total: (g.warm + g.length) * uint64(cfg.Cores), src: b.src}
 	return runTimed(ctx, cfgW, f, ps, &wo)
 }
 

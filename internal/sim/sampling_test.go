@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,16 +322,10 @@ func TestSampledCancelLeavesNoGoroutines(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	var fired bool
-	progress := func(done, total uint64) {
-		if done > 0 && !fired {
-			fired = true
-			cancel()
-		}
-	}
+	time.AfterFunc(100*time.Millisecond, cancel)
 	cfg := samplingConfig()
 	cfg.MeasureRecords = 64_000 // long enough that cancellation lands mid-run
-	_, err = Sample(ctx, cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: 4}, WithProgress(progress))
+	_, err = Sample(ctx, cfg, FromSpec(sp), stmsSpec(), Sampling{Windows: 4})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
@@ -348,53 +341,6 @@ func TestSampledCancelLeavesNoGoroutines(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestSampledKillResume kills a sampled run mid-window through the
-// checkpoint halt path and resumes it from the combined container: the
-// resumed estimate must be bit-identical to the uninterrupted run. Both
-// halt depths are exercised — after the first checkpoint (every window
-// still mid-flight or unstarted) and after several (a mix of finished,
-// partial and unstarted windows).
-func TestSampledKillResume(t *testing.T) {
-	sp, err := trace.ByName("web-apache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := samplingConfig()
-	ps := stmsSpec()
-	smp := Sampling{Windows: 4}
-	base, err := Sample(context.Background(), cfg, FromSpec(sp), ps, smp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, halt := range []int{1, 5} {
-		var last []byte
-		_, err := Sample(context.Background(), cfg, FromSpec(sp), ps, smp, WithCheckpointFunc(1_500, func(data []byte) error {
-			last = append(last[:0], data...)
-			return nil
-		}), WithCheckpointHalt(halt))
-		if !errors.Is(err, ErrCheckpointed) {
-			t.Fatalf("halt=%d: run returned %v, want ErrCheckpointed", halt, err)
-		}
-		if last == nil {
-			t.Fatalf("halt=%d: no checkpoint captured", halt)
-		}
-		desc, err := Peek(last)
-		if err != nil {
-			t.Fatalf("halt=%d: Peek: %v", halt, err)
-		}
-		if desc.Mode != "sampled" || desc.Sampling != smp.normalized(cfg) || desc.Spec == nil || *desc.Spec != sp {
-			t.Fatalf("halt=%d: container says mode=%q smp=%+v spec=%v", halt, desc.Mode, desc.Sampling, desc.Spec)
-		}
-		resumed, err := resumeSampled(context.Background(), last, nil)
-		if err != nil {
-			t.Fatalf("halt=%d: resume: %v", halt, err)
-		}
-		if !reflect.DeepEqual(resumed, base) {
-			t.Fatalf("halt=%d: resumed estimate differs from the uninterrupted run:\nresumed %+v\nbase    %+v", halt, resumed, base)
-		}
 	}
 }
 
@@ -436,9 +382,8 @@ func TestSampledTapeAndScenario(t *testing.T) {
 	}
 }
 
-// TestSampledRejects covers the error surface: bad confidence levels,
-// non-snapshotable prefetcher variants, and tape-backed containers
-// resumed without a tape.
+// TestSampledRejects covers the error surface: bad confidence levels
+// and non-snapshotable prefetcher variants.
 func TestSampledRejects(t *testing.T) {
 	cfg := samplingConfig()
 	sp, err := trace.ByName("web-apache")
@@ -450,55 +395,6 @@ func TestSampledRejects(t *testing.T) {
 	}
 	if _, err := Sample(context.Background(), cfg, FromSpec(sp), PrefSpec{Kind: TSE}, Sampling{Windows: 2}); err == nil {
 		t.Error("non-snapshotable variant accepted for sampling")
-	}
-}
-
-// TestSampledDescMismatch: a sampled container resumes only into the
-// sampled run it came from — same workload, complete prefetcher spec
-// and window plan — and a mismatch fails before any progress callback
-// or checkpoint write.
-func TestSampledDescMismatch(t *testing.T) {
-	cfg := samplingConfig()
-	db2, err := trace.ByName("oltp-db2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	apache, err := trace.ByName("web-apache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := PrefSpec{Kind: STMS, SampleProb: 0.125}
-	smp := Sampling{Windows: 4}
-	var data []byte
-	_, err = Sample(context.Background(), cfg, FromSpec(db2), ps, smp,
-		WithCheckpointFunc(1500, func(d []byte) error { data = append(data[:0], d...); return nil }),
-		WithCheckpointHalt(1))
-	if !errors.Is(err, ErrCheckpointed) {
-		t.Fatalf("run returned %v, want ErrCheckpointed", err)
-	}
-	for _, c := range []struct {
-		name string
-		in   Input
-		ps   PrefSpec
-		smp  Sampling
-	}{
-		{"workload", FromSpec(apache), ps, smp},
-		{"sampling probability", FromSpec(db2), PrefSpec{Kind: STMS, SampleProb: 0.5}, smp},
-		{"prefetch depth", FromSpec(db2), PrefSpec{Kind: STMS, SampleProb: 0.125, MaxDepth: 3}, smp},
-		{"variant", FromSpec(db2), PrefSpec{Kind: Ideal}, smp},
-		{"window count", FromSpec(db2), ps, Sampling{Windows: 3}},
-		{"detailed warm-up", FromSpec(db2), ps, Sampling{Windows: 4, Warmup: 7}},
-	} {
-		var calls atomic.Int64
-		_, err := Sample(context.Background(), cfg, c.in, c.ps, c.smp, WithResume(data),
-			WithProgress(func(uint64, uint64) { calls.Add(1) }),
-			WithCheckpointFunc(1500, func([]byte) error { calls.Add(1); return nil }))
-		if err == nil {
-			t.Errorf("%s mismatch accepted", c.name)
-		}
-		if n := calls.Load(); n > 0 {
-			t.Errorf("%s mismatch: %d progress callbacks or checkpoint writes before the rejection", c.name, n)
-		}
 	}
 }
 

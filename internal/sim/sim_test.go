@@ -56,19 +56,6 @@ func resume(ctx context.Context, data []byte, tape *trace.Tape, opts ...RunOptio
 	return run1(ctx, d.Cfg, in, d.PS, append(opts, WithMode(mode), WithResume(data))...)
 }
 
-// resumeSampled continues the sampled run a sealed container describes.
-func resumeSampled(ctx context.Context, data []byte, tape *trace.Tape, opts ...RunOption) (SampledResults, error) {
-	d, err := Peek(data)
-	if err != nil {
-		return SampledResults{}, err
-	}
-	in, err := d.Input(tape)
-	if err != nil {
-		return SampledResults{}, err
-	}
-	return Sample(ctx, d.Cfg, in, d.PS, d.Sampling, append(opts, WithResume(data))...)
-}
-
 func spec(t *testing.T, name string) trace.Spec {
 	t.Helper()
 	s, err := trace.ByName(name)

@@ -304,7 +304,7 @@ func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) 
 	if s.opt.active() {
 		// Fail fast: unsupported configurations refuse checkpoint
 		// requests up front rather than at the first boundary.
-		if err := ckptSupported(s.src, s.pref, ps); err != nil {
+		if err := checkpointable(s.src, ps); err != nil {
 			return Results{}, err
 		}
 	}
@@ -346,13 +346,6 @@ func runTimed(ctx context.Context, cfg Config, f feed, ps PrefSpec, o *runOpts) 
 		}
 		if s.aborted {
 			return true
-		}
-		// While the sampling barrier holds cores paused on the warm-up
-		// boundary the paused flag is not part of the core snapshot
-		// format; defer checkpoints until the window opens (the barrier
-		// interval is a handful of records).
-		if s.opt.windowClock && !s.measuring && s.crossedWarm > 0 {
-			return false
 		}
 		if s.opt.stopCh != nil {
 			select {
