@@ -33,26 +33,14 @@
 // resumable: a killed coordinator restarted with the same flags skips
 // every cell the manifest already holds.
 //
-// Stream mode serves one workload, scenario or tape as a live STMSWIRE
-// frame stream (DESIGN.md §14) to a consumer such as stms-sim -connect:
-//
-//	stms-serve -stream :9191 -stream-workload web-apache \
-//	           -scale 0.125 -seed 42 -warm 80000 -measure 120000
-//
-// The stream carries exactly -warm + -measure records per core, so the
-// consumer's windowed results are bit-identical to running the workload
-// locally. Consumers may drop and reconnect mid-stream; the outlet
-// resumes from the acknowledged frame. -stream-cut-after injects
-// connection drops after the listed frames (a chaos hook for exercising
-// exactly that resume path). The process exits once a consumer has
-// acknowledged the whole stream.
+// Live STMSWIRE trace streams (DESIGN.md §14) are not served here:
+// stms-trace -wire serves them and stms-sim -connect consumes them.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -62,8 +50,6 @@ import (
 
 	"stms"
 	"stms/internal/dist"
-	"stms/internal/stream"
-	"stms/internal/trace"
 )
 
 func main() {
@@ -78,14 +64,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated sibling worker URLs to ask for a job's checkpoint")
 	maxJobs := flag.Int("max-jobs", 0, "concurrent job bound (0 = all CPUs)")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint running jobs to the checkpoint store every N records (0 = only on graceful shutdown)")
-
-	// Stream flags.
-	streamAddr := flag.String("stream", "", "serve one trace as a live STMSWIRE stream on ADDR")
-	streamWorkload := flag.String("stream-workload", "", "workload to stream (default web-apache)")
-	streamScenario := flag.String("stream-scenario", "", "scenario to stream instead of a workload")
-	streamTape := flag.String("stream-tape", "", "STMSTAPE file to stream instead of generating live")
-	streamCores := flag.Int("stream-cores", 4, "cores to generate for (-stream-tape carries its own)")
-	streamCuts := flag.String("stream-cut-after", "", "chaos: drop the connection after these frame numbers (comma-separated)")
 
 	// Coordinator flags.
 	workers := flag.String("workers", "", "comma-separated worker URLs to dispatch cells to")
@@ -106,32 +84,10 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "breaker open time before a half-open /healthz probe (0 = default 10s)")
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*worker, *coordinate, *streamAddr != ""} {
-		if on {
-			modes++
-		}
-	}
 	switch {
-	case modes != 1:
-		fmt.Fprintln(os.Stderr, "stms-serve: pass exactly one of -worker, -coordinate and -stream")
+	case *worker == *coordinate:
+		fmt.Fprintln(os.Stderr, "stms-serve: pass exactly one of -worker and -coordinate")
 		os.Exit(2)
-	case *streamAddr != "":
-		err := runStreamOutlet(streamOptions{
-			addr:     *streamAddr,
-			workload: *streamWorkload,
-			scenario: *streamScenario,
-			tape:     *streamTape,
-			cores:    *streamCores,
-			scale:    *scale,
-			seed:     *seed,
-			perCore:  *warm + *measure,
-			cuts:     *streamCuts,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	case *worker:
 		if err := runWorker(*listen, *name, *ckptDir, splitList(*peers), *maxJobs, *token, *ckptEvery); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -212,99 +168,6 @@ func runWorker(listen, name, ckptDir string, peers []string, maxJobs int, token 
 		defer cancel()
 		return hs.Shutdown(sctx)
 	}
-}
-
-type streamOptions struct {
-	addr     string
-	workload string
-	scenario string
-	tape     string
-	cores    int
-	scale    float64
-	seed     uint64
-	perCore  uint64
-	cuts     string
-}
-
-// runStreamOutlet serves one trace identity as a live STMSWIRE stream
-// until a consumer has acknowledged every frame (or the process is
-// interrupted). Workload and scenario streams are re-walkable, so a
-// consumer can drop, reconnect — even against a restarted outlet — and
-// resume to bit-identical results.
-func runStreamOutlet(o streamOptions) error {
-	var (
-		src stream.Source
-		err error
-	)
-	switch {
-	case o.tape != "" && (o.workload != "" || o.scenario != ""):
-		return fmt.Errorf("stms-serve: -stream-tape carries its own identity; drop -stream-workload/-stream-scenario")
-	case o.workload != "" && o.scenario != "":
-		return fmt.Errorf("stms-serve: pass at most one of -stream-workload and -stream-scenario")
-	case o.cores < 1:
-		return fmt.Errorf("stms-serve: -stream-cores must be >= 1")
-	case o.perCore == 0:
-		return fmt.Errorf("stms-serve: -warm + -measure must be positive")
-	case o.tape != "":
-		f, ferr := os.Open(o.tape)
-		if ferr != nil {
-			return ferr
-		}
-		t, terr := trace.ReadTape(f)
-		f.Close()
-		if terr != nil {
-			return fmt.Errorf("stms-serve: %s: %w", o.tape, terr)
-		}
-		src = stream.TapeSource(t)
-	case o.scenario != "":
-		scn, serr := stms.ScenarioByName(o.scenario)
-		if serr != nil {
-			return serr
-		}
-		src, err = stream.ScenarioSource(scn.Scaled(o.scale), o.seed, o.cores, o.perCore)
-	default:
-		if o.workload == "" {
-			o.workload = "web-apache"
-		}
-		spec, serr := stms.Workload(o.workload)
-		if serr != nil {
-			return serr
-		}
-		src, err = stream.SpecSource(spec.Scaled(o.scale), o.seed, o.cores, o.perCore)
-	}
-	if err != nil {
-		return err
-	}
-
-	out := stream.NewOutlet(src, stream.Timeouts{})
-	if o.cuts != "" {
-		var seqs []uint64
-		for _, s := range splitList(o.cuts) {
-			n, perr := strconv.ParseUint(s, 10, 64)
-			if perr != nil {
-				return fmt.Errorf("stms-serve: -stream-cut-after %q: %v", s, perr)
-			}
-			seqs = append(seqs, n)
-		}
-		out.InjectCuts(seqs...)
-	}
-
-	lis, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	h := out.Hello()
-	fmt.Fprintf(os.Stderr, "stms-serve: streaming %s (%d cores, %d records/core) on %s\n",
-		h.Spec.Name, h.Cores, h.PerCore, lis.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := out.Serve(ctx, lis); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "stms-serve: stream delivered: %d frames sent, %d resume(s)\n",
-		out.FramesSent(), out.Resumes())
-	return nil
 }
 
 type coordinatorOptions struct {

@@ -10,6 +10,7 @@
 //	         [-warm 80000] [-measure 120000] [-compare] [-v]
 //	         [-windows K] [-confidence 0.95]
 //	         [-checkpoint-every N -checkpoint ck.stmsckpt [-halt-after K]] [-resume ck.stmsckpt]
+//	         [-connect ADDR|- [-functional]]
 //
 // Runs are crash-resumable: -checkpoint-every N snapshots the whole
 // simulator to -checkpoint every N records (atomic replace), -halt-after
@@ -32,13 +33,13 @@
 // table. K = 1 is the exact run.
 //
 // -connect ADDR consumes a live STMSWIRE stream instead of generating
-// the trace locally: the simulator dials a producer (stms-serve -stream,
-// or stms-trace -wire), takes its trace identity from the handshake, and
-// simulates the framed records as they arrive — bit-identical to running
-// the same workload or tape directly, including across producer drops
-// and reconnects. -connect - reads a one-way stream from stdin;
-// -listen ADDR accepts a producer that dials in instead. -functional
-// swaps in the zero-latency driver for streamed runs.
+// the trace locally: the simulator dials the producer (stms-trace -wire
+// ADDR), takes its trace identity from the handshake, and simulates the
+// framed records as they arrive — bit-identical to running the same
+// workload or scenario directly, including across dropped connections
+// and resumes. -connect - reads a one-way stream from stdin
+// (stms-trace -wire -). -functional swaps in the zero-latency driver
+// for streamed runs.
 package main
 
 import (
@@ -47,7 +48,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 
 	"stms"
@@ -97,7 +97,6 @@ func main() {
 	haltAfter := flag.Int("halt-after", 0, "halt after writing N checkpoints and exit 0 (simulates a crash; resume with -resume)")
 	resume := flag.String("resume", "", "resume from the checkpoint file a -checkpoint-every run wrote; results are bit-identical to the uninterrupted run")
 	connect := flag.String("connect", "", "consume a live STMSWIRE stream: dial ADDR, or - for stdin")
-	listenStream := flag.String("listen", "", "consume a live STMSWIRE stream: accept one producer on ADDR")
 	functional := flag.Bool("functional", false, "use the zero-latency functional driver (streamed runs only)")
 	flag.Parse()
 
@@ -138,43 +137,45 @@ func main() {
 		ps.SampleProb = *sample // meaningless for other variants; keep cells canonical
 	}
 
-	if *windows > 1 && (*resume != "" || *ckptEvery > 0 || *traceFile != "" || *connect != "" || *listenStream != "") {
-		fmt.Fprintln(os.Stderr, "stms-sim: -windows composes with workload/scenario runs only (not -trace, -connect, -listen, -checkpoint-every or -resume)")
-		os.Exit(1)
-	}
-	if *traceFile != "" && (*resume != "" || *ckptEvery > 0 || *haltAfter > 0) {
+	// Refuse flag combinations that would otherwise be silently ignored,
+	// before any trace is opened. Checkpoint flags act only through
+	// -checkpoint-every, and only on workload and scenario runs.
+	var conflict string
+	switch {
+	case *windows > 1 && (*resume != "" || *ckptEvery > 0 || *traceFile != "" || *connect != ""):
+		conflict = "-windows composes with workload/scenario runs only (not -trace, -connect, -checkpoint-every or -resume)"
+	case *ckptEvery > 0 && *ckptPath == "":
+		conflict = "-checkpoint-every needs -checkpoint PATH"
+	case *ckptPath != "" && *ckptEvery == 0:
+		conflict = "-checkpoint needs -checkpoint-every N (without it no checkpoint is written)"
+	case *haltAfter > 0 && *ckptEvery == 0:
+		conflict = "-halt-after needs -checkpoint-every"
+	case *traceFile != "" && (*resume != "" || *ckptEvery > 0):
 		// Trace replay reads the file through FromSources, which cannot
 		// checkpoint, and -resume rebuilds only spec and scenario inputs.
-		fmt.Fprintln(os.Stderr, "stms-sim: -trace runs are not checkpointable (drop -checkpoint-every/-halt-after/-resume)")
+		conflict = "-trace runs are not checkpointable (drop -checkpoint-every/-halt-after/-resume)"
+	case *connect != "" && (*resume != "" || *ckptEvery > 0 || *traceFile != ""):
+		conflict = "streamed runs are not checkpointable and take their trace from the wire (drop -trace/-checkpoint-every/-resume)"
+	case *functional && *connect == "":
+		conflict = "-functional applies to streamed runs (-connect) only"
+	}
+	if conflict != "" {
+		fmt.Fprintln(os.Stderr, "stms-sim: "+conflict)
 		os.Exit(1)
 	}
 
-	if *connect != "" || *listenStream != "" {
-		switch {
-		case *connect != "" && *listenStream != "":
-			fmt.Fprintln(os.Stderr, "stms-sim: pass at most one of -connect and -listen")
-			os.Exit(1)
-		case *resume != "" || *ckptEvery > 0 || *traceFile != "":
-			fmt.Fprintln(os.Stderr, "stms-sim: streamed runs are not checkpointable and take their trace from the wire (drop -trace/-checkpoint-every/-resume)")
-			os.Exit(1)
-		}
-		res, err := runStreamed(lab.BaseConfig(), *connect, *listenStream, *warm, *functional, ps)
-		if err != nil {
+	if *connect != "" {
+		if err := runStreamed(lab.BaseConfig(), *connect, *warm, *functional, ps); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		report(res, lab.BaseConfig())
 		if *compare {
 			fmt.Println("\n(-compare is unavailable for streamed runs; reconnect one producer per -pref variant instead)")
 		}
 		return
 	}
-	if *functional {
-		fmt.Fprintln(os.Stderr, "stms-sim: -functional applies to streamed runs (-connect/-listen) only")
-		os.Exit(1)
-	}
 
-	if *resume != "" || *ckptEvery > 0 || *haltAfter > 0 {
+	if *resume != "" || *ckptEvery > 0 {
 		if err := runCheckpointed(lab.BaseConfig(), *workload, ps, *ckptEvery, *ckptPath, *haltAfter, *resume); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -230,28 +231,21 @@ func main() {
 // runStreamed consumes a live STMSWIRE stream and simulates it: the
 // producer's handshake supplies the trace identity (spec, seed, cores,
 // per-core budget), so the streamed run is configured exactly like the
-// direct run it mirrors. The warm window comes from -warm; the measured
-// window is whatever the stream delivers beyond it.
-func runStreamed(cfg stms.Config, connect, listen string, warm uint64, functional bool, ps stms.PrefSpec) (stms.Results, error) {
+// direct run it mirrors, and reported with the stream's core count. The
+// warm window comes from -warm; the measured window is whatever the
+// stream delivers beyond it.
+func runStreamed(cfg stms.Config, connect string, warm uint64, functional bool, ps stms.PrefSpec) error {
 	var (
 		in  *stream.Inlet
 		err error
 	)
-	switch {
-	case connect == "-":
+	if connect == "-" {
 		in, err = stream.ReaderInlet(os.Stdin, stream.InletConfig{})
-	case connect != "":
+	} else {
 		in, err = stream.DialInlet(connect, stream.InletConfig{})
-	default:
-		lis, lerr := net.Listen("tcp", listen)
-		if lerr != nil {
-			return stms.Results{}, lerr
-		}
-		fmt.Fprintf(os.Stderr, "stms-sim: waiting for a stream producer on %s\n", lis.Addr())
-		in, err = stream.ListenInlet(lis, stream.InletConfig{})
 	}
 	if err != nil {
-		return stms.Results{}, err
+		return err
 	}
 	defer in.Close()
 
@@ -260,7 +254,7 @@ func runStreamed(cfg stms.Config, connect, listen string, warm uint64, functiona
 	cfg.Seed = h.Seed
 	if h.PerCore > 0 {
 		if warm >= h.PerCore {
-			return stms.Results{}, fmt.Errorf("stms-sim: stream delivers %d records/core; -warm %d leaves nothing to measure", h.PerCore, warm)
+			return fmt.Errorf("stms-sim: stream delivers %d records/core; -warm %d leaves nothing to measure", h.PerCore, warm)
 		}
 		cfg.WarmRecords = warm
 		cfg.MeasureRecords = h.PerCore - warm
@@ -279,12 +273,13 @@ func runStreamed(cfg stms.Config, connect, listen string, warm uint64, functiona
 	}
 	res, err := runOne(cfg, sim.FromSources(run), ps, sim.WithMode(mode))
 	if err != nil {
-		return stms.Results{}, err
+		return err
 	}
 	if n := in.Reconnects(); n > 0 {
 		fmt.Fprintf(os.Stderr, "stms-sim: stream survived %d reconnect(s) (%d frames)\n", n, in.Frames())
 	}
-	return res, nil
+	report(res, cfg)
+	return nil
 }
 
 // runCheckpointed is the crash-resumable single-cell path: it threads
@@ -295,12 +290,7 @@ func runStreamed(cfg stms.Config, connect, listen string, warm uint64, functiona
 // results.
 func runCheckpointed(cfg stms.Config, workload string, ps stms.PrefSpec, every uint64, path string, haltAfter int, resume string) error {
 	var opts []sim.RunOption
-	switch {
-	case every > 0 && path == "":
-		return fmt.Errorf("stms-sim: -checkpoint-every needs -checkpoint PATH")
-	case every == 0 && haltAfter > 0:
-		return fmt.Errorf("stms-sim: -halt-after needs -checkpoint-every")
-	case every > 0:
+	if every > 0 {
 		opts = append(opts, sim.WithCheckpointEvery(every, path))
 		if haltAfter > 0 {
 			opts = append(opts, sim.WithCheckpointHalt(haltAfter))

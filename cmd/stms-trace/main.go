@@ -1,6 +1,7 @@
 // Command stms-trace inspects the synthetic workload generators: record
 // mix, stream-length distribution, burstiness, and address arenas. Useful
-// when calibrating workloads against the paper's characteristics.
+// when calibrating workloads against the paper's characteristics. It is
+// also the producer of live trace streams (-wire).
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 //	           [-seed 42] [-cores 4] [-dump 0]
 //	           [-o flat.trace] [-tape columnar.tape]
 //	           [-scenario-out scn.json] [-list-scenarios]
+//	           [-champsim trace.gz] [-wire ADDR|- [-wire-cut-after 5,17]]
 //
 // -o captures the inspected record stream to the flat interchange
 // format; -tape materializes a columnar trace.Tape of the same identity
@@ -29,9 +31,17 @@
 // captures the result for stms-sim replay.
 //
 // -wire streams the selected source live over the STMSWIRE protocol
-// instead of inspecting it: -wire ADDR dials a waiting consumer
-// (stms-sim -listen ADDR), -wire - writes a one-way stream to stdout
-// (pipe into stms-sim -connect -).
+// (DESIGN.md §14) instead of inspecting it: -wire ADDR listens on ADDR
+// and serves the stream to a consumer that dials in (stms-sim -connect
+// ADDR), -wire - writes a one-way stream to stdout (pipe into stms-sim
+// -connect -). The stream carries -records/-cores records per core
+// (rounded up) and the consumer measures what its -warm leaves: a
+// -records 24000 -cores 4 stream simulated with -warm 2000 reports
+// byte-identically to stms-sim -warm 2000 -measure 4000. A TCP consumer
+// may drop and reconnect mid-stream; the outlet resumes from the
+// acknowledged frame and exits once the whole stream is acknowledged.
+// -wire-cut-after drops the connection after the listed frame numbers
+// (a chaos hook for exercising exactly that resume path).
 package main
 
 import (
@@ -39,9 +49,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"stms"
@@ -63,7 +75,18 @@ func main() {
 	out := flag.String("o", "", "write the generated records to a flat trace file")
 	tapeOut := flag.String("tape", "", "write the workload as a columnar tape file")
 	champsim := flag.String("champsim", "", "import a ChampSim input_instr trace (optionally gzipped) instead of a synthetic workload")
-	wire := flag.String("wire", "", "stream the source over STMSWIRE: dial ADDR, or - for a one-way stream on stdout")
+	wire := flag.String("wire", "", "stream the source over STMSWIRE: serve it on ADDR, or - for a one-way stream on stdout")
+	var cuts []uint64
+	flag.Func("wire-cut-after", "chaos: with -wire ADDR, drop the connection after these frame numbers (comma-separated)", func(list string) error {
+		for _, f := range strings.Split(list, ",") {
+			n, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
+			if err != nil {
+				return err
+			}
+			cuts = append(cuts, n)
+		}
+		return nil
+	})
 	flag.Parse()
 
 	if *listScns {
@@ -74,6 +97,10 @@ func main() {
 	}
 	if *cores < 1 {
 		fmt.Fprintln(os.Stderr, "stms-trace: -cores must be >= 1")
+		os.Exit(1)
+	}
+	if len(cuts) > 0 && (*wire == "" || *wire == "-") {
+		fmt.Fprintln(os.Stderr, "stms-trace: -wire-cut-after needs -wire ADDR (a one-way stream cannot resume past a cut)")
 		os.Exit(1)
 	}
 	if *champsim != "" {
@@ -177,7 +204,7 @@ func main() {
 			src, err = stream.SpecSource(spec, *seed, *cores, perCore)
 		}
 		if err == nil {
-			err = streamWire(src, *wire)
+			err = streamWire(src, *wire, cuts)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -347,17 +374,27 @@ func lenStreams(l *trace.Library) int {
 }
 
 // streamWire serves the source over STMSWIRE: to stdout as a one-way
-// stream ("-"), or by dialing a waiting consumer (stms-sim -listen).
-func streamWire(src stream.Source, addr string) error {
+// stream ("-"), or on a TCP listener at addr until a consumer
+// (stms-sim -connect) has acknowledged the whole stream, cutting the
+// connection after each frame number in cuts.
+func streamWire(src stream.Source, addr string, cuts []uint64) error {
 	out := stream.NewOutlet(src, stream.Timeouts{})
 	if addr == "-" {
 		if err := out.WriteAll(os.Stdout); err != nil {
 			return err
 		}
 	} else {
+		out.InjectCuts(cuts...)
+		lis, err := net.Listen("tcp", addr)
+		if err != nil {
+			return err
+		}
+		h := out.Hello()
+		fmt.Fprintf(os.Stderr, "stms-trace: streaming %s (%d cores, %d records/core) on %s\n",
+			h.Spec.Name, h.Cores, h.PerCore, lis.Addr())
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		if err := out.Connect(ctx, addr); err != nil {
+		if err := out.Serve(ctx, lis); err != nil {
 			return err
 		}
 	}

@@ -44,11 +44,8 @@ type Inlet struct {
 	helloJSON []byte
 	oneWay    bool
 
-	// redial re-establishes the transport for resume: dial again, or
-	// accept the next connection. Nil for one-way readers.
-	redial func() (net.Conn, error)
-	lis    net.Listener // owned in listen mode; closed on Close
-	closer io.Closer    // one-way source to close on Close, if closeable
+	addr   string    // the outlet's address, redialed for resume; empty for one-way readers
+	closer io.Closer // one-way source to close on Close, if closeable
 
 	pool  chan *trace.Frame
 	chans []chan *trace.Frame
@@ -83,47 +80,13 @@ func newInlet(cfg InletConfig) *Inlet {
 // starts consuming. Reconnect-with-resume redials the same address.
 func DialInlet(addr string, cfg InletConfig) (*Inlet, error) {
 	in := newInlet(cfg)
-	in.redial = func() (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, in.to.Handshake)
-	}
-	conn, err := in.redial()
+	in.addr = addr
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if err := in.handshake(conn); err != nil {
 		conn.Close()
-		return nil, err
-	}
-	go in.run(conn)
-	return in, nil
-}
-
-// ListenInlet accepts an outlet on lis (taking ownership of it),
-// completes the handshake, and starts consuming. Reconnect-with-resume
-// accepts the next connection. The first accept waits until the outlet
-// arrives or Close.
-func ListenInlet(lis net.Listener, cfg InletConfig) (*Inlet, error) {
-	in := newInlet(cfg)
-	in.lis = lis
-	in.redial = func() (net.Conn, error) {
-		type deadliner interface{ SetDeadline(time.Time) error }
-		if d, ok := lis.(deadliner); ok {
-			_ = d.SetDeadline(time.Now().Add(in.to.Handshake))
-		}
-		return lis.Accept()
-	}
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := lis.(deadliner); ok {
-		_ = d.SetDeadline(time.Time{}) // first accept: wait for the outlet
-	}
-	conn, err := lis.Accept()
-	if err != nil {
-		lis.Close()
-		return nil, err
-	}
-	if err := in.handshake(conn); err != nil {
-		conn.Close()
-		lis.Close()
 		return nil, err
 	}
 	go in.run(conn)
@@ -190,7 +153,7 @@ func (in *Inlet) adoptHello(body []byte) error {
 // handshake runs the two-way opening on a fresh connection: read and
 // check the hello, reply with resume position and the current credit.
 func (in *Inlet) handshake(conn net.Conn) error {
-	_ = conn.SetDeadline(time.Now().Add(in.to.Handshake))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	body, err := readEnvelope(conn)
 	if err != nil {
 		return err
@@ -230,9 +193,6 @@ func (in *Inlet) run(conn net.Conn) {
 	defer func() {
 		for _, ch := range in.chans {
 			close(ch)
-		}
-		if in.lis != nil {
-			in.lis.Close()
 		}
 	}()
 	for {
@@ -288,7 +248,7 @@ func (in *Inlet) consume(r io.Reader, conn net.Conn) error {
 	mr := newMsgReader(bufio.NewReaderSize(r, 64<<10), in.hello)
 	for {
 		if conn != nil {
-			_ = conn.SetReadDeadline(time.Now().Add(in.to.Idle))
+			_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		}
 		h, payload, err := mr.next()
 		if err != nil {
@@ -355,7 +315,7 @@ func (in *Inlet) acceptFrame(h msgHdr, payload []byte) error {
 // until the connection turns over. On a write failure it severs the
 // conn so the reader unblocks with the transport error.
 func (in *Inlet) writeLoop(conn net.Conn, stop chan struct{}) {
-	tick := time.NewTicker(in.to.Heartbeat)
+	tick := time.NewTicker(heartbeatPeriod)
 	defer tick.Stop()
 	var buf []byte
 	for {
@@ -376,7 +336,7 @@ func (in *Inlet) writeLoop(conn net.Conn, stop chan struct{}) {
 		} else {
 			buf = appendCtrlMsg(buf[:0], msgHeartbeat, 0)
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(in.to.Idle))
+		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
 		if _, err := conn.Write(buf); err != nil {
 			conn.Close()
 			return
@@ -384,18 +344,18 @@ func (in *Inlet) writeLoop(conn net.Conn, stop chan struct{}) {
 	}
 }
 
-// reattach re-establishes the transport after a drop: redial (or
-// re-accept) with exponential backoff inside the Reconnect budget, then
-// handshake with the resume position.
+// reattach re-establishes the transport after a drop: redial with
+// exponential backoff inside the Reconnect budget, then handshake with
+// the resume position.
 func (in *Inlet) reattach() (net.Conn, error) {
 	deadline := time.Now().Add(in.to.Reconnect)
-	backoff := in.to.Backoff
+	backoff := backoffStart
 	var lastErr error
 	for {
 		if in.isClosed() {
 			return nil, ErrClosed
 		}
-		conn, err := in.redial()
+		conn, err := net.DialTimeout("tcp", in.addr, handshakeTimeout)
 		if err == nil {
 			if err = in.handshake(conn); err == nil {
 				return conn, nil
@@ -491,9 +451,6 @@ func (in *Inlet) Close() {
 		in.mu.Unlock()
 		if conn != nil {
 			conn.Close()
-		}
-		if in.lis != nil {
-			in.lis.Close()
 		}
 		if in.closer != nil {
 			in.closer.Close()

@@ -214,7 +214,7 @@ func (w *walker) step() ([]byte, int) {
 }
 
 // errInjectedCut marks a deliberately dropped connection (chaos
-// testing); Serve and Connect treat it like any transport failure.
+// testing); Serve treats it like any transport failure.
 var errInjectedCut = errors.New("stream: injected connection cut")
 
 // Outlet serves one Source to one consumer at a time over the STMSWIRE
@@ -236,7 +236,8 @@ type Outlet struct {
 	resumes atomic.Uint64 // connections that resumed past sequence 0
 }
 
-// NewOutlet wraps src for serving. Zero Timeouts fields take defaults.
+// NewOutlet wraps src for serving. A zero Reconnect budget takes the
+// default.
 func NewOutlet(src Source, to Timeouts) *Outlet {
 	return &Outlet{src: src, to: to.withDefaults(), ring: newFrameRing(ringDepth)}
 }
@@ -268,7 +269,7 @@ func (o *Outlet) ServeConn(conn net.Conn) (finished bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
-	_ = conn.SetDeadline(time.Now().Add(o.to.Handshake))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if err := writeEnvelope(conn, o.src.Hello); err != nil {
 		return false, err
 	}
@@ -349,7 +350,7 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 		defer close(readerDone)
 		mr := newMsgReader(conn, o.src.Hello)
 		for {
-			_ = conn.SetReadDeadline(time.Now().Add(o.to.Idle))
+			_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 			h, _, err := mr.next()
 			if err != nil {
 				readerErr = err
@@ -373,7 +374,7 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 	// The reader owns the conn's read half until we return; closing the
 	// conn (our caller does) unblocks it.
 
-	hb := time.NewTicker(o.to.Heartbeat)
+	hb := time.NewTicker(heartbeatPeriod)
 	defer hb.Stop()
 	var ctrl []byte
 	nextMsg := func() []byte {
@@ -389,7 +390,7 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 		return msg
 	}
 	write := func(b []byte) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(o.to.Idle))
+		_ = conn.SetWriteDeadline(time.Now().Add(idleTimeout))
 		_, err := conn.Write(b)
 		return err
 	}
@@ -492,50 +493,6 @@ func (o *Outlet) Serve(ctx context.Context, lis net.Listener) error {
 			expired.Store(true)
 			lis.Close()
 		})
-	}
-}
-
-// Connect dials the consumer (the inlet listens) and serves, redialing
-// on transport drops within the Reconnect budget. The budget resets
-// whenever a connection makes it through the handshake.
-func (o *Outlet) Connect(ctx context.Context, addr string) error {
-	deadline := time.Now().Add(o.to.Reconnect)
-	backoff := o.to.Backoff
-	var lastErr error
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		d := net.Dialer{Timeout: o.to.Handshake}
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			finished, serr := o.ServeConn(conn)
-			conn.Close()
-			if finished {
-				return serr
-			}
-			if serr != nil && isWireError(serr) {
-				return serr
-			}
-			deadline = time.Now().Add(o.to.Reconnect)
-			backoff = o.to.Backoff
-			lastErr = serr
-		} else {
-			lastErr = err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("stream: could not deliver to %s within %v: %w", addr, o.to.Reconnect, lastErr)
-		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
 	}
 }
 

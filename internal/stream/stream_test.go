@@ -48,11 +48,17 @@ func testCfg(cores int, perCore uint64) sim.Config {
 // injecting the given connection cuts, and reports Serve's result.
 func serveTape(t *testing.T, tape *trace.Tape, cuts ...uint64) (addr string, done chan error, out *stream.Outlet) {
 	t.Helper()
+	return serveSource(t, stream.TapeSource(tape), cuts...)
+}
+
+// serveSource is serveTape for any source.
+func serveSource(t *testing.T, src stream.Source, cuts ...uint64) (addr string, done chan error, out *stream.Outlet) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{})
+	out = stream.NewOutlet(src, stream.Timeouts{})
 	out.InjectCuts(cuts...)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -62,7 +68,7 @@ func serveTape(t *testing.T, tape *trace.Tape, cuts ...uint64) (addr string, don
 }
 
 // runStream consumes a stream at addr through the timed driver.
-func runStream(t *testing.T, addr string, cfg sim.Config, tape *trace.Tape) (sim.Results, *stream.Inlet) {
+func runStream(t *testing.T, addr string, cfg sim.Config) (sim.Results, *stream.Inlet) {
 	t.Helper()
 	in, err := stream.DialInlet(addr, stream.InletConfig{})
 	if err != nil {
@@ -91,27 +97,62 @@ func waitServe(t *testing.T, done chan error) {
 }
 
 // TestLoopbackBitIdentical is the protocol's core correctness claim:
-// streaming a tape over TCP loopback produces the identical Results
-// struct as replaying the same tape directly.
+// streaming a trace over TCP loopback produces the identical Results
+// struct as running the same trace directly. It holds for every source
+// stms-trace -wire serves, across an injected connection cut, and with
+// a scenario's per-phase windows intact.
 func TestLoopbackBitIdentical(t *testing.T) {
 	const cores, perCore = 2, 4096
 	tape := testTape(t, cores, perCore)
 	cfg := testCfg(cores, perCore)
 	ps := sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125}
 
-	direct, err := run1(context.Background(), cfg, sim.FromTape(tape), ps)
+	spec, err := trace.ByName("web-apache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specSrc, err := stream.SpecSource(spec.Scaled(cfg.Scale), cfg.Seed, cores, perCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := trace.ScenarioByName("phase-flip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scnSrc, err := stream.ScenarioSource(scn.Scaled(cfg.Scale), cfg.Seed, cores, perCore)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	addr, done, _ := serveTape(t, tape)
-	streamed, in := runStream(t, addr, cfg, tape)
-	waitServe(t, done)
-	if !reflect.DeepEqual(direct, streamed) {
-		t.Fatalf("streamed results differ from direct replay:\ndirect:   %+v\nstreamed: %+v", direct, streamed)
-	}
-	if in.Reconnects() != 0 {
-		t.Fatalf("clean loopback run reconnected %d times", in.Reconnects())
+	for _, tc := range []struct {
+		name   string
+		direct sim.Input
+		src    stream.Source
+		cuts   []uint64
+	}{
+		{"tape", sim.FromTape(tape), stream.TapeSource(tape), nil},
+		{"spec", sim.FromSpec(spec), specSrc, []uint64{3}},
+		{"scenario", sim.FromScenario(scn), scnSrc, []uint64{3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct, err := run1(context.Background(), cfg, tc.direct, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "scenario" && len(direct.Phases) < 2 {
+				t.Fatalf("scenario run reports %d phase windows; want the per-phase comparison to bite", len(direct.Phases))
+			}
+
+			addr, done, _ := serveSource(t, tc.src, tc.cuts...)
+			streamed, in := runStream(t, addr, cfg)
+			waitServe(t, done)
+			if !reflect.DeepEqual(direct, streamed) {
+				t.Fatalf("streamed results differ from the direct run:\ndirect:   %+v\nstreamed: %+v", direct, streamed)
+			}
+			if got, want := in.Reconnects(), uint64(len(tc.cuts)); got != want {
+				t.Fatalf("run with %d injected cut(s) reconnected %d times", want, got)
+			}
+		})
 	}
 }
 

@@ -2,16 +2,17 @@
 // STMSWIRE v1 framed wire protocol, turning the simulator from a batch
 // tool into a service that chews on access streams as they arrive.
 //
-// A stream opens with a JSON handshake: the producing side (the Outlet)
-// always speaks first, sending a Hello envelope that announces the
-// stream's identity — workload spec, scenario provenance, seed, core
-// count, per-core record budget, frame capacity — so the consuming side
-// (the Inlet) can wire up a simulation that is bit-identical to running
-// the same trace locally. The inlet replies with a Welcome carrying its
-// resume position and an initial credit window. After the handshake the
-// stream is binary: length-prefixed, CRC32-sealed, sequence-numbered
-// messages framing columnar trace.Frame batches, interleaved round-robin
-// across cores.
+// The producing side (the Outlet) listens and serves; the consuming side
+// (the Inlet) dials it, or reads a one-way stream from a pipe. A stream
+// opens with a JSON handshake: the outlet always speaks first, sending a
+// Hello envelope that announces the stream's identity — workload spec,
+// scenario provenance, seed, core count, per-core record budget, frame
+// capacity — so the inlet can wire up a simulation that is
+// bit-identical to running the same trace locally. The inlet replies
+// with a Welcome carrying its resume position and an initial credit
+// window. After the handshake the stream is binary: length-prefixed,
+// CRC32-sealed, sequence-numbered messages framing columnar
+// trace.Frame batches, interleaved round-robin across cores.
 //
 // Robustness is the protocol's reason to exist; its rules are:
 //
@@ -25,9 +26,8 @@
 //     the producer instead of buffering unboundedly. A peer that sends
 //     past its credit is cut off with ErrCredit.
 //   - Liveness: both sides send heartbeats on a timer and arm read
-//     deadlines (Timeouts, mirroring the dist package), so a dead peer
-//     is detected as a deadline, not a hang — and a slow-but-alive one
-//     is not.
+//     deadlines, so a dead peer is detected as a deadline, not a hang —
+//     and a slow-but-alive one is not.
 //   - Resume: frames carry a global sequence number; on reconnect the
 //     inlet reports its last contiguous sequence and the outlet replays
 //     from a bounded ring of recent frames, or deterministically
@@ -100,38 +100,31 @@ func isWireError(err error) bool {
 	return false
 }
 
-// Timeouts bounds every wait in the protocol (the dist.Timeouts idiom;
-// zero fields take the defaults).
+// The protocol's fixed deadlines: a dead peer is detected as a
+// deadline, never a hang.
+const (
+	handshakeTimeout = 5 * time.Second       // dial + envelope exchange deadline
+	idleTimeout      = 30 * time.Second      // max peer silence before the conn is dead
+	heartbeatPeriod  = idleTimeout / 3       // keepalive period
+	backoffStart     = 50 * time.Millisecond // first resume retry delay, doubling per attempt
+)
+
+// Timeouts sets the resume budget (the dist.Timeouts idiom; zero takes
+// the default).
 type Timeouts struct {
-	Handshake time.Duration // dial + envelope exchange deadline (default 5s)
-	Idle      time.Duration // max peer silence before the conn is dead (default 30s)
-	Heartbeat time.Duration // keepalive period (default Idle/3)
 	Reconnect time.Duration // total resume budget after a drop (default 15s)
-	Backoff   time.Duration // first retry delay, doubling per attempt (default 50ms)
 }
 
 func (t Timeouts) withDefaults() Timeouts {
-	if t.Handshake == 0 {
-		t.Handshake = 5 * time.Second
-	}
-	if t.Idle == 0 {
-		t.Idle = 30 * time.Second
-	}
-	if t.Heartbeat == 0 {
-		t.Heartbeat = t.Idle / 3
-	}
 	if t.Reconnect == 0 {
 		t.Reconnect = 15 * time.Second
-	}
-	if t.Backoff == 0 {
-		t.Backoff = 50 * time.Millisecond
 	}
 	return t
 }
 
 // Hello is the outlet's handshake envelope: everything the inlet needs
 // to reproduce the stream's trace identity locally. The outlet sends it
-// first on every connection regardless of which side dialed.
+// first on every connection.
 type Hello struct {
 	Format  string `json:"format"`  // "STMSWIRE"
 	Version int    `json:"version"` // wire format version
