@@ -7,15 +7,16 @@
 // the -ckpt-dir directory when one is given):
 //
 //	stms-serve -worker -listen :9090 -ckpt-dir /var/tmp/stms-ckpts \
-//	           -checkpoint-every 100000 -peers http://host2:9090,http://host3:9090
+//	           -checkpoint-every 100000
 //
 // With -checkpoint-every, workers checkpoint running jobs to the store
 // (exchanged over GET/PUT /ckpts/{key}), so a worker lost mid-cell
 // costs only the tail of the cell: the coordinator moves the dead
 // worker's latest checkpoint to the retry, which resumes mid-run.
-// Peers are asked for a job's freshest checkpoint before it starts
-// cold. SIGINT drains gracefully — in-progress jobs flush a final
-// checkpoint before the listener closes.
+// Workers never ask each other for checkpoints: the coordinator's
+// exchange is the one path a checkpoint travels. SIGINT drains
+// gracefully — in-progress jobs flush a final checkpoint before the
+// listener closes.
 //
 // Coordinate mode plans a workload × variant matrix and dispatches its
 // cells to workers, retrying transport failures and degrading to local
@@ -61,7 +62,6 @@ func main() {
 	listen := flag.String("listen", ":9090", "worker listen address")
 	name := flag.String("name", "", "worker name in results and health documents (default: the listen address)")
 	ckptDir := flag.String("ckpt-dir", "", "checkpoint store disk tier (STMSCKPT directory; empty = memory only)")
-	peers := flag.String("peers", "", "comma-separated sibling worker URLs to ask for a job's checkpoint")
 	maxJobs := flag.Int("max-jobs", 0, "concurrent job bound (0 = all CPUs)")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "checkpoint running jobs to the checkpoint store every N records (0 = only on graceful shutdown)")
 
@@ -89,7 +89,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stms-serve: pass exactly one of -worker and -coordinate")
 		os.Exit(2)
 	case *worker:
-		if err := runWorker(*listen, *name, *ckptDir, splitList(*peers), *maxJobs, *token, *ckptEvery); err != nil {
+		if err := runWorker(*listen, *name, *ckptDir, *maxJobs, *token, *ckptEvery); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -137,14 +137,13 @@ func splitList(s string) []string {
 // flush a final checkpoint to the store and end its stream with a
 // terminal "checkpointed" event — so the coordinator retries the job
 // warm on another worker — before the listener closes.
-func runWorker(listen, name, ckptDir string, peers []string, maxJobs int, token string, ckptEvery uint64) error {
+func runWorker(listen, name, ckptDir string, maxJobs int, token string, ckptEvery uint64) error {
 	if name == "" {
 		name = listen
 	}
 	srv := stms.NewWorkerServer(stms.WorkerConfig{
 		Name:            name,
 		CkptDir:         ckptDir,
-		Peers:           peers,
 		MaxJobs:         maxJobs,
 		Token:           token,
 		CheckpointEvery: ckptEvery,
@@ -155,8 +154,8 @@ func runWorker(listen, name, ckptDir string, peers []string, maxJobs int, token 
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "stms-serve: worker %q listening on %s (ckpt-dir=%q, peers=%d, checkpoint-every=%d)\n",
-		name, listen, ckptDir, len(peers), ckptEvery)
+	fmt.Fprintf(os.Stderr, "stms-serve: worker %q listening on %s (ckpt-dir=%q, checkpoint-every=%d)\n",
+		name, listen, ckptDir, ckptEvery)
 
 	select {
 	case err := <-errc:

@@ -36,10 +36,8 @@ func main() {
 		Name: "w1", CheckpointEvery: 16_000,
 	}))
 	defer w1.Close()
-	// w2 lists w1 as a peer: before it starts a job cold, it asks w1
-	// for the job's freshest checkpoint over GET /ckpts/{key}.
 	w2 := httptest.NewServer(stms.NewWorkerServer(stms.WorkerConfig{
-		Name: "w2", CheckpointEvery: 16_000, Peers: []string{w1.URL},
+		Name: "w2", CheckpointEvery: 16_000,
 	}))
 	defer w2.Close()
 

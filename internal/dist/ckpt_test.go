@@ -96,18 +96,6 @@ func TestCkptWriteFetchPushResume(t *testing.T) {
 		t.Fatal("resumed result differs from cold direct simulation")
 	}
 
-	// A peer-wired worker finds A's checkpoint on its own.
-	c := NewServer(ServerConfig{Name: "c", Peers: []string{tsA.URL}})
-	tsC := httptest.NewServer(c)
-	defer tsC.Close()
-	cc := NewClient(tsC.URL)
-	resC, err := cc.RunJob(context.Background(), job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resC.Resumed || !reflect.DeepEqual(resC.Res, want) {
-		t.Fatalf("peer-checkpoint run: resumed %v, identical %v", resC.Resumed, reflect.DeepEqual(resC.Res, want))
-	}
 }
 
 func TestDrainCheckpointsInProgressJob(t *testing.T) {

@@ -19,25 +19,23 @@ import (
 // Timeouts are the client's per-attempt deadlines. Jobs can
 // legitimately run for a long time, so there is deliberately no
 // overall request timeout; instead each phase of an exchange is
-// bounded — the dial, the response headers, and (the interesting one)
-// silence on the event stream. The worker emits throttled progress
-// events a few times a second and queue heartbeats while a job waits
-// for an execution slot, so a stream silent past Stall is a transport
-// failure, not a long job.
+// bounded — the dial (5s), the response headers (15s), and (the one a
+// caller tunes) silence on the event stream. The worker emits throttled
+// progress events a few times a second and queue heartbeats while a
+// job waits for an execution slot, so a stream silent past Stall is a
+// transport failure, not a long job.
 type Timeouts struct {
-	Dial           time.Duration // TCP connect deadline (default 5s)
-	ResponseHeader time.Duration // response-header deadline (default 15s)
-	Stall          time.Duration // max event-stream silence (default 30s; <0 disables)
+	Stall time.Duration // max event-stream silence (default 30s; <0 disables)
 }
+
+// The fixed per-attempt deadlines of BaseTransport.
+const (
+	dialTimeout           = 5 * time.Second
+	responseHeaderTimeout = 15 * time.Second
+)
 
 // withDefaults fills zero fields with the defaults.
 func (t Timeouts) withDefaults() Timeouts {
-	if t.Dial == 0 {
-		t.Dial = 5 * time.Second
-	}
-	if t.ResponseHeader == 0 {
-		t.ResponseHeader = 15 * time.Second
-	}
 	if t.Stall == 0 {
 		t.Stall = 30 * time.Second
 	}
@@ -47,11 +45,10 @@ func (t Timeouts) withDefaults() Timeouts {
 // BaseTransport builds the deadline-bearing transport NewClient uses
 // by default. Exposed so fault injectors and custom transports can
 // wrap the same thing the real path runs on.
-func BaseTransport(t Timeouts) *http.Transport {
-	t = t.withDefaults()
+func BaseTransport() *http.Transport {
 	return &http.Transport{
-		DialContext:           (&net.Dialer{Timeout: t.Dial}).DialContext,
-		ResponseHeaderTimeout: t.ResponseHeader,
+		DialContext:           (&net.Dialer{Timeout: dialTimeout}).DialContext,
+		ResponseHeaderTimeout: responseHeaderTimeout,
 		MaxIdleConnsPerHost:   16,
 	}
 }
@@ -72,16 +69,16 @@ func WithAuth(token string) ClientOption {
 	return func(c *Client) { c.token = token }
 }
 
-// WithTimeouts replaces the client's per-attempt deadlines (zero
-// fields keep their defaults).
+// WithTimeouts replaces the client's stall window (zero keeps the
+// default).
 func WithTimeouts(t Timeouts) ClientOption {
 	return func(c *Client) { c.timeouts = t.withDefaults() }
 }
 
 // WithTransport replaces the client's HTTP transport wholesale — the
-// chaos injector's hook. The dial and header deadlines of WithTimeouts
-// do not apply through a custom transport (wrap BaseTransport to keep
-// them); the stall detector still does.
+// chaos injector's hook. The dial and header deadlines do not apply
+// through a custom transport (wrap BaseTransport to keep them); the
+// stall detector still does.
 func WithTransport(rt http.RoundTripper) ClientOption {
 	return func(c *Client) { c.transport = rt }
 }
@@ -111,7 +108,7 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	}
 	rt := c.transport
 	if rt == nil {
-		rt = BaseTransport(c.timeouts)
+		rt = BaseTransport()
 	}
 	c.http = &http.Client{Transport: rt}
 	return c
@@ -165,10 +162,9 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 }
 
 // stallWatch aborts a silent event stream: a timer armed at the stall
-// window closes the response body unless bytes keep arriving. The
-// closed body surfaces as a read error in the JSON decoder; the
-// stalled flag tells RunJob to classify it as ErrStalled rather than a
-// plain cut.
+// window closes the response body unless bytes keep arriving, and the
+// read that the close interrupts reports ErrStalled rather than a plain
+// cut.
 type stallWatch struct {
 	rc      io.ReadCloser
 	timer   *time.Timer
@@ -187,7 +183,10 @@ func newStallWatch(rc io.ReadCloser, window time.Duration) *stallWatch {
 
 func (w *stallWatch) Read(p []byte) (int, error) {
 	n, err := w.rc.Read(p)
-	if n > 0 && !w.stalled.Load() {
+	if w.stalled.Load() {
+		return n, fmt.Errorf("silent for %s: %w", w.window, ErrStalled)
+	}
+	if n > 0 {
 		w.timer.Reset(w.window)
 	}
 	return n, err
@@ -232,9 +231,8 @@ func (c *Client) RunJob(ctx context.Context, job *Job, onEvent func(Event)) (*Re
 	// arbitrarily large results without line-length limits. The stall
 	// watchdog closes the body if it goes silent past the window.
 	var stream io.Reader = resp.Body
-	var watch *stallWatch
 	if c.timeouts.Stall > 0 {
-		watch = newStallWatch(resp.Body, c.timeouts.Stall)
+		watch := newStallWatch(resp.Body, c.timeouts.Stall)
 		defer watch.stop()
 		stream = watch
 	}
@@ -245,9 +243,8 @@ func (c *Client) RunJob(ctx context.Context, job *Job, onEvent func(Event)) (*Re
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			if watch != nil && watch.stalled.Load() {
-				return nil, &TransportError{fmt.Errorf("dist: job stream from %s silent for %s: %w",
-					c.base, c.timeouts.Stall, ErrStalled)}
+			if errors.Is(err, ErrStalled) {
+				return nil, &TransportError{fmt.Errorf("dist: job stream from %s: %w", c.base, err)}
 			}
 			return nil, &TransportError{fmt.Errorf("dist: job stream from %s cut: %w", c.base, err)}
 		}

@@ -46,22 +46,18 @@ type ServerConfig struct {
 	// directory (<job hash>.stmsckpt files), so they outlive the
 	// process; otherwise they are held in memory only.
 	CkptDir string
-	// Peers are base URLs of sibling workers asked for a job's
-	// checkpoint before it starts cold.
-	Peers []string
 	// MaxJobs bounds concurrently executing jobs (default:
 	// runtime.NumCPU()); excess POST /jobs block until a slot frees.
 	MaxJobs int
 	// Token, when non-empty, requires every request except GET /healthz
 	// to carry "Authorization: Bearer <Token>"; everything else answers
-	// 401. The worker presents the same token to its peers, so one
-	// shared secret protects a whole fleet.
+	// 401, so one shared secret protects a whole fleet.
 	Token string
 	// CheckpointEvery, when > 0, checkpoints every running
 	// checkpointable job to the store each time this many trace records
-	// pass. Regardless of cadence, a job resumes from the freshest valid
-	// checkpoint found locally or on a peer, and Drain flushes a final
-	// checkpoint.
+	// pass. Regardless of cadence, a job resumes from a valid checkpoint
+	// in the worker's store (one the coordinator pushed with PUT /ckpts,
+	// or a previous attempt's), and Drain flushes a final checkpoint.
 	CheckpointEvery uint64
 }
 
@@ -70,7 +66,6 @@ type ServerConfig struct {
 type Server struct {
 	cfg   ServerConfig
 	store *Store
-	peers []*Client
 	sem   chan struct{}
 
 	drain     chan struct{}
@@ -94,7 +89,7 @@ type jobStatus struct {
 	WallMS   float64 `json:"wall_ms,omitempty"`
 }
 
-// NewServer constructs a worker over its checkpoint store and peer list.
+// NewServer constructs a worker over its checkpoint store.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Name == "" {
 		cfg.Name = "worker"
@@ -102,21 +97,13 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = runtime.NumCPU()
 	}
-	s := &Server{
+	return &Server{
 		cfg:   cfg,
 		store: NewStore(cfg.CkptDir),
 		sem:   make(chan struct{}, cfg.MaxJobs),
 		drain: make(chan struct{}),
 		jobs:  make(map[string]*jobStatus),
 	}
-	for _, p := range cfg.Peers {
-		var opts []ClientOption
-		if cfg.Token != "" {
-			opts = append(opts, WithAuth(cfg.Token))
-		}
-		s.peers = append(s.peers, NewClient(p, opts...))
-	}
-	return s
 }
 
 // Store returns the server's checkpoint store.
@@ -261,26 +248,26 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 
 	// Checkpointing: the worker checkpoints the job to its store under
 	// the job's identity key (sim.Identity) and resumes from the
-	// freshest valid checkpoint it can find — its own store (a previous
-	// attempt that died here, or one the coordinator pushed) or a
-	// peer's. Checkpoints survive job completion: "latest
-	// checkpoint per job identity" is the store's contract, and a
-	// coordinator whose stream was cut may still want it.
+	// checkpoint its store holds under that key — a previous attempt
+	// that died here, or one the coordinator pushed. ExecuteJob
+	// validates it and runs cold past a mismatch. Checkpoints survive
+	// job completion: "latest checkpoint per job identity" is the
+	// store's contract, and a coordinator whose stream was cut may
+	// still want it.
 	var exec *ExecOptions
 	var ckptWrites, ckptBytes uint64
 	if id, kerr := job.identity(); kerr == nil {
 		key := id.Key()
+		resume, _ := s.store.GetCkpt(key)
 		exec = &ExecOptions{
-			Every: s.cfg.CheckpointEvery,
-			Stop:  s.drain,
+			Resume: resume,
+			Every:  s.cfg.CheckpointEvery,
+			Stop:   s.drain,
 			Sink: func(data []byte) error {
 				ckptWrites++
 				ckptBytes += uint64(len(data))
 				return s.store.PutCkpt(key, data)
 			},
-		}
-		if sim.CheckpointablePref(job.Pref) {
-			exec.Resume = s.lookupCkpt(r.Context(), id)
 		}
 	}
 
@@ -327,31 +314,6 @@ func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, e
 		}
 	}()
 	return ExecuteJob(ctx, job, progress, exec)
-}
-
-// lookupCkpt finds the freshest checkpoint of the run id: this
-// worker's store first, then every peer, keeping whichever had
-// progressed furthest. Containers that fail to verify, or that belong
-// to another run (sim.CheckResume), are ignored — a checkpoint is never
-// trusted on arrival.
-func (s *Server) lookupCkpt(ctx context.Context, id sim.Identity) []byte {
-	key := id.Key()
-	var best []byte
-	var bestRecs uint64
-	consider := func(data []byte) {
-		if d, err := sim.CheckResume(data, id); err == nil && (best == nil || d.Records > bestRecs) {
-			best, bestRecs = data, d.Records
-		}
-	}
-	if data, ok := s.store.GetCkpt(key); ok {
-		consider(data)
-	}
-	for _, p := range s.peers {
-		if data, err := p.FetchCkpt(ctx, key); err == nil {
-			consider(data)
-		}
-	}
-	return best
 }
 
 // track registers a job in the status table under a fresh id.

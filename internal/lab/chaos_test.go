@@ -1,6 +1,6 @@
 package lab
 
-// Chaos soak: the distributed lab under a seeded fault schedule —
+// Chaos soak: the distributed lab under a fixed fault schedule —
 // refused connections, a stream stalled mid-event, circuit breakers
 // tripping — must still produce a canonical matrix export
 // byte-identical to an in-process run. Cells are pure functions of
@@ -25,18 +25,17 @@ import (
 	"stms/internal/trace"
 )
 
-// fastResilience keeps chaos tests snappy: millisecond backoffs, a
-// short stall window, and a breaker cooldown long enough that a tripped
-// worker stays out for the rest of the test (deterministic gating).
+// fastResilience keeps chaos tests short and their counters exact: two
+// retry rounds, a breaker that trips at the second consecutive failure,
+// and a cooldown long enough that a tripped worker stays out for the
+// rest of the test (deterministic gating). The stall window keeps its
+// 30s default: injected stalls end the stream at a logical position,
+// so no healthy cell comes near it.
 func fastResilience() Resilience {
 	return Resilience{
-		Stall:           300 * time.Millisecond,
 		RetryRounds:     2,
-		BackoffBase:     time.Millisecond,
-		BackoffMax:      5 * time.Millisecond,
 		BreakerAfter:    2,
 		BreakerCooldown: 10 * time.Minute,
-		ProbeTimeout:    time.Second,
 	}
 }
 
@@ -45,18 +44,18 @@ func TestChaosSoakByteIdenticalExport(t *testing.T) {
 	workloads := []string{"sci-em3d", "oltp-db2"}
 	prefs := remotePrefs[:2]
 
-	// The fault schedule, deterministic in (seed, rule match counters)
+	// The fault schedule, deterministic in the rules' match counters
 	// with Parallelism(1) fixing the request order:
 	//   - the first three POST /jobs are refused: cell 1 fails on both
 	//     workers, backs off, fails once more (tripping that worker's
 	//     breaker at the second consecutive failure), and lands on the
 	//     fourth attempt;
-	//   - the fifth POST /jobs delivers 20 bytes and stalls: cell 2's
-	//     first live attempt aborts via the stall detector, backs off,
-	//     and succeeds on the retry;
+	//   - the fifth POST /jobs delivers 20 bytes and stalls, ending at
+	//     the worker's first progress event: cell 2's first live attempt
+	//     aborts with ErrStalled, backs off, and succeeds on the retry;
 	//   - cells 3 and 4 run clean (on whichever workers the breaker
 	//     still admits).
-	in := dist.NewInjector(42, dist.BaseTransport(dist.Timeouts{}),
+	in := dist.NewInjector(dist.BaseTransport(),
 		dist.FaultRule{Kind: dist.FaultRefuse, Path: "/jobs", From: 0, Until: 3},
 		dist.FaultRule{Kind: dist.FaultStall, Path: "/jobs", From: 4, Until: 5, After: 20},
 	)
@@ -103,7 +102,7 @@ func TestChaosSoakByteIdenticalExport(t *testing.T) {
 
 	// Every cell still completed remotely, and the resilience machinery
 	// demonstrably engaged. The counters are exact: the fault sequence
-	// is a pure function of (seed, schedule) and Parallelism(1) fixes
+	// is a pure function of the schedule and Parallelism(1) fixes
 	// the request order.
 	rs := chaos.RemoteStats()
 	if int(rs.RemoteCells) != len(cm.Cells) || rs.LocalCells != 0 {
@@ -140,7 +139,7 @@ func TestChaosFallbackStillExact(t *testing.T) {
 	// Refuse everything: every cell degrades to in-process execution,
 	// loudly, and the matrix still matches a purely local run.
 	urls := testWorkers(t, 2)
-	in := dist.NewInjector(7, dist.BaseTransport(dist.Timeouts{}),
+	in := dist.NewInjector(dist.BaseTransport(),
 		dist.FaultRule{Kind: dist.FaultRefuse, Path: "/jobs"})
 	var notes []string
 	chaos := testLab(t,
@@ -182,8 +181,8 @@ func TestChaosFallbackStillExact(t *testing.T) {
 }
 
 // ckptWorkers starts n workers checkpointing every `every` records (0:
-// only on drain) with NO peer wiring, so the coordinator's GET/PUT
-// /ckpts exchange is the only way a checkpoint can move between them.
+// only on drain). The coordinator's GET/PUT /ckpts exchange is the only
+// way a checkpoint moves between them.
 func ckptWorkers(t *testing.T, n int, every uint64) ([]string, []*dist.Server) {
 	t.Helper()
 	servers := make([]*dist.Server, n)
@@ -201,29 +200,24 @@ func ckptWorkers(t *testing.T, n int, every uint64) ([]string, []*dist.Server) {
 }
 
 func TestChaosKillResumeFromExchangedCheckpoint(t *testing.T) {
-	// A worker dies mid-job (its event stream stalls until the detector
-	// kills the attempt). The job checkpointed to that worker's store
-	// before dying, the workers share no peers — so the only way the
-	// retry can run warm is the coordinator exchange: GET the dead
-	// worker's latest checkpoint, PUT it to the next-ranked worker, and
-	// that attempt resumes mid-run. The recovery must be visible in the
+	// A worker dies mid-job: its event stream stalls at the job's first
+	// progress event, after it has checkpointed to its store. Workers
+	// never ask each other for checkpoints, so the only way the retry
+	// can run warm is the coordinator exchange: GET the dead worker's
+	// latest checkpoint, PUT it to the next-ranked worker, and that
+	// attempt resumes mid-run. The recovery must be visible in the
 	// counters and invisible in the results.
 	urls, _ := ckptWorkers(t, 2, 500)
 	workloads := []string{"sci-em3d"}
 
-	in := dist.NewInjector(42, dist.BaseTransport(dist.Timeouts{}),
+	in := dist.NewInjector(dist.BaseTransport(),
 		dist.FaultRule{Kind: dist.FaultStall, Path: "/jobs", From: 0, Until: 1, After: 20},
 	)
-	// A wider stall window than fastResilience's: under -race a healthy
-	// cell can legitimately go quiet for a few hundred ms, and a
-	// spurious abort would break the exact counters below.
-	res := fastResilience()
-	res.Stall = time.Second
 	var notes []string
 	chaos := testLab(t,
 		WithWorkers(urls),
 		WithParallelism(1),
-		WithResilience(res),
+		WithResilience(fastResilience()),
 		WithWorkerTransport(in),
 		WithProgress(func(ev ResultEvent) {
 			if ev.Note != "" {
@@ -286,8 +280,8 @@ func TestChaosKillResumeFromExchangedCheckpoint(t *testing.T) {
 
 func TestChaosLocalFallbackResumesExchangedCheckpoint(t *testing.T) {
 	// The only worker checkpoints every job but never gets a result back
-	// to the coordinator: every POST /jobs stream stalls after its first
-	// bytes, while GET /ckpts still answers. Every attempt fails, the
+	// to the coordinator: every POST /jobs stream stalls at its first
+	// progress event, while GET /ckpts still answers. Every attempt fails, the
 	// cell degrades to in-process execution, and that local run resumes
 	// from the checkpoint the coordinator fetched: the worker generated
 	// the trace live, and so does the local run. The export is
@@ -295,7 +289,7 @@ func TestChaosLocalFallbackResumesExchangedCheckpoint(t *testing.T) {
 	urls, _ := ckptWorkers(t, 1, 500)
 	workloads := []string{"sci-em3d"}
 	prefs := remotePrefs[2:]
-	in := dist.NewInjector(42, dist.BaseTransport(dist.Timeouts{}),
+	in := dist.NewInjector(dist.BaseTransport(),
 		dist.FaultRule{Kind: dist.FaultStall, Path: "/jobs", After: 20})
 	var notes []string
 	chaos := testLab(t,
@@ -351,9 +345,7 @@ func TestChaosCorruptCheckpointFallsBackCold(t *testing.T) {
 	workloads := []string{"sci-em3d"}
 	prefs := remotePrefs[2:] // the STMS variant: the most checkpoint state to corrupt
 
-	// Default resilience: nothing here should stall, retry, or resume —
-	// a short stall window under -race could make the healthy run
-	// spuriously retry (and genuinely resume), clouding the assertions.
+	// Default resilience: nothing here should stall, retry, or resume.
 	chaos := testLab(t, WithWorkers(urls))
 	plan := chaos.Plan(workloads, prefs)
 	if len(plan.Cells) != 1 {
@@ -413,7 +405,7 @@ func TestChaosForeignCheckpointNeverAdopted(t *testing.T) {
 	urls, servers := ckptWorkers(t, 2, 0)
 	workloads := []string{"sci-em3d"}
 	prefs := remotePrefs[2:]
-	in := dist.NewInjector(42, dist.BaseTransport(dist.Timeouts{}),
+	in := dist.NewInjector(dist.BaseTransport(),
 		dist.FaultRule{Kind: dist.FaultStall, Path: "/jobs", After: 20})
 	var notes []string
 	chaos := testLab(t,

@@ -192,10 +192,10 @@ func WithWorkers(urls []string) Option {
 	}
 }
 
-// WithResilience replaces the coordinator's resilience policy —
-// per-attempt deadlines, the event-stream stall window, retry rounds
-// and backoff, and the per-worker circuit breaker thresholds. Zero
-// fields keep their defaults; sessions without WithWorkers ignore it.
+// WithResilience replaces the coordinator's resilience policy — the
+// event-stream stall window, retry rounds, and the per-worker circuit
+// breaker thresholds. Zero fields keep their defaults; sessions without
+// WithWorkers ignore it.
 func WithResilience(r Resilience) Option {
 	return func(l *Lab) error {
 		l.resilience = r
@@ -217,9 +217,9 @@ func WithWorkerAuth(token string) Option {
 
 // WithWorkerTransport replaces the HTTP transport the coordinator's
 // worker clients use — the hook the chaos tests inject faults through.
-// The dial and header deadlines of WithResilience do not apply through
-// a custom transport (wrap dist.BaseTransport to keep them); the stall
-// detector still does.
+// The dial and header deadlines do not apply through a custom
+// transport (wrap dist.BaseTransport to keep them); the stall detector
+// still does.
 func WithWorkerTransport(rt http.RoundTripper) Option {
 	return func(l *Lab) error {
 		l.workerRT = rt

@@ -46,49 +46,36 @@ import (
 
 // Resilience bounds the coordinator's patience with a misbehaving
 // worker pool. The zero value of any field means its default; a
-// negative Stall disables the stall detector (not recommended).
+// negative Stall disables the stall detector (not recommended). The
+// per-attempt dial (5s) and response-header (15s) deadlines are fixed
+// (dist.BaseTransport), as are the backoff and the breaker probe below.
 type Resilience struct {
-	Dial           time.Duration // per-attempt TCP connect deadline (default 5s)
-	ResponseHeader time.Duration // per-attempt response-header deadline (default 15s)
-	Stall          time.Duration // max silence on a job's event stream (default 30s)
-
+	Stall       time.Duration // max silence on a job's event stream (default 30s)
 	RetryRounds int           // passes over the worker ranking per cell (default 3)
-	BackoffBase time.Duration // backoff before the second pass (default 100ms)
-	BackoffMax  time.Duration // backoff cap for later passes (default 5s)
 
 	BreakerAfter    int           // consecutive transport failures that trip a worker's breaker (default 3)
 	BreakerCooldown time.Duration // open time before a half-open /healthz probe (default 10s)
-	ProbeTimeout    time.Duration // deadline on that probe (default 2s)
 }
+
+// The coordinator's fixed waits: exponential backoff between retry
+// rounds, and the deadline on a breaker's /healthz probe and on each
+// checkpoint fetch or push.
+const (
+	backoffBase  = 100 * time.Millisecond // backoff before the second pass
+	backoffMax   = 5 * time.Second        // backoff cap for later passes
+	probeTimeout = 2 * time.Second
+)
 
 // withDefaults fills zero fields with the defaults.
 func (r Resilience) withDefaults() Resilience {
-	if r.Dial == 0 {
-		r.Dial = 5 * time.Second
-	}
-	if r.ResponseHeader == 0 {
-		r.ResponseHeader = 15 * time.Second
-	}
-	if r.Stall == 0 {
-		r.Stall = 30 * time.Second
-	}
 	if r.RetryRounds <= 0 {
 		r.RetryRounds = 3
-	}
-	if r.BackoffBase <= 0 {
-		r.BackoffBase = 100 * time.Millisecond
-	}
-	if r.BackoffMax <= 0 {
-		r.BackoffMax = 5 * time.Second
 	}
 	if r.BreakerAfter <= 0 {
 		r.BreakerAfter = 3
 	}
 	if r.BreakerCooldown <= 0 {
 		r.BreakerCooldown = 10 * time.Second
-	}
-	if r.ProbeTimeout <= 0 {
-		r.ProbeTimeout = 2 * time.Second
 	}
 	return r
 }
@@ -134,11 +121,7 @@ type remotePool struct {
 func newRemotePool(urls []string, res Resilience, token string, rt http.RoundTripper) *remotePool {
 	res = res.withDefaults()
 	p := &remotePool{res: res, breakers: make(map[*dist.Client]*dist.Breaker)}
-	opts := []dist.ClientOption{dist.WithTimeouts(dist.Timeouts{
-		Dial:           res.Dial,
-		ResponseHeader: res.ResponseHeader,
-		Stall:          res.Stall,
-	})}
+	opts := []dist.ClientOption{dist.WithTimeouts(dist.Timeouts{Stall: res.Stall})}
 	if token != "" {
 		opts = append(opts, dist.WithAuth(token))
 	}
@@ -231,9 +214,9 @@ func (p *remotePool) rank(key string) []*dist.Client {
 // off identically and concurrent cells don't thundering-herd a
 // recovering worker.
 func (p *remotePool) backoff(key string, round int) time.Duration {
-	ceil := p.res.BackoffBase << (round - 1)
-	if ceil <= 0 || ceil > p.res.BackoffMax {
-		ceil = p.res.BackoffMax
+	ceil := backoffBase << (round - 1)
+	if ceil <= 0 || ceil > backoffMax {
+		ceil = backoffMax
 	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -305,7 +288,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 		return true
 	}
 	fetchCkpt := func(c *dist.Client) bool {
-		fctx, cancel := context.WithTimeout(ctx, p.res.ProbeTimeout)
+		fctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		data, ferr := c.FetchCkpt(fctx, ckptKey)
 		cancel()
 		if ferr != nil || !adopt(data) {
@@ -346,7 +329,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 			case dist.BreakerSkip:
 				continue
 			case dist.BreakerProbe:
-				pctx, cancel := context.WithTimeout(ctx, p.res.ProbeTimeout)
+				pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 				_, herr := c.Health(pctx)
 				cancel()
 				if herr != nil {
@@ -362,7 +345,7 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 				// Best-effort: park the exchanged checkpoint in this
 				// worker's store so the job it is about to run resumes
 				// from it instead of starting cold.
-				pctx, cancel := context.WithTimeout(ctx, p.res.ProbeTimeout)
+				pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 				c.PushCkpt(pctx, ckptKey, held)
 				cancel()
 			}
@@ -436,27 +419,20 @@ func (p *remotePool) run(ctx context.Context, l *Lab, cell *Cell) (sim.Results, 
 		}
 	}
 	p.count(func(s *RemoteStats) { s.LocalCells++ })
-	if held != nil {
-		res, resumed, rerr := dist.ExecuteJob(ctx, job, nil, &dist.ExecOptions{Resume: held})
-		if rerr == nil {
-			if resumed {
-				p.count(func(s *RemoteStats) { s.CkptResumes++ })
-			}
-			note := fmt.Sprintf("degraded to local after %d failed remote attempts", len(log.entries))
-			if resumed {
-				note += fmt.Sprintf(", resumed from the exchanged checkpoint (%d records in)", heldRecs)
-			}
-			if len(log.entries) > 0 {
-				note += ": " + log.String()
-			}
-			return res, 0, note, nil
-		}
+	res, resumed, err := dist.ExecuteJob(ctx, job, nil, &dist.ExecOptions{Resume: held})
+	resumed = resumed && err == nil
+	if resumed {
+		p.count(func(s *RemoteStats) { s.CkptResumes++ })
 	}
 	note := ""
-	if len(log.entries) > 0 {
-		note = fmt.Sprintf("degraded to local after %d failed remote attempts: %s",
-			len(log.entries), log.String())
+	if len(log.entries) > 0 || resumed {
+		note = fmt.Sprintf("degraded to local after %d failed remote attempts", len(log.entries))
 	}
-	res, err := simulateCell(ctx, cell)
+	if resumed {
+		note += fmt.Sprintf(", resumed from the exchanged checkpoint (%d records in)", heldRecs)
+	}
+	if len(log.entries) > 0 {
+		note += ": " + log.String()
+	}
 	return res, 0, note, err
 }

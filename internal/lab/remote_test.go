@@ -15,28 +15,14 @@ import (
 	"stms/internal/trace"
 )
 
-// testWorkers starts n dist workers wired as peers of each other,
-// returning their base URLs.
+// testWorkers starts n dist workers, returning their base URLs.
 func testWorkers(t *testing.T, n int) []string {
 	t.Helper()
-	tss := make([]*httptest.Server, n)
 	urls := make([]string, n)
-	// Two passes: peers need every URL, and httptest assigns them on
-	// start — so start with placeholder handlers, then install the
-	// workers.
-	for i := range tss {
-		tss[i] = httptest.NewServer(dist.NewServer(dist.ServerConfig{}))
-		urls[i] = tss[i].URL
-		t.Cleanup(tss[i].Close)
-	}
-	for i := range tss {
-		var peers []string
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		tss[i].Config.Handler = dist.NewServer(dist.ServerConfig{Name: urls[i], Peers: peers})
+	for i := range urls {
+		ts := httptest.NewServer(dist.NewServer(dist.ServerConfig{}))
+		urls[i] = ts.URL
+		t.Cleanup(ts.Close)
 	}
 	return urls
 }
@@ -109,7 +95,7 @@ func TestRemoteMatrixBitIdentical(t *testing.T) {
 func TestRemoteDegradesToLocal(t *testing.T) {
 	// No worker is listening on these: every cell must fall back to
 	// in-process simulation and still match a purely local run.
-	// (fastResilience keeps the retry rounds and backoffs snappy.)
+	// (fastResilience keeps the retry rounds few.)
 	urls := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
 	remote := testLab(t, WithWorkers(urls), WithResilience(fastResilience()))
 	workloads := []string{"sci-em3d"}

@@ -77,16 +77,14 @@ func newInlet(cfg InletConfig) *Inlet {
 }
 
 // DialInlet connects to an outlet at addr, completes the handshake, and
-// starts consuming. Reconnect-with-resume redials the same address.
+// starts consuming. The first dial retries with backoff inside the
+// Reconnect budget, as a resume does, so a consumer may start before
+// its producer listens. Reconnect-with-resume redials the same address.
 func DialInlet(addr string, cfg InletConfig) (*Inlet, error) {
 	in := newInlet(cfg)
 	in.addr = addr
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	conn, err := in.attach()
 	if err != nil {
-		return nil, err
-	}
-	if err := in.handshake(conn); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	go in.run(conn)
@@ -211,7 +209,7 @@ func (in *Inlet) run(conn net.Conn) {
 			in.setErr(err)
 			return
 		}
-		conn, err = in.reattach()
+		conn, err = in.attach()
 		if err != nil {
 			in.setErr(err)
 			return
@@ -344,10 +342,10 @@ func (in *Inlet) writeLoop(conn net.Conn, stop chan struct{}) {
 	}
 }
 
-// reattach re-establishes the transport after a drop: redial with
+// attach establishes the transport, first or after a drop: dial with
 // exponential backoff inside the Reconnect budget, then handshake with
 // the resume position.
-func (in *Inlet) reattach() (net.Conn, error) {
+func (in *Inlet) attach() (net.Conn, error) {
 	deadline := time.Now().Add(in.to.Reconnect)
 	backoff := backoffStart
 	var lastErr error
@@ -367,7 +365,7 @@ func (in *Inlet) reattach() (net.Conn, error) {
 		}
 		lastErr = err
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("stream: resume failed within %v: %w", in.to.Reconnect, lastErr)
+			return nil, fmt.Errorf("stream: no outlet answered within %v: %w", in.to.Reconnect, lastErr)
 		}
 		t := time.NewTimer(backoff)
 		select {

@@ -266,26 +266,40 @@ func (o *Outlet) Hello() Hello { return o.src.Hello }
 // producer abort) and serving should stop; finished=false means the
 // connection dropped mid-stream and a reconnect can resume.
 func (o *Outlet) ServeConn(conn net.Conn) (finished bool, err error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-
-	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := writeEnvelope(conn, o.src.Hello); err != nil {
-		return false, err
-	}
-	body, err := readEnvelope(conn)
+	wel, err := o.greet(conn)
 	if err != nil {
 		return false, err
 	}
+	return o.serveAttached(conn, wel)
+}
+
+// greet runs the handshake: hello out, welcome in. Until it succeeds
+// the peer is no consumer — a readiness probe that connects and
+// closes fails here.
+func (o *Outlet) greet(conn net.Conn) (Welcome, error) {
 	var wel Welcome
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	if err := writeEnvelope(conn, o.src.Hello); err != nil {
+		return wel, err
+	}
+	body, err := readEnvelope(conn)
+	if err != nil {
+		return wel, err
+	}
 	if err := json.Unmarshal(body, &wel); err != nil {
-		return false, fmt.Errorf("%w: welcome: %v", ErrProtocol, err)
+		return wel, fmt.Errorf("%w: welcome: %v", ErrProtocol, err)
 	}
 	if err := wel.validate(); err != nil {
-		return false, err
+		return wel, err
 	}
 	_ = conn.SetDeadline(time.Time{})
+	return wel, nil
+}
 
+// serveAttached streams to a consumer that completed the handshake.
+func (o *Outlet) serveAttached(conn net.Conn, wel Welcome) (bool, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	replay, err := o.position(wel.ResumeSeq)
 	if err != nil {
 		return true, err
@@ -456,7 +470,10 @@ func (o *Outlet) pump(conn net.Conn, replay [][]byte, sentSeq uint64, credit int
 // violations and producer death are terminal. Returns nil after clean
 // delivery. When no consumer returns within the budget (one that closed
 // before the end of the stream), Serve closes lis, as it does on
-// cancellation, and returns the dropped connection's error.
+// cancellation, and returns the dropped connection's error. A
+// connection that never completes the handshake (a readiness probe)
+// neither starts nor stops the budget: until a consumer has attached,
+// Serve waits for one indefinitely.
 func (o *Outlet) Serve(ctx context.Context, lis net.Listener) error {
 	unwatch := context.AfterFunc(ctx, func() { lis.Close() })
 	defer unwatch()
@@ -467,9 +484,6 @@ func (o *Outlet) Serve(ctx context.Context, lis net.Listener) error {
 	)
 	for {
 		conn, err := lis.Accept()
-		if budget != nil {
-			budget.Stop()
-		}
 		if err != nil {
 			switch {
 			case ctx.Err() != nil:
@@ -479,7 +493,18 @@ func (o *Outlet) Serve(ctx context.Context, lis net.Listener) error {
 			}
 			return err
 		}
-		finished, err := o.ServeConn(conn)
+		wel, err := o.greet(conn)
+		if err != nil {
+			conn.Close()
+			if isWireError(err) {
+				return err
+			}
+			continue
+		}
+		if budget != nil {
+			budget.Stop()
+		}
+		finished, err := o.serveAttached(conn, wel)
 		conn.Close()
 		switch {
 		case finished:

@@ -374,6 +374,103 @@ func TestServeGivesUpOnAbandonedStream(t *testing.T) {
 	}
 }
 
+// TestServeOutlastsReadinessProbe: a connection that closes without
+// completing the handshake (a readiness probe) is no consumer, so it
+// must not start the reconnect budget: the real consumer that arrives
+// well after the budget would have run out still gets the whole
+// stream, bit-identical to the direct run.
+func TestServeOutlastsReadinessProbe(t *testing.T) {
+	const cores, perCore = 2, 4096
+	const budget = 100 * time.Millisecond
+	tape := testTape(t, cores, perCore)
+	cfg := testCfg(cores, perCore)
+	direct, err := run1(context.Background(), cfg, sim.FromTape(tape), sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{Reconnect: budget})
+	done := make(chan error, 1)
+	go func() { done <- out.Serve(context.Background(), lis) }()
+
+	probe, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	time.Sleep(4 * budget)
+
+	streamed, _ := runStream(t, lis.Addr().String(), cfg)
+	waitServe(t, done)
+	if !reflect.DeepEqual(direct, streamed) {
+		t.Fatalf("streamed results after a probe differ from the direct run:\ndirect:   %+v\nstreamed: %+v", direct, streamed)
+	}
+}
+
+// TestDialInletBeforeListener: a consumer started before its producer
+// listens retries its first dial inside the Reconnect budget, so no
+// readiness wait is needed between starting the two.
+func TestDialInletBeforeListener(t *testing.T) {
+	const cores, perCore = 2, 4096
+	tape := testTape(t, cores, perCore)
+	cfg := testCfg(cores, perCore)
+	direct, err := run1(context.Background(), cfg, sim.FromTape(tape), sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reserve a loopback port, then free it: the consumer dials an
+	// address nothing listens on yet.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+
+	type dialed struct {
+		res sim.Results
+		err error
+	}
+	got := make(chan dialed, 1)
+	go func() {
+		in, err := stream.DialInlet(addr, stream.InletConfig{})
+		if err != nil {
+			got <- dialed{err: err}
+			return
+		}
+		defer in.Close()
+		h := in.Hello()
+		run := sim.SourceRun{Spec: h.Spec, Marks: h.Marks, Sources: in.Sources(), PerCore: h.PerCore}
+		res, err := run1(context.Background(), cfg, sim.FromSources(run), sim.PrefSpec{Kind: sim.STMS, SampleProb: 0.125})
+		got <- dialed{res, err}
+	}()
+
+	time.Sleep(300 * time.Millisecond)
+	lis, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("the freed port was taken in the meantime: %v", err)
+	}
+	out := stream.NewOutlet(stream.TapeSource(tape), stream.Timeouts{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- out.Serve(ctx, lis) }()
+
+	d := <-got
+	if d.err != nil {
+		t.Fatalf("consumer started before the listener: %v", d.err)
+	}
+	waitServe(t, done)
+	if !reflect.DeepEqual(direct, d.res) {
+		t.Fatalf("streamed results differ from the direct run:\ndirect:   %+v\nstreamed: %+v", direct, d.res)
+	}
+}
+
 // erroringGen yields n records, then dies with an error: the outlet
 // must abort the stream, and the consumer must see the failure.
 type erroringGen struct {

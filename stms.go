@@ -147,9 +147,9 @@ type TapeStats = lab.TapeStats
 func WithWorkers(urls []string) Option { return lab.WithWorkers(urls) }
 
 // Resilience bounds a coordinator's patience with a misbehaving worker
-// pool: per-attempt dial/header deadlines, the event-stream stall
-// window, retry rounds with full-jitter exponential backoff, and the
-// per-worker circuit breaker thresholds. Zero fields mean defaults.
+// pool: the event-stream stall window, retry rounds (with full-jitter
+// exponential backoff between them), and the per-worker circuit
+// breaker thresholds. Zero fields mean defaults.
 type Resilience = lab.Resilience
 
 // WithResilience replaces the coordinator's resilience policy.
@@ -176,9 +176,9 @@ func WithManifest(path string) Option { return lab.WithManifest(path) }
 type RemoteStats = lab.RemoteStats
 
 // WorkerConfig configures a worker daemon: its name, checkpoint
-// directory ("" keeps checkpoints in memory), sibling workers to ask
-// for a job's checkpoint, concurrent-job bound, bearer token and
-// checkpoint cadence.
+// directory ("" keeps checkpoints in memory), concurrent-job bound,
+// bearer token and checkpoint cadence. Checkpoints reach a worker only
+// through the coordinator's exchange (PUT /ckpts).
 type WorkerConfig = dist.ServerConfig
 
 // WorkerServer is the stms-serve worker daemon: an http.Handler
