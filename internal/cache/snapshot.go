@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"stms/internal/ckpt"
 	"stms/internal/mem"
@@ -36,7 +37,12 @@ func (c *Cache) Snapshot(enc *ckpt.Encoder) {
 }
 
 // Restore rebuilds cache content from a Snapshot taken on an
-// identically configured cache.
+// identically configured cache. Impossible content is rejected with
+// ckpt.ErrCorrupt before any state changes: an LRU order that is not a
+// permutation of the set's ways (packed: unused high nibbles must be
+// zero), a validity or dirty bit above the associativity, an invalid way
+// not holding invalidTag, a valid way holding a block of another set (or
+// invalidTag), or one block in two ways of a set.
 func (c *Cache) Restore(dec *ckpt.Decoder) error {
 	dec.Section("cache.Cache")
 	sets := dec.Int()
@@ -54,39 +60,88 @@ func (c *Cache) Restore(dec *ckpt.Decoder) error {
 		return err
 	}
 	if len(tags) != len(c.tags) {
-		return fmt.Errorf("cache %s: snapshot has %d tags, want %d", c.cfg.Name, len(tags), len(c.tags))
+		return fmt.Errorf("%w: cache %s: snapshot has %d tags, want %d", ckpt.ErrCorrupt, c.cfg.Name, len(tags), len(c.tags))
 	}
-	c.tags = tags
+	r := *c
+	r.tags = tags
 	if c.packed {
-		validM := dec.U32s()
-		dirtyM := dec.U32s()
-		lruW := dec.U64s()
+		r.validM = dec.U32s()
+		r.dirtyM = dec.U32s()
+		r.lruW = dec.U64s()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if len(validM) != c.sets || len(dirtyM) != c.sets || len(lruW) != c.sets {
-			return fmt.Errorf("cache %s: corrupt packed snapshot", c.cfg.Name)
+		if len(r.validM) != c.sets || len(r.dirtyM) != c.sets || len(r.lruW) != c.sets {
+			return fmt.Errorf("%w: cache %s: packed snapshot has %d, %d and %d set words for %d sets",
+				ckpt.ErrCorrupt, c.cfg.Name, len(r.validM), len(r.dirtyM), len(r.lruW), c.sets)
 		}
-		c.validM, c.dirtyM, c.lruW = validM, dirtyM, lruW
 	} else {
-		n := int(dec.U64())
+		n := dec.U64()
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if n != len(c.valid) {
-			return fmt.Errorf("cache %s: snapshot has %d ways, want %d", c.cfg.Name, n, len(c.valid))
+		if n != uint64(len(c.valid)) {
+			return fmt.Errorf("%w: cache %s: snapshot has %d ways, want %d", ckpt.ErrCorrupt, c.cfg.Name, n, len(c.valid))
 		}
-		for i := 0; i < n; i++ {
-			c.valid[i] = dec.Bool()
-			c.dirty[i] = dec.Bool()
-			c.lru[i] = dec.U8()
+		r.valid, r.dirty, r.lru = make([]bool, n), make([]bool, n), make([]uint8, n)
+		for i := range r.valid {
+			r.valid[i] = dec.Bool()
+			r.dirty[i] = dec.Bool()
+			r.lru[i] = dec.U8()
 		}
 	}
-	c.stats.Hits = dec.U64()
-	c.stats.Misses = dec.U64()
-	c.stats.Fills = dec.U64()
-	c.stats.Writebacks = dec.U64()
-	return dec.Err()
+	r.stats.Hits = dec.U64()
+	r.stats.Misses = dec.U64()
+	r.stats.Fills = dec.U64()
+	r.stats.Writebacks = dec.U64()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	for set := range r.sets {
+		if err := r.checkSet(set); err != nil {
+			return fmt.Errorf("%w: cache %s: snapshot set %d %s", ckpt.ErrCorrupt, c.cfg.Name, set, err)
+		}
+	}
+	*c = r
+	return nil
+}
+
+// checkSet reports what makes one restored set impossible, or nil.
+func (c *Cache) checkSet(set int) error {
+	var order [256]bool // way ids seen in the LRU order
+	if c.packed {
+		if extra := (c.validM[set] | c.dirtyM[set]) &^ c.waysMask; extra != 0 {
+			return fmt.Errorf("has validity or dirty bits %#x above %d ways", extra, c.assoc)
+		}
+		w := c.lruW[set]
+		for i := range c.assoc {
+			order[w>>(4*i)&0xF] = true
+		}
+		if c.assoc < 16 && w>>(4*c.assoc) != 0 {
+			return fmt.Errorf("LRU word %#x has nibbles above %d ways", w, c.assoc)
+		}
+	} else {
+		for _, way := range c.lru[set*c.assoc : (set+1)*c.assoc] {
+			order[way] = true
+		}
+	}
+	for way := range c.assoc {
+		if !order[way] {
+			return fmt.Errorf("LRU order is not a permutation of %d ways: way %d is missing", c.assoc, way)
+		}
+	}
+	tags := c.tags[set*c.assoc : (set+1)*c.assoc]
+	for way, tag := range tags {
+		switch valid := c.isValid(set, way); {
+		case !valid && tag != invalidTag:
+			return fmt.Errorf("invalid way %d holds block %#x", way, tag)
+		case valid && (tag == invalidTag || c.setOf(tag) != set):
+			return fmt.Errorf("way %d holds block %#x of set %d", way, tag, c.setOf(tag))
+		case valid && slices.Contains(tags[:way], tag):
+			return fmt.Errorf("holds block %#x in two ways", tag)
+		}
+	}
+	return nil
 }
 
 // Snapshot serializes the MSHR file verbatim: the entry and waiter

@@ -137,3 +137,89 @@ func FuzzMSHRRestore(f *testing.F) {
 		restoreMSHR(data)
 	})
 }
+
+// filledCache returns a cache of 4 sets with the given associativity
+// (packed up to 16 ways, byte slices above), one set full and dirty in
+// part, one holding a single line, and the rest empty.
+func filledCache(assoc int) *Cache {
+	c := New(Config{Name: "T", SizeBytes: 4 * assoc * 64, Assoc: assoc})
+	for i := range assoc {
+		c.Fill(uint64(4*i+1), i%3 == 0)
+	}
+	c.Access(5, true)
+	c.Fill(6, false)
+	return c
+}
+
+func cacheSnapshot(c *Cache) []byte {
+	enc := ckpt.NewEncoder()
+	c.Snapshot(enc)
+	return enc.Payload()
+}
+
+func TestCacheRestoreRejectsImpossibleState(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		assoc int
+		bad   func(c *Cache)
+	}{
+		{"LRU word names a way twice", 4, func(c *Cache) { c.lruW[1] = 0x0011 | 2<<8 | 3<<12 }},
+		{"LRU word names a way past the set", 4, func(c *Cache) { c.lruW[1] ^= 0x7 }},
+		{"LRU word has a high nibble", 4, func(c *Cache) { c.lruW[1] |= 1 << 16 }},
+		{"validity bit above the ways", 4, func(c *Cache) { c.validM[2] |= 1 << 4 }},
+		{"dirty bit above the ways", 4, func(c *Cache) { c.dirtyM[0] |= 1 << 31 }},
+		{"invalid way holds a block", 4, func(c *Cache) { c.tags[2*4+3] = 10 }},
+		{"valid way holds another set's block", 4, func(c *Cache) { c.tags[1*4+2] = 2 }},
+		{"valid way holds invalidTag", 4, func(c *Cache) { c.tags[1*4+2] = invalidTag }},
+		{"one block in two ways", 4, func(c *Cache) { c.tags[1*4+2] = c.tags[1*4+0] }},
+		{"tag array of the wrong length", 4, func(c *Cache) { c.tags = c.tags[:len(c.tags)-1] }},
+		{"fallback LRU order names a way twice", 32, func(c *Cache) { c.lru[32+5] = c.lru[32+6] }},
+		{"fallback LRU order names a way past the set", 32, func(c *Cache) { c.lru[32] = 40 }},
+		{"fallback invalid way holds a block", 32, func(c *Cache) { c.tags[3*32] = 7 }},
+		{"fallback one block in two ways", 32, func(c *Cache) { c.tags[32+9] = c.tags[32+30] }},
+	} {
+		bad := filledCache(c.assoc)
+		c.bad(bad)
+		target := filledCache(c.assoc)
+		target.Fill(3, true)
+		before := cacheSnapshot(target)
+		if err := target.Restore(ckpt.NewDecoder(cacheSnapshot(bad))); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s: Restore error %v, want ckpt.ErrCorrupt", c.name, err)
+		}
+		if !bytes.Equal(cacheSnapshot(target), before) {
+			t.Errorf("%s: a rejected Restore changed the cache", c.name)
+		}
+	}
+	for _, assoc := range []int{4, 16, 32} {
+		src := filledCache(assoc)
+		r := New(src.cfg)
+		if err := r.Restore(ckpt.NewDecoder(cacheSnapshot(src))); err != nil {
+			t.Fatalf("%d ways: valid snapshot rejected: %v", assoc, err)
+		}
+		if !bytes.Equal(cacheSnapshot(r), cacheSnapshot(src)) {
+			t.Fatalf("%d ways: restored cache snapshots differently", assoc)
+		}
+	}
+}
+
+// FuzzCacheRestore: whatever bytes it is handed, Cache.Restore restores
+// or returns an error, and a restored cache then serves accesses, fills
+// and invalidations over every set without panicking. The seeds are
+// snapshots of a packed and a byte-slice cache.
+func FuzzCacheRestore(f *testing.F) {
+	f.Add(cacheSnapshot(filledCache(4)))
+	f.Add(cacheSnapshot(filledCache(32)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, assoc := range []int{4, 32} {
+			c := New(filledCache(assoc).cfg)
+			if c.Restore(ckpt.NewDecoder(data)) != nil {
+				continue
+			}
+			for blk := uint64(0); blk < uint64(3*assoc*c.Sets()); blk++ {
+				c.Access(blk%37, blk%2 == 0)
+				c.Fill(blk, blk%3 == 0)
+				c.Invalidate(blk / 2)
+			}
+		}
+	})
+}

@@ -251,6 +251,30 @@ func (m *Meta) Snapshot(enc *ckpt.Encoder) error {
 	return nil
 }
 
+// The smallest encodings of an in-use pending record: its slot index,
+// then the fields Snapshot writes.
+const (
+	lookupRecBytes = 8 + 8 + 8 + 8 + 1 + 4 + 8
+	readRecBytes   = 8 + 8 + 8 + 8 + 8 + 8
+)
+
+// checkSlots bounds a pending-record slot table before it is allocated:
+// every slot is on the free list or is an in-use record encoded in the
+// bytes that remain, and every free slot names one of the table's slots.
+func checkSlots(what string, n int, free []int32, remaining, recBytes int) error {
+	if n < 0 || n > len(free)+remaining/recBytes {
+		return fmt.Errorf("%w: core: meta snapshot has %d %s slots, %d free and %d bytes left", ckpt.ErrCorrupt, n, what, len(free), remaining)
+	}
+	for _, f := range free {
+		if !inRange(int(f), n) {
+			return fmt.Errorf("%w: core: meta snapshot frees %s slot %d of %d", ckpt.ErrCorrupt, what, f, n)
+		}
+	}
+	return nil
+}
+
+func inRange(i, n int) bool { return i >= 0 && i < n }
+
 func inFree(free []int32, i int32) bool {
 	for _, f := range free {
 		if f == i {
@@ -324,9 +348,13 @@ func (m *Meta) Restore(dec *ckpt.Decoder,
 	m.st.StaleCursors = dec.U64()
 	m.st.IndexStale = dec.U64()
 
+	cores := len(m.hist)
 	nl := dec.Int()
 	m.freeLook = dec.I32s()
 	if err := dec.Err(); err != nil {
+		return err
+	}
+	if err := checkSlots("lookup", nl, m.freeLook, dec.Remaining(), lookupRecBytes); err != nil {
 		return err
 	}
 	m.lookups = make([]lookupRec, nl)
@@ -339,7 +367,7 @@ func (m *Meta) Restore(dec *ckpt.Decoder,
 			break
 		}
 		if i >= nl {
-			return fmt.Errorf("core: lookup record index %d out of range %d", i, nl)
+			return fmt.Errorf("%w: core: lookup record index %d out of range %d", ckpt.ErrCorrupt, i, nl)
 		}
 		rec := &m.lookups[i]
 		rec.cur.Core = dec.Int()
@@ -351,12 +379,19 @@ func (m *Meta) Restore(dec *ckpt.Decoder,
 		if dec.Err() != nil {
 			return dec.Err()
 		}
+		if !inRange(rec.core, cores) || !inRange(rec.cur.Core, cores) {
+			return fmt.Errorf("%w: core: lookup record %d issued by core %d with a cursor on core %d of %d",
+				ckpt.ErrCorrupt, i, rec.core, rec.cur.Core, cores)
+		}
 		rec.done = lookupDoneOf(rec.core)
 	}
 
 	nr := dec.Int()
 	m.freeRead = dec.I32s()
 	if err := dec.Err(); err != nil {
+		return err
+	}
+	if err := checkSlots("read", nr, m.freeRead, dec.Remaining(), readRecBytes); err != nil {
 		return err
 	}
 	m.reads = make([]readRec, nr)
@@ -369,7 +404,7 @@ func (m *Meta) Restore(dec *ckpt.Decoder,
 			break
 		}
 		if i >= nr {
-			return fmt.Errorf("core: read record index %d out of range %d", i, nr)
+			return fmt.Errorf("%w: core: read record index %d out of range %d", ckpt.ErrCorrupt, i, nr)
 		}
 		rec := &m.reads[i]
 		rec.core = dec.Int()
@@ -379,6 +414,10 @@ func (m *Meta) Restore(dec *ckpt.Decoder,
 		rec.seq = dec.U64()
 		if dec.Err() != nil {
 			return dec.Err()
+		}
+		if !inRange(rec.core, cores) || !inRange(rec.eng, cores) {
+			return fmt.Errorf("%w: core: read record %d issued by core %d with a cursor on core %d of %d",
+				ckpt.ErrCorrupt, i, rec.eng, rec.core, cores)
 		}
 		rec.done = readDoneOf(rec.eng, rec.seq)
 	}

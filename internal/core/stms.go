@@ -209,9 +209,7 @@ func NewMeta(env prefetch.Env, cfg Config) *Meta {
 		m.idx = NewIndexTable(cfg.IndexBuckets(), cfg.BucketWays)
 		m.bbuf = newBucketBuffer(cfg.BucketBufferBytes/64, m.idx)
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		m.hist = append(m.hist, prefetch.NewHistory(cfg.HistoryEntriesPerCore()))
-	}
+	m.hist = prefetch.Histories(env, cfg.Cores, cfg.HistoryEntriesPerCore())
 	return m
 }
 

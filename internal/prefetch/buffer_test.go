@@ -176,7 +176,7 @@ func TestBufferCapacityInvariant(t *testing.T) {
 }
 
 func TestHistoryAppendGet(t *testing.T) {
-	h := NewHistory(16)
+	h := newHistory(16)
 	for i := uint64(0); i < 10; i++ {
 		if pos := h.Append(i * 100); pos != i {
 			t.Fatalf("pos = %d, want %d", pos, i)
@@ -189,7 +189,7 @@ func TestHistoryAppendGet(t *testing.T) {
 }
 
 func TestHistoryWrapInvalidation(t *testing.T) {
-	h := NewHistory(8)
+	h := newHistory(8)
 	for i := uint64(0); i < 20; i++ {
 		h.Append(i)
 	}
@@ -209,7 +209,7 @@ func TestHistoryWrapInvalidation(t *testing.T) {
 }
 
 func TestHistoryMark(t *testing.T) {
-	h := NewHistory(8)
+	h := newHistory(8)
 	h.Append(42)
 	if !h.Mark(0) {
 		t.Fatal("mark failed")
@@ -224,7 +224,7 @@ func TestHistoryMark(t *testing.T) {
 }
 
 func TestHistoryReadLineStopsAtLineEnd(t *testing.T) {
-	h := NewHistory(64)
+	h := newHistory(64)
 	for i := uint64(0); i < 30; i++ {
 		h.Append(1000 + i)
 	}
@@ -245,7 +245,7 @@ func TestHistoryReadLineStopsAtLineEnd(t *testing.T) {
 }
 
 func TestHistoryReadLineStopsAtMark(t *testing.T) {
-	h := NewHistory(64)
+	h := newHistory(64)
 	for i := uint64(0); i < 12; i++ {
 		h.Append(i)
 	}
@@ -261,7 +261,7 @@ func TestHistoryReadLineStopsAtMark(t *testing.T) {
 }
 
 func TestHistoryReadLineRespectsMax(t *testing.T) {
-	h := NewHistory(64)
+	h := newHistory(64)
 	for i := uint64(0); i < 12; i++ {
 		h.Append(i)
 	}
@@ -273,7 +273,7 @@ func TestHistoryReadLineRespectsMax(t *testing.T) {
 }
 
 func TestHistoryReadLineAtHead(t *testing.T) {
-	h := NewHistory(64)
+	h := newHistory(64)
 	h.Append(1)
 	var line Line
 	n, marked, _ := h.ReadLine(1, 10, &line)
@@ -286,7 +286,7 @@ func TestHistoryReadLineAtHead(t *testing.T) {
 // append/read interleavings.
 func TestHistoryPositionsAlwaysConsistent(t *testing.T) {
 	f := func(ops []uint8) bool {
-		h := NewHistory(16)
+		h := newHistory(16)
 		appended := []uint64{}
 		for _, op := range ops {
 			if op%3 != 0 {

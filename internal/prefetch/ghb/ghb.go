@@ -66,19 +66,20 @@ type Meta struct {
 
 var _ prefetch.Metadata = (*Meta)(nil)
 
-// New builds the idealized backend.
-func New(cfg Config) *Meta {
+// New builds the idealized backend. env is consulted only for shared
+// history logs (prefetch.LogSharer) and may be nil.
+func New(env prefetch.Env, cfg Config) *Meta {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
 	if cfg.HistoryEntries == 0 {
 		cfg.HistoryEntries = Unbounded
 	}
-	m := &Meta{cfg: cfg, idx: newIndex(cfg.IndexEntries)}
-	for i := 0; i < cfg.Cores; i++ {
-		m.hist = append(m.hist, prefetch.NewHistory(cfg.HistoryEntries))
+	return &Meta{
+		cfg:  cfg,
+		hist: prefetch.Histories(env, cfg.Cores, cfg.HistoryEntries),
+		idx:  newIndex(cfg.IndexEntries),
 	}
-	return m
 }
 
 // Name identifies the backend.

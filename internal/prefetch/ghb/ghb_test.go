@@ -38,7 +38,7 @@ func readNext(m *Meta, cur *prefetch.Cursor, max int, done func(a, p []uint64, m
 }
 
 func TestLookupFindsMostRecent(t *testing.T) {
-	m := New(Config{Cores: 1})
+	m := New(nil, Config{Cores: 1})
 	record(m, 0, 1, 2, 3, 1, 5, 6)
 	cur := lookup(t, m, 0, 1)
 	if cur == nil {
@@ -56,7 +56,7 @@ func TestLookupFindsMostRecent(t *testing.T) {
 }
 
 func TestLookupUnknown(t *testing.T) {
-	m := New(Config{Cores: 1})
+	m := New(nil, Config{Cores: 1})
 	record(m, 0, 1, 2)
 	if cur := lookup(t, m, 0, 99); cur != nil {
 		t.Fatal("unknown block found")
@@ -68,7 +68,7 @@ func TestLookupUnknown(t *testing.T) {
 
 func TestCrossCoreLookup(t *testing.T) {
 	// Core 1 can find a stream recorded by core 0 (shared index, §4.2).
-	m := New(Config{Cores: 2})
+	m := New(nil, Config{Cores: 2})
 	record(m, 0, 10, 11, 12)
 	cur := lookup(t, m, 1, 10)
 	if cur == nil {
@@ -80,7 +80,7 @@ func TestCrossCoreLookup(t *testing.T) {
 }
 
 func TestStaleIndexAfterWrap(t *testing.T) {
-	m := New(Config{Cores: 1, HistoryEntries: 8})
+	m := New(nil, Config{Cores: 1, HistoryEntries: 8})
 	record(m, 0, 42)
 	for i := uint64(100); i < 120; i++ {
 		record(m, 0, i)
@@ -100,7 +100,7 @@ func TestStaleIndexAfterWrap(t *testing.T) {
 }
 
 func TestIndexLRUCap(t *testing.T) {
-	m := New(Config{Cores: 1, IndexEntries: 4})
+	m := New(nil, Config{Cores: 1, IndexEntries: 4})
 	record(m, 0, 1, 2, 3, 4)
 	if m.IndexLen() != 4 {
 		t.Fatalf("index len = %d", m.IndexLen())
@@ -118,7 +118,7 @@ func TestIndexLRUCap(t *testing.T) {
 }
 
 func TestIndexUpdateRefreshesLRU(t *testing.T) {
-	m := New(Config{Cores: 1, IndexEntries: 3})
+	m := New(nil, Config{Cores: 1, IndexEntries: 3})
 	record(m, 0, 1, 2, 3)
 	record(m, 0, 1) // refresh 1
 	record(m, 0, 4) // evicts 2
@@ -131,7 +131,7 @@ func TestIndexUpdateRefreshesLRU(t *testing.T) {
 }
 
 func TestMarkEndAndSkip(t *testing.T) {
-	m := New(Config{Cores: 1})
+	m := New(nil, Config{Cores: 1})
 	record(m, 0, 1, 2, 3, 4)
 	m.MarkEnd(0, 2)
 	cur := lookup(t, m, 0, 1)
@@ -155,7 +155,7 @@ func TestMarkEndAndSkip(t *testing.T) {
 }
 
 func TestReadNextAdvancesCursor(t *testing.T) {
-	m := New(Config{Cores: 1})
+	m := New(nil, Config{Cores: 1})
 	blks := make([]uint64, 30)
 	for i := range blks {
 		blks[i] = uint64(100 + i)
@@ -190,7 +190,7 @@ func TestPackUnpack(t *testing.T) {
 }
 
 func TestDefaultConfigUnbounded(t *testing.T) {
-	m := New(DefaultConfig(4))
+	m := New(nil, DefaultConfig(4))
 	// A million records must not wrap.
 	for i := uint64(0); i < 1_000_000; i++ {
 		m.Record(int(i%4), i, false)

@@ -91,7 +91,7 @@ func TestIndexMatchesReferenceMap(t *testing.T) {
 		{Cores: cores, IndexEntries: 1000},
 	} {
 		t.Run(fmt.Sprintf("hist%d-index%d", cfg.HistoryEntries, cfg.IndexEntries), func(t *testing.T) {
-			m := New(cfg)
+			m := New(nil, cfg)
 			ref := &refMeta{indexCap: cfg.IndexEntries, histCap: m.History(0).Cap(),
 				hist: make([][]uint64, cores), idx: map[uint64][2]uint64{}}
 			var stale uint64
@@ -136,7 +136,7 @@ func roundTrip(t *testing.T, m *Meta) *Meta {
 	if err := m.Snapshot(enc); err != nil {
 		t.Fatal(err)
 	}
-	r := New(m.cfg)
+	r := New(nil, m.cfg)
 	if err := r.Restore(ckpt.NewDecoder(enc.Payload())); err != nil {
 		t.Fatal(err)
 	}

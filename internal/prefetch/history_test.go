@@ -14,6 +14,9 @@ import (
 // unboundedCap mirrors ghb.Unbounded (which imports this package).
 const unboundedCap = uint64(1) << 34
 
+// newHistory creates a history of capEntries entries over a private log.
+func newHistory(capEntries uint64) *History { return NewLog(capEntries).history() }
+
 // refHistory is the plain-slice model paged storage must match: every
 // append ever made, kept forever, with the capacity applied only as the
 // live window.
@@ -65,7 +68,7 @@ func TestHistoryMatchesSliceModel(t *testing.T) {
 	for _, c := range caps {
 		t.Run(fmt.Sprint(c), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(c)))
-			h, ref := NewHistory(c), &refHistory{cap: c}
+			h, ref := newHistory(c), &refHistory{cap: c}
 			appends := 3*min(c, 3*historyPage+77) + 2*historyPage
 			var line Line
 			check := func(pos uint64) {
@@ -120,7 +123,7 @@ func TestHistoryMatchesSliceModel(t *testing.T) {
 					if !bytes.Equal(enc.Payload(), ref.snapshot()) {
 						t.Fatalf("head %d: snapshot bytes differ from the flat-slice encoding", head)
 					}
-					h = NewHistory(c)
+					h = newHistory(c)
 					if err := h.Restore(ckpt.NewDecoder(enc.Payload())); err != nil {
 						t.Fatal(err)
 					}
@@ -146,12 +149,12 @@ func TestHistoryRestoreRejectsWrongEntryCount(t *testing.T) {
 		head uint64
 		n    int
 	}{{1000, 10}, {1000, 99}, {5, 10}, {5, 4}, {0, 1}} {
-		h := NewHistory(100)
+		h := newHistory(100)
 		if err := h.Restore(section(100, c.head, c.n)); !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Errorf("head %d, %d entries: Restore error %v, want ckpt.ErrCorrupt", c.head, c.n, err)
 		}
 	}
-	h := NewHistory(100)
+	h := newHistory(100)
 	if err := h.Restore(section(100, 1000, 100)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +163,128 @@ func TestHistoryRestoreRejectsWrongEntryCount(t *testing.T) {
 	}
 }
 
+// sharedPair returns two views over one log of capacity c.
+func sharedPair(c uint64) (a, b *History) {
+	l := NewLog(c)
+	return l.history(), l.history()
+}
+
+// TestSharedLogMarksPerView: a mark set through one view is invisible
+// to the other's Get and ReadLine, and survives in its own.
+func TestSharedLogMarksPerView(t *testing.T) {
+	a, b := sharedPair(64)
+	for blk := uint64(100); blk < 130; blk++ {
+		a.Append(blk)
+		b.Append(blk)
+	}
+	if !a.Mark(5) {
+		t.Fatal("Mark(5) on a live position failed")
+	}
+	var line Line
+	if _, mark, _ := b.Get(5); mark {
+		t.Fatal("a's mark shows through b's Get")
+	}
+	if n, marked, _ := b.ReadLine(0, LineEntries, &line); marked || n != LineEntries {
+		t.Fatalf("b's ReadLine stopped at a's mark: %d entries, marked %v", n, marked)
+	}
+	if _, mark, _ := a.Get(5); !mark {
+		t.Fatal("a lost its own mark")
+	}
+	if n, marked, addr := a.ReadLine(0, LineEntries, &line); !marked || n != 5 || addr != 105 {
+		t.Fatalf("a's ReadLine = %d entries, marked %v at %d; want 5, true at 105", n, marked, addr)
+	}
+}
+
+// TestSharedLogLaggingViewAcrossWrap: between the two views' appends of
+// one lockstep step, the lagging view still reads its whole live
+// window — its oldest entry included — while the leading view's append
+// wraps a capped log, at every capacity down to one entry.
+func TestSharedLogLaggingViewAcrossWrap(t *testing.T) {
+	for _, c := range []uint64{1, 2, 12, historyPage - 1, historyPage, historyPage + 1} {
+		a, b := sharedPair(c)
+		for blk := uint64(1); blk <= 3*c+historyPage+5; blk++ {
+			a.Append(blk)
+			head := b.Head()
+			oldest := head - min(head, c)
+			for _, pos := range []uint64{oldest, head - 1} {
+				if got, _, ok := b.Get(pos); pos < head && (!ok || got != pos+1) {
+					t.Fatalf("cap %d, lagging head %d: Get(%d) = %d, %v; want %d", c, head, pos, got, ok, pos+1)
+				}
+			}
+			b.Append(blk)
+		}
+	}
+}
+
+// TestSharedLogDivergenceCaught: a view that appends a block other than
+// the one its log holds at that position, or falls more than one
+// append behind, panics instead of passing silently.
+func TestSharedLogDivergenceCaught(t *testing.T) {
+	expectPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	a, b := sharedPair(16)
+	a.Append(1)
+	expectPanic("different block", func() { b.Append(2) })
+	a, b = sharedPair(16)
+	a.Append(1)
+	a.Append(2)
+	expectPanic("two appends behind", func() { b.Append(1) })
+}
+
+// TestSharedLogSnapshotAndRestore: a sole view snapshots the bytes a
+// private history of the same contents does, and restoring a view whose
+// log another view shares fails without touching either view.
+func TestSharedLogSnapshotAndRestore(t *testing.T) {
+	snap := func(h *History) []byte {
+		enc := ckpt.NewEncoder()
+		h.Snapshot(enc)
+		return enc.Payload()
+	}
+	const c = 3*LineEntries + 1
+	for _, n := range []uint64{0, 7, c, c + 1, 5*c + 3} {
+		sole, _ := sharedPair(c)
+		private := newHistory(c)
+		for blk := uint64(1); blk <= n; blk++ {
+			for _, h := range []*History{sole, private} {
+				h.Append(blk << 3)
+				if blk%5 == 0 {
+					h.Mark(h.Head() - 2)
+				}
+			}
+		}
+		if !bytes.Equal(snap(sole), snap(private)) {
+			t.Fatalf("%d appends: a shared log's view snapshots differently from a private history", n)
+		}
+	}
+	a, b := sharedPair(c)
+	for blk := uint64(1); blk < 50; blk++ {
+		a.Append(blk)
+		b.Append(blk)
+	}
+	src := newHistory(c)
+	src.Append(99)
+	before := snap(a)
+	if err := a.Restore(ckpt.NewDecoder(snap(src))); err == nil {
+		t.Fatal("Restore into a shared log succeeded")
+	}
+	if !bytes.Equal(snap(a), before) || !bytes.Equal(snap(b), before) {
+		t.Fatal("a refused Restore changed a view")
+	}
+}
+
 // TestHistoryAllocationBudget: appending N entries to an Unbounded
 // history allocates at most 8·N bytes plus one page of slack and the
 // page table; growth by doubling would allocate about twice that.
 func TestHistoryAllocationBudget(t *testing.T) {
 	const n = 100_000
-	h := NewHistory(unboundedCap)
+	h := newHistory(unboundedCap)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -190,13 +309,13 @@ func BenchmarkHistory(b *testing.B) {
 		var h *History
 		for i := 0; i < b.N; i++ {
 			if i%(1<<20) == 0 {
-				h = NewHistory(unboundedCap) // bounds the benchmark's footprint
+				h = newHistory(unboundedCap) // bounds the benchmark's footprint
 			}
 			h.Append(uint64(i))
 		}
 	})
 	b.Run("AppendCapped", func(b *testing.B) {
-		h := NewHistory(3*historyPage + 77)
+		h := newHistory(3*historyPage + 77)
 		for i := uint64(0); i < h.Cap(); i++ {
 			h.Append(i)
 		}
@@ -207,7 +326,7 @@ func BenchmarkHistory(b *testing.B) {
 		}
 	})
 	b.Run("ReadLine", func(b *testing.B) {
-		h := NewHistory(3*historyPage + 77)
+		h := newHistory(3*historyPage + 77)
 		for i := uint64(0); i < 2*h.Cap()+5; i++ {
 			h.Append(i)
 		}

@@ -36,26 +36,51 @@ func (e *Engine) ReadDoneFor(core int, seq uint64) func(addrs, positions []uint6
 	return e.getReadOp(core, seq).done
 }
 
+// eachLive calls f on every live position of a history with the given
+// head and capacity, in the slot order of a flat slice of cap slots
+// (slot = position mod cap): the order snapshots list them in.
+func eachLive(head, capEntries uint64, f func(pos uint64)) {
+	base := head - min(head, capEntries)
+	first := base + (capEntries-base%capEntries)%capEntries // the position slot 0 holds
+	for p := first; p < head; p++ {
+		f(p)
+	}
+	for p := base; p < first; p++ {
+		f(p)
+	}
+}
+
 // Snapshot serializes one core's history buffer. The live entries go out
-// as one flat slot-ordered U64s list, the same bytes a single-slice
-// history wrote, so checkpoints do not depend on the page size.
+// as one flat slot-ordered U64s list, each mark merged into its entry's
+// top bit (markBit): the same bytes a single-slice history wrote, so
+// checkpoints depend neither on the page size nor on the log's slack
+// slot or its sharing.
 func (h *History) Snapshot(enc *ckpt.Encoder) {
 	enc.Section("prefetch.History")
 	enc.U64(h.cap)
 	enc.U64(h.head)
-	live := min(h.head, h.cap)
-	enc.U64(live)
-	for slot := uint64(0); slot < live; slot++ {
-		enc.U64(*h.at(slot))
-	}
+	enc.U64(min(h.head, h.cap))
+	eachLive(h.head, h.cap, func(p uint64) {
+		slot := h.log.slotOf(p)
+		e := *h.log.at(slot)
+		if h.marked(slot) {
+			e |= markBit
+		}
+		enc.U64(e)
+	})
 }
 
-// Restore rebuilds the history from a Snapshot taken on an identically
-// sized history. A snapshot must hold exactly the min(head, cap) live
-// entries its head implies; any other count is rejected with
-// ckpt.ErrCorrupt rather than restored into a history that would read
-// past its storage.
+// Restore rebuilds the history and its log from a Snapshot taken on an
+// identically sized history. A snapshot must hold exactly the
+// min(head, cap) live entries its head implies; any other count is
+// rejected with ckpt.ErrCorrupt rather than restored into a history that
+// would read past its storage. A history whose log other views share
+// cannot be restored: rewriting the log would rewrite theirs.
 func (h *History) Restore(dec *ckpt.Decoder) error {
+	l := h.log
+	if l.views != 1 {
+		return fmt.Errorf("prefetch: cannot restore a history whose log %d views share", l.views)
+	}
 	dec.Section("prefetch.History")
 	c := dec.U64()
 	head := dec.U64()
@@ -70,12 +95,22 @@ func (h *History) Restore(dec *ckpt.Decoder) error {
 		return fmt.Errorf("%w: prefetch: history snapshot has %d entries, head %d and capacity %d need %d",
 			ckpt.ErrCorrupt, len(entries), head, c, live)
 	}
-	h.head, h.slot, h.pages = head, head%c, nil
-	for off := uint64(0); off < uint64(len(entries)); off += historyPage {
-		pg := make([]uint64, min(historyPage, c-off))
-		copy(pg, entries[off:])
-		h.pages = append(h.pages, pg)
+	// Slots fill in order before the first wrap, so the log holds a page
+	// for every slot below min(head, slots).
+	l.head, l.slot, l.pages = head, head%l.slots, nil
+	for off := uint64(0); off < min(head, l.slots); off += historyPage {
+		l.pages = append(l.pages, make([]uint64, min(historyPage, l.slots-off)))
 	}
+	h.head, h.marks = head, nil
+	eachLive(head, c, func(p uint64) {
+		e := entries[0]
+		entries = entries[1:]
+		slot := p % l.slots
+		*l.at(slot) = e &^ markBit
+		if e&markBit != 0 {
+			h.setMark(slot)
+		}
+	})
 	return nil
 }
 

@@ -65,7 +65,7 @@ func NewMeta(env prefetch.Env, cfg Config) *Meta {
 	return &Meta{
 		cfg: cfg,
 		env: env,
-		inner: ghb.New(ghb.Config{
+		inner: ghb.New(env, ghb.Config{
 			Cores:          cfg.Cores,
 			HistoryEntries: cfg.HistoryEntries,
 		}),

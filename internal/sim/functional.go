@@ -45,6 +45,16 @@ type functional struct {
 	// (see merge).
 	cnt     counters
 	cntSnap counters
+
+	// logs holds the per-core history logs a group's variants share,
+	// keyed by core and history capacity (funcEnv.HistoryLog); nil for a
+	// group of one, whose backends keep private logs.
+	logs map[logKey]*prefetch.Log
+}
+
+type logKey struct {
+	core       int
+	capEntries uint64
 }
 
 // funcVariant is one prefetcher driven by a functional base system: its
@@ -106,6 +116,25 @@ func (e funcEnv) OnChip(core int, blk uint64) bool {
 	return e.s.l1[core].Probe(blk) || e.s.l2.Probe(blk)
 }
 
+// HistoryLog implements prefetch.LogSharer. Every variant of a group
+// records the same L2-miss sequence, one Record per miss in variant
+// order, so the variants whose histories have the same capacity share
+// one log per core instead of each holding a copy (DESIGN.md §6). A
+// group of one — every checkpointed or resumed run, and the sampling
+// scheduler's warming pass — keeps private logs.
+func (e funcEnv) HistoryLog(core int, capEntries uint64) *prefetch.Log {
+	if e.s.logs == nil {
+		return nil
+	}
+	k := logKey{core, capEntries}
+	l := e.s.logs[k]
+	if l == nil {
+		l = prefetch.NewLog(capEntries)
+		e.s.logs[k] = l
+	}
+	return l
+}
+
 // newFunctional constructs the zero-latency system over one variant per
 // spec (also used by the sampling scheduler's warming pass).
 func newFunctional(cfg Config, scaled trace.Spec, ps ...PrefSpec) *functional {
@@ -117,6 +146,9 @@ func newFunctional(cfg Config, scaled trace.Spec, ps ...PrefSpec) *functional {
 	s.l2 = cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2(), Assoc: cfg.L2Assoc})
 	s.strid = stride.New(cfg.Stride)
 	s.strideIssue = s.stridePrefetch
+	if len(ps) > 1 {
+		s.logs = make(map[logKey]*prefetch.Log)
+	}
 	for _, p := range ps {
 		v := &funcVariant{ps: p, pref: buildPrefetcher(funcEnv{s}, cfg, p)}
 		v.hint = v.pref.hint()

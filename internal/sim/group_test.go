@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"stms/internal/core"
 	"stms/internal/trace"
 )
 
@@ -118,6 +119,50 @@ func TestFunctionalGroupMatchesSolo(t *testing.T) {
 		for k, r := range rs {
 			if got, w := resultsJSON(t, r), resultsJSON(t, want[k]); !bytes.Equal(got, w) {
 				t.Fatalf("%s: group member %d (%s) differs from its solo run:\n%s\n%s", tt.name, k, group[k].Kind, got, w)
+			}
+		}
+	}
+}
+
+// TestFunctionalSharedLogGroupsMatchSolo: groups whose variants share
+// per-core history logs return each member's solo JSON. One is shaped
+// like the benchmark's capacity sweep — three STMS variants with an
+// unbounded-size history and a 64 KB, 1 MB and 8 MB index, all on one
+// log per core — and one mixes idealized and TSE variants over three
+// history capacities, so some logs are shared and some are not.
+func TestFunctionalSharedLogGroupsMatchSolo(t *testing.T) {
+	cfg, tapes := groupTapes(t)
+	var capacity []PrefSpec
+	for _, idx := range []uint64{64 << 10, 1 << 20, 8 << 20} {
+		scfg := core.Config{Cores: cfg.Cores, HistoryBytesPerCore: 1 << 30, IndexBytes: idx,
+			BucketWays: 12, SampleProb: 1, BucketBufferBytes: 8 << 10, Seed: cfg.Seed}
+		capacity = append(capacity, PrefSpec{Kind: STMS, STMSCfg: &scfg})
+	}
+	mixed := []PrefSpec{
+		{Kind: Ideal, HistoryEntries: 4096}, {Kind: Ideal}, {Kind: Ideal, HistoryEntries: 4096, IndexEntries: 2000},
+		{Kind: Ideal, HistoryEntries: 1000}, {Kind: TSE, HistoryEntries: 4096},
+	}
+	for _, g := range []struct {
+		name  string
+		group []PrefSpec
+		caps  int // distinct history capacities: logs per core
+	}{{"capacity", capacity, 1}, {"mixed", mixed, 3}} {
+		if n := len(newFunctional(cfg, tapes[0].tape.Spec(), g.group...).logs); n != g.caps*cfg.Cores {
+			t.Fatalf("%s: group holds %d logs, want %d per core", g.name, n, g.caps)
+		}
+		for _, tt := range tapes {
+			rs, err := Run(context.Background(), cfg, FromTape(tt.tape), g.group, WithMode(Functional))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, ps := range g.group {
+				solo, err := run1(nil, cfg, FromTape(tt.tape), ps, WithMode(Functional))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, w := resultsJSON(t, rs[k]), resultsJSON(t, solo); !bytes.Equal(got, w) {
+					t.Fatalf("%s/%s: member %d differs from its solo run:\n%s\n%s", g.name, tt.name, k, got, w)
+				}
 			}
 		}
 	}

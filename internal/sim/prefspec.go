@@ -112,7 +112,7 @@ func buildPrefetcher(env prefetch.Env, cfg Config, ps PrefSpec) built {
 			gcfg.HistoryEntries = ps.HistoryEntries
 		}
 		gcfg.IndexEntries = ps.IndexEntries
-		m := ghb.New(gcfg)
+		m := ghb.New(env, gcfg)
 		e := prefetch.NewEngine(env, m, ecfg)
 		return built{temporal: e, engine: e, ideal: m}
 
