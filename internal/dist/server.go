@@ -313,7 +313,11 @@ func (s *Server) execute(ctx context.Context, job *Job, progress sim.Progress, e
 			err = fmt.Errorf("dist: job %s/%s panicked: %v", job.Workload, job.Variant, r)
 		}
 	}()
-	return ExecuteJob(ctx, job, progress, exec)
+	res, resumed, err = ExecuteJob(ctx, job, progress, exec)
+	// The job's tables are dead: collect them before the next job
+	// allocates, as a lab does after each work item (DESIGN.md §5).
+	runtime.GC()
+	return res, resumed, err
 }
 
 // track registers a job in the status table under a fresh id.

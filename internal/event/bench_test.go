@@ -26,6 +26,43 @@ func simDelays(n int) []uint64 {
 	return d
 }
 
+// fig8Delays draws delays in the proportions the timed fig8 matrix
+// (8 workloads × baseline, ideal, STMS at scale 0.125, 80k+120k records
+// per core) schedules them: of its 45M inserts, 29% at the 180-cycle
+// DRAM access, 35% at 6–14-cycle transfer and hit latencies, and 11% at
+// 1024 cycles or more, which wait in the overflow heap.
+func fig8Delays(n int) []uint64 {
+	rnd := rand.New(rand.NewSource(42))
+	d := make([]uint64, n)
+	for i := range d {
+		switch p := rnd.Intn(100); {
+		case p < 2:
+			d[i] = 6
+		case p < 17:
+			d[i] = 8
+		case p < 31:
+			d[i] = 9
+		case p < 35:
+			d[i] = 14
+		case p < 38:
+			d[i] = 20
+		case p < 40:
+			d[i] = 26
+		case p < 41:
+			d[i] = 32 + uint64(rnd.Intn(224))
+		case p < 70:
+			d[i] = 180
+		case p < 77:
+			d[i] = 256 + uint64(rnd.Intn(256))
+		case p < 89:
+			d[i] = 512 + uint64(rnd.Intn(512))
+		default:
+			d[i] = 1024 + uint64(rnd.Intn(1024))
+		}
+	}
+	return d
+}
+
 type nopHandler struct{}
 
 func (nopHandler) Handle(uint64, uint8, uint64, uint64) {}
@@ -57,6 +94,27 @@ func BenchmarkCalendarSteadyChurn(b *testing.B) {
 	var h nopHandler
 	e := NewEngine()
 	for i := 0; i < 512; i++ {
+		e.ScheduleH(delays[i], h, 0, 0, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+		e.ScheduleH(delays[i&1023], h, 0, 0, 0)
+	}
+	b.StopTimer()
+	e.Drain(nil)
+}
+
+// BenchmarkCalendarFig8Churn is one schedule+fire cycle at the traffic
+// the timed fig8 matrix puts on its engine: 9 events pending at each
+// insert (the matrix averages 8.6) and fig8Delays' mix, so about one
+// insert in nine goes through the overflow heap.
+func BenchmarkCalendarFig8Churn(b *testing.B) {
+	delays := fig8Delays(1024)
+	var h nopHandler
+	e := NewEngine()
+	for i := 0; i < 10; i++ {
 		e.ScheduleH(delays[i], h, 0, 0, 0)
 	}
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package lab
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -121,6 +122,12 @@ func (l *Lab) Run(ctx context.Context, p *RunPlan) (*Matrix, error) {
 				} else {
 					st.runGroup(ctx, item)
 				}
+				// The item's tables are dead: collect them before the next
+				// item allocates, so the heap stays near one item's live
+				// set. Here, not in sim.Run (tests make thousands of tiny
+				// runs) nor by debug.FreeOSMemory (the next item would
+				// fault the pages back in); DESIGN.md §5.
+				runtime.GC()
 			}
 		}()
 	}
